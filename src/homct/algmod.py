@@ -157,20 +157,6 @@ class Algebra:
             self._cache["radical"] = rad
         return rad
 
-    def radical_power(self, k: int) -> Subspace:
-        """Subspace rad^k (rad^0 = whole algebra)."""
-        powers = self._cache.setdefault("radical_powers", [Subspace.full(self.p, self.dim)])
-        while len(powers) <= k:
-            prev = powers[-1]
-            rad = self.radical()
-            rows = []
-            for r in rad.basis.a:
-                lm = self.left_mult_matrix(r)
-                for s in prev.basis.a:
-                    rows.append(lm.apply(s))
-            powers.append(Subspace(self.p, self.dim, np.array(rows, dtype=np.int64) if rows else None))
-        return powers[k]
-
     def semisimple_quotient(self) -> tuple["Algebra", list[int]]:
         """Quotient by the radical, on canonical complement coordinates.
 

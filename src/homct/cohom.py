@@ -1,5 +1,7 @@
 """Completed cohomology: the Ext cotower, its two computations, and duality.
 
+Cotowers are ``completion.Tower`` objects read as direct systems: ``maps[k]``
+is the transition W_k -> W_{k+1}, and ``cotower_limit`` takes the colimit.
 Stage k of the completed-Ext cotower is H^i Hom(P, Q>=k), realized by chain
 map segments of degree -i on a finite window; it is isomorphic to
 Ext^{k+i}(M, Omega_k N) because the hard truncation Q>=k is a shifted
@@ -36,7 +38,6 @@ from .exactla import (
 from .resolve import Resolution, hom_solve, min_proj_resolution, syzygy_map
 
 __all__ = [
-    "CoTower",
     "StableMapClass",
     "SegmentStage",
     "bc_ext",
@@ -51,46 +52,14 @@ __all__ = [
 SEGMENT_BUFFER = 1
 
 
-class CoTower:
-    """Direct system W_{k_min} -> ... -> W_K with transition maps g_k: W_k -> W_{k+1}."""
-
-    def __init__(self, i: int, k_min: int, stages: list, maps: dict[int, Matrix], provenance: str):
-        self.i = i
-        self.k_min = k_min
-        self.stages = stages
-        self.maps = maps
-        self.provenance = provenance
-
-    @property
-    def k_max(self) -> int:
-        return self.k_min + len(self.stages) - 1
-
-    def dims(self) -> list[int]:
-        return [s.dim for s in self.stages]
-
-    def stage_dim(self, k: int) -> int:
-        if k < self.k_min:
-            return 0
-        return self.stages[k - self.k_min].dim
-
-
-class _DualStage:
-    def __init__(self, dim):
-        self.dim = dim
-
-
-def cotower_limit(t: CoTower, w: int) -> StabilizationReport:
+def cotower_limit(t: Tower, w: int) -> StabilizationReport:
     """Colimit verdict by dualizing: colim(W)* = lim(W*), so run the tower policy.
 
-    The dual system (W_k*) is a tower over the same index k whose transition
-    V_k -> V_{k-1} is the transpose of g_{k-1}: W_{k-1} -> W_k.
+    The dual system (W_k*) is a tower over the same stages whose transition
+    out of stage k+1 is the transpose of g_k: W_k -> W_{k+1}.
     """
-    K = t.k_max
-    dual_stages = [_DualStage(t.stage_dim(t.k_min + s)) for s in range(K - t.k_min + 1)]
-    dual_maps = {}
-    for s in range(1, K - t.k_min + 1):
-        dual_maps[t.k_min + s] = t.maps[t.k_min + s - 1].transpose()
-    dual = Tower(t.i, t.k_min, dual_stages, dual_maps, t.provenance + "-dual")
+    dual_maps = {k + 1: g.transpose() for k, g in t.maps.items()}
+    dual = Tower(t.i, t.k_min, t.stages, dual_maps, t.provenance + "-dual")
     rep = tower_limit(dual, w)
     rep.provenance = t.provenance
     rep.notes.append("colimit computed on the dualized tower")
@@ -106,7 +75,7 @@ def bc_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> Stabilizatio
     return cotower_limit(t, w)
 
 
-def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> CoTower:
+def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     if m.side != n.side:
         raise ValueError("stable-Hom cotower needs same-side modules")
     k_min = max(0, i)
@@ -131,7 +100,7 @@ def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> CoTower:
             cols.append(tgt.class_of(g.matrix.a.reshape(-1)))
         arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((tgt.dim, 0), dtype=np.int64)
         maps[k] = Matrix(m.p, arr.reshape(tgt.dim, src.dim))
-    return CoTower(i, k_min, stages, maps, "benson-carlson")
+    return Tower(i, k_min, stages, maps, "benson-carlson")
 
 
 # -- chain-map segments (truncated Hom route) -----------------------------------
@@ -244,20 +213,19 @@ def _hom_coords(pmod: FdModule, qmod: FdModule):
 
 
 class SegmentStage:
-    """H^i Hom(P, Q>=k) on the window [k+i, k+i+buffer], as a subquotient.
+    """H^i Hom(P, Q>=k) on the window [k+i, k+i+SEGMENT_BUFFER], as a subquotient.
 
     Class coordinates live in stacked Hom coordinates per window degree
     (generator-image coordinates when the projectives are free).
     """
 
-    def __init__(self, res_m: Resolution, res_n: Resolution, i: int, k: int,
-                 buffer: int = SEGMENT_BUFFER):
+    def __init__(self, res_m: Resolution, res_n: Resolution, i: int, k: int):
         self.res_m = res_m
         self.res_n = res_n
         self.i = i
         self.k = k
         self.lo = k + i
-        self.hi = self.lo + buffer
+        self.hi = self.lo + SEGMENT_BUFFER
         if self.lo < 0:
             raise ValueError("stage window starts below zero")
         self.p = res_m.module.p
@@ -374,10 +342,6 @@ class SegmentStage:
         return h, h.class_of(coords)
 
 
-def _segment_stage(res_m: Resolution, res_n: Resolution, i: int, k: int) -> SegmentStage:
-    return SegmentStage(res_m, res_n, i, k)
-
-
 def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> StabilizationReport:
     """Completed Ext by the truncated-Hom route, cross-checked against satellites.
 
@@ -395,7 +359,7 @@ def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> Stabiliza
     stages: list[SegmentStage] = []
     ext_classes = []
     for k in range(k_min, K + 1):
-        st = _segment_stage(res_m, res_n, i, k)
+        st = SegmentStage(res_m, res_n, i, k)
         h_ext = ext(m, res_n.syzygy(k), k + i)
         if st.dim != h_ext.dim:
             raise RuntimeError("internal route mismatch: truncated-Hom stage dim != Ext dim")
@@ -413,8 +377,7 @@ def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> Stabiliza
         arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((st_next.dim, 0), dtype=np.int64)
         maps[k] = Matrix(m.p, arr.reshape(st_next.dim, st.dim))
     _verify_satellite_route(m, res_n, i, k_min, K, stages, maps)
-    cot = CoTower(i, k_min, stages, maps, "pcomp-ext")
-    rep = cotower_limit(cot, w)
+    rep = cotower_limit(Tower(i, k_min, stages, maps, "pcomp-ext"), w)
     rep.provenance = "pcomp-ext"
     return rep
 

@@ -1,7 +1,9 @@
 """Satellites, the inverse-limit tower of Tor over cosyzygies, and complete homology.
 
-The tower at stage k holds Tor_{k+i}(M, Omega^k N); transition maps are the
-connecting homomorphisms of 0 -> Omega^{k-1}N -> I^{k-1} -> Omega^k N -> 0,
+``Tower`` is the one tower type of the package: the inverse systems built here
+and the Ext cotowers of ``cohom`` share it.  The cosyzygy tower at stage k
+holds Tor_{k+i}(M, Omega^k N); transition maps are the connecting
+homomorphisms of 0 -> Omega^{k-1}N -> I^{k-1} -> Omega^k N -> 0,
 computed on cycle representatives.  Right satellites are cokernels
 S^k T_{k+i}(N) = coker(T_{k+i}(I^{k-1}) -> T_{k+i}(Omega^k N)); the injection
 phi^k lands in stage k-1 of the cosyzygy tower with image equal to the image
@@ -53,13 +55,19 @@ __all__ = [
 
 
 class Tower:
-    """Inverse system V_K -> ... -> V_{k_min} with verified transition maps."""
+    """Stages V_{k_min}..V_K with verified transition maps, one per source stage.
+
+    ``maps[k]`` is the transition out of stage k, and the reader picks the
+    direction: an inverse system (``tower_limit``) reads it as V_k -> V_{k-1}
+    for k >= k_min + 1, a direct system (``cohom.cotower_limit``) reads it as
+    W_k -> W_{k+1} for k <= K - 1.
+    """
 
     def __init__(self, i: int, k_min: int, stages: list, maps: dict[int, Matrix], provenance: str):
         self.i = i
         self.k_min = k_min
         self.stages = stages  # index t corresponds to k = k_min + t
-        self.maps = maps  # maps[k]: V_k -> V_{k-1} for k >= k_min + 1
+        self.maps = maps  # keyed by source stage
         self.provenance = provenance
 
     @property
@@ -73,9 +81,6 @@ class Tower:
 
     def dims(self) -> list[int]:
         return [s.dim for s in self.stages]
-
-    def transition(self, k: int) -> Matrix:
-        return self.maps[k]
 
     def to_dict(self, report: "StabilizationReport | None" = None) -> dict:
         """JSON dump: per-k dims, transition matrices, and the verdict data."""
@@ -151,7 +156,7 @@ class SatelliteStage:
     """S^k T_{k+i}(N) as a cokernel of homology class spaces.
 
     Ambient coordinates are the class coordinates of Tor_{k+i}(m, Omega^k n);
-    the quotient is by the image of Tor_{k+i}(m, I^{k-1}).
+    the quotient is by the image of Tor_{k+i}(m, I^{k-1}), and by nothing at k = 0.
     """
 
     def __init__(self, p: int, base: HomologySpace, killed: Subspace):
@@ -172,20 +177,17 @@ class SatelliteStage:
         return self.sq.representative(cls)
 
 
-class _ZeroStage:
-    dim = 0
-
-
-def right_satellite(m: FdModule, j: int, n_steps: int, n: FdModule) -> SatelliteStage | HomologySpace:
+def right_satellite(m: FdModule, j: int, n_steps: int, n: FdModule) -> SatelliteStage:
     """S^{n_steps} Tor_j(m, -) evaluated at n.
 
-    n_steps = 0 returns Tor_j(m, n) itself; for n_steps >= 1 the value is the
-    cokernel of Tor_j(m, I^{n_steps-1}) -> Tor_j(m, Omega^{n_steps} n).
+    The value is the cokernel of Tor_j(m, I^{n_steps-1}) -> Tor_j(m, Omega^{n_steps} n);
+    at n_steps = 0 nothing is killed, which gives the classes of Tor_j(m, n).
     """
     if n_steps < 0:
         raise ValueError("satellite steps must be nonnegative")
     if n_steps == 0:
-        return tor(m, n, j)
+        base = tor(m, n, j)
+        return SatelliteStage(m.p, base, Subspace.zero(m.p, base.dim))
     inj = min_inj_resolution(n, n_steps + 1)
     omega = inj.cosyzygy(n_steps)
     base = tor(m, omega, j)
@@ -213,35 +215,20 @@ def satellite_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     """
     k_min = max(0, -i)
     cos = cosyzygy_tower(m, n, i, K)
-    stages: list = []
-    sat_stages: dict[int, SatelliteStage | HomologySpace] = {}
-    for k in range(k_min, K + 1):
-        if k == 0:
-            sat_stages[k] = tor(m, n, i)
-        else:
-            sat_stages[k] = right_satellite(m, k + i, k, n)
-        stages.append(sat_stages[k])
+    stages = [right_satellite(m, k + i, k, n) for k in range(k_min, K + 1)]
     maps: dict[int, Matrix] = {}
     for k in range(k_min + 1, K + 1):
-        src = sat_stages[k]
-        tgt = sat_stages[k - 1]
+        src = stages[k - k_min]
+        tgt = stages[k - 1 - k_min]
         delta = cos.maps.get(k)
         if src.dim == 0 or tgt.dim == 0 or delta is None:
             maps[k] = Matrix.zeros(m.p, tgt.dim, src.dim)
             continue
-        cols = []
-        for cls in np.eye(src.dim, dtype=np.int64):
-            base_class = src.representative(cls) if isinstance(src, SatelliteStage) else cls
-            down = delta.apply(base_class)  # class coords in V_{k-1}
-            if isinstance(tgt, SatelliteStage):
-                cols.append(tgt.class_of(down))
-            else:
-                cols.append(down)
-        arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((tgt.dim, 0), dtype=np.int64)
-        maps[k] = Matrix(m.p, arr.reshape(tgt.dim, src.dim))
-    t = Tower(i, k_min, stages, maps, "satellite")
-    t._cosyzygy = cos
-    return t
+        # class coords in V_{k-1}, projected onto the satellite cokernel
+        cols = [tgt.class_of(delta.apply(src.representative(cls)))
+                for cls in np.eye(src.dim, dtype=np.int64)]
+        maps[k] = Matrix(m.p, np.array(cols, dtype=np.int64).T.reshape(tgt.dim, src.dim))
+    return Tower(i, k_min, stages, maps, "satellite")
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .exactla import (
     kron,
     solve_matrix,
 )
-from .resolve import CompleteResolution, Resolution, min_proj_resolution
+from .resolve import CompleteResolution, Resolution, _memoized, min_proj_resolution
 
 __all__ = [
     "HomologySpace",
@@ -182,19 +182,10 @@ def second_arg_tensor_matrix(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, p
     return tgt.projection @ full @ src.section
 
 
-_chain_cache: dict[tuple[str, str], TensorChain] = {}
-
-
 def tensor_chain(m: FdModule, n: FdModule, depth: int) -> TensorChain:
     """Memoized tensor chain for (resolution of m) tensor n, built to depth."""
     res = min_proj_resolution(m, depth)
-    key = (m.fingerprint(), n.fingerprint())
-    tc = _chain_cache.get(key)
-    if tc is None:
-        tc = TensorChain(res, n)
-        _chain_cache[key] = tc
-    res.extend(depth)
-    return tc
+    return _memoized(("tensor", m.fingerprint(), n.fingerprint()), lambda: TensorChain(res, n))
 
 
 def tor(m: FdModule, n: FdModule, i: int, with_witness: bool = True) -> HomologySpace:
@@ -255,18 +246,10 @@ class ExtChain:
         return self.hom_space(j).coords(f.matrix.a.reshape(-1))
 
 
-_ext_cache: dict[tuple[str, str], ExtChain] = {}
-
-
 def ext_chain(m: FdModule, n: FdModule, depth: int) -> ExtChain:
+    """Memoized Hom cochain complex for (resolution of m, n), built to depth."""
     res = min_proj_resolution(m, depth)
-    key = (m.fingerprint(), n.fingerprint())
-    ec = _ext_cache.get(key)
-    if ec is None:
-        ec = ExtChain(res, n)
-        _ext_cache[key] = ec
-    res.extend(depth)
-    return ec
+    return _memoized(("ext", m.fingerprint(), n.fingerprint()), lambda: ExtChain(res, n))
 
 
 def ext(m: FdModule, n: FdModule, i: int) -> HomologySpace:
@@ -422,15 +405,15 @@ class TateChain:
 
 
 def tate_chain(tcx: CompleteResolution, n: FdModule) -> TateChain:
-    """Per-resolution cached Tate chain (components shared across degrees)."""
-    chains = getattr(tcx, "_tate_chains", None)
-    if chains is None:
-        chains = {}
-        tcx._tate_chains = chains
-    tc = chains.get(n.fingerprint())
+    """Per-resolution cached Tate chain (components shared across degrees).
+
+    Kept on tcx, not in the fingerprint-keyed memo: a complete resolution has
+    no content fingerprint.
+    """
+    key = n.fingerprint()
+    tc = tcx.tate_chains.get(key)
     if tc is None:
-        tc = TateChain(tcx, n)
-        chains[n.fingerprint()] = tc
+        tc = tcx.tate_chains[key] = TateChain(tcx, n)
     return tc
 
 

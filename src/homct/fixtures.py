@@ -8,6 +8,8 @@ A4 = F_3[x]/(x^3)            local, self-injective, isomorphic to F_3[C_3]
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algmod import (
@@ -23,31 +25,25 @@ from .algmod import (
     submodule,
 )
 
-_cache: dict[str, Algebra] = {}
 
-
+@functools.cache
 def algebra_a1() -> Algebra:
-    if "a1" not in _cache:
-        _cache["a1"] = make_monomial_quotient(1, [(2,)], 2)
-    return _cache["a1"]
+    return make_monomial_quotient(1, [(2,)], 2)
 
 
+@functools.cache
 def algebra_a2() -> Algebra:
-    if "a2" not in _cache:
-        _cache["a2"] = make_monomial_quotient(2, [(2, 0), (1, 1), (0, 2)], 2)
-    return _cache["a2"]
+    return make_monomial_quotient(2, [(2, 0), (1, 1), (0, 2)], 2)
 
 
+@functools.cache
 def algebra_a3() -> Algebra:
-    if "a3" not in _cache:
-        _cache["a3"] = make_monomial_quotient(2, [(2, 0), (0, 2)], 2)
-    return _cache["a3"]
+    return make_monomial_quotient(2, [(2, 0), (0, 2)], 2)
 
 
+@functools.cache
 def algebra_a4() -> Algebra:
-    if "a4" not in _cache:
-        _cache["a4"] = make_monomial_quotient(1, [(3,)], 3)
-    return _cache["a4"]
+    return make_monomial_quotient(1, [(3,)], 3)
 
 
 def fixture_algebras() -> dict[str, Algebra]:

@@ -64,8 +64,24 @@ __all__ = [
     "hom_solve",
 ]
 
-_res_cache: dict[str, "Resolution"] = {}
-_res_lock = threading.Lock()
+# The one process-wide memo of homological data, keyed by content fingerprints:
+# ("res", m) resolutions, ("tensor"|"ext", m, n) chains in derived, and
+# ("self_injective", algebra) verdicts.  Request-level worker threads share it.
+_memo: dict[tuple, object] = {}
+_memo_lock = threading.Lock()
+
+
+def _memoized(key: tuple, build):
+    """The memo entry under key, made by build() on first request.
+
+    build runs under the non-reentrant memo lock, so it must not itself
+    request a memo entry.
+    """
+    with _memo_lock:
+        value = _memo.get(key)
+        if value is None:
+            value = _memo[key] = build()
+        return value
 
 
 # -- covers and envelopes ---------------------------------------------------
@@ -281,13 +297,9 @@ def dim_top(m: FdModule) -> int:
 
 
 def min_proj_resolution(m: FdModule, depth: int) -> Resolution:
-    """Memoized minimal projective resolution of m to the given depth."""
-    key = m.fingerprint()
-    with _res_lock:
-        res = _res_cache.get(key)
-        if res is None:
-            res = Resolution(m)
-            _res_cache[key] = res
+    """Memoized minimal projective resolution of m, extended to depth under the lock."""
+    res = _memoized(("res", m.fingerprint()), lambda: Resolution(m))
+    with _memo_lock:
         res.extend(depth)
     return res
 
@@ -374,15 +386,14 @@ def detect_periodicity(res: Resolution, depth: int, seed: int = 0) -> Periodicit
 
 
 def is_self_injective(a: Algebra) -> tuple[bool, dict]:
-    """True iff the regular module equals its injective envelope."""
-    cached = a._cache.get("self_injective")
-    if cached is None:
+    """True iff the regular module equals its injective envelope; memoized per algebra fingerprint."""
+
+    def build():
         reg = regular_module(a, "left")
-        env, iota = injective_envelope(reg)
-        ok = env.dim == reg.dim
-        cached = (ok, {"regular_dim": reg.dim, "envelope_dim": env.dim})
-        a._cache["self_injective"] = cached
-    return cached
+        env, _ = injective_envelope(reg)
+        return env.dim == reg.dim, {"regular_dim": reg.dim, "envelope_dim": env.dim}
+
+    return _memoized(("self_injective", a.fingerprint()), build)
 
 
 # -- complete resolutions ------------------------------------------------------
@@ -411,6 +422,7 @@ class CompleteResolution:
         self.agreement_degree = agreement_degree
         self.mode = mode
         self.certificate = certificate
+        self.tate_chains: dict[str, object] = {}  # n fingerprint -> derived.TateChain
         degrees = sorted(modules)
         self.lo, self.hi = degrees[0], degrees[-1]
         for j in range(self.lo + 2, self.hi + 1):

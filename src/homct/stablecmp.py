@@ -374,7 +374,8 @@ def stable_homology_via_duality(m: FdModule, n: FdModule, i: int, K: int, w: int
         return rep
     if realization != "ext":
         raise ValueError("realization must be 'segments' or 'ext'")
-    from .cohom import CoTower, cotower_limit
+    from .cohom import cotower_limit
+    from .completion import Tower
     from .derived import ShortExactSeq, connecting_ext, ext
 
     k_min = max(0, -i)
@@ -384,8 +385,7 @@ def stable_homology_via_duality(m: FdModule, n: FdModule, i: int, K: int, w: int
     for k in range(k_min, K):
         ses = ShortExactSeq(res.syzygy_incl(k + 1), res.cover_map(k))
         maps[k] = connecting_ext(ses, m_op, k + i)
-    cot = CoTower(i, k_min, stages, maps, "stable-via-duality")
-    rep = cotower_limit(cot, w)
+    rep = cotower_limit(Tower(i, k_min, stages, maps, "stable-via-duality"), w)
     rep.provenance = "stable-via-duality"
     return rep
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from homct import resolve
 from homct.cli import ComputeRequest, main, run_compute, run_corpus
 from homct.schemas import (
     SchemaError,
@@ -191,3 +192,12 @@ def test_threads_env_var(monkeypatch):
     report = run_compute(req)
     dims = [report["per_degree"][str(i)]["tor"]["dim"] for i in range(0, 4)]
     assert dims == [1, 1, 1, 1]
+    # nine degrees through the pool, each run filling an empty memo under its lock
+    compare = ComputeRequest(fx("a1.json"), fx("a1_k_right.json"), fx("a1_k_left.json"),
+                             "compare", -4, 4, 5, 3, 0)
+    hashes = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("HOMCT_THREADS", threads)
+        monkeypatch.setattr(resolve, "_memo", {})
+        hashes[threads] = run_compute(compare)["hash"]
+    assert hashes["2"] == hashes["1"]

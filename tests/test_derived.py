@@ -1,5 +1,7 @@
 """Tests for Tor, Ext, connecting maps, LES exactness and Tate homology."""
 
+import os
+
 from homct.algmod import (
     FdModule,
     ModuleMap,
@@ -13,7 +15,9 @@ from homct.derived import (
     ShortExactSeq,
     connecting_tor,
     ext,
+    ext_chain,
     les_check,
+    tate_chain,
     tate_tor,
     tensor_chain,
     tor,
@@ -30,6 +34,9 @@ from homct.fixtures import (
     simple_k,
 )
 from homct.resolve import complete_resolution, min_inj_resolution
+from homct.schemas import parse_module_file
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def swap_side(m: FdModule) -> FdModule:
@@ -252,3 +259,27 @@ def test_tate_agrees_with_tor_above_agreement_degree():
         n = simple_k(a, "left")
         for i in range(t.agreement_degree + 1, 5):
             assert tate_tor(t, n, i).dim == tor(k_r, n, i).dim
+
+
+# --- the process memo -------------------------------------------------------------
+
+def test_memo_shares_chains_across_parsed_copies():
+    def parsed(name):
+        return parse_module_file(os.path.join(FIXTURES, name))
+
+    m1, m2 = parsed("a1_k_right.json"), parsed("a1_k_right.json")
+    n1, n2 = parsed("a1_k_left.json"), parsed("a1_k_left.json")
+    assert m1 is not m2 and n1 is not n2
+    assert tensor_chain(m1, n1, 2) is tensor_chain(m2, n2, 3)
+    l1, l2 = parsed("a1_k_left.json"), parsed("a1_k_left.json")
+    assert ext_chain(n1, l1, 2) is ext_chain(n2, l2, 3)
+
+
+def test_tate_chain_shared_per_complete_resolution():
+    a1 = algebra_a1()
+    k_r, k_l = simple_k(a1, "right"), simple_k(a1, "left")
+    t1, t2 = complete_resolution(k_r, 3), complete_resolution(k_r, 3)
+    assert t1 is not t2
+    assert tate_chain(t1, k_l) is tate_chain(t1, k_l)
+    assert tate_chain(t1, k_l) is not tate_chain(t2, k_l)
+    assert tate_tor(t1, k_l, 1).dim == tate_tor(t2, k_l, 1).dim == 1

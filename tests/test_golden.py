@@ -1,0 +1,51 @@
+"""Golden report hashes: the README CLI reports and the three cotower routes.
+
+Reports are a contract: any change to arithmetic, notes, provenance or report
+layout moves these hashes, and such a change must say so.
+"""
+
+import os
+
+import pytest
+
+from homct.cli import ComputeRequest, run_compute
+from homct.cohom import bc_ext
+from homct.fixtures import algebra_a1, algebra_a2, simple_k
+from homct.schemas import report_hash
+from homct.stablecmp import stable_homology_via_duality
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+@pytest.mark.parametrize("name, lo, hi, depth, window, expected", [
+    ("a1", -4, 4, 5, 3, "71126ff33c0ada73b741688641c7aaa4d3fdb8a4e2c861bf62571afd07f93880"),
+    ("a4", -3, 3, 5, 3, "79a8e22e4dc1baa5ab22ed5a37b9f707839b06c0b329caa911f2868c7bc37f0c"),
+    ("a2", -1, 1, 3, 2, "ae930100b5f4df4ef56fa5588c73bb27577faa36f2918e579e7ee757c18d99ec"),
+])
+def test_readme_compare_report_hash(name, lo, hi, depth, window, expected):
+    def fx(suffix):
+        return os.path.join(FIXTURES, f"{name}{suffix}.json")
+
+    req = ComputeRequest(fx(""), fx("_k_right"), fx("_k_left"), "compare", lo, hi, depth, window, 0)
+    report = run_compute(req)
+    assert report["failures"] == []
+    assert report["hash"] == expected
+
+
+def test_bc_ext_a2_report_hash():
+    k = simple_k(algebra_a2())
+    rep = bc_ext(k, k, 0, 3)
+    assert report_hash(rep.to_dict()) == "bd0bad1bf49489d8f69730c7c7264529a09a557dcb227a4a15870e0d559801a8"
+
+
+def test_duality_segments_a1_report_hash():
+    a1 = algebra_a1()
+    rep = stable_homology_via_duality(simple_k(a1, "right"), simple_k(a1, "left"), 0, 3)
+    assert report_hash(rep.to_dict()) == "a79c241ab5c0a538d142d504918b6c004012746cfad8baecd787b8268de11b23"
+
+
+def test_duality_ext_a2_report_hash():
+    a2 = algebra_a2()
+    rep = stable_homology_via_duality(simple_k(a2, "right"), simple_k(a2, "left"), 0, 3, w=2,
+                                      realization="ext")
+    assert report_hash(rep.to_dict()) == "c83424e084be50ff18c98bcdd04775983936dac72b5c01c8ec2d3ac01dde7d79"

@@ -1,11 +1,18 @@
 """Tests for covers, envelopes, minimal resolutions and complete resolutions."""
 
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
+from homct import resolve
 from homct.algmod import (
     direct_sum,
     dual_module,
     is_isomorphic,
+    make_monomial_quotient,
     quotient_module,
     regular_module,
 )
@@ -32,6 +39,9 @@ from homct.resolve import (
     min_proj_resolution,
     projective_cover,
 )
+from homct.schemas import parse_module_file
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 # --- covers -----------------------------------------------------------------
@@ -302,3 +312,53 @@ def test_lift_module_map_commutes():
         lhs = res_k.differential(j).matrix @ phis[j].matrix
         rhs = phis[j - 1].matrix @ res_m.differential(j).matrix
         assert lhs == rhs
+
+
+# --- the process memo -------------------------------------------------------------
+
+def test_memo_shares_resolution_across_parsed_copies():
+    path = os.path.join(FIXTURES, "a2_k_right.json")
+    m1, m2 = parse_module_file(path), parse_module_file(path)
+    assert m1 is not m2 and m1.algebra is not m2.algebra
+    res = min_proj_resolution(m1, 2)
+    assert min_proj_resolution(m2, 3) is res
+    assert res.depth >= 3
+
+
+def test_memo_self_injective_once_per_fingerprint(monkeypatch):
+    monkeypatch.setattr(resolve, "_memo", {})
+    calls = []
+
+    def counting_envelope(m):
+        calls.append(m.dim)
+        return injective_envelope(m)
+
+    monkeypatch.setattr(resolve, "injective_envelope", counting_envelope)
+    a, b = (make_monomial_quotient(1, [(3,)], 3) for _ in range(2))
+    assert a is not b and a.fingerprint() == b.fingerprint()
+    assert is_self_injective(a) == is_self_injective(b) == is_self_injective(a)
+    assert is_self_injective(a)[0]
+    assert calls == [3]
+
+
+def test_memo_one_entry_per_key_under_thread_contention(monkeypatch):
+    # a check-then-act race without the lock would hand out distinct objects
+    monkeypatch.setattr(resolve, "_memo", {})
+    k_r = simple_k(algebra_a2(), "right")
+    workers = 8
+    barrier = threading.Barrier(workers)
+
+    def race(_):
+        barrier.wait(timeout=30)
+        return min_proj_resolution(k_r, 3), is_self_injective(k_r.algebra)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(race, j) for j in range(workers)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(res) for res, _ in results}) == 1
+    assert len({id(verdict) for _, verdict in results}) == 1
+    assert results[0][0].depth >= 3 and results[0][1][0] is False
