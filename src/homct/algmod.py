@@ -165,19 +165,7 @@ class Algebra:
         cached = self._cache.get("ssq")
         if cached is None:
             rad = self.radical()
-            comp = rad.complement_cols()
-            s = len(comp)
-            struct = np.zeros((s, s, s), dtype=np.int64)
-            for a in range(s):
-                ea = np.zeros(self.dim, dtype=np.int64)
-                ea[comp[a]] = 1
-                for b in range(s):
-                    eb = np.zeros(self.dim, dtype=np.int64)
-                    eb[comp[b]] = 1
-                    struct[a, b] = rad.reduce(self.mul(ea, eb))[comp]
-            unit = rad.reduce(self.unit)[comp]
-            q = Algebra(self.p, struct, unit, check=False)
-            cached = (q, comp)
+            cached = (_quotient_algebra(self, rad), rad.complement_cols())
             self._cache["ssq"] = cached
         return cached
 
@@ -191,15 +179,18 @@ class Algebra:
             raise UnsupportedAlgebraError(
                 "unsupported algebra class: semisimple quotient is not commutative"
             )
-        # Frobenius fixes every element (x^p = x) iff every factor is F_p
-        for j in range(q.dim):
-            e = np.zeros(q.dim, dtype=np.int64)
-            e[j] = 1
-            if not np.array_equal(_power(q, e, self.p), e):
-                raise UnsupportedAlgebraError(
-                    "unsupported algebra class: semisimple quotient has a factor "
-                    "larger than F_p"
-                )
+        # Frobenius fixes every element (x^p = x) iff every factor is F_p; it is
+        # additive on the commutative quotient, so the basis elements suffice.
+        # Row j of powers is e_j^t, multiplied on the right by e_j at each step.
+        basis = np.eye(q.dim, dtype=np.int64)
+        powers = basis
+        for _ in range(self.p - 1):
+            powers = np.einsum("ji,ijk->jk", powers, q.structure) % self.p
+        if not np.array_equal(powers, basis):
+            raise UnsupportedAlgebraError(
+                "unsupported algebra class: semisimple quotient has a factor "
+                "larger than F_p"
+            )
         self._cache["supported"] = True
 
     def primitive_idempotents(self) -> list[np.ndarray]:
@@ -215,27 +206,11 @@ class Algebra:
         chars = self._cache.get("characters")
         if chars is None:
             self.assert_supported()
-            q, comp = self.semisimple_quotient()
-            qchars = _quotient_characters(q)
-            rad = self.radical()
-            rows = []
-            for ch in qchars:
-                row = np.zeros(self.dim, dtype=np.int64)
-                for j in range(self.dim):
-                    e = np.zeros(self.dim, dtype=np.int64)
-                    e[j] = 1
-                    row[j] = int(ch @ rad.reduce(e)[comp]) % self.p
-                rows.append(row)
-            chars = rows
+            q, _ = self.semisimple_quotient()
+            qchars = np.array(_quotient_characters(q), dtype=np.int64)
+            chars = list(qchars @ quotient_projection(self.radical()).a % self.p)
             self._cache["characters"] = chars
         return chars
-
-
-def _power(a: Algebra, v: np.ndarray, n: int) -> np.ndarray:
-    out = a.unit.copy()
-    for _ in range(n):
-        out = a.mul(out, v)
-    return out
 
 
 def validate_algebra(a: Algebra) -> ValidationReport:
@@ -338,8 +313,7 @@ def _radical_chain(a: Algebra) -> Subspace:
             rows.append(row)
         form = Matrix(p, np.array(rows, dtype=np.int64))
         ker = kernel_basis(form)  # in current-basis coordinates
-        new_rows = [current.from_coords(c) for c in ker.basis.a]
-        current = Subspace(p, n, np.array(new_rows, dtype=np.int64) if new_rows else None)
+        current = Subspace(p, n, current.from_coords(ker.basis.a))
         if pj >= n:
             break
         level += 1
@@ -350,44 +324,37 @@ def _radical_chain(a: Algebra) -> Subspace:
 def _radical_certified(a: Algebra) -> Subspace:
     rad = _radical_chain(a)
     p, n = a.p, a.dim
-    # two-sided ideal
-    for i in range(n):
-        ei = np.zeros(n, dtype=np.int64)
-        ei[i] = 1
-        lm = a.left_mult_matrix(ei)
-        rm = a.right_mult_matrix(ei)
-        for r in rad.basis.a:
-            if not rad.contains(lm.apply(r)) or not rad.contains(rm.apply(r)):
-                raise RadicalError("radical computation failed: not a two-sided ideal")
-    # nilpotent
+    r = rad.basis.a
+    # two-sided ideal: e_i r and r e_i for every basis element e_i, as row blocks
+    left = (r @ a.structure).reshape(n * rad.dim, n)
+    right = (r @ np.swapaxes(a.structure, 0, 1)).reshape(n * rad.dim, n)
+    if not rad.contains(left) or not rad.contains(right):
+        raise RadicalError("radical computation failed: not a two-sided ideal")
+    # nilpotent: rad^(j+1) is spanned by the products r s, r in rad, s in rad^j
     power = rad
     for _ in range(n + 1):
         if power.dim == 0:
             break
-        rows = []
-        for r in rad.basis.a:
-            lm = a.left_mult_matrix(r)
-            for s in power.basis.a:
-                rows.append(lm.apply(s))
-        power = Subspace(p, n, np.array(rows, dtype=np.int64) if rows else None)
+        prods = power.basis.a @ (np.tensordot(r, a.structure, axes=1) % p)
+        power = Subspace(p, n, prods.reshape(rad.dim * power.dim, n))
     if power.dim != 0:
         raise RadicalError("radical computation failed: ideal not nilpotent")
     # semisimple quotient: rerunning the chain on A/rad must give zero
-    comp = rad.complement_cols()
-    s = len(comp)
-    if s:
-        struct = np.zeros((s, s, s), dtype=np.int64)
-        for x in range(s):
-            ex = np.zeros(n, dtype=np.int64)
-            ex[comp[x]] = 1
-            for y in range(s):
-                ey = np.zeros(n, dtype=np.int64)
-                ey[comp[y]] = 1
-                struct[x, y] = rad.reduce(a.mul(ex, ey))[comp]
-        q = Algebra(a.p, struct, rad.reduce(a.unit)[comp], check=False)
-        if _radical_chain(q).dim != 0:
-            raise RadicalError("radical computation failed: quotient not semisimple")
+    if _radical_chain(_quotient_algebra(a, rad)).dim != 0:
+        raise RadicalError("radical computation failed: quotient not semisimple")
     return rad
+
+
+def _quotient_algebra(a: Algebra, rad: Subspace) -> Algebra:
+    """A/rad on the canonical complement coordinates of rad.
+
+    With proj the quotient projection, e_x e_y maps to proj(e_x e_y) for
+    complement basis elements x, y, and the unit to proj(1).
+    """
+    comp = rad.complement_cols()
+    proj = quotient_projection(rad).a
+    struct = a.structure[comp][:, comp] @ proj.T
+    return Algebra(a.p, struct, proj @ a.unit, check=False)
 
 
 def _quotient_characters(q: Algebra) -> list[np.ndarray]:
@@ -395,9 +362,7 @@ def _quotient_characters(q: Algebra) -> list[np.ndarray]:
     p, s = q.p, q.dim
     blocks = [Subspace.full(p, s)]
     for j in range(s):
-        ej = np.zeros(s, dtype=np.int64)
-        ej[j] = 1
-        lm = q.left_mult_matrix(ej)
+        lm = Matrix(p, q.structure[j].T)  # x -> e_j x
         refined = []
         for blk in blocks:
             if blk.dim == 1:
@@ -417,16 +382,11 @@ def _quotient_characters(q: Algebra) -> list[np.ndarray]:
     for blk in blocks:
         v = blk.basis.a[0]
         lead = int(np.nonzero(v)[0][0])
-        row = np.zeros(s, dtype=np.int64)
-        for j in range(s):
-            ej = np.zeros(s, dtype=np.int64)
-            ej[j] = 1
-            w = q.left_mult_matrix(ej).apply(v)
-            lam = (int(w[lead]) * pow(int(v[lead]), p - 2, p)) % p
-            if not np.array_equal(w, (lam * v) % p):
-                raise UnsupportedAlgebraError("unsupported algebra class: not split")
-            row[j] = lam
-        chars.append(row)
+        w = v @ q.structure % p  # row j is e_j v
+        lam = w[:, lead] * pow(int(v[lead]), p - 2, p) % p
+        if not np.array_equal(w, np.outer(lam, v) % p):
+            raise UnsupportedAlgebraError("unsupported algebra class: not split")
+        chars.append(lam)
     chars.sort(key=lambda r: tuple(int(x) for x in r))
     return chars
 
@@ -515,13 +475,8 @@ def make_group_algebra(mult_table, p: int) -> Algebra:
             for k in range(n):
                 if table[table[i][j]][k] != table[i][table[j][k]]:
                     raise ValueError(f"not a group: associativity fails at ({i},{j},{k})")
-    struct = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            struct[i, j, table[i][j]] = 1
-    unit = np.zeros(n, dtype=np.int64)
-    unit[identity] = 1
-    return Algebra(p, struct, unit, [f"g{i}" for i in range(n)])
+    basis = np.eye(n, dtype=np.int64)  # row g is the group element g
+    return Algebra(p, basis[table], basis[identity], [f"g{i}" for i in range(n)])
 
 
 def make_monomial_quotient(num_vars: int, relations, p: int, cutoff: int = 512) -> Algebra:
@@ -567,8 +522,7 @@ def make_monomial_quotient(num_vars: int, relations, p: int, cutoff: int = 512) 
             prod = tuple(x + y for x, y in zip(mi, mj))
             if is_standard(prod):
                 struct[i, j, index[prod]] = 1
-    unit = np.zeros(n, dtype=np.int64)
-    unit[index[tuple([0] * num_vars)]] = 1
+    unit = np.eye(n, dtype=np.int64)[index[tuple([0] * num_vars)]]
 
     def name(mono):
         if sum(mono) == 0:
@@ -754,10 +708,9 @@ class ModuleMap:
 
 
 def regular_module(a: Algebra, side: str = "left") -> FdModule:
-    if side == "left":
-        action = [a.left_mult_matrix(_unit_vec(a, i)) for i in range(a.dim)]
-    else:
-        action = [a.right_mult_matrix(_unit_vec(a, i)) for i in range(a.dim)]
+    # e_i acts by x -> e_i x (left) or x -> x e_i (right); column j is e_i e_j or e_j e_i
+    mult = a.structure if side == "left" else np.swapaxes(a.structure, 0, 1)
+    action = [Matrix(a.p, mult[i].T) for i in range(a.dim)]
     return FdModule(a, side, a.dim, action, check=False, free_rank=1)
 
 
@@ -773,10 +726,18 @@ def free_module(a: Algebra, side: str, rank: int) -> FdModule:
     return FdModule(a, side, a.dim * rank, action, check=False, free_rank=rank)
 
 
-def _unit_vec(a: Algebra, i: int) -> np.ndarray:
-    v = np.zeros(a.dim, dtype=np.int64)
-    v[i] = 1
-    return v
+def _action_stack(m: FdModule) -> np.ndarray:
+    """The action matrices of m as one (dim A, dim m, dim m) array."""
+    return np.stack([act.a for act in m.action])
+
+
+def _free_map_matrix(m: FdModule, gens: np.ndarray) -> np.ndarray:
+    """Matrix of the A-linear map A^b -> m sending free generator r to gens[:, r].
+
+    Column r * dim A + u is a_u . gens[:, r], in the basis order of free_module.
+    """
+    images = _action_stack(m) @ gens  # (u, row, r)
+    return np.transpose(images, (1, 2, 0)).reshape(m.dim, gens.shape[1] * len(m.action)) % m.p
 
 
 def simple_modules(a: Algebra, side: str = "left") -> list[FdModule]:
@@ -865,23 +826,12 @@ def tensor_over_algebra(m: FdModule, n: FdModule) -> TensorSpace:
             None,
             (dm, dn),
         )
-    rows = []
-    for i in range(m.algebra.dim):
-        ma = m.action[i].a  # m * e_i
-        na = n.action[i].a  # e_i * n
-        for s in range(dm):
-            for t in range(dn):
-                rel = np.zeros(dm * dn, dtype=np.int64)
-                # (m e_i) tensor n  -  m tensor (e_i n)  on basis pair (s, t)
-                for u in range(dm):
-                    if ma[u, s]:
-                        rel[u * dn + t] = (rel[u * dn + t] + ma[u, s]) % p
-                for v in range(dn):
-                    if na[v, t]:
-                        rel[s * dn + v] = (rel[s * dn + v] - na[v, t]) % p
-                if rel.any():
-                    rows.append(rel)
-    sub = Subspace(p, dm * dn, np.array(rows, dtype=np.int64) if rows else None)
+    # row (i, s, t) is (m_s e_i) tensor n_t - m_s tensor (e_i n_t); zero rows dropped
+    eye_m = np.eye(dm, dtype=np.int64)
+    eye_n = np.eye(dn, dtype=np.int64)
+    rels = np.vstack([np.kron(ma.a.T, eye_n) - np.kron(eye_m, na.a.T)
+                      for ma, na in zip(m.action, n.action)]) % p
+    sub = Subspace(p, dm * dn, rels[rels.any(axis=1)])
     return TensorSpace(
         p,
         dm * dn - sub.dim,
@@ -928,12 +878,15 @@ def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
     hom = hom_over_algebra(m, n)
     cover, pi = projective_cover(n)
     hom_to_cover = hom_over_algebra(m, cover)
-    rows = []
-    for v in hom_to_cover.basis.a:
-        f = v.reshape(cover.dim, m.dim)
-        rows.append(((pi.matrix.a @ f) % m.p).reshape(-1))
-    factored = Subspace(m.p, n.dim * m.dim, np.array(rows, dtype=np.int64) if rows else None)
+    maps = hom_to_cover.basis.a.reshape(hom_to_cover.dim, cover.dim, m.dim)
+    factored = Subspace(m.p, n.dim * m.dim,
+                        (pi.matrix.a @ maps % m.p).reshape(hom_to_cover.dim, n.dim * m.dim))
     return Subquotient(hom, factored)
+
+
+def _radical_actions(m: FdModule) -> np.ndarray:
+    """The actions of the radical basis elements on m, as one (dim rad, dim m, dim m) array."""
+    return np.tensordot(m.algebra.radical().basis.a, _action_stack(m), axes=1) % m.p
 
 
 def socle(m: FdModule) -> Subspace:
@@ -941,19 +894,14 @@ def socle(m: FdModule) -> Subspace:
     rad = m.algebra.radical()
     if rad.dim == 0:
         return Subspace.full(m.p, m.dim)
-    mats = [m.action_of(r).a for r in rad.basis.a]
-    return kernel_basis(Matrix(m.p, np.vstack(mats)))
+    return kernel_basis(Matrix(m.p, _radical_actions(m).reshape(rad.dim * m.dim, m.dim)))
 
 
 def radical_submodule(m: FdModule) -> Subspace:
     """rad(A) * m as a subspace of m."""
-    rad = m.algebra.radical()
-    rows = []
-    for r in rad.basis.a:
-        act = m.action_of(r)
-        for col in act.a.T:
-            rows.append(col)
-    return Subspace(m.p, m.dim, np.array(rows, dtype=np.int64) if rows else None)
+    acts = _radical_actions(m)
+    # the columns r . x_j of each radical basis element's action, r by r
+    return Subspace(m.p, m.dim, acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim))
 
 
 def top(m: FdModule) -> tuple[FdModule, ModuleMap]:
@@ -969,12 +917,8 @@ def submodule(m: FdModule, generators) -> tuple[FdModule, ModuleMap]:
             raise ValueError("generator has wrong length")
     span = Subspace(m.p, m.dim, np.array(gens, dtype=np.int64) if gens else None)
     while True:
-        rows = list(span.basis.a)
-        for i in range(m.algebra.dim):
-            act = m.action[i]
-            for v in span.basis.a:
-                rows.append(act.apply(v))
-        bigger = Subspace(m.p, m.dim, np.array(rows, dtype=np.int64) if rows else None)
+        rows = [span.basis.a] + [act.apply(span.basis.a) for act in m.action]
+        bigger = Subspace(m.p, m.dim, np.vstack(rows))
         if bigger.dim == span.dim:
             break
         span = bigger
@@ -983,10 +927,8 @@ def submodule(m: FdModule, generators) -> tuple[FdModule, ModuleMap]:
 
 def submodule_from_subspace(m: FdModule, span: Subspace) -> tuple[FdModule, ModuleMap]:
     """Action-stable subspace as a module, with inclusion (stability checked)."""
-    for i in range(m.algebra.dim):
-        for v in span.basis.a:
-            if not span.contains(m.action[i].apply(v)):
-                raise ValueError("not action-stable")
+    if not all(span.contains(act.apply(span.basis.a)) for act in m.action):
+        raise ValueError("not action-stable")
     action = [induced_on_subspaces(m.action[i], span, span) for i in range(m.algebra.dim)]
     sub = FdModule(m.algebra, m.side, span.dim, action, check=False)
     incl = ModuleMap(sub, m, Matrix(m.p, span.basis.a.T.copy()), check=False)
@@ -995,10 +937,8 @@ def submodule_from_subspace(m: FdModule, span: Subspace) -> tuple[FdModule, Modu
 
 def quotient_module(m: FdModule, sub: Subspace) -> tuple[FdModule, ModuleMap]:
     """m / sub with the canonical projection; sub must be action-stable."""
-    for i in range(m.algebra.dim):
-        for v in sub.basis.a:
-            if not sub.contains(m.action[i].apply(v)):
-                raise ValueError("not action-stable")
+    if not all(sub.contains(act.apply(sub.basis.a)) for act in m.action):
+        raise ValueError("not action-stable")
     action = [quotient_and_induced(m.action[i], sub, sub) for i in range(m.algebra.dim)]
     quot = FdModule(m.algebra, m.side, m.dim - sub.dim, action, check=False)
     proj = ModuleMap(m, quot, quotient_projection(sub), check=False)

@@ -4,7 +4,9 @@ Reports are deterministic for fixed inputs and seed; the embedded hash covers
 everything except timing.  Certification failures (for example Tate homology
 over an algebra where no complete resolution certifies) are recorded in the
 report and do not fail the run; invariant violations and internal mismatches
-set a nonzero exit code.
+set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
+report, 2 invalid input file, 3 unsupported algebra class, 4 radical
+certification failure; codes 2-4 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algmod import dual_module
+from .algmod import RadicalError, UnsupportedAlgebraError, dual_module
 from .completion import complete_homology
 from .derived import tate_tor, tor, ext as ext_op
 from .resolve import (
@@ -398,6 +400,12 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnsupportedAlgebraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RadicalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algmod import FdModule, ModuleMap, dual_module, hom_over_algebra, stable_hom
+from .algmod import (
+    FdModule,
+    ModuleMap,
+    _free_map_matrix,
+    dual_module,
+    hom_over_algebra,
+    stable_hom,
+)
 from .completion import StabilizationReport, Tower, cosyzygy_tower, tower_limit
 from .derived import ShortExactSeq, _free_block_entries, connecting_ext, ext, ext_chain
 from .exactla import (
@@ -92,14 +99,12 @@ def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
         src = reps_cache[k]
         tgt = reps_cache[k + 1]
         src_m, src_n = res_m.syzygy(k), res_n.syzygy(k - i)
-        cols = []
-        for cls in np.eye(src.dim, dtype=np.int64):
-            vec = src.representative(cls)
+        images = []  # Omega(f) for the representative f of each class, flattened
+        for vec in src.basis_representatives():
             f = ModuleMap(src_m, src_n, Matrix(m.p, vec.reshape(src_n.dim, src_m.dim)), check=False)
-            g = syzygy_map(f, 1)
-            cols.append(tgt.class_of(g.matrix.a.reshape(-1)))
-        arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((tgt.dim, 0), dtype=np.int64)
-        maps[k] = Matrix(m.p, arr.reshape(tgt.dim, src.dim))
+            images.append(syzygy_map(f, 1).matrix.a.reshape(-1))
+        images = np.array(images, dtype=np.int64).reshape(src.dim, tgt.ambient_dim)
+        maps[k] = Matrix(m.p, tgt.class_of(images).T)
     return Tower(i, k_min, stages, maps, "benson-carlson")
 
 
@@ -141,22 +146,17 @@ class _FreeHomCoords:
         self.dq = qmod.dim
         self.dim = self.b * self.dq
         self.p = pmod.p
-        self._acts = np.stack([qmod.action[u].a for u in range(self.da)]) if self.dq else None
 
     def to_ambient(self, coords: np.ndarray) -> Matrix:
         x = np.asarray(coords, dtype=np.int64).reshape(self.b, self.dq)
-        cols = np.zeros((self.dq, self.b * self.da), dtype=np.int64)
-        if self.dq:
-            for u in range(self.da):
-                cols[:, u:: self.da] = (self._acts[u] @ x.T) % self.p
-        return Matrix(self.p, cols)
+        return Matrix(self.p, _free_map_matrix(self.qmod, x.T))
 
-    def coords_of(self, mat: Matrix) -> np.ndarray:
-        if self.dq == 0 or self.b == 0:
-            return np.zeros(self.dim, dtype=np.int64)
-        blocks = mat.a.reshape(self.dq, self.b, self.da)
+    def coords_of(self, maps: np.ndarray) -> np.ndarray:
+        """Coordinates of one map (dim Q x dim P) or of a stack of maps."""
+        lead = maps.shape[:-2]
+        blocks = maps.reshape(lead + (self.dq, self.b, self.da))
         unit = self.pmod.algebra.unit
-        return (np.einsum("qru,u->rq", blocks, unit) % self.p).reshape(-1)
+        return (np.einsum("...qru,u->...rq", blocks, unit) % self.p).reshape(lead + (self.dim,))
 
     def postcompose(self, g: Matrix, tgt: "_FreeHomCoords") -> Matrix:
         """Matrix of f -> g o f into Hom(A^b, Q') coordinates."""
@@ -190,20 +190,19 @@ class _SubHomCoords:
         amb = self.sub.from_coords(coords)
         return Matrix(self.p, amb.reshape(self.qmod.dim, self.pmod.dim))
 
-    def coords_of(self, mat: Matrix) -> np.ndarray:
-        return self.sub.coords(mat.a.reshape(-1))
+    def coords_of(self, maps: np.ndarray) -> np.ndarray:
+        """Coordinates of one map (dim Q x dim P) or of a stack of maps."""
+        return self.sub.coords(maps.reshape(maps.shape[:-2] + (self.qmod.dim * self.pmod.dim,)))
+
+    def _basis_maps(self) -> np.ndarray:
+        """The Hom basis as a stack of dim Q x dim P maps."""
+        return self.sub.basis.a.reshape(self.dim, self.qmod.dim, self.pmod.dim)
 
     def postcompose(self, g: Matrix, tgt) -> Matrix:
-        cols = [tgt.coords_of(Matrix(self.p, (g.a @ self.to_ambient(e).a) % self.p))
-                for e in np.eye(self.dim, dtype=np.int64)]
-        arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((tgt.dim, 0), dtype=np.int64)
-        return Matrix(self.p, arr.reshape(tgt.dim, self.dim))
+        return Matrix(self.p, tgt.coords_of(g.a @ self._basis_maps() % self.p).T)
 
     def precompose(self, d: ModuleMap, tgt) -> Matrix:
-        cols = [tgt.coords_of(Matrix(self.p, (self.to_ambient(e).a @ d.matrix.a) % self.p))
-                for e in np.eye(self.dim, dtype=np.int64)]
-        arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((tgt.dim, 0), dtype=np.int64)
-        return Matrix(self.p, arr.reshape(tgt.dim, self.dim))
+        return Matrix(self.p, tgt.coords_of(self._basis_maps() @ d.matrix.a % self.p).T)
 
 
 def _hom_coords(pmod: FdModule, qmod: FdModule):
@@ -315,7 +314,7 @@ class SegmentStage:
         vec = np.zeros(self.total, dtype=np.int64)
         for t in range(self.lo, self.hi + 1):
             f = seg.component(t)
-            vec[self.offsets[t]: self.offsets[t] + self.coords[t].dim] = self.coords[t].coords_of(f.matrix)
+            vec[self.offsets[t]: self.offsets[t] + self.coords[t].dim] = self.coords[t].coords_of(f.matrix.a)
         return self.sq.class_of(vec)
 
     def extend_segment(self, seg: StableMapClass) -> StableMapClass:
@@ -406,14 +405,10 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
             amb = second_arg_ext_matrix(incl, ec_om, ec_p, k + i)
             induced = h_p.sq.induced_from(h_om.sq, amb)
             satellite = kernel_basis(induced)
-        # transition image, transported through Theta
-        theta_cols = []
-        for cls in np.eye(st_prev.dim, dtype=np.int64):
-            moved = maps[k - 1].apply(cls)
-            _, ext_cls = st.theta_ext_class(moved)
-            theta_cols.append(ext_cls)
-        img = Subspace(m.p, h_om.dim,
-                       np.array(theta_cols, dtype=np.int64) if theta_cols else None)
+        # transition image, transported through Theta: the transition's columns
+        theta_moved = np.array([st.theta_ext_class(col)[1] for col in maps[k - 1].a.T],
+                               dtype=np.int64)
+        img = Subspace(m.p, h_om.dim, theta_moved)
         if img != satellite:
             # the image of the transition must equal the satellite subspace
             raise RuntimeError("internal route mismatch: satellite != transition image")
@@ -422,11 +417,9 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
         ses = ShortExactSeq(incl, res_n.cover_map(k - 1))
         delta = connecting_ext(ses, m, k + i - 1)
         sign = 1 if i % 2 == 0 else m.p - 1
-        for cls in np.eye(st_prev.dim, dtype=np.int64):
+        for cls, rhs in zip(np.eye(st_prev.dim, dtype=np.int64), theta_moved):
             _, via_theta = st_prev.theta_ext_class(cls)
-            lhs = delta.apply(via_theta)
-            _, rhs = st.theta_ext_class(maps[k - 1].apply(cls))
-            if not np.array_equal(lhs, (sign * rhs) % m.p):
+            if not np.array_equal(delta.apply(via_theta), (sign * rhs) % m.p):
                 raise RuntimeError("internal route mismatch: connecting map square")
 
 
@@ -521,8 +514,7 @@ def mu_stage_check(m: FdModule, n: FdModule, i: int, K: int) -> MuStageReport:
             mat = Matrix(m.p, np.array(cols, dtype=np.int64).T.reshape(target_sq.dim, st.dim))
             if rref(mat)[2] != st.dim:
                 injective = False
-        for cls in np.eye(target_sq.dim, dtype=np.int64):
-            vec = target_sq.representative(cls)
+        for cls, vec in zip(np.eye(target_sq.dim, dtype=np.int64), target_sq.basis_representatives()):
             f = ModuleMap(res_m.syzygy(k + i), res_n.syzygy(k),
                           Matrix(m.p, vec.reshape(res_n.syzygy(k).dim, res_m.syzygy(k + i).dim)),
                           check=False)
@@ -592,22 +584,18 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         if h_tor.dim == 0:
             pairings[k] = Matrix.zeros(m.p, 0, 0)
             continue
-        # pairing matrix on class bases
+        # pairing matrix on class bases: <z, c> = sum_{s,t} z[s, t] c[t, s]
         dx = omega.dim
         chain = tensor_chain(m, dual_module(omega).as_left_over_opposite(), k + i + 1)
         comp = chain.component(k + i)
         ec = ext_chain(m_op, omega, k + i + 1)
-        pm = np.zeros((h_tor.dim, h_ext.dim), dtype=np.int64)
         p_dim = chain.res.proj(k + i).dim
-        for a_idx, z_cls in enumerate(np.eye(h_tor.dim, dtype=np.int64)):
-            z = h_tor.representative(z_cls)
-            zamb = comp.section.apply(z)  # in P tensor_k D(omega), pair index (s, t)
-            zmat = zamb.reshape(p_dim, dx)
-            for b_idx, c_cls in enumerate(np.eye(h_ext.dim, dtype=np.int64)):
-                c = ec.cocycle_to_map(k + i, ec.cohomology(k + i).representative(c_cls))
-                val = int(np.sum(zmat * c.matrix.a.T) % m.p)
-                pm[a_idx, b_idx] = val
-        mat = Matrix(m.p, pm)
+        # cycles in P tensor_k D(omega), flat pair index s * dx + t
+        z = comp.section.apply(h_tor.sq.basis_representatives())
+        # cocycles P -> omega, flat index t * p_dim + s; transposed to s * dx + t
+        c = ec.hom_space(k + i).from_coords(ec.cohomology(k + i).sq.basis_representatives())
+        c = c.reshape(h_ext.dim, dx, p_dim).transpose(0, 2, 1).reshape(h_ext.dim, p_dim * dx)
+        mat = Matrix(m.p, z @ c.T)
         pairings[k] = mat
         if rref(mat)[2] != h_tor.dim:
             perfect = False

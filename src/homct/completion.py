@@ -220,14 +220,9 @@ def satellite_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     for k in range(k_min + 1, K + 1):
         src = stages[k - k_min]
         tgt = stages[k - 1 - k_min]
-        delta = cos.maps.get(k)
-        if src.dim == 0 or tgt.dim == 0 or delta is None:
-            maps[k] = Matrix.zeros(m.p, tgt.dim, src.dim)
-            continue
         # class coords in V_{k-1}, projected onto the satellite cokernel
-        cols = [tgt.class_of(delta.apply(src.representative(cls)))
-                for cls in np.eye(src.dim, dtype=np.int64)]
-        maps[k] = Matrix(m.p, np.array(cols, dtype=np.int64).T.reshape(tgt.dim, src.dim))
+        images = cos.maps[k].apply(src.sq.basis_representatives())
+        maps[k] = Matrix(m.p, tgt.class_of(images).T)
     return Tower(i, k_min, stages, maps, "satellite")
 
 
@@ -268,27 +263,15 @@ def interleaving_crosscheck(m: FdModule, n: FdModule, i: int, K: int) -> Interle
         sat = right_satellite(m, k + i, k, n)
         delta = cos.maps[k]
         tgt_dim = cos.stage_dim(k - 1)
-        if sat.dim == 0:
-            phi = Matrix.zeros(m.p, tgt_dim, 0)
-        else:
-            cols = [delta.apply(sat.representative(cls)) for cls in np.eye(sat.dim, dtype=np.int64)]
-            phi = Matrix(m.p, np.array(cols, dtype=np.int64).T.reshape(tgt_dim, sat.dim))
+        phi = Matrix(m.p, delta.apply(sat.sq.basis_representatives()).T)
         rank_phi = rref(phi)[2]
         phi_inj[k] = rank_phi == sat.dim
         img_ok[k] = image_basis(phi) == image_basis(delta)
         phi_bij[k] = phi_inj[k] and rank_phi == tgt_dim
-        # square: delta on the full stage factors through the satellite projection
-        src_dim = cos.stage_dim(k)
-        if src_dim == 0:
-            sq_ok[k] = delta.is_zero()
-        else:
-            cols = []
-            for cls in np.eye(src_dim, dtype=np.int64):
-                through = sat.class_of(cls) if sat.dim else np.zeros(0, dtype=np.int64)
-                via_phi = phi.apply(through) if sat.dim else np.zeros(tgt_dim, dtype=np.int64)
-                cols.append(via_phi)
-            recomposed = Matrix(m.p, np.array(cols, dtype=np.int64).T.reshape(tgt_dim, src_dim))
-            sq_ok[k] = recomposed == delta
+        # square: delta on the full stage factors through the satellite projection,
+        # whose matrix has the classes of the stage's unit vectors as columns
+        projection = sat.class_of(np.eye(cos.stage_dim(k), dtype=np.int64)).T
+        sq_ok[k] = phi @ Matrix(m.p, projection) == delta
     return InterleavingReport(stages, phi_inj, img_ok, sq_ok, phi_bij)
 
 

@@ -71,9 +71,6 @@ class HomologySpace:
             raise ValueError("zero homology space has no representatives")
         return self.sq.representative(cls)
 
-    def basis_representatives(self) -> list[np.ndarray]:
-        return [] if self.sq is None else self.sq.basis_representatives()
-
 
 class ShortExactSeq:
     """0 -> left -> middle -> right -> 0 of same-side modules (checked)."""
@@ -284,17 +281,14 @@ def connecting_tor(ses: ShortExactSeq, m: FdModule, i: int) -> Matrix:
     f_im1 = second_arg_tensor_matrix(ses.f, c_left.component(i - 1), c_mid.component(i - 1), pmod_im1)
     d_mid = c_mid.differential(i)
     # batch the snake over all class representatives: one solve per map
-    reps = np.array(h_top.basis_representatives(), dtype=np.int64).T
-    lifted = solve_matrix(g_i, Matrix(m.p, reps))
+    lifted = solve_matrix(g_i, Matrix(m.p, h_top.sq.basis_representatives().T))
     if lifted is None:
         raise RuntimeError("connecting map: lift through the surjection failed")
     boundaries = d_mid @ lifted
     pulled = solve_matrix(f_im1, boundaries)
     if pulled is None:
         raise RuntimeError("connecting map: boundary did not come from the kernel")
-    cols = [h_bot.class_of(pulled.a[:, t]) for t in range(h_top.dim)]
-    arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((h_bot.dim, 0), dtype=np.int64)
-    return Matrix(m.p, arr.reshape(h_bot.dim, h_top.dim))
+    return Matrix(m.p, h_bot.class_of(pulled.a.T).T)
 
 
 def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
@@ -309,22 +303,22 @@ def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
     h_bot = e_left.cohomology(j + 1)
     if h_top.dim == 0 or h_bot.dim == 0:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    cols = []
     from .resolve import hom_solve
 
     d_next = e_mid.res.differential(j + 1)
-    for ccoords in h_top.basis_representatives():
+    boundaries = []
+    for ccoords in h_top.sq.basis_representatives():
         c = e_right.cocycle_to_map(j, ccoords)
         lifted = hom_solve(e_mid.res.proj(j), ses.middle, ses.g.matrix, c.matrix)
-        boundary = lifted.matrix @ d_next.matrix  # P_{j+1} -> middle, lands in im f
-        pulled = solve_matrix(kron(ses.f.matrix, Matrix.identity(m.p, e_mid.res.proj(j + 1).dim)),
-                              Matrix(m.p, boundary.a.reshape(-1, 1)))
-        if pulled is None:
-            raise RuntimeError("ext connecting map: pullback through injection failed")
-        coords = e_left.hom_space(j + 1).coords(pulled.a[:, 0])
-        cols.append(h_bot.class_of(coords))
-    arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((h_bot.dim, 0), dtype=np.int64)
-    return Matrix(m.p, arr.reshape(h_bot.dim, h_top.dim))
+        # P_{j+1} -> middle, lands in im f; flattened row-major as a Hom vector
+        boundaries.append((lifted.matrix @ d_next.matrix).a.reshape(-1))
+    # one pullback through f for all classes, as in connecting_tor
+    f_amb = kron(ses.f.matrix, Matrix.identity(m.p, e_mid.res.proj(j + 1).dim))
+    pulled = solve_matrix(f_amb, Matrix(m.p, np.array(boundaries, dtype=np.int64).T))
+    if pulled is None:
+        raise RuntimeError("ext connecting map: pullback through injection failed")
+    coords = e_left.hom_space(j + 1).coords(pulled.a.T)
+    return Matrix(m.p, h_bot.class_of(coords).T)
 
 
 @dataclass

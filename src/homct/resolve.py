@@ -23,6 +23,7 @@ from .algmod import (
     Algebra,
     FdModule,
     ModuleMap,
+    _free_map_matrix,
     direct_sum,
     dual_map,
     dual_module,
@@ -106,13 +107,9 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap]:
     summands: list[tuple[int, np.ndarray]] = []  # (simple index, generator in m)
     taken = Subspace.zero(a.p, m.dim)
     for t, ch in enumerate(chars):
-        e_t = idems[t]
-        act = m.action_of(e_t)
-        for j in comp:
-            v = np.zeros(m.dim, dtype=np.int64)
-            v[j] = 1
-            w = act.apply(v)  # e_t * (lift of top basis vector)
-            red = rad_m.reduce(w)
+        # e_t * (lift of each top basis vector): the complement columns of e_t's action
+        lifts = m.action_of(idems[t]).a[:, comp].T
+        for w, red in zip(lifts, rad_m.reduce(lifts)):
             if not red.any():
                 continue
             cand = taken.add(Subspace(a.p, m.dim, red.reshape(1, -1)))
@@ -126,37 +123,18 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap]:
             break
     if len(summands) != top_dim:
         raise RuntimeError("projective cover: top decomposition failed")
-    local = len(idems) == 1
-    if local:
+    # the surjection sends the generator of summand s to v_s: on A it is the
+    # orbit [a_u . v_s]_u, on A e_t that orbit restricted along A e_t -> A
+    orbits = [_free_map_matrix(m, v.reshape(-1, 1)) for _, v in summands]
+    if len(idems) == 1:
         proj = free_module(a, m.side, top_dim)
-        summand_mods = None
     else:
         reg = regular_module(a, m.side)
-        summand_mods = []
-        for t, _ in summands:
-            sub, _incl = submodule(reg, [idems[t]])
-            summand_mods.append(sub)
+        pairs = [submodule(reg, [idems[t]]) for t, _ in summands]
+        orbits = [orbit @ incl.matrix.a for orbit, (_, incl) in zip(orbits, pairs)]
+        summand_mods = [sub for sub, _ in pairs]
         proj = direct_sum(summand_mods) if len(summand_mods) > 1 else summand_mods[0]
-    # assemble the surjection column by column
-    cols = np.zeros((m.dim, proj.dim), dtype=np.int64)
-    off = 0
-    for s_idx, (t, v) in enumerate(summands):
-        if local:
-            block = a.dim
-            for j in range(block):
-                u = np.zeros(a.dim, dtype=np.int64)
-                u[j] = 1
-                cols[:, off + j] = m.action_of(u).apply(v)
-            off += block
-        else:
-            sub = summand_mods[s_idx]
-            # basis vectors of A e_t inside A, mapped by u -> u . v
-            _, incl = submodule(regular_module(a, m.side), [idems[t]])
-            for j in range(sub.dim):
-                u = incl.matrix.a[:, j]
-                cols[:, off + j] = m.action_of(u).apply(v)
-            off += sub.dim
-    pi = ModuleMap(proj, m, Matrix(a.p, cols))
+    pi = ModuleMap(proj, m, Matrix(a.p, np.hstack(orbits)))
     if not pi.is_surjective():
         raise RuntimeError("projective cover: constructed map is not surjective")
     if not radical_submodule(proj).contains_subspace(pi.kernel()):
@@ -177,10 +155,8 @@ def injective_envelope(m: FdModule) -> tuple[FdModule, ModuleMap]:
     # essential: the socle of E must lie in the image (checked on generators)
     from .algmod import socle
 
-    img = iota.image()
-    for v in socle(env).basis.a:
-        if not img.contains(v):
-            raise RuntimeError("injective envelope: image not essential")
+    if not iota.image().contains(socle(env).basis.a):
+        raise RuntimeError("injective envelope: image not essential")
     if env.dim == m.dim:
         return m, ModuleMap.identity(m)
     return env, iota
@@ -586,14 +562,7 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
         sol = solve_matrix(post, Matrix(p, rhs_gens))
         if sol is None:
             raise RuntimeError("hom_solve: no A-linear solution")
-        cols = np.zeros((target.dim, source.dim), dtype=np.int64)
-        for r in range(b):
-            x = sol.a[:, r]
-            for u in range(da):
-                uvec = np.zeros(da, dtype=np.int64)
-                uvec[u] = 1
-                cols[:, r * da + u] = target.action_of(uvec).apply(x)
-        g = ModuleMap(source, target, Matrix(p, cols), check=False)
+        g = ModuleMap(source, target, Matrix(p, _free_map_matrix(target, sol.a)), check=False)
         # post must be A-linear for the generator solve to determine g
         if (post @ g.matrix) != rhs:
             raise RuntimeError("hom_solve: free-path solve failed (post not A-linear?)")
@@ -603,11 +572,9 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
         if rhs.is_zero():
             return ModuleMap.zero(source, target)
         raise RuntimeError("hom_solve: empty Hom space with nonzero rhs")
-    cols = []
-    for v in hom.basis.a:
-        g = v.reshape(target.dim, source.dim)
-        cols.append(((post.a @ g) % p).reshape(-1))
-    sys = Matrix(p, np.array(cols, dtype=np.int64).T)
+    # column h is post o (basis map h), flattened row-major
+    posted = post.a @ hom.basis.a.reshape(hom.dim, target.dim, source.dim)
+    sys = Matrix(p, posted.reshape(hom.dim, post.rows * source.dim).T)
     sol = solve_matrix(sys, Matrix(p, rhs.a.reshape(-1, 1)))
     if sol is None:
         raise RuntimeError("hom_solve: no A-linear solution")

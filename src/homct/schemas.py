@@ -21,6 +21,7 @@ import os
 import numpy as np
 
 from .algmod import Algebra, FdModule, validate_algebra, validate_module
+from .exactla import _is_prime
 
 __all__ = [
     "SchemaError",
@@ -60,7 +61,7 @@ def parse_algebra_file(path: str) -> Algebra:
         _expect(key in data, path, f"missing key '{key}'")
     p = data["p"]
     dim = data["dim"]
-    _expect(isinstance(p, int) and p >= 2, f"{path}:p", "must be a prime integer")
+    _expect(isinstance(p, int) and _is_prime(p), f"{path}:p", "must be a prime integer")
     _expect(isinstance(dim, int) and dim >= 0, f"{path}:dim", "must be a nonnegative integer")
     unit = data["unit"]
     _expect(isinstance(unit, list) and len(unit) == dim, f"{path}:unit",

@@ -5,10 +5,14 @@ import os
 
 import pytest
 
-from homct import resolve
+from homct import algmod, resolve
+from homct.algmod import make_group_algebra
 from homct.cli import ComputeRequest, main, run_compute, run_corpus
+from homct.exactla import Subspace
+from homct.fixtures import cyclic_group_table
 from homct.schemas import (
     SchemaError,
+    algebra_to_json,
     parse_algebra_file,
     parse_module_file,
     report_hash,
@@ -170,6 +174,54 @@ def test_main_schema_error_exit_code(tmp_path):
         "--module-n", fx("a1_k_left.json"), "--theory", "tor",
     ])
     assert code == 2
+
+
+def _write_k_inputs(tmp_path, algebra_json, augmentation):
+    """Write an algebra file and the one-dimensional modules on which basis
+    element i acts by augmentation[i], under tmp_path."""
+    (tmp_path / "alg.json").write_text(json.dumps(algebra_json))
+    paths = []
+    for side in ("right", "left"):
+        mod = {"algebra": "alg.json", "side": side, "dim": 1,
+               "action": [[[c]] for c in augmentation]}
+        path = tmp_path / f"k_{side}.json"
+        path.write_text(json.dumps(mod))
+        paths.append(str(path))
+    return ["--algebra", str(tmp_path / "alg.json"), "--module-m", paths[0],
+            "--module-n", paths[1]]
+
+
+def test_main_non_prime_modulus_is_schema_error(tmp_path, capsys):
+    with open(fx("a1.json")) as fh:
+        data = json.load(fh)
+    data["p"] = 4
+    args = _write_k_inputs(tmp_path, data, [1, 0])
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ":p: must be a prime integer" in err
+
+
+def test_main_unsupported_algebra_exit_code(tmp_path, capsys):
+    # F_2[C_3] is F_2 x F_4: its semisimple quotient has a factor larger than F_2
+    alg = make_group_algebra(cyclic_group_table(3), 2)
+    args = _write_k_inputs(tmp_path, algebra_to_json(alg), [1, 1, 1])
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported algebra class")
+
+
+def test_main_radical_error_exit_code(tmp_path, capsys, monkeypatch):
+    with open(fx("a1.json")) as fh:
+        args = _write_k_inputs(tmp_path, json.load(fh), [1, 0])
+    # a chain that returns all of A cannot be certified: A is not nilpotent
+    monkeypatch.setattr(algmod, "_radical_chain", lambda a: Subspace.full(a.p, a.dim))
+    monkeypatch.setattr(resolve, "_memo", {})
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: radical computation failed: ideal not nilpotent")
 
 
 def test_csv_format(tmp_path):

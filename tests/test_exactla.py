@@ -15,6 +15,7 @@ from homct.exactla import (
     kernel_basis,
     preimage,
     quotient_and_induced,
+    quotient_projection,
     rref,
     solve,
 )
@@ -216,7 +217,9 @@ def test_rank_nullity(params):
     p, rows, cols, seed = params
     m = _random_matrix(p, rows, cols, seed)
     _, _, rank = rref(m)
-    assert kernel_basis(m).dim + rank == cols
+    ker = kernel_basis(m)
+    assert ker.dim + rank == cols
+    assert not (m.a @ ker.basis.a.T % p).any()  # every kernel row v has m v = 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -255,3 +258,60 @@ def test_preimage_of_cover_is_full(params):
     m = _random_matrix(p, rows, cols, seed)
     s = image_basis(m)
     assert preimage(m, s) == Subspace.full(p, cols)
+
+
+# --- row blocks: every coordinate map takes a vector or a block of rows ------
+
+block_strategy = st.tuples(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=0, max_value=6),  # ambient dimension
+    st.integers(min_value=0, max_value=6),  # spanning rows of the subspace
+    st.integers(min_value=0, max_value=5),  # rows of the block
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+def _stacked(fn, rows, width):
+    """Per-row reference: fn applied to each row, stacked into a (len(rows), width) block."""
+    return np.array([fn(row) for row in rows], dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_strategy)
+def test_row_block_calls_match_row_by_row(params):
+    p, n, gens, k, seed = params
+    rng = np.random.default_rng(seed)
+    s = Subspace(p, n, rng.integers(0, p, size=(gens, n)))
+    comp = s.complement_cols()
+    block = rng.integers(0, p, size=(k, n))
+    reduced = s.reduce(block)
+    assert np.array_equal(reduced, _stacked(s.reduce, block, n))
+    assert s.contains((block - reduced) % p) and not reduced[:, list(s.pivots)].any()
+    assert s.contains(block) == all(s.contains(row) for row in block)
+    f = Matrix(p, rng.integers(0, p, size=(gens, n)))
+    assert np.array_equal(f.apply(block), _stacked(f.apply, block, gens))
+    # the closed-form projection against reduce(e_j) on the complement, column by column
+    columns = _stacked(lambda e: s.reduce(e)[comp], np.eye(n, dtype=np.int64), len(comp))
+    assert np.array_equal(quotient_projection(s).a, columns.T)
+    coeffs = rng.integers(0, p, size=(k, s.dim))
+    members = s.from_coords(coeffs)
+    assert np.array_equal(members, _stacked(s.from_coords, coeffs, n))
+    assert s.contains(members)
+    assert np.array_equal(s.coords(members), _stacked(s.coords, members, s.dim))
+    assert np.array_equal(s.coords(members), coeffs)
+    if comp and k:
+        outside = members.copy()
+        outside[int(rng.integers(0, k)), comp[0]] += 1  # one row leaves: pivots stay put
+        with pytest.raises(ValueError):
+            s.coords(outside)
+        assert not s.contains(outside)
+    # Z/B with B spanned by some members of Z
+    sq = Subquotient(s, Subspace(p, n, members[: k // 2]))
+    classes = sq.class_of(members)
+    assert np.array_equal(classes, _stacked(sq.class_of, members, sq.dim))
+    cls = rng.integers(0, p, size=(k, sq.dim))
+    reps = sq.representative(cls)
+    assert np.array_equal(reps, _stacked(sq.representative, cls, n))
+    assert s.contains(reps) and np.array_equal(sq.class_of(reps), cls)
+    assert np.array_equal(sq.basis_representatives(),
+                          _stacked(sq.representative, np.eye(sq.dim, dtype=np.int64), n))

@@ -9,12 +9,14 @@ import numpy as np
 
 from homct import resolve
 from homct.algmod import (
+    Algebra,
     direct_sum,
     dual_module,
     is_isomorphic,
     make_monomial_quotient,
     quotient_module,
     regular_module,
+    simple_modules,
 )
 from homct.fixtures import (
     algebra_a1,
@@ -69,6 +71,38 @@ def test_cover_of_k2_over_a2():
     cover, pi = projective_cover(k2)
     assert cover.dim == 6
     assert pi.kernel().dim == 4
+
+
+def test_covers_over_non_local_triangular_algebra():
+    # upper triangular 2x2 over F_3: basis e11, e12, e22; two idempotents, so
+    # covers are sums of the indecomposable projectives A e_t, not free modules
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, k] = 1
+    a = Algebra(3, struct, [1, 0, 1])
+    assert len(a.primitive_idempotents()) == 2 and a.radical().dim == 1
+    # per simple: cover dim, cover matrix, resolution dims, differentials
+    expected = {
+        "left": [(2, [[0, 1]], [2, 1, 0], [[[1], [0]], [[]]]),
+                 (1, [[1]], [1, 0, 0], [[[]], []])],
+        "right": [(1, [[1]], [1, 0, 0], [[[]], []]),
+                  (2, [[1, 0]], [2, 1, 0], [[[0], [1]], [[]]])],
+    }
+    sum_covers = {"left": [[0, 1, 0], [0, 0, 1]], "right": [[1, 0, 0], [0, 1, 0]]}
+    for side, rows in expected.items():
+        simples = simple_modules(a, side)
+        for s, (dim, mat, dims, diffs) in zip(simples, rows):
+            cover, pi = projective_cover(s)
+            assert cover.dim == dim and pi.matrix.to_lists() == mat
+            res = min_proj_resolution(s, 2)
+            assert [res.proj(k).dim for k in range(3)] == dims
+            assert res.to_dict(2)["differentials"] == diffs
+        reg = regular_module(a, side)
+        cover, pi = projective_cover(reg)
+        assert cover.dim == 3 and cover is reg
+        cover, pi = projective_cover(direct_sum(simples))
+        assert cover.dim == 3 and pi.matrix.to_lists() == sum_covers[side]
+        assert pi.is_surjective() and pi.kernel().dim == 1
 
 
 # --- envelopes -----------------------------------------------------------------
