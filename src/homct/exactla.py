@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p on dense numpy arrays.
 
 Everything downstream (module theory, resolutions, homology towers) reduces
 to the operations in this module: canonical reduced row echelon form, kernel
@@ -9,9 +9,20 @@ subspace equality is entry-wise comparison.  Coordinate maps (reduce,
 contains, coords, from_coords, apply, class_of, representative) take either
 one vector or a block of row vectors, so a change of basis is one matrix
 operation.
+
+The matrices built upstream are Kronecker and block products of small action
+matrices and are very sparse, so Gauss-Jordan elimination updates only the
+rows that are nonzero in the pivot column.  Every product goes through
+``_mulmod``: float64 BLAS while each dot product stays exactly representable
+(inner * (p-1)^2 < 2^53), int64 ``@`` beyond that, and OverflowError where
+int64 would wrap.  The modulus is bounded by (p-1)^2 < 2^63 (MAX_MODULUS),
+the range of the eliminator's row update.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -27,9 +38,14 @@ __all__ = [
     "preimage",
     "quotient_and_induced",
     "induced_on_subspaces",
+    "MAX_MODULUS",
 ]
 
+# largest p with (p-1)^2 < 2^63: a row update r_i - c * r_pivot stays in int64
+MAX_MODULUS = math.isqrt(2**63 - 1) + 1
 
+
+@functools.cache
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -47,6 +63,8 @@ class Matrix:
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, entries):
+        if p > MAX_MODULUS:  # checked first: trial division of a huge p would not end
+            raise ValueError(f"modulus {p} exceeds {MAX_MODULUS}: (p-1)^2 must stay below 2^63")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         a = np.asarray(entries, dtype=np.int64)
@@ -92,7 +110,7 @@ class Matrix:
             raise ValueError("modulus mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return Matrix(self.p, (self.a @ other.a) % self.p)
+        return Matrix(self.p, _mulmod(self.a, other.a, self.p))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p or self.a.shape != other.a.shape:
@@ -118,7 +136,7 @@ class Matrix:
         v = np.asarray(v, dtype=np.int64) % self.p
         if v.ndim not in (1, 2) or v.shape[-1] != self.cols:
             raise ValueError(f"vector length {v.shape} does not match cols {self.cols}")
-        return (v @ self.a.T) % self.p
+        return _mulmod(v, self.a.T, self.p)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -143,28 +161,56 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.p, np.kron(a.a, b.a) % a.p)
 
 
+def _mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p as int64, for integer operands already reduced into [0, p).
+
+    Each entry of x @ y is a sum of `inner` products of at most (p-1)^2.
+    Below 2^53 every partial sum is an integer that float64 holds exactly, in
+    any summation order, so the product runs on float64 BLAS and converts
+    back without rounding error.  Below 2^63 it runs on int64 ``@`` (no
+    BLAS); beyond that int64 would wrap, so it raises OverflowError.
+    """
+    bound = x.shape[-1] * (p - 1) ** 2
+    if bound < 2**53:
+        out = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    elif bound < 2**63:
+        out = x @ y
+    else:
+        raise OverflowError(
+            f"inner dimension {x.shape[-1]} at p = {p} overflows int64 products"
+        )
+    out %= p
+    return out
+
+
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan elimination mod p; returns (canonical RREF, pivot columns)."""
-    r = np.array(a, dtype=np.int64) % p
+    """Gauss-Jordan elimination mod p; returns (canonical RREF, pivot columns).
+
+    Row-sparse: each pivot updates only the rows that are nonzero in its
+    column, and only from the pivot column on, since the pivot row is zero
+    to its left.  The result is the same canonical RREF as a dense update of
+    every row.  Requires (p-1)^2 < 2^63 (MAX_MODULUS) for the row update.
+    """
+    r = np.mod(np.asarray(a, dtype=np.int64), p, order="C")
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = np.flatnonzero(r[row:, col])
         if nz.size == 0:
             continue
         i = row + int(nz[0])
         if i != row:
             r[[row, i]] = r[[i, row]]
         inv = pow(int(r[row, col]), p - 2, p)
-        r[row] = (r[row] * inv) % p
-        factors = r[:, col].copy()
-        factors[row] = 0
-        if factors.any():
-            r -= np.outer(factors, r[row])
-            r %= p
+        if inv != 1:
+            r[row, col:] = (r[row, col:] * inv) % p
+        hit = np.flatnonzero(r[:, col])
+        hit = hit[hit != row]
+        if hit.size:
+            r[hit, col:] = (r[hit, col:] - np.outer(r[hit, col], r[row, col:])) % p
         pivots.append(col)
         row += 1
     return r, pivots
@@ -246,7 +292,7 @@ class Subspace:
         w = _row_major(v, self.p)
         if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
             raise ValueError("vector/ambient dimension mismatch")
-        return (w - np.take(w, self.pivots, axis=-1) @ self.basis.a) % self.p
+        return (w - _mulmod(np.take(w, self.pivots, axis=-1), self.basis.a, self.p)) % self.p
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v, or every row of the block v, lies in the subspace."""
@@ -259,13 +305,13 @@ class Subspace:
         """Coordinates of v (or of each row of v) in the RREF basis; requires v in the subspace."""
         w = _row_major(v, self.p)
         c = np.take(w, self.pivots, axis=-1)
-        if ((c @ self.basis.a) % self.p != w).any():
+        if (_mulmod(c, self.basis.a, self.p) != w).any():
             raise ValueError("vector not in subspace")
         return c
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """Ambient vector (or row block) with the given RREF-basis coordinates."""
-        return _row_major(c, self.p) @ self.basis.a % self.p
+        return _mulmod(_row_major(c, self.p), self.basis.a, self.p)
 
     def complement_cols(self) -> list[int]:
         """Non-pivot coordinates: the canonical complement's coordinate set."""
@@ -357,7 +403,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     ann = annihilator(s)
     if ann.dim == 0:
         return Subspace.full(m.p, m.cols)
-    return kernel_basis(Matrix(m.p, (ann.basis.a @ m.a) % m.p))
+    return kernel_basis(Matrix(m.p, _mulmod(ann.basis.a, m.a, m.p)))
 
 
 def quotient_and_induced(f: Matrix, dom_sub: Subspace, cod_sub: Subspace) -> Matrix:
@@ -414,13 +460,15 @@ class Subquotient:
     def __init__(self, z: Subspace, b: Subspace):
         if z.p != b.p or z.ambient_dim != b.ambient_dim:
             raise ValueError("Z/B ambient mismatch")
-        if not z.contains_subspace(b):
-            raise ValueError("B is not contained in Z")
+        try:
+            b_in_z = z.coords(b.basis.a)  # raises unless every row of B lies in Z
+        except ValueError:
+            raise ValueError("B is not contained in Z") from None
         self.p = z.p
         self.ambient_dim = z.ambient_dim
         self.z = z
         self.b = b
-        self._b_in_z = Subspace(z.p, z.dim, z.coords(b.basis.a))
+        self._b_in_z = Subspace(z.p, z.dim, b_in_z)
         self._comp = self._b_in_z.complement_cols()
 
     @property
@@ -433,7 +481,7 @@ class Subquotient:
 
     def representative(self, cls: np.ndarray) -> np.ndarray:
         """Distinguished ambient representative of class coordinates (vector or row block)."""
-        return _row_major(cls, self.p) @ self.basis_representatives() % self.p
+        return _mulmod(_row_major(cls, self.p), self.basis_representatives(), self.p)
 
     def basis_representatives(self) -> np.ndarray:
         """Representatives of the class basis, one per row (dim x ambient)."""

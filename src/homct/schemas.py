@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .algmod import Algebra, FdModule, validate_algebra, validate_module
-from .exactla import _is_prime
+from .exactla import MAX_MODULUS, _is_prime
 
 __all__ = [
     "SchemaError",
@@ -61,7 +61,8 @@ def parse_algebra_file(path: str) -> Algebra:
         _expect(key in data, path, f"missing key '{key}'")
     p = data["p"]
     dim = data["dim"]
-    _expect(isinstance(p, int) and _is_prime(p), f"{path}:p", "must be a prime integer")
+    _expect(isinstance(p, int) and p <= MAX_MODULUS and _is_prime(p), f"{path}:p",
+            f"must be a prime integer at most {MAX_MODULUS}, so that (p-1)^2 < 2^63")
     _expect(isinstance(dim, int) and dim >= 0, f"{path}:dim", "must be a nonnegative integer")
     unit = data["unit"]
     _expect(isinstance(unit, list) and len(unit) == dim, f"{path}:unit",

@@ -202,6 +202,18 @@ def test_main_non_prime_modulus_is_schema_error(tmp_path, capsys):
     assert err.startswith("error: ") and ":p: must be a prime integer" in err
 
 
+def test_main_oversized_modulus_is_schema_error(tmp_path, capsys):
+    # 4294967311 is prime, but (p-1)^2 >= 2^63: int64 row updates would wrap
+    with open(fx("a1.json")) as fh:
+        data = json.load(fh)
+    data["p"] = 4294967311
+    args = _write_k_inputs(tmp_path, data, [1, 0])
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ":p: must be a prime integer at most 3037000500" in err
+
+
 def test_main_unsupported_algebra_exit_code(tmp_path, capsys):
     # F_2[C_3] is F_2 x F_4: its semisimple quotient has a factor larger than F_2
     alg = make_group_algebra(cyclic_group_table(3), 2)

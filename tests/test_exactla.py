@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homct.exactla import (
+    MAX_MODULUS,
     Matrix,
     Subquotient,
     Subspace,
+    _is_prime,
+    _mulmod,
+    _rref_array,
     image_basis,
     kernel_basis,
     preimage,
@@ -192,7 +196,7 @@ def test_subquotient_roundtrip():
 def test_subquotient_rejects_bad_containment():
     z = Subspace(2, 2, [[1, 0]])
     b = Subspace(2, 2, [[0, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="B is not contained in Z"):
         Subquotient(z, b)
 
 
@@ -315,3 +319,126 @@ def test_row_block_calls_match_row_by_row(params):
     assert s.contains(reps) and np.array_equal(sq.class_of(reps), cls)
     assert np.array_equal(sq.basis_representatives(),
                           _stacked(sq.representative, np.eye(sq.dim, dtype=np.int64), n))
+
+
+# --- kernels against their references ------------------------------------
+
+def _dense_rref(a, p):
+    """Reference eliminator: the dense Gauss-Jordan update of every row at each pivot."""
+    r = np.array(a, dtype=np.int64) % p
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        i = row + int(nz[0])
+        if i != row:
+            r[[row, i]] = r[[i, row]]
+        inv = pow(int(r[row, col]), p - 2, p)
+        r[row] = (r[row] * inv) % p
+        factors = r[:, col].copy()
+        factors[row] = 0
+        if factors.any():
+            r -= np.outer(factors, r[row])
+            r %= p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def _exact_product(x, y, p):
+    """x @ y mod p in Python integers (dtype=object): no overflow, no rounding."""
+    prod = np.asarray(x, dtype=object).dot(np.asarray(y, dtype=object))
+    return np.asarray(prod % p, dtype=np.int64).reshape(prod.shape)
+
+
+LARGE_PRIMES = [2**31 - 1, 3037000493]  # 3037000493: the largest prime <= MAX_MODULUS
+SWITCH_PRIME = 47453111  # float64 for inner dimension <= 4, int64 from 5 on
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 2**31 - 1]),
+    st.integers(min_value=0, max_value=9),  # rows
+    st.integers(min_value=0, max_value=9),  # cols
+    st.integers(min_value=0, max_value=9),  # rank cap: inner dimension of the factors
+    st.floats(min_value=0.0, max_value=1.0),  # density of the factors
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rref_matches_dense_eliminator(p, rows, cols, k, density, seed):
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, size=(rows, k)) * (rng.random((rows, k)) < density)
+    right = rng.integers(0, p, size=(k, cols)) * (rng.random((k, cols)) < density)
+    a = _exact_product(left, right, p)  # rank <= min(rows, cols, k)
+    r, pivots = _rref_array(a, p)
+    ref, ref_pivots = _dense_rref(a, p)
+    assert pivots == ref_pivots and len(pivots) <= min(rows, cols, k)
+    assert r.dtype == np.int64 and np.array_equal(r, ref)
+
+
+def test_rref_at_the_modulus_bound():
+    p = LARGE_PRIMES[1]
+    a = np.array([[p - 1, p - 1, 1], [p - 1, 1, p - 2], [2, p - 3, 5]], dtype=np.int64)
+    r, pivots = _rref_array(a, p)
+    ref, ref_pivots = _dense_rref(a, p)
+    assert pivots == ref_pivots and np.array_equal(r, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7, 65521, SWITCH_PRIME, *LARGE_PRIMES]),
+    st.integers(min_value=0, max_value=5),  # rows of x
+    st.integers(min_value=0, max_value=8),  # inner dimension
+    st.integers(min_value=0, max_value=5),  # cols of y
+    st.booleans(),  # entries p - 2 or p - 1: the largest dot products, odd and even
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_mulmod_matches_exact_product(p, k, n, m, extreme, seed):
+    rng = np.random.default_rng(seed)
+    low = max(p - 2, 0) if extreme else 0
+    x, y = rng.integers(low, p, size=(k, n)), rng.integers(low, p, size=(n, m))
+    if n * (p - 1) ** 2 >= 2**63:
+        with pytest.raises(OverflowError):
+            _mulmod(x, y, p)
+        return
+    out = _mulmod(x, y, p)
+    assert out.dtype == np.int64 and np.array_equal(out, _exact_product(x, y, p))
+    v = x[0] if k else np.zeros(n, dtype=np.int64)  # a single vector on the left
+    assert np.array_equal(_mulmod(v, y, p), _exact_product(v, y, p))
+
+
+def test_switch_prime_straddles_float64_limit():
+    assert 4 * (SWITCH_PRIME - 1) ** 2 < 2**53 <= 5 * (SWITCH_PRIME - 1) ** 2
+
+
+# --- modulus bounds: products and eliminations fail closed ------------------
+
+def test_square_near_int64_limit_raises():
+    p = 2**31 - 1
+    m = Matrix(p, np.full((3, 3), p - 1))
+    with pytest.raises(OverflowError):
+        m @ m  # 3 * (p - 1)^2 >= 2^63; int64 would wrap to 2147483646 instead of 3
+    two = Matrix(p, np.full((2, 2), p - 1))
+    assert (two @ two) == Matrix(p, np.full((2, 2), 2))
+
+
+def test_modulus_past_bound_is_rejected():
+    assert (MAX_MODULUS - 1) ** 2 < 2**63 <= MAX_MODULUS**2
+    for p in (4294967311, 3037000507):  # 3037000507: the first prime past MAX_MODULUS
+        assert _is_prime(p)
+        with pytest.raises(ValueError, match="exceeds"):
+            Matrix(p, [[1]])
+    assert Matrix(LARGE_PRIMES[1], [[-1]]).a[0, 0] == LARGE_PRIMES[1] - 1
+
+
+def test_primality_checked_once_per_modulus():
+    p = 10**9 + 7
+    _is_prime.cache_clear()
+    for _ in range(3):
+        Matrix(p, [[1]])
+    info = _is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
