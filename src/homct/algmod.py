@@ -28,6 +28,7 @@ from .exactla import (
     induced_on_subspaces,
     kernel_basis,
     kron,
+    mulmod,
     quotient_and_induced,
     quotient_projection,
     quotient_section,
@@ -105,20 +106,34 @@ class Algebra:
     # -- basic arithmetic ------------------------------------------------
 
     def mul(self, u, v) -> np.ndarray:
+        """The product u * v, row by row for blocks of row vectors.
+
+        u and v are vectors (dim,) or blocks (..., dim) that broadcast
+        against each other; u * v = sum_{i,j} u_i v_j e_i e_j is one product
+        of the flattened outer products u_i v_j with the structure constants.
+        """
         u = np.asarray(u, dtype=np.int64) % self.p
         v = np.asarray(v, dtype=np.int64) % self.p
-        return np.einsum("i,j,ijk->k", u, v, self.structure) % self.p
+        outer = u[..., :, None] * v[..., None, :] % self.p
+        n = self.dim
+        return mulmod(outer.reshape(outer.shape[:-2] + (n * n,)),
+                      self.structure.reshape(n * n, n), self.p)
 
-    def left_mult_matrix(self, v) -> Matrix:
-        """Matrix of x -> v * x on column coordinates."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        # (L_v)[k, j] = sum_i v_i c[i][j][k]
-        return Matrix(self.p, np.einsum("i,ijk->kj", v, self.structure) % self.p)
+    def left_mult_matrix(self, v):
+        """Matrix of x -> v * x on column coordinates.
 
-    def right_mult_matrix(self, v) -> Matrix:
-        """Matrix of x -> x * v on column coordinates."""
+        For a block of k row vectors: the k matrices as one (k, dim, dim) array.
+        """
         v = np.asarray(v, dtype=np.int64) % self.p
-        return Matrix(self.p, np.einsum("i,jik->kj", v, self.structure) % self.p)
+        n = self.dim
+        # (L_v)[k, j] = sum_i v_i c[i][j][k]: one product, then swap (j, k)
+        lm = mulmod(v, self.structure.reshape(n, n * n), self.p)
+        lm = lm.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
+        return Matrix(self.p, lm) if v.ndim == 1 else lm
+
+    def right_mult_matrix(self, v):
+        """Matrix of x -> x * v on column coordinates (a stack for a block of rows)."""
+        return self.opposite().left_mult_matrix(v)
 
     def fingerprint(self) -> str:
         h = self._cache.get("fingerprint")
@@ -181,12 +196,9 @@ class Algebra:
             )
         # Frobenius fixes every element (x^p = x) iff every factor is F_p; it is
         # additive on the commutative quotient, so the basis elements suffice.
-        # Row j of powers is e_j^t, multiplied on the right by e_j at each step.
+        # Row j of the block is e_j, raised to the p-th power by squaring.
         basis = np.eye(q.dim, dtype=np.int64)
-        powers = basis
-        for _ in range(self.p - 1):
-            powers = np.einsum("ji,ijk->jk", powers, q.structure) % self.p
-        if not np.array_equal(powers, basis):
+        if not np.array_equal(_power_elt(q, basis, self.p), basis):
             raise UnsupportedAlgebraError(
                 "unsupported algebra class: semisimple quotient has a factor "
                 "larger than F_p"
@@ -208,7 +220,7 @@ class Algebra:
             self.assert_supported()
             q, _ = self.semisimple_quotient()
             qchars = np.array(_quotient_characters(q), dtype=np.int64)
-            chars = list(qchars @ quotient_projection(self.radical()).a % self.p)
+            chars = list(mulmod(qchars, quotient_projection(self.radical()).a, self.p))
             self._cache["characters"] = chars
         return chars
 
@@ -216,35 +228,21 @@ class Algebra:
 def validate_algebra(a: Algebra) -> ValidationReport:
     """Check associativity on all basis triples and the two-sided unit."""
     violations = []
-    n = a.dim
-    for i in range(n):
-        ei = np.zeros(n, dtype=np.int64)
-        ei[i] = 1
-        if violations:
-            break
-        for j in range(n):
-            ej = np.zeros(n, dtype=np.int64)
-            ej[j] = 1
-            eij = a.mul(ei, ej)
-            for k in range(n):
-                ek = np.zeros(n, dtype=np.int64)
-                ek[k] = 1
-                lhs = a.mul(eij, ek)
-                rhs = a.mul(ei, a.mul(ej, ek))
-                if not np.array_equal(lhs, rhs):
-                    violations.append(f"associativity fails at triple ({i},{j},{k})")
-                    break
-            if violations:
-                break
-    for j in range(n):
-        ej = np.zeros(n, dtype=np.int64)
-        ej[j] = 1
-        if not np.array_equal(a.mul(a.unit, ej), ej):
-            violations.append(f"unit fails on the left at basis element {j}")
-            break
-        if not np.array_equal(a.mul(ej, a.unit), ej):
-            violations.append(f"unit fails on the right at basis element {j}")
-            break
+    n, p, c = a.dim, a.p, a.structure
+    # (e_i e_j) e_k = sum_t c[i,j,t] c[t,k]; e_i (e_j e_k) = sum_t c[j,k,t] c[i,t]
+    lhs = mulmod(c.reshape(n * n, n), c.reshape(n, n * n), p).reshape(n, n, n, n)
+    rhs = mulmod(c.reshape(n * n, n), c.swapaxes(0, 1).reshape(n, n * n), p)
+    bad = np.argwhere(lhs != rhs.reshape(n, n, n, n).transpose(2, 0, 1, 3))
+    if bad.size:
+        i, j, k = (int(x) for x in bad[0, :3])
+        violations.append(f"associativity fails at triple ({i},{j},{k})")
+    basis = np.eye(n, dtype=np.int64)
+    left = (a.mul(a.unit, basis) != basis).any(axis=1)
+    right = (a.mul(basis, a.unit) != basis).any(axis=1)
+    bad = np.flatnonzero(left | right)
+    if bad.size:
+        j = int(bad[0])
+        violations.append(f"unit fails on the {'left' if left[j] else 'right'} at basis element {j}")
     return ValidationReport(not violations, violations)
 
 
@@ -296,22 +294,15 @@ def _radical_chain(a: Algebra) -> Subspace:
         basis = current.basis.a
         if basis.shape[0] == 0:
             break
-        rows = []
-        ok = True
-        for y in basis:
-            row = np.zeros(basis.shape[0], dtype=np.int64)
-            for idx, x in enumerate(basis):
-                prod = a.mul(x, y)
-                lm = a.left_mult_matrix(prod).a
-                t = _int_matrix_power_trace(lm, pj)
-                if t % pj != 0:
-                    raise RadicalError(
-                        "radical computation failed: trace not divisible at level "
-                        f"{level}"
-                    )
-                row[idx] = (t // pj) % p
-            rows.append(row)
-        form = Matrix(p, np.array(rows, dtype=np.int64))
+        # entry (y, x) of the form is Tr(L_{xy}^(p^level)) / p^level
+        prods = a.mul(basis[None, :, :], basis[:, None, :]).reshape(-1, n)
+        traces = [_int_matrix_power_trace(lm, pj) for lm in a.left_mult_matrix(prods)]
+        if any(t % pj for t in traces):
+            raise RadicalError(
+                f"radical computation failed: trace not divisible at level {level}"
+            )
+        k = basis.shape[0]
+        form = Matrix(p, np.array([t // pj % p for t in traces], dtype=np.int64).reshape(k, k))
         ker = kernel_basis(form)  # in current-basis coordinates
         current = Subspace(p, n, current.from_coords(ker.basis.a))
         if pj >= n:
@@ -326,16 +317,16 @@ def _radical_certified(a: Algebra) -> Subspace:
     p, n = a.p, a.dim
     r = rad.basis.a
     # two-sided ideal: e_i r and r e_i for every basis element e_i, as row blocks
-    left = (r @ a.structure).reshape(n * rad.dim, n)
-    right = (r @ np.swapaxes(a.structure, 0, 1)).reshape(n * rad.dim, n)
-    if not rad.contains(left) or not rad.contains(right):
+    basis = np.eye(n, dtype=np.int64)[:, None, :]
+    left, right = a.mul(basis, r), a.mul(r, basis)
+    if not rad.contains(left.reshape(-1, n)) or not rad.contains(right.reshape(-1, n)):
         raise RadicalError("radical computation failed: not a two-sided ideal")
     # nilpotent: rad^(j+1) is spanned by the products r s, r in rad, s in rad^j
     power = rad
     for _ in range(n + 1):
         if power.dim == 0:
             break
-        prods = power.basis.a @ (np.tensordot(r, a.structure, axes=1) % p)
+        prods = a.mul(r[:, None, :], power.basis.a)
         power = Subspace(p, n, prods.reshape(rad.dim * power.dim, n))
     if power.dim != 0:
         raise RadicalError("radical computation failed: ideal not nilpotent")
@@ -352,9 +343,9 @@ def _quotient_algebra(a: Algebra, rad: Subspace) -> Algebra:
     complement basis elements x, y, and the unit to proj(1).
     """
     comp = rad.complement_cols()
-    proj = quotient_projection(rad).a
-    struct = a.structure[comp][:, comp] @ proj.T
-    return Algebra(a.p, struct, proj @ a.unit, check=False)
+    proj = quotient_projection(rad)
+    struct = mulmod(a.structure[comp][:, comp], proj.a.T, a.p)
+    return Algebra(a.p, struct, proj.apply(a.unit), check=False)
 
 
 def _quotient_characters(q: Algebra) -> list[np.ndarray]:
@@ -382,7 +373,7 @@ def _quotient_characters(q: Algebra) -> list[np.ndarray]:
     for blk in blocks:
         v = blk.basis.a[0]
         lead = int(np.nonzero(v)[0][0])
-        w = v @ q.structure % p  # row j is e_j v
+        w = q.mul(np.eye(s, dtype=np.int64), v)  # row j is e_j v
         lam = w[:, lead] * pow(int(v[lead]), p - 2, p) % p
         if not np.array_equal(w, np.outer(lam, v) % p):
             raise UnsupportedAlgebraError("unsupported algebra class: not split")
@@ -439,6 +430,7 @@ def _lift_idempotents(a: Algebra) -> list[np.ndarray]:
 
 
 def _power_elt(a: Algebra, v: np.ndarray, e: int) -> np.ndarray:
+    """v^e by square-and-multiply; each row of a block v is raised on its own."""
     out = None
     base = v
     k = e
@@ -571,13 +563,16 @@ class FdModule:
     def p(self) -> int:
         return self.algebra.p
 
-    def action_of(self, avec) -> Matrix:
+    def action_of(self, avec):
+        """Action matrix of an algebra element.
+
+        For a block of k row vectors: the k actions as one (k, dim, dim) array.
+        """
         avec = np.asarray(avec, dtype=np.int64) % self.p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for coeff, mat in zip(avec, self.action):
-            if coeff:
-                out = (out + int(coeff) * mat.a) % self.p
-        return Matrix(self.p, out)
+        d = self.dim
+        acts = mulmod(avec, _action_stack(self).reshape(len(self.action), d * d), self.p)
+        acts = acts.reshape(avec.shape[:-1] + (d, d))
+        return Matrix(self.p, acts) if avec.ndim == 1 else acts
 
     def fingerprint(self) -> str:
         if self._fp is None:
@@ -619,24 +614,20 @@ class FdModule:
 def validate_module(m: FdModule) -> ValidationReport:
     """Check the action respects structure constants and the unit acts as 1."""
     a = m.algebra
+    n = a.dim
     violations = []
-    unit_action = m.action_of(a.unit)
-    if unit_action != Matrix.identity(m.p, m.dim):
+    if m.action_of(a.unit) != Matrix.identity(m.p, m.dim):
         violations.append("rho(unit) != id")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            expected = np.zeros((m.dim, m.dim), dtype=np.int64)
-            for k in range(a.dim):
-                c = int(a.structure[i, j, k])
-                if c:
-                    expected = (expected + c * m.action[k].a) % m.p
-            if m.side == "left":
-                got = (m.action[i].a @ m.action[j].a) % m.p
-            else:
-                got = (m.action[j].a @ m.action[i].a) % m.p
-            if not np.array_equal(got, expected):
-                violations.append(f"action violates structure constants at ({i},{j})")
-                return ValidationReport(False, violations)
+    # rho(e_i e_j) against rho(e_i) rho(e_j) (left) or rho(e_j) rho(e_i) (right)
+    expected = m.action_of(a.structure.reshape(n * n, n)).reshape(n, n, m.dim, m.dim)
+    acts = _action_stack(m)
+    if m.side == "left":
+        got = mulmod(acts[:, None], acts[None, :], m.p)
+    else:
+        got = mulmod(acts[None, :], acts[:, None], m.p)
+    bad = np.argwhere((got != expected).any(axis=(2, 3)))
+    if bad.size:
+        violations.append(f"action violates structure constants at ({bad[0, 0]},{bad[0, 1]})")
     return ValidationReport(not violations, violations)
 
 
@@ -655,10 +646,8 @@ class ModuleMap:
             raise ValueError("matrix does not commute with the action")
 
     def commutes(self) -> bool:
-        return all(
-            (t.a @ self.matrix.a % self.p == self.matrix.a @ s.a % self.p).all()
-            for s, t in zip(self.source.action, self.target.action)
-        )
+        return all(t @ self.matrix == self.matrix @ s
+                   for s, t in zip(self.source.action, self.target.action))
 
     @property
     def p(self):
@@ -736,8 +725,19 @@ def _free_map_matrix(m: FdModule, gens: np.ndarray) -> np.ndarray:
 
     Column r * dim A + u is a_u . gens[:, r], in the basis order of free_module.
     """
-    images = _action_stack(m) @ gens  # (u, row, r)
-    return np.transpose(images, (1, 2, 0)).reshape(m.dim, gens.shape[1] * len(m.action)) % m.p
+    images = mulmod(_action_stack(m), gens, m.p)  # (u, row, r)
+    return np.transpose(images, (1, 2, 0)).reshape(m.dim, gens.shape[1] * len(m.action))
+
+
+def _generator_images(maps: np.ndarray, a: Algebra) -> np.ndarray:
+    """Images of the free generators under maps A^b -> m, given as (..., dim m, b * dim A).
+
+    Generator r is the unit of the r-th copy of A, so column r of the result
+    (..., dim m, b) is the r-th column block of the map applied to the unit;
+    the inverse of _free_map_matrix.
+    """
+    blocks = maps.reshape(maps.shape[:-1] + (maps.shape[-1] // a.dim, a.dim))
+    return mulmod(blocks, a.unit[:, None], a.p)[..., 0]
 
 
 def simple_modules(a: Algebra, side: str = "left") -> list[FdModule]:
@@ -880,13 +880,8 @@ def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
     hom_to_cover = hom_over_algebra(m, cover)
     maps = hom_to_cover.basis.a.reshape(hom_to_cover.dim, cover.dim, m.dim)
     factored = Subspace(m.p, n.dim * m.dim,
-                        (pi.matrix.a @ maps % m.p).reshape(hom_to_cover.dim, n.dim * m.dim))
+                        mulmod(pi.matrix.a, maps, m.p).reshape(hom_to_cover.dim, n.dim * m.dim))
     return Subquotient(hom, factored)
-
-
-def _radical_actions(m: FdModule) -> np.ndarray:
-    """The actions of the radical basis elements on m, as one (dim rad, dim m, dim m) array."""
-    return np.tensordot(m.algebra.radical().basis.a, _action_stack(m), axes=1) % m.p
 
 
 def socle(m: FdModule) -> Subspace:
@@ -894,12 +889,12 @@ def socle(m: FdModule) -> Subspace:
     rad = m.algebra.radical()
     if rad.dim == 0:
         return Subspace.full(m.p, m.dim)
-    return kernel_basis(Matrix(m.p, _radical_actions(m).reshape(rad.dim * m.dim, m.dim)))
+    return kernel_basis(Matrix(m.p, m.action_of(rad.basis.a).reshape(rad.dim * m.dim, m.dim)))
 
 
 def radical_submodule(m: FdModule) -> Subspace:
     """rad(A) * m as a subspace of m."""
-    acts = _radical_actions(m)
+    acts = m.action_of(m.algebra.radical().basis.a)
     # the columns r . x_j of each radical basis element's action, r by r
     return Subspace(m.p, m.dim, acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim))
 
@@ -983,7 +978,7 @@ def is_isomorphic(m: FdModule, n: FdModule, seed: int = 0, tries: int = 200) -> 
     rng = np.random.default_rng(seed)
     for _ in range(tries):
         coeffs = rng.integers(0, m.p, size=hom.dim)
-        vec = (coeffs @ hom.basis.a) % m.p
+        vec = hom.from_coords(coeffs)
         if not vec.any():
             continue
         w = try_vec(vec)

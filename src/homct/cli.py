@@ -5,8 +5,8 @@ everything except timing.  Certification failures (for example Tate homology
 over an algebra where no complete resolution certifies) are recorded in the
 report and do not fail the run; invariant violations and internal mismatches
 set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
-report, 2 invalid input file, 3 unsupported algebra class, 4 radical
-certification failure; codes 2-4 print ``error: ...`` to stderr.
+report, 2 invalid input file or request, 3 unsupported algebra class, 4
+radical certification failure; codes 2-4 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,11 @@ from .stablecmp import (
     stable_homology_via_vanishing,
 )
 
-__all__ = ["main", "run_compute", "run_corpus", "ComputeRequest"]
+__all__ = ["main", "run_compute", "run_corpus", "ComputeRequest", "RequestError"]
+
+
+class RequestError(ValueError):
+    """Invalid request: unknown theory, empty degree range, or depth < window."""
 
 
 @dataclass
@@ -63,26 +66,13 @@ class ComputeRequest:
 
     def validate(self) -> None:
         if self.theory not in ("tor", "ext", "tate", "stable", "complete", "compare"):
-            raise ValueError(f"unknown theory '{self.theory}'")
+            raise RequestError(f"unknown theory '{self.theory}'")
         if self.degree_lo > self.degree_hi:
-            raise ValueError("empty degree range")
+            raise RequestError(f"empty degree range {self.degree_lo}..{self.degree_hi}")
         if not (self.depth >= self.window >= 1):
-            raise ValueError("need depth >= window >= 1")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HOMCT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_degrees(fn, degrees):
-    n = _threads()
-    if n == 1:
-        return [fn(i) for i in degrees]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, degrees))
+            raise RequestError(
+                f"need depth >= window >= 1, got depth {self.depth} and window {self.window}"
+            )
 
 
 def run_compute(req: ComputeRequest) -> dict:
@@ -116,8 +106,8 @@ def run_compute(req: ComputeRequest) -> dict:
                 "no copure-flat certificate: stable homology computed by the duality route"
             )
 
-    def one_degree(i: int) -> tuple[int, dict]:
-        entry: dict = {}
+    for i in degrees:
+        entry = per_degree[str(i)] = {}
         for theory in theories:
             if theory == "tor":
                 entry["tor"] = {"dim": tor(m, n, i).dim}
@@ -150,11 +140,6 @@ def run_compute(req: ComputeRequest) -> dict:
                                                       realization="ext")
                     entry["stable"] = {"route": "duality", "verdict": rep.verdict,
                                        "limit_dim": rep.limit_dim, "stage_dims": rep.dims}
-        return i, entry
-
-    results = _map_degrees(one_degree, degrees)
-    for i, entry in results:
-        per_degree[str(i)] = entry
 
     agreement = None
     if req.theory == "compare":
@@ -316,11 +301,11 @@ def _csv_flatten(report: dict) -> str:
 
 
 def _parse_degrees(text: str) -> tuple[int, int]:
-    if ".." not in text:
-        v = int(text)
-        return v, v
-    lo, hi = text.split("..", 1)
-    return int(lo), int(hi)
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise RequestError(f"degrees must be lo..hi or one integer, got '{text}'") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -397,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             _write_report(dump, args.out, args.format)
             return 0
-    except SchemaError as exc:
+    except (SchemaError, RequestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedAlgebraError as exc:

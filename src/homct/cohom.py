@@ -27,18 +27,27 @@ from .algmod import (
     FdModule,
     ModuleMap,
     _free_map_matrix,
+    _generator_images,
     dual_module,
     hom_over_algebra,
     stable_hom,
 )
 from .completion import StabilizationReport, Tower, cosyzygy_tower, tower_limit
-from .derived import ShortExactSeq, _free_block_entries, connecting_ext, ext, ext_chain
+from .derived import (
+    ShortExactSeq,
+    _entry_action_matrix,
+    _free_block_entries,
+    connecting_ext,
+    ext,
+    ext_chain,
+)
 from .exactla import (
     Matrix,
     Subquotient,
     Subspace,
     image_basis,
     kernel_basis,
+    mulmod,
     rref,
     solve_matrix,
 )
@@ -142,21 +151,18 @@ class _FreeHomCoords:
         self.pmod = pmod
         self.qmod = qmod
         self.b = pmod.free_rank
-        self.da = pmod.algebra.dim
         self.dq = qmod.dim
         self.dim = self.b * self.dq
         self.p = pmod.p
 
     def to_ambient(self, coords: np.ndarray) -> Matrix:
-        x = np.asarray(coords, dtype=np.int64).reshape(self.b, self.dq)
+        x = np.asarray(coords, dtype=np.int64).reshape(self.b, self.dq) % self.p
         return Matrix(self.p, _free_map_matrix(self.qmod, x.T))
 
     def coords_of(self, maps: np.ndarray) -> np.ndarray:
         """Coordinates of one map (dim Q x dim P) or of a stack of maps."""
-        lead = maps.shape[:-2]
-        blocks = maps.reshape(lead + (self.dq, self.b, self.da))
-        unit = self.pmod.algebra.unit
-        return (np.einsum("...qru,u->...rq", blocks, unit) % self.p).reshape(lead + (self.dim,))
+        gens = _generator_images(maps, self.pmod.algebra)  # (..., dim Q, b)
+        return gens.swapaxes(-1, -2).reshape(maps.shape[:-2] + (self.dim,))
 
     def postcompose(self, g: Matrix, tgt: "_FreeHomCoords") -> Matrix:
         """Matrix of f -> g o f into Hom(A^b, Q') coordinates."""
@@ -165,15 +171,7 @@ class _FreeHomCoords:
     def precompose(self, d: ModuleMap, tgt) -> Matrix:
         """Matrix of f -> f o d into Hom(source of d, Q) coordinates."""
         entries = _free_block_entries(d)  # (b, c, da): d maps A^c -> A^b
-        b, c = entries.shape[0], entries.shape[1]
-        out = np.zeros((c * self.dq, b * self.dq), dtype=np.int64)
-        for s in range(c):
-            for r in range(b):
-                if entries[r, s].any():
-                    out[s * self.dq: (s + 1) * self.dq, r * self.dq: (r + 1) * self.dq] = (
-                        self.qmod.action_of(entries[r, s]).a
-                    )
-        return Matrix(self.p, out)
+        return _entry_action_matrix(entries.transpose(1, 0, 2), self.qmod)
 
 
 class _SubHomCoords:
@@ -199,10 +197,10 @@ class _SubHomCoords:
         return self.sub.basis.a.reshape(self.dim, self.qmod.dim, self.pmod.dim)
 
     def postcompose(self, g: Matrix, tgt) -> Matrix:
-        return Matrix(self.p, tgt.coords_of(g.a @ self._basis_maps() % self.p).T)
+        return Matrix(self.p, tgt.coords_of(mulmod(g.a, self._basis_maps(), self.p)).T)
 
     def precompose(self, d: ModuleMap, tgt) -> Matrix:
-        return Matrix(self.p, tgt.coords_of(self._basis_maps() @ d.matrix.a % self.p).T)
+        return Matrix(self.p, tgt.coords_of(mulmod(self._basis_maps(), d.matrix.a, self.p)).T)
 
 
 def _hom_coords(pmod: FdModule, qmod: FdModule):
@@ -595,7 +593,7 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         # cocycles P -> omega, flat index t * p_dim + s; transposed to s * dx + t
         c = ec.hom_space(k + i).from_coords(ec.cohomology(k + i).sq.basis_representatives())
         c = c.reshape(h_ext.dim, dx, p_dim).transpose(0, 2, 1).reshape(h_ext.dim, p_dim * dx)
-        mat = Matrix(m.p, z @ c.T)
+        mat = Matrix(m.p, mulmod(z, c.T, m.p))
         pairings[k] = mat
         if rref(mat)[2] != h_tor.dim:
             perfect = False
@@ -611,11 +609,11 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         delta_ext = connecting_ext(ses, m_op, k + i - 1)
         delta_tor = tor_tower.maps[k]
         # <delta_tor z, c>_{k-1} vs <z, delta_ext c>_k
-        lhs = (pairings[k - 1].a.T @ delta_tor.a) % m.p  # indexed (c_{k-1}, z_k)
-        rhs = (delta_ext.transpose().a @ pairings[k].a.T) % m.p
-        if np.array_equal(lhs, rhs):
+        lhs = pairings[k - 1].transpose() @ delta_tor  # indexed (c_{k-1}, z_k)
+        rhs = delta_ext.transpose() @ pairings[k].transpose()
+        if lhs == rhs:
             signs[k] = 1
-        elif np.array_equal(lhs, (-rhs) % m.p):
+        elif lhs == -rhs:
             signs[k] = -1
         else:
             squares = False

@@ -17,6 +17,7 @@ from .algmod import (
     FdModule,
     ModuleMap,
     TensorSpace,
+    _generator_images,
     hom_over_algebra,
     tensor_over_algebra,
 )
@@ -139,13 +140,21 @@ class TensorChain:
 
 
 def _free_block_entries(d: ModuleMap) -> np.ndarray:
-    """Algebra-entry matrix M with d = (left) multiplication by M, free modules."""
+    """Algebra-entry matrix M with d = (left) multiplication by M, free modules.
+
+    Entry (r, s) is component r of the image of generator s: (b_tgt, b_src, dim A).
+    """
     a = d.source.algebra
-    b_src = d.source.free_rank
-    b_tgt = d.target.free_rank
-    da = a.dim
-    blocks = d.matrix.a.reshape(b_tgt, da, b_src, da)
-    return np.einsum("rvsu,u->rsv", blocks, a.unit) % a.p
+    gens = _generator_images(d.matrix.a, a)  # (b_tgt * dim A, b_src)
+    return gens.reshape(d.target.free_rank, a.dim, d.source.free_rank).transpose(0, 2, 1)
+
+
+def _entry_action_matrix(entries: np.ndarray, n: FdModule) -> Matrix:
+    """Block matrix whose (r, s) block is the action on n of the algebra element entries[r, s]."""
+    rows, cols, da = entries.shape
+    dn = n.dim
+    acts = n.action_of(entries.reshape(rows * cols, da)).reshape(rows, cols, dn, dn)
+    return Matrix(n.p, acts.swapaxes(1, 2).reshape(rows * dn, cols * dn))
 
 
 def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
@@ -158,14 +167,7 @@ def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n:
         and src.relations is None
         and tgt.relations is None
     ):
-        entries = _free_block_entries(d)
-        b_tgt, b_src = entries.shape[0], entries.shape[1]
-        out = np.zeros((b_tgt * dn, b_src * dn), dtype=np.int64)
-        for r in range(b_tgt):
-            for s in range(b_src):
-                if entries[r, s].any():
-                    out[r * dn : (r + 1) * dn, s * dn : (s + 1) * dn] = n.action_of(entries[r, s]).a
-        return Matrix(p, out)
+        return _entry_action_matrix(_free_block_entries(d), n)
     full = kron(d.matrix, Matrix.identity(p, dn))
     return tgt.projection @ full @ src.section
 

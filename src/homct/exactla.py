@@ -12,11 +12,13 @@ operation.
 
 The matrices built upstream are Kronecker and block products of small action
 matrices and are very sparse, so Gauss-Jordan elimination updates only the
-rows that are nonzero in the pivot column.  Every product goes through
-``_mulmod``: float64 BLAS while each dot product stays exactly representable
-(inner * (p-1)^2 < 2^53), int64 ``@`` beyond that, and OverflowError where
-int64 would wrap.  The modulus is bounded by (p-1)^2 < 2^63 (MAX_MODULUS),
-the range of the eliminator's row update.
+rows that are nonzero in the pivot column.  Every product mod p in homct,
+here and in the layers above, goes through ``mulmod``: float64 BLAS while
+each dot product stays exactly representable (inner * (p-1)^2 < 2^53), and
+int64 ``@`` beyond that, on inner blocks of floor((2^63-1) / (p-1)^2)
+columns reduced mod p after each block, so no product wraps and none raises
+OverflowError.  The modulus is bounded by (p-1)^2 < 2^63 (MAX_MODULUS), the
+range of the eliminator's row update; every prime up to it computes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "preimage",
     "quotient_and_induced",
     "induced_on_subspaces",
+    "mulmod",
     "MAX_MODULUS",
 ]
 
@@ -110,7 +113,7 @@ class Matrix:
             raise ValueError("modulus mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return Matrix(self.p, _mulmod(self.a, other.a, self.p))
+        return Matrix(self.p, mulmod(self.a, other.a, self.p))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p or self.a.shape != other.a.shape:
@@ -136,7 +139,7 @@ class Matrix:
         v = np.asarray(v, dtype=np.int64) % self.p
         if v.ndim not in (1, 2) or v.shape[-1] != self.cols:
             raise ValueError(f"vector length {v.shape} does not match cols {self.cols}")
-        return _mulmod(v, self.a.T, self.p)
+        return mulmod(v, self.a.T, self.p)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -161,24 +164,29 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.p, np.kron(a.a, b.a) % a.p)
 
 
-def _mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+def mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """x @ y mod p as int64, for integer operands already reduced into [0, p).
 
-    Each entry of x @ y is a sum of `inner` products of at most (p-1)^2.
-    Below 2^53 every partial sum is an integer that float64 holds exactly, in
-    any summation order, so the product runs on float64 BLAS and converts
-    back without rounding error.  Below 2^63 it runs on int64 ``@`` (no
-    BLAS); beyond that int64 would wrap, so it raises OverflowError.
+    Operands are not re-reduced (``Matrix.a`` is always in [0, p)).  x may
+    be a vector or a stack, y is a matrix or a stack of matrices (at least
+    two-dimensional), with numpy's ``@`` broadcasting.  Each entry of
+    x @ y is a sum of ``inner`` products of at most (p-1)^2.  Below 2^53
+    every partial sum is an integer that float64 holds exactly, in any
+    summation order, so the product runs on float64 BLAS and converts back
+    without rounding error.  Beyond that it runs on int64 ``@`` (no BLAS),
+    split into inner blocks of floor((2^63-1) / (p-1)^2) columns, each of
+    which stays below 2^63, and reduced after each block.  Every p up to
+    MAX_MODULUS computes exactly; nothing wraps or raises.
     """
-    bound = x.shape[-1] * (p - 1) ** 2
-    if bound < 2**53:
+    inner = x.shape[-1]
+    if inner * (p - 1) ** 2 < 2**53:
         out = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
-    elif bound < 2**63:
-        out = x @ y
     else:
-        raise OverflowError(
-            f"inner dimension {x.shape[-1]} at p = {p} overflows int64 products"
-        )
+        step = (2**63 - 1) // (p - 1) ** 2
+        out = x[..., :step] @ y[..., :step, :]
+        for lo in range(step, inner, step):
+            out %= p
+            out += x[..., lo:lo + step] @ y[..., lo:lo + step, :] % p
     out %= p
     return out
 
@@ -292,7 +300,7 @@ class Subspace:
         w = _row_major(v, self.p)
         if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
             raise ValueError("vector/ambient dimension mismatch")
-        return (w - _mulmod(np.take(w, self.pivots, axis=-1), self.basis.a, self.p)) % self.p
+        return (w - mulmod(np.take(w, self.pivots, axis=-1), self.basis.a, self.p)) % self.p
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v, or every row of the block v, lies in the subspace."""
@@ -305,13 +313,13 @@ class Subspace:
         """Coordinates of v (or of each row of v) in the RREF basis; requires v in the subspace."""
         w = _row_major(v, self.p)
         c = np.take(w, self.pivots, axis=-1)
-        if (_mulmod(c, self.basis.a, self.p) != w).any():
+        if (mulmod(c, self.basis.a, self.p) != w).any():
             raise ValueError("vector not in subspace")
         return c
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """Ambient vector (or row block) with the given RREF-basis coordinates."""
-        return _mulmod(_row_major(c, self.p), self.basis.a, self.p)
+        return mulmod(_row_major(c, self.p), self.basis.a, self.p)
 
     def complement_cols(self) -> list[int]:
         """Non-pivot coordinates: the canonical complement's coordinate set."""
@@ -403,7 +411,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     ann = annihilator(s)
     if ann.dim == 0:
         return Subspace.full(m.p, m.cols)
-    return kernel_basis(Matrix(m.p, _mulmod(ann.basis.a, m.a, m.p)))
+    return kernel_basis(Matrix(m.p, mulmod(ann.basis.a, m.a, m.p)))
 
 
 def quotient_and_induced(f: Matrix, dom_sub: Subspace, cod_sub: Subspace) -> Matrix:
@@ -481,7 +489,7 @@ class Subquotient:
 
     def representative(self, cls: np.ndarray) -> np.ndarray:
         """Distinguished ambient representative of class coordinates (vector or row block)."""
-        return _mulmod(_row_major(cls, self.p), self.basis_representatives(), self.p)
+        return mulmod(_row_major(cls, self.p), self.basis_representatives(), self.p)
 
     def basis_representatives(self) -> np.ndarray:
         """Representatives of the class basis, one per row (dim x ambient)."""

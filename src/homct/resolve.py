@@ -24,6 +24,7 @@ from .algmod import (
     FdModule,
     ModuleMap,
     _free_map_matrix,
+    _generator_images,
     direct_sum,
     dual_map,
     dual_module,
@@ -42,6 +43,7 @@ from .exactla import (
     induced_on_subspaces,
     kernel_basis,
     kron,
+    mulmod,
     solve_matrix,
 )
 
@@ -67,7 +69,7 @@ __all__ = [
 
 # The one process-wide memo of homological data, keyed by content fingerprints:
 # ("res", m) resolutions, ("tensor"|"ext", m, n) chains in derived, and
-# ("self_injective", algebra) verdicts.  Request-level worker threads share it.
+# ("self_injective", algebra) verdicts.  Library callers may share it across threads.
 _memo: dict[tuple, object] = {}
 _memo_lock = threading.Lock()
 
@@ -106,9 +108,10 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap]:
     top_dim = len(comp)
     summands: list[tuple[int, np.ndarray]] = []  # (simple index, generator in m)
     taken = Subspace.zero(a.p, m.dim)
+    idem_actions = m.action_of(np.array(idems))
     for t, ch in enumerate(chars):
         # e_t * (lift of each top basis vector): the complement columns of e_t's action
-        lifts = m.action_of(idems[t]).a[:, comp].T
+        lifts = idem_actions[t][:, comp].T
         for w, red in zip(lifts, rad_m.reduce(lifts)):
             if not red.any():
                 continue
@@ -125,13 +128,13 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap]:
         raise RuntimeError("projective cover: top decomposition failed")
     # the surjection sends the generator of summand s to v_s: on A it is the
     # orbit [a_u . v_s]_u, on A e_t that orbit restricted along A e_t -> A
-    orbits = [_free_map_matrix(m, v.reshape(-1, 1)) for _, v in summands]
+    orbits = np.hsplit(_free_map_matrix(m, np.array([v for _, v in summands]).T), top_dim)
     if len(idems) == 1:
         proj = free_module(a, m.side, top_dim)
     else:
         reg = regular_module(a, m.side)
         pairs = [submodule(reg, [idems[t]]) for t, _ in summands]
-        orbits = [orbit @ incl.matrix.a for orbit, (_, incl) in zip(orbits, pairs)]
+        orbits = [mulmod(orbit, incl.matrix.a, a.p) for orbit, (_, incl) in zip(orbits, pairs)]
         summand_mods = [sub for sub, _ in pairs]
         proj = direct_sum(summand_mods) if len(summand_mods) > 1 else summand_mods[0]
     pi = ModuleMap(proj, m, Matrix(a.p, np.hstack(orbits)))
@@ -553,13 +556,8 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
     """
     p = post.p
     if source.free_rank is not None and source.dim == source.free_rank * source.algebra.dim:
-        b = source.free_rank
-        da = source.algebra.dim
-        unit = source.algebra.unit
         # rhs on the free generators: column r is rhs(gen_r)
-        rhs_blocks = rhs.a.reshape(rhs.rows, b, da)
-        rhs_gens = np.einsum("mru,u->mr", rhs_blocks, unit) % p
-        sol = solve_matrix(post, Matrix(p, rhs_gens))
+        sol = solve_matrix(post, Matrix(p, _generator_images(rhs.a, source.algebra)))
         if sol is None:
             raise RuntimeError("hom_solve: no A-linear solution")
         g = ModuleMap(source, target, Matrix(p, _free_map_matrix(target, sol.a)), check=False)
@@ -573,12 +571,12 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
             return ModuleMap.zero(source, target)
         raise RuntimeError("hom_solve: empty Hom space with nonzero rhs")
     # column h is post o (basis map h), flattened row-major
-    posted = post.a @ hom.basis.a.reshape(hom.dim, target.dim, source.dim)
+    posted = mulmod(post.a, hom.basis.a.reshape(hom.dim, target.dim, source.dim), p)
     sys = Matrix(p, posted.reshape(hom.dim, post.rows * source.dim).T)
     sol = solve_matrix(sys, Matrix(p, rhs.a.reshape(-1, 1)))
     if sol is None:
         raise RuntimeError("hom_solve: no A-linear solution")
-    vec = (sol.a[:, 0] @ hom.basis.a) % p
+    vec = hom.from_coords(sol.a[:, 0])
     return ModuleMap(source, target, Matrix(p, vec.reshape(target.dim, source.dim)), check=False)
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homct.algmod import (
     Algebra,
     FdModule,
+    ModuleMap,
     dual_module,
     hom_over_algebra,
     is_isomorphic,
@@ -405,3 +408,134 @@ def test_iso_syzygy_of_k_over_a1():
     assert res.status == "isomorphic"
     w = res.witness
     assert w.is_isomorphism() and w.commutes()
+
+
+# --- products at every admissible prime --------------------------------------
+
+PRIMES = [2, 3, 65521, 47453111, 2**31 - 1, 3037000493]
+
+
+def _obj(x):
+    return np.asarray(x, dtype=np.int64).astype(object)
+
+
+def _ref_mat(x, p):
+    return np.asarray(np.asarray(x, dtype=object) % p, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(min_value=1, max_value=4),  # dim A
+    st.integers(min_value=1, max_value=4),  # dim of the module
+    st.integers(min_value=1, max_value=3),  # rows of a block
+    st.booleans(),  # entries p - 2 or p - 1: the largest products
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_products_match_exact_reference(p, n, d, k, extreme, seed):
+    rng = np.random.default_rng(seed)
+    low = max(p - 2, 0) if extreme else 0
+
+    def rand(*shape):
+        return rng.integers(low, p, size=shape)
+
+    c = rand(n, n, n)
+    a = Algebra(p, c, rand(n), check=False)
+    u, v = rand(k, n), rand(k, n)
+    co = _obj(c)
+    # u * v = sum_{i,j} u_i v_j c[i, j]; (L_v)[k, j] = sum_i v_i c[i, j, k]
+    ref_mul = [_ref_mat(np.outer(_obj(x), _obj(y)).reshape(-1).dot(co.reshape(n * n, n)), p)
+               for x, y in zip(u, v)]
+    ref_left = [_ref_mat(_obj(x).dot(co.reshape(n, n * n)).reshape(n, n).T, p) for x in v]
+    ref_right = [_ref_mat(_obj(x).dot(co.swapaxes(0, 1).reshape(n, n * n)).reshape(n, n).T, p)
+                 for x in v]
+    assert np.array_equal(a.mul(u, v), np.array(ref_mul))
+    assert np.array_equal(a.mul(u[0], v[0]), ref_mul[0])
+    assert np.array_equal(a.left_mult_matrix(v), np.array(ref_left))
+    assert a.left_mult_matrix(v[0]) == Matrix(p, ref_left[0])
+    assert np.array_equal(a.right_mult_matrix(v), np.array(ref_right))
+    assert a.right_mult_matrix(v[0]) == Matrix(p, ref_right[0])
+
+    acts = rand(n, d, d)
+    m = FdModule(a, "left", d, list(acts), check=False)
+    ref_act = [_ref_mat(_obj(x).dot(_obj(acts).reshape(n, d * d)).reshape(d, d), p) for x in u]
+    assert np.array_equal(m.action_of(u), np.array(ref_act))
+    assert m.action_of(u[0]) == Matrix(p, ref_act[0])
+
+    # actions that are powers of one matrix s commute with f = s + s^2 mod p,
+    # though s f != f s over the integers
+    s = _obj(rand(d, d))
+    powers = [np.identity(d, dtype=np.int64).astype(object)]
+    for _ in range(max(n, 2)):
+        powers.append(powers[-1].dot(s) % p)
+    spow = FdModule(a, "left", d, [_ref_mat(x, p) for x in powers[1:n + 1]], check=False)
+    poly = ModuleMap(
+        spow,
+        spow,
+        Matrix(p, _ref_mat(powers[1] + powers[2], p)),
+        check=False,
+    )
+    assert poly.commutes()
+    f = rand(d, d)
+    other = ModuleMap(m, m, Matrix(p, f), check=False)
+    truth = all(np.array_equal(_ref_mat(_obj(t).dot(_obj(f)), p), _ref_mat(_obj(f).dot(_obj(t)), p))
+                for t in acts)
+    assert other.commutes() == truth
+
+
+def _first_violations(a):
+    """The per-triple, per-element validation loop, as a reference for the messages."""
+    n = a.dim
+    eye = np.eye(n, dtype=np.int64)
+    out = []
+    triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    for i, j, k in triples:
+        if not np.array_equal(a.mul(a.mul(eye[i], eye[j]), eye[k]),
+                              a.mul(eye[i], a.mul(eye[j], eye[k]))):
+            out.append(f"associativity fails at triple ({i},{j},{k})")
+            break
+    for j in range(n):
+        if not np.array_equal(a.mul(a.unit, eye[j]), eye[j]):
+            out.append(f"unit fails on the left at basis element {j}")
+            break
+        if not np.array_equal(a.mul(eye[j], a.unit), eye[j]):
+            out.append(f"unit fails on the right at basis element {j}")
+            break
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["a1", "a2", "a3", "a4"]),
+    st.integers(min_value=0, max_value=3),  # number of perturbed structure constants
+    st.booleans(),  # perturb the unit
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_validate_algebra_reports_first_failure(name, flips, bad_unit, seed):
+    rng = np.random.default_rng(seed)
+    base = fixture_algebras()[name]
+    n, p = base.dim, base.p
+    c = np.array(base.structure)
+    for _ in range(flips):
+        c[tuple(rng.integers(0, n, size=3))] = rng.integers(0, p)
+    unit = np.array(base.unit)
+    if bad_unit:
+        unit[rng.integers(0, n)] = rng.integers(0, p)
+    a = Algebra(p, c, unit, check=False)
+    rep = validate_algebra(a)
+    assert rep.violations == _first_violations(a) and rep.ok == (not rep.violations)
+
+
+def test_validate_module_locates_first_structure_violation():
+    a1 = algebra_a1()
+    x = Matrix(2, [[0, 0], [1, 0]])
+    assert validate_module(FdModule(a1, "left", 2, [Matrix.identity(2, 2), x], check=False)).ok
+    bad = FdModule(a1, "left", 2, [Matrix.identity(2, 2), Matrix.identity(2, 2)], check=False)
+    assert validate_module(bad).violations == ["action violates structure constants at (1,1)"]
+
+
+def test_frobenius_check_at_largest_prime():
+    a = make_monomial_quotient(1, [(2,)], 3037000493)
+    assert np.array_equal(a.mul([-1, -1], [-1, -1]), [1, 2])
+    a.assert_supported()  # x^p = x checked by squaring: about 2 log2(p) products
+    assert len(a.characters()) == 1

@@ -249,19 +249,51 @@ def test_csv_format(tmp_path):
     assert any(line.startswith("0,tor,dim,1") for line in lines)
 
 
-def test_threads_env_var(monkeypatch):
-    monkeypatch.setenv("HOMCT_THREADS", "2")
-    req = ComputeRequest(fx("a4.json"), fx("a4_k_right.json"), fx("a4_k_left.json"),
-                         "tor", 0, 3, 4, 2, 0)
-    report = run_compute(req)
-    dims = [report["per_degree"][str(i)]["tor"]["dim"] for i in range(0, 4)]
-    assert dims == [1, 1, 1, 1]
-    # nine degrees through the pool, each run filling an empty memo under its lock
-    compare = ComputeRequest(fx("a1.json"), fx("a1_k_right.json"), fx("a1_k_left.json"),
-                             "compare", -4, 4, 5, 3, 0)
-    hashes = {}
-    for threads in ("2", "1"):
-        monkeypatch.setenv("HOMCT_THREADS", threads)
-        monkeypatch.setattr(resolve, "_memo", {})
-        hashes[threads] = run_compute(compare)["hash"]
-    assert hashes["2"] == hashes["1"]
+@pytest.mark.parametrize("bad", [["--degrees", "3..1"], ["--depth", "2", "--window", "3"],
+                                 ["--degrees", "1..x"]])
+def test_main_invalid_request_exit_code(bad, capsys):
+    code = main(["compare", "--algebra", fx("a1.json"), "--module-m", fx("a1_k_right.json"),
+                 "--module-n", fx("a1_k_left.json"), *bad])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _fixtures_at_prime(tmp_path, p):
+    """Copies of every fixture under tmp_path/<p>, with the algebras' modulus set to p."""
+    out = tmp_path / str(p)
+    out.mkdir()
+    for name in os.listdir(FIXTURES):
+        with open(fx(name)) as fh:
+            data = json.load(fh)
+        if "p" in data:
+            data["p"] = p
+        (out / name).write_text(json.dumps(data))
+    return out
+
+
+def _compare_args(d, algebra):
+    return ["compare", "--algebra", str(d / f"{algebra}.json"),
+            "--module-m", str(d / f"{algebra}_k_right.json"),
+            "--module-n", str(d / f"{algebra}_k_left.json")]
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_fixtures_compute_at_large_primes(p, tmp_path):
+    # the fixtures have 0/1 structure constants, so every prime gives the p = 2 answers
+    d, ref = _fixtures_at_prime(tmp_path, p), _fixtures_at_prime(tmp_path, 2)
+    out = tmp_path / "tor.json"
+    code = main(["compute", "--algebra", str(d / "a2.json"), "--module-m",
+                 str(d / "a2_k_right.json"), "--module-n", str(d / "a2_k_left.json"),
+                 "--theory", "tor", "--degrees", "0..3", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert [report["per_degree"][str(i)]["tor"]["dim"] for i in range(4)] == [1, 2, 4, 8]
+    for algebra, extra in (("a1", ["--degrees=-2..2", "--depth", "4"]), ("a3", [])):
+        reports = []
+        for base in (d, ref):
+            out = tmp_path / f"{algebra}_{base.name}.json"
+            assert main([*_compare_args(base, algebra), *extra, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["per_degree"] == reports[1]["per_degree"]
+        assert reports[0]["agreement"] == reports[1]["agreement"]

@@ -13,10 +13,10 @@ from homct.exactla import (
     Subquotient,
     Subspace,
     _is_prime,
-    _mulmod,
     _rref_array,
     image_basis,
     kernel_basis,
+    mulmod,
     preimage,
     quotient_and_induced,
     quotient_projection,
@@ -401,14 +401,12 @@ def test_mulmod_matches_exact_product(p, k, n, m, extreme, seed):
     rng = np.random.default_rng(seed)
     low = max(p - 2, 0) if extreme else 0
     x, y = rng.integers(low, p, size=(k, n)), rng.integers(low, p, size=(n, m))
-    if n * (p - 1) ** 2 >= 2**63:
-        with pytest.raises(OverflowError):
-            _mulmod(x, y, p)
-        return
-    out = _mulmod(x, y, p)
+    # exact for every inner size: past inner * (p-1)^2 >= 2^63 the int64 path
+    # runs in inner blocks (one column per block at 3037000493)
+    out = mulmod(x, y, p)
     assert out.dtype == np.int64 and np.array_equal(out, _exact_product(x, y, p))
     v = x[0] if k else np.zeros(n, dtype=np.int64)  # a single vector on the left
-    assert np.array_equal(_mulmod(v, y, p), _exact_product(v, y, p))
+    assert np.array_equal(mulmod(v, y, p), _exact_product(v, y, p))
 
 
 def test_switch_prime_straddles_float64_limit():
@@ -417,11 +415,11 @@ def test_switch_prime_straddles_float64_limit():
 
 # --- modulus bounds: products and eliminations fail closed ------------------
 
-def test_square_near_int64_limit_raises():
+def test_square_near_int64_limit_is_exact():
     p = 2**31 - 1
     m = Matrix(p, np.full((3, 3), p - 1))
-    with pytest.raises(OverflowError):
-        m @ m  # 3 * (p - 1)^2 >= 2^63; int64 would wrap to 2147483646 instead of 3
+    # 3 * (p - 1)^2 >= 2^63: one int64 product would wrap to 2147483646
+    assert (m @ m) == Matrix(p, np.full((3, 3), 3))
     two = Matrix(p, np.full((2, 2), p - 1))
     assert (two @ two) == Matrix(p, np.full((2, 2), 2))
 
