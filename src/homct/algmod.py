@@ -31,7 +31,6 @@ from .exactla import (
     mulmod,
     quotient_and_induced,
     quotient_projection,
-    quotient_section,
     rref,
 )
 
@@ -552,6 +551,8 @@ class FdModule:
         for m in self.action:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrices must be dim x dim")
+        if free_rank is not None and free_rank * algebra.dim != dim:
+            raise ValueError(f"free_rank {free_rank} needs dim {free_rank * algebra.dim}, not {dim}")
         self.free_rank = free_rank
         self._fp: str | None = None
         if check:
@@ -781,26 +782,45 @@ def dual_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(dual_module(f.target), dual_module(f.source), f.matrix.transpose(), check=False)
 
 
-@dataclass
 class TensorSpace:
-    """M tensor_A N presented as a quotient of the k-tensor square.
+    """M tensor_A N as a quotient of the k-tensor square, pair (s, t) at index s * dim N + t.
 
-    projection maps F^(dim M * dim N) onto quotient coordinates; section is its
-    canonical splitting.  Pair (s, t) sits at flat index s * dim N + t.
-    relations is None on the fast path for free M (never materialized there).
+    project maps tensor-square coordinates to quotient coordinates and lift
+    maps these to canonical representatives, so project(lift(c)) == c; both
+    take a vector or a block of rows.  For free M = A^b, relations is None and
+    the quotient is N^b: a_u tensor x goes to a_u . x in its copy, and x lifts
+    to unit tensor x.  Otherwise the quotient coordinates are the complement
+    columns of the relation subspace.
     """
 
-    p: int
-    dim: int
-    projection: Matrix
-    section: Matrix
-    relations: Subspace | None
-    shape: tuple[int, int]
+    def __init__(self, m: FdModule, n: FdModule, relations: Subspace | None):
+        self.p, self.n, self.b, self.relations = n.p, n, m.free_rank, relations
+        if relations is None:
+            self.dim = self.b * n.dim
+        else:
+            self._comp = relations.complement_cols()
+            self.dim = len(self._comp)
 
-    def pure(self, mvec, nvec) -> np.ndarray:
-        mvec = np.asarray(mvec, dtype=np.int64) % self.p
-        nvec = np.asarray(nvec, dtype=np.int64) % self.p
-        return self.projection.apply(np.outer(mvec, nvec).reshape(-1))
+    def project(self, rows) -> np.ndarray:
+        if self.relations is not None:
+            return np.take(self.relations.reduce(rows), self._comp, axis=-1)
+        rows = np.asarray(rows, dtype=np.int64) % self.p
+        lead = rows.shape[:-1]
+        da, dn = self.n.algebra.dim, self.n.dim
+        # row u * dn + t of the action block is a_u . n_t
+        act = _action_stack(self.n).swapaxes(1, 2).reshape(da * dn, dn)
+        return mulmod(rows.reshape(lead + (self.b, da * dn)), act, self.p).reshape(lead + (self.dim,))
+
+    def lift(self, coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=np.int64) % self.p
+        lead = coords.shape[:-1]
+        if self.relations is not None:
+            out = np.zeros(lead + (self.relations.ambient_dim,), dtype=np.int64)
+            out[..., self._comp] = coords
+            return out
+        a = self.n.algebra
+        out = coords.reshape(lead + (self.b, 1, self.n.dim)) * a.unit[:, None] % self.p
+        return out.reshape(lead + (self.b * a.dim * self.n.dim,))
 
 
 def tensor_over_algebra(m: FdModule, n: FdModule) -> TensorSpace:
@@ -811,35 +831,14 @@ def tensor_over_algebra(m: FdModule, n: FdModule) -> TensorSpace:
         raise ValueError("modules over different algebras")
     p = m.p
     dm, dn = m.dim, n.dim
-    if m.free_rank is not None and m.free_rank * m.algebra.dim == dm:
-        # A^b tensor_A n = n^b via (a_1..a_b) tensor x -> (a_r . x)_r
-        b = m.free_rank
-        da = m.algebra.dim
-        nproj = np.hstack([n.action[i].a for i in range(da)]) if dn else np.zeros((0, 0), dtype=np.int64)
-        sec_small = np.kron(m.algebra.unit.reshape(-1, 1), np.eye(dn, dtype=np.int64))
-        eye_b = np.eye(b, dtype=np.int64)
-        return TensorSpace(
-            p,
-            b * dn,
-            Matrix(p, np.kron(eye_b, nproj.reshape(dn, da * dn)) % p),
-            Matrix(p, np.kron(eye_b, sec_small) % p),
-            None,
-            (dm, dn),
-        )
+    if m.free_rank is not None:
+        return TensorSpace(m, n, None)
     # row (i, s, t) is (m_s e_i) tensor n_t - m_s tensor (e_i n_t); zero rows dropped
     eye_m = np.eye(dm, dtype=np.int64)
     eye_n = np.eye(dn, dtype=np.int64)
     rels = np.vstack([np.kron(ma.a.T, eye_n) - np.kron(eye_m, na.a.T)
                       for ma, na in zip(m.action, n.action)]) % p
-    sub = Subspace(p, dm * dn, rels[rels.any(axis=1)])
-    return TensorSpace(
-        p,
-        dm * dn - sub.dim,
-        quotient_projection(sub),
-        quotient_section(sub),
-        sub,
-        (dm, dn),
-    )
+    return TensorSpace(m, n, Subspace(p, dm * dn, rels[rels.any(axis=1)]))
 
 
 def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:

@@ -6,7 +6,9 @@ over an algebra where no complete resolution certifies) are recorded in the
 report and do not fail the run; invariant violations and internal mismatches
 set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
 report, 2 invalid input file or request, 3 unsupported algebra class, 4
-radical certification failure; codes 2-4 print ``error: ...`` to stderr.
+radical certification failure, 5 internal construction failure (a
+``RuntimeError``, such as a connecting map, projective cover or Hom solve
+with no solution); codes 2-5 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -391,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     except RadicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

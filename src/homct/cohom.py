@@ -204,7 +204,7 @@ class _SubHomCoords:
 
 
 def _hom_coords(pmod: FdModule, qmod: FdModule):
-    if pmod.free_rank is not None and pmod.dim == pmod.free_rank * pmod.algebra.dim:
+    if pmod.free_rank is not None:
         return _FreeHomCoords(pmod, qmod)
     return _SubHomCoords(pmod, qmod)
 
@@ -589,7 +589,7 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         ec = ext_chain(m_op, omega, k + i + 1)
         p_dim = chain.res.proj(k + i).dim
         # cycles in P tensor_k D(omega), flat pair index s * dx + t
-        z = comp.section.apply(h_tor.sq.basis_representatives())
+        z = comp.lift(h_tor.sq.basis_representatives())
         # cocycles P -> omega, flat index t * p_dim + s; transposed to s * dx + t
         c = ec.hom_space(k + i).from_coords(ec.cohomology(k + i).sq.basis_representatives())
         c = c.reshape(h_ext.dim, dx, p_dim).transpose(0, 2, 1).reshape(h_ext.dim, p_dim * dx)

@@ -159,26 +159,19 @@ def _entry_action_matrix(entries: np.ndarray, n: FdModule) -> Matrix:
 
 def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
     """Matrix of d tensor id_n between tensor components."""
-    p = n.p
-    dn = n.dim
-    if (
-        d.source.free_rank is not None
-        and d.target.free_rank is not None
-        and src.relations is None
-        and tgt.relations is None
-    ):
+    if d.source.free_rank is not None and d.target.free_rank is not None:
         return _entry_action_matrix(_free_block_entries(d), n)
-    full = kron(d.matrix, Matrix.identity(p, dn))
-    return tgt.projection @ full @ src.section
+    full = kron(d.matrix, Matrix.identity(n.p, n.dim))
+    return Matrix(n.p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 
 
 def second_arg_tensor_matrix(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, pmod: FdModule) -> Matrix:
     """Matrix of id_P tensor g between components with the same first argument."""
     p = g.p
-    if pmod.free_rank is not None and src.relations is None and tgt.relations is None:
+    if pmod.free_rank is not None:
         return Matrix(p, np.kron(np.eye(pmod.free_rank, dtype=np.int64), g.matrix.a) % p)
     full = kron(Matrix.identity(p, pmod.dim), g.matrix)
-    return tgt.projection @ full @ src.section
+    return Matrix(p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 
 
 def tensor_chain(m: FdModule, n: FdModule, depth: int) -> TensorChain:

@@ -439,11 +439,6 @@ def quotient_projection(sub: Subspace) -> Matrix:
     return Matrix(sub.p, _null_rows(sub.basis.a, sub.pivots, sub.p))
 
 
-def quotient_section(sub: Subspace) -> Matrix:
-    """Canonical section of quotient_projection (complement coords -> ambient)."""
-    return Matrix(sub.p, np.eye(sub.ambient_dim, dtype=np.int64)[:, sub.complement_cols()])
-
-
 def induced_on_subspaces(f: Matrix, dom: Subspace, cod: Subspace) -> Matrix:
     """Matrix of f restricted to dom -> cod in the RREF-basis coordinates.
 

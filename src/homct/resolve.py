@@ -555,7 +555,7 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
     result is A-linear by construction.
     """
     p = post.p
-    if source.free_rank is not None and source.dim == source.free_rank * source.algebra.dim:
+    if source.free_rank is not None:
         # rhs on the free generators: column r is rhs(gen_r)
         sol = solve_matrix(post, Matrix(p, _generator_images(rhs.a, source.algebra)))
         if sol is None:

@@ -1,5 +1,7 @@
 """Tests for structure-constant algebras and finite-dimensional modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from homct.algmod import (
     FdModule,
     ModuleMap,
     dual_module,
+    free_module,
     hom_over_algebra,
     is_isomorphic,
     make_group_algebra,
@@ -284,6 +287,28 @@ def test_tensor_k_rad_a2():
     assert rad_sub.dim == 2
     t = tensor_over_algebra(k_r, rad_sub)
     assert t.dim == 2
+
+
+def test_free_tensor_builds_nothing_dense():
+    # A^128 tensor A over A2: the dense Kronecker projection alone was 384 x 1152 int64
+    m = free_module(algebra_a2(), "right", 128)
+    n = regular_module(algebra_a2(), "left")
+    tracemalloc.start()
+    try:
+        t = tensor_over_algebra(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.dim == 128 * 3 and peak < 2**20
+
+
+def test_inconsistent_free_rank_rejected():
+    a1 = algebra_a1()
+    reg = regular_module(a1, "left")
+    with pytest.raises(ValueError, match="free_rank"):
+        FdModule(a1, "left", reg.dim, reg.action, check=False, free_rank=2)
+    with pytest.raises(ValueError, match="free_rank"):
+        FdModule(a1, "left", 0, [Matrix.zeros(2, 0, 0)] * a1.dim, check=False, free_rank=1)
 
 
 def test_hom_free_module():

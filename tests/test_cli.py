@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from homct import algmod, resolve
+from homct import algmod, completion, resolve
 from homct.algmod import make_group_algebra
 from homct.cli import ComputeRequest, main, run_compute, run_corpus
 from homct.exactla import Subspace
@@ -257,6 +257,18 @@ def test_main_invalid_request_exit_code(bad, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_main_internal_failure_exit_code(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("connecting_tor: no lift")
+
+    monkeypatch.setattr(completion, "connecting_tor", fail)
+    code = main(["compare", "--algebra", fx("a1.json"), "--module-m", fx("a1_k_right.json"),
+                 "--module-n", fx("a1_k_left.json"), "--degrees", "0..1", "--depth", "3"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == "error: connecting_tor: no lift\n"
 
 
 def _fixtures_at_prime(tmp_path, p):

@@ -2,13 +2,20 @@
 
 import os
 
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from homct.algmod import (
+    Algebra,
     FdModule,
     ModuleMap,
     direct_sum,
     dual_module,
+    free_module,
     hom_over_algebra,
     regular_module,
+    simple_modules,
     tensor_over_algebra,
 )
 from homct.derived import (
@@ -23,7 +30,7 @@ from homct.derived import (
     tor,
     second_arg_tensor_matrix,
 )
-from homct.exactla import Matrix, rref
+from homct.exactla import Matrix, Subspace, quotient_projection, rref
 from homct.fixtures import (
     a3_mod_x,
     a3_mod_y,
@@ -31,9 +38,10 @@ from homct.fixtures import (
     algebra_a2,
     algebra_a3,
     algebra_a4,
+    fixture_algebras,
     simple_k,
 )
-from homct.resolve import complete_resolution, min_inj_resolution
+from homct.resolve import complete_resolution, min_inj_resolution, min_proj_resolution
 from homct.schemas import parse_module_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -43,6 +51,14 @@ def swap_side(m: FdModule) -> FdModule:
     """Reinterpret a module over a commutative algebra on the other side."""
     other = "right" if m.side == "left" else "left"
     return FdModule(m.algebra, other, m.dim, m.action, check=True, free_rank=m.free_rank)
+
+
+def triangular_f3() -> Algebra:
+    """Upper triangular 2x2 matrices over F_3 (basis e11, e12, e22): two simples, unit e11 + e22."""
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, k] = 1
+    return Algebra(3, struct, [1, 0, 1])
 
 
 def socle_ses_a1():
@@ -195,6 +211,99 @@ def test_connecting_rank_on_a2_cosyzygy_ses():
     induced = c_o.homology(1).sq.induced_from(c_e.homology(1).sq, amb)
     assert rref(induced)[2] == 3
     assert rref(delta)[2] == 4 - 3 == 1
+
+
+def test_connecting_over_triangular_algebra():
+    # right simples have non-free projective covers, so the maps id_P tensor g
+    # go through the relation path of second_arg_tensor_matrix
+    a = triangular_f3()
+    expected = {(0, 0): [(0, 0), (0, 0)], (0, 1): [(0, 0), (0, 0)],
+                (1, 0): [[[1]], (0, 0)], (1, 1): [(0, 0), (0, 0)]}
+    for (mi, ni), mats in expected.items():
+        m = simple_modules(a, "right")[mi]
+        res = min_proj_resolution(simple_modules(a, "left")[ni], 2)
+        ses = ShortExactSeq(res.syzygy_incl(1), res.cover_map(0))
+        assert les_check(ses, m, 0, 2).ok
+        for i, want in zip((1, 2), mats):
+            delta = connecting_tor(ses, m, i)
+            if isinstance(want, tuple):
+                assert delta.a.shape == want
+            else:
+                assert delta.to_lists() == want
+
+
+# --- tensor spaces as block operators ---------------------------------------
+
+def dense_projection_section(m: FdModule, n: FdModule) -> tuple[Matrix, Matrix]:
+    """The dense projection and section matrices of M tensor_A N, built as
+    TensorSpace stored them before it became two block operators."""
+    p, dm, dn = m.p, m.dim, n.dim
+    if m.free_rank is not None:
+        b, da = m.free_rank, m.algebra.dim
+        nproj = np.hstack([n.action[i].a for i in range(da)]) if dn else np.zeros((0, 0), dtype=np.int64)
+        sec_small = np.kron(m.algebra.unit.reshape(-1, 1), np.eye(dn, dtype=np.int64))
+        eye_b = np.eye(b, dtype=np.int64)
+        return (Matrix(p, np.kron(eye_b, nproj.reshape(dn, da * dn)) % p),
+                Matrix(p, np.kron(eye_b, sec_small) % p))
+    eye_m, eye_n = np.eye(dm, dtype=np.int64), np.eye(dn, dtype=np.int64)
+    rels = np.vstack([np.kron(ma.a.T, eye_n) - np.kron(eye_m, na.a.T)
+                      for ma, na in zip(m.action, n.action)]) % p
+    sub = Subspace(p, dm * dn, rels[rels.any(axis=1)])
+    return quotient_projection(sub), Matrix(p, np.eye(dm * dn, dtype=np.int64)[:, sub.complement_cols()])
+
+
+def _first_arg(a, kind, r, simple):
+    if kind == "free":
+        return free_module(a, "right", r)
+    if kind == "simple":
+        return simple
+    if kind == "syzygy":
+        return min_proj_resolution(simple, r + 1).syzygy(r + 1)
+    if kind == "dual_free":  # the injectives of complete resolutions
+        return dual_module(free_module(a, "left", r))
+    return direct_sum([free_module(a, "right", r), simple])  # mixed: free_rank is None
+
+
+def _second_arg(a, kind):
+    if kind == "zero":
+        return FdModule(a, "left", 0, [Matrix.zeros(a.p, 0, 0)] * a.dim, check=False)
+    if kind == "simple":
+        return simple_modules(a, "left")[-1]
+    if kind == "regular":
+        return regular_module(a, "left")
+    return dual_module(free_module(a, "right", 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["a1", "a2", "a3", "a4", "t2"]),
+    st.sampled_from(["free", "simple", "syzygy", "dual_free", "mixed"]),
+    st.integers(min_value=0, max_value=3),  # free rank, or syzygy degree - 1
+    st.sampled_from(["zero", "simple", "regular", "injective"]),
+    st.integers(min_value=0, max_value=3),  # rows of a block
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example("t2", "free", 2, "regular", 2, 0)  # the unit e11 + e22 is not a basis vector
+@example("t2", "mixed", 1, "injective", 1, 1)
+@example("a2", "free", 3, "zero", 2, 0)
+@example("a4", "free", 0, "simple", 1, 0)
+def test_tensor_operators_match_dense_reference(name, kind, r, n_kind, k, seed):
+    a = triangular_f3() if name == "t2" else fixture_algebras()[name]
+    simples = simple_modules(a, "right")
+    m = _first_arg(a, kind, r, simples[seed % len(simples)])
+    n = _second_arg(a, n_kind)
+    t = tensor_over_algebra(m, n)
+    proj, sec = dense_projection_section(m, n)
+    assert (t.relations is None) == (m.free_rank is not None) and t.dim == proj.rows
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, a.p, size=(k, m.dim * n.dim))
+    coords = rng.integers(0, a.p, size=(k, t.dim))
+    assert np.array_equal(t.project(rows), proj.apply(rows))
+    assert np.array_equal(t.lift(coords), sec.apply(coords))
+    assert np.array_equal(t.project(t.lift(coords)), coords)
+    for v, c in zip(rows, coords):  # single vectors
+        assert np.array_equal(t.project(v), proj.apply(v))
+        assert np.array_equal(t.lift(c), sec.apply(c))
 
 
 # --- long exact sequence ----------------------------------------------------
