@@ -8,9 +8,11 @@ algebra by keeping the same action matrices.
 
 The supported algebra class is the split basic case: algebras whose
 semisimple quotient is a product of copies of F_p.  There the radical is
-computed by the characteristic-p chain of p-power trace forms and certified
-after the fact, simple modules are one-dimensional, and primitive orthogonal
-idempotents are lifted by p-th powering.
+computed by the characteristic-p chain of p-power trace forms, at levels
+0..floor(log_p dim A), and certified after the fact; simple modules are
+one-dimensional, and primitive orthogonal idempotents are lifted by p-th
+powering.  Lifts of a basis of rad/rad^2 generate rad as a left and as a
+right ideal, so rad * M and soc M are read from their actions alone.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from .exactla import (
     Subquotient,
     Subspace,
     image_basis,
-    induced_on_subspaces,
     kernel_basis,
     kron,
+    matpow,
     mulmod,
     quotient_and_induced,
     quotient_projection,
     rref,
+    solve_matrix,
 )
 
 __all__ = [
@@ -171,6 +174,21 @@ class Algebra:
             self._cache["radical"] = rad
         return rad
 
+    def radical_generators(self) -> np.ndarray:
+        """Rows lifting a basis of rad/rad^2; they generate rad as a left and a right ideal.
+
+        By Nakayama, rad = sum x_i A = sum A x_i, so rad * M = sum x_i M and
+        soc M is the common kernel of the x_i.
+        """
+        gens = self._cache.get("radical_generators")
+        if gens is None:
+            rad = self.radical()
+            r = rad.basis.a
+            rad2 = Subspace(self.p, self.dim, self.mul(r[:, None], r))  # spanned by the products r s
+            gens = Subquotient(rad, rad2).basis_representatives()
+            self._cache["radical_generators"] = gens
+        return gens
+
     def semisimple_quotient(self) -> tuple["Algebra", list[int]]:
         """Quotient by the radical, on canonical complement coordinates.
 
@@ -256,55 +274,30 @@ def radical(a: Algebra) -> Subspace:
 # -- radical computation -------------------------------------------------
 
 
-def _int_matrix_power_trace(m: np.ndarray, e: int) -> int:
-    """trace(M^e) over Z for an integer matrix, exact (Python ints)."""
-    mat = [[int(x) for x in row] for row in m]
-    n = len(mat)
-
-    def matmul(x, y):
-        return [
-            [sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    result = None
-    base = mat
-    k = e
-    while k:
-        if k & 1:
-            result = base if result is None else matmul(result, base)
-        k >>= 1
-        if k:
-            base = matmul(base, base)
-    if result is None:
-        return n  # e == 0: identity
-    return sum(result[i][i] for i in range(n))
-
-
 def _radical_chain(a: Algebra) -> Subspace:
-    """Friedl-Ronyai chain of p-power trace forms over the prime field."""
+    """Friedl-Ronyai chain of p-power trace forms over the prime field.
+
+    Level j reads Tr(L_{xy}^(p^j)) / p^j mod p from powers mod q = p^(j+1), a
+    ring map; levels j <= floor(log_p dim A) suffice, so q <= max(p, dim A^2).
+    """
     p, n = a.p, a.dim
-    if n == 0:
-        return Subspace.zero(p, 0)
     current = Subspace.full(p, n)
     level = 0
     pj = 1
-    while True:
+    while current.dim:
         basis = current.basis.a
-        if basis.shape[0] == 0:
-            break
         # entry (y, x) of the form is Tr(L_{xy}^(p^level)) / p^level
         prods = a.mul(basis[None, :, :], basis[:, None, :]).reshape(-1, n)
-        traces = [_int_matrix_power_trace(lm, pj) for lm in a.left_mult_matrix(prods)]
-        if any(t % pj for t in traces):
+        q = pj * p
+        traces = np.trace(matpow(a.left_mult_matrix(prods), pj, q), axis1=-2, axis2=-1) % q
+        if (traces % pj).any():
             raise RadicalError(
                 f"radical computation failed: trace not divisible at level {level}"
             )
-        k = basis.shape[0]
-        form = Matrix(p, np.array([t // pj % p for t in traces], dtype=np.int64).reshape(k, k))
+        form = Matrix(p, (traces // pj % p).reshape(current.dim, current.dim))
         ker = kernel_basis(form)  # in current-basis coordinates
         current = Subspace(p, n, current.from_coords(ker.basis.a))
-        if pj >= n:
+        if q > n:
             break
         level += 1
         pj *= p
@@ -390,18 +383,14 @@ def _lift_idempotents(a: Algebra) -> list[np.ndarray]:
     s = q.dim
     # primitive idempotents of q: solve chi_i(e_j) system
     cmat = Matrix(a.p, np.array(chars, dtype=np.int64))
-    from .exactla import solve_matrix
-
     sols = solve_matrix(cmat, Matrix.identity(a.p, s))
     if sols is None:
         raise UnsupportedAlgebraError("unsupported algebra class: characters degenerate")
     qidem = [sols.a[:, i] for i in range(s)]
-    # p-power count so that rad^(p^m) = 0
-    m = 0
-    pk = 1
-    while pk < a.dim + 1:
+    # a p-power pk > dim A, so that rad^pk = 0
+    pk = a.p
+    while pk <= a.dim:
         pk *= a.p
-        m += 1
     lifted: list[np.ndarray] = []
     total = np.zeros(a.dim, dtype=np.int64)
     for ebar in qidem:
@@ -410,8 +399,7 @@ def _lift_idempotents(a: Algebra) -> list[np.ndarray]:
         pre[comp] = ebar
         f = (a.unit - total) % a.p
         x = a.mul(a.mul(f, pre), f)
-        for _ in range(m):
-            x = _power_elt(a, x, a.p)
+        x = _power_elt(a, x, pk)
         lifted.append(x)
         total = (total + x) % a.p
     if not np.array_equal(total, a.unit):
@@ -429,17 +417,9 @@ def _lift_idempotents(a: Algebra) -> list[np.ndarray]:
 
 
 def _power_elt(a: Algebra, v: np.ndarray, e: int) -> np.ndarray:
-    """v^e by square-and-multiply; each row of a block v is raised on its own."""
-    out = None
-    base = v
-    k = e
-    while k:
-        if k & 1:
-            out = base if out is None else a.mul(out, base)
-        k >>= 1
-        if k:
-            base = a.mul(base, base)
-    return a.unit.copy() if out is None else out
+    """v^e = L_v^e applied to the unit; each row of a block v is raised on its own."""
+    powers = matpow(a.left_mult_matrix(np.atleast_2d(v)), e, a.p)
+    return mulmod(powers, a.unit[:, None], a.p)[..., 0].reshape(np.shape(v))
 
 
 # -- constructors ----------------------------------------------------------
@@ -884,17 +864,15 @@ def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
 
 
 def socle(m: FdModule) -> Subspace:
-    """Annihilator of rad(A) in m."""
-    rad = m.algebra.radical()
-    if rad.dim == 0:
-        return Subspace.full(m.p, m.dim)
-    return kernel_basis(Matrix(m.p, m.action_of(rad.basis.a).reshape(rad.dim * m.dim, m.dim)))
+    """Annihilator of rad(A) in m: the common kernel of the radical generators."""
+    acts = m.action_of(m.algebra.radical_generators())
+    return kernel_basis(Matrix(m.p, acts.reshape(len(acts) * m.dim, m.dim)))
 
 
 def radical_submodule(m: FdModule) -> Subspace:
-    """rad(A) * m as a subspace of m."""
-    acts = m.action_of(m.algebra.radical().basis.a)
-    # the columns r . x_j of each radical basis element's action, r by r
+    """rad(A) * m as a subspace of m: the sum of the images of the radical generators."""
+    acts = m.action_of(m.algebra.radical_generators())
+    # the columns x . m_j of each generator's action, generator by generator
     return Subspace(m.p, m.dim, acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim))
 
 
@@ -921,9 +899,10 @@ def submodule(m: FdModule, generators) -> tuple[FdModule, ModuleMap]:
 
 def submodule_from_subspace(m: FdModule, span: Subspace) -> tuple[FdModule, ModuleMap]:
     """Action-stable subspace as a module, with inclusion (stability checked)."""
-    if not all(span.contains(act.apply(span.basis.a)) for act in m.action):
-        raise ValueError("not action-stable")
-    action = [induced_on_subspaces(m.action[i], span, span) for i in range(m.algebra.dim)]
+    try:
+        action = [Matrix(m.p, span.coords(act.apply(span.basis.a)).T) for act in m.action]
+    except ValueError:
+        raise ValueError("not action-stable") from None
     sub = FdModule(m.algebra, m.side, span.dim, action, check=False)
     incl = ModuleMap(sub, m, Matrix(m.p, span.basis.a.T.copy()), check=False)
     return sub, incl

@@ -8,7 +8,7 @@ set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
 report, 2 invalid input file or request, 3 unsupported algebra class, 4
 radical certification failure, 5 internal construction failure (a
 ``RuntimeError``, such as a connecting map, projective cover or Hom solve
-with no solution); codes 2-5 print ``error: ...`` to stderr.
+with no solution), 6 out of memory; codes 2-6 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -396,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 6
     return 0
 
 

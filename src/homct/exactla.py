@@ -41,6 +41,7 @@ __all__ = [
     "quotient_and_induced",
     "induced_on_subspaces",
     "mulmod",
+    "matpow",
     "MAX_MODULUS",
 ]
 
@@ -148,11 +149,6 @@ class Matrix:
         return [[int(x) for x in row] for row in self.a]
 
 
-def hstack(ms: list[Matrix]) -> Matrix:
-    p = ms[0].p
-    return Matrix(p, np.hstack([m.a for m in ms]))
-
-
 def vstack(ms: list[Matrix]) -> Matrix:
     p = ms[0].p
     return Matrix(p, np.vstack([m.a for m in ms]))
@@ -166,6 +162,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """x @ y mod p as int64, for integer operands already reduced into [0, p).
+
+    p need not be prime: any modulus with (p-1)^2 < 2^63 is exact.
 
     Operands are not re-reduced (``Matrix.a`` is always in [0, p)).  x may
     be a vector or a stack, y is a matrix or a stack of matrices (at least
@@ -189,6 +187,21 @@ def mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
             out += x[..., lo:lo + step] @ y[..., lo:lo + step, :] % p
     out %= p
     return out
+
+
+def matpow(x: np.ndarray, e: int, q: int) -> np.ndarray:
+    """x^e mod q for a square matrix or a stack of them, by square-and-multiply.
+
+    Entries are in [0, q), for any modulus q that ``mulmod`` takes; x^0 is the identity.
+    """
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else mulmod(out, x, q)
+        e >>= 1
+        if e:
+            x = mulmod(x, x, q)
+    return np.broadcast_to(np.eye(x.shape[-1], dtype=np.int64), x.shape).copy() if out is None else out
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -334,9 +347,6 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         ann = np.vstack([annihilator(self).basis.a, annihilator(other).basis.a])
         return kernel_basis(Matrix(self.p, ann))
-
-    def annihilator_matrix(self) -> Matrix:
-        return annihilator(self).basis
 
 
 def annihilator(s: Subspace) -> Subspace:

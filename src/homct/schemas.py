@@ -44,6 +44,11 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise SchemaError(f"{path}: {msg}")
 
 
+def _expect_ints(vec: list, path: str) -> None:
+    for k, x in enumerate(vec):  # a JSON integer: not a float, a string or a bool
+        _expect(type(x) is int, f"{path}[{k}]", "must be an integer")
+
+
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -67,6 +72,7 @@ def parse_algebra_file(path: str) -> Algebra:
     unit = data["unit"]
     _expect(isinstance(unit, list) and len(unit) == dim, f"{path}:unit",
             f"must be a coefficient vector of length {dim}")
+    _expect_ints(unit, f"{path}:unit")
     mul = data["mul"]
     _expect(isinstance(mul, list) and len(mul) == dim, f"{path}:mul",
             f"must have {dim} rows")
@@ -76,6 +82,7 @@ def parse_algebra_file(path: str) -> Algebra:
         for j, coeffs in enumerate(row):
             _expect(isinstance(coeffs, list) and len(coeffs) == dim,
                     f"{path}:mul[{i}][{j}]", f"must be a coefficient vector of length {dim}")
+            _expect_ints(coeffs, f"{path}:mul[{i}][{j}]")
     basis = data.get("basis")
     if basis is not None:
         _expect(isinstance(basis, list) and len(basis) == dim, f"{path}:basis",
@@ -114,6 +121,7 @@ def parse_module_file(path: str, algebra: Algebra | None = None) -> FdModule:
         for r, row in enumerate(mat):
             _expect(isinstance(row, list) and len(row) == dim, f"{path}:action[{i}][{r}]",
                     f"must have {dim} entries")
+            _expect_ints(row, f"{path}:action[{i}][{r}]")
     mod = FdModule(algebra, side, dim, [np.array(a, dtype=np.int64) for a in action], check=False)
     rep = validate_module(mod)
     _expect(rep.ok, path, "module axioms fail: " + "; ".join(rep.violations))

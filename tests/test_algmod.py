@@ -1,5 +1,6 @@
 """Tests for structure-constant algebras and finite-dimensional modules."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,15 +22,18 @@ from homct.algmod import (
     radical,
     radical_submodule,
     regular_module,
+    simple_modules,
     socle,
     stable_hom,
     submodule,
+    submodule_from_subspace,
     tensor_over_algebra,
     top,
     validate_algebra,
     validate_module,
 )
-from homct.exactla import Matrix, Subspace
+from homct.algmod import _power_elt, _radical_chain
+from homct.exactla import Matrix, Subspace, induced_on_subspaces, kernel_basis
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -38,9 +42,12 @@ from homct.fixtures import (
     cyclic_group_table,
     fixture_algebras,
     group_algebra_c2_f2,
+    a3_mod_ideal,
     group_algebra_c3_f3,
+    klein_four_table,
     simple_k,
 )
+from homct.resolve import projective_cover
 
 
 def nilpotent_closure_ideal(a):
@@ -564,3 +571,226 @@ def test_frobenius_check_at_largest_prime():
     assert np.array_equal(a.mul([-1, -1], [-1, -1]), [1, 2])
     a.assert_supported()  # x^p = x checked by squaring: about 2 log2(p) products
     assert len(a.characters()) == 1
+
+
+# --- the radical chain against the integer reference ---------------------------
+
+def _int_matrix_power_trace(m, e):
+    """trace(M^e) over Z for an integer matrix, exact (Python ints)."""
+    mat = [[int(x) for x in row] for row in m]
+    n = len(mat)
+
+    def matmul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    result, base, k = None, mat, e
+    while k:
+        if k & 1:
+            result = base if result is None else matmul(result, base)
+        k >>= 1
+        if k:
+            base = matmul(base, base)
+    return n if result is None else sum(result[i][i] for i in range(n))
+
+
+def _reference_radical_chain(a):
+    """The chain with traces over Z, run to the first level with p^j >= dim A."""
+    p, n = a.p, a.dim
+    current, pj = Subspace.full(p, n), 1
+    while current.dim:
+        basis = current.basis.a
+        prods = a.mul(basis[None, :, :], basis[:, None, :]).reshape(-1, n)
+        traces = [_int_matrix_power_trace(lm, pj) for lm in a.left_mult_matrix(prods)]
+        assert not any(t % pj for t in traces)
+        k = basis.shape[0]
+        form = Matrix(p, np.array([t // pj % p for t in traces], dtype=np.int64).reshape(k, k))
+        current = Subspace(p, n, current.from_coords(kernel_basis(form).basis.a))
+        if pj >= n:
+            break
+        pj *= p
+    return current
+
+
+def _group_table(identity, gens, mul):
+    """Multiplication table of the group generated by gens under mul."""
+    elems, frontier = [identity], [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = mul(g, h)
+            if gh not in elems:
+                elems.append(gh)
+                frontier.append(gh)
+    index = {g: i for i, g in enumerate(elems)}
+    return [[index[mul(g, h)] for h in elems] for g in elems]
+
+
+def _perm_table(*gens):
+    return _group_table(tuple(range(len(gens[0]))), gens,
+                        lambda g, h: tuple(g[h[i]] for i in range(len(h))))
+
+
+def _q8_table():
+    """Q8 as the subgroup of SL(2, 3) generated by i = [[0,-1],[1,0]] and j = [[1,1],[1,-1]]."""
+    def mul(g, h):
+        return tuple(sum(g[2 * r + t] * h[2 * t + c] for t in range(2)) % 3
+                     for r in range(2) for c in range(2))
+
+    return _group_table((1, 0, 0, 1), [(0, 2, 1, 0), (1, 1, 1, 2)], mul)
+
+
+def _c2_power_table(r):
+    """(C_2)^r as the group of bit vectors under xor."""
+    return [[i ^ j for j in range(2**r)] for i in range(2**r)]
+
+
+GROUP_TABLES = {
+    **{f"C{n}": cyclic_group_table(n) for n in range(1, 10)},
+    "C2xC2": klein_four_table(),
+    "C2xC4": _perm_table((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)),
+    "C2^3": _c2_power_table(3),
+    "C3xC3": _perm_table((1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)),
+    "S3": _perm_table((1, 0, 2), (1, 2, 0)),
+    "D8": _perm_table((1, 2, 3, 0), (0, 3, 2, 1)),
+    "Q8": _q8_table(),
+}
+
+
+def _triangular(n, p):
+    """Upper triangular n x n matrices over F_p on the basis e_ij, i <= j."""
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {ij: t for t, ij in enumerate(idx)}
+    struct = np.zeros((len(idx),) * 3, dtype=np.int64)
+    for (i, j), (k, l) in itertools.product(idx, idx):
+        if j == k:
+            struct[pos[i, j], pos[k, l], pos[i, l]] = 1
+    return Algebra(p, struct, [int(i == j) for i, j in idx])
+
+
+def test_group_tables_have_their_orders():
+    orders = {"C2xC2": 4, "C2xC4": 8, "C2^3": 8, "C3xC3": 9, "S3": 6, "D8": 8, "Q8": 8}
+    for name, order in orders.items():
+        assert len(make_group_algebra(GROUP_TABLES[name], 2).structure) == order
+
+
+@st.composite
+def small_algebras(draw):
+    """Group algebras and monomial quotients of dim <= 9, and T_2 / T_3, at p in {2, 3, 5}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["group", "one_var", "two_vars", "triangular"]))
+    if kind == "group":
+        return make_group_algebra(GROUP_TABLES[draw(st.sampled_from(sorted(GROUP_TABLES)))], p)
+    if kind == "one_var":
+        return make_monomial_quotient(1, [(draw(st.integers(1, 9)),)], p)
+    if kind == "two_vars":
+        ex = draw(st.integers(1, 4))
+        ey = draw(st.integers(1, 9 // ex))
+        rels = [(ex, 0), (0, ey)]
+        if ex > 1 and ey > 1 and draw(st.booleans()):
+            rels.append((draw(st.integers(1, ex - 1)), draw(st.integers(1, ey - 1))))
+        return make_monomial_quotient(2, rels, p)
+    return _triangular(draw(st.sampled_from([2, 3])), p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_algebras())
+def test_radical_chain_matches_integer_reference(a):
+    assert _radical_chain(a) == _reference_radical_chain(a)
+
+
+@pytest.mark.parametrize("a, rad_dim", [
+    (algebra_a2(), 2),  # n = 3, p = 2: the reference also runs the level p^2 = 4
+    (make_group_algebra(cyclic_group_table(3), 3037000493), 0),  # level 0 only, q = p
+    (make_group_algebra(cyclic_group_table(3), 2), 0),  # F_2 x F_4: not split, radical 0
+], ids=["a2", "c3_at_3037000493", "f2_c3"])
+def test_radical_chain_pinned_cases(a, rad_dim):
+    rad = _radical_chain(a)
+    assert rad.dim == rad_dim and rad == _reference_radical_chain(a)
+
+
+def test_radical_chain_of_c2x4_is_the_augmentation_ideal():
+    # levels 0..4 at q up to 32; the reference would take over a second here
+    aug = np.eye(16, dtype=np.int64)[1:] - np.eye(16, dtype=np.int64)[0]
+    assert _radical_chain(_c2x4()) == Subspace(2, 16, aug)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras(), st.integers(0, 6), st.integers(0, 2**31 - 1))
+def test_power_elt_matches_repeated_products(a, e, seed):
+    v = np.random.default_rng(seed).integers(0, a.p, size=(2, a.dim))
+    ref = np.broadcast_to(a.unit, v.shape)
+    for _ in range(e):
+        ref = a.mul(ref, v)
+    assert np.array_equal(_power_elt(a, v, e), ref)
+    assert np.array_equal(_power_elt(a, v[0], e), ref[0])
+
+
+# --- the module layer on radical generators --------------------------------------
+
+def _c2x4():
+    return make_group_algebra(_c2_power_table(4), 2)
+
+
+def _fixture_modules():
+    """Simple and regular modules of the fixtures, T_2(F_3) and (C_2)^4, and the A3 ideals."""
+    mods = [a3_mod_ideal(v, side) for v in "xy" for side in ("left", "right")]
+    for a in [*fixture_algebras().values(), _triangular(2, 3), _c2x4()]:
+        for side in ("left", "right"):
+            mods += [*simple_modules(a, side), regular_module(a, side)]
+    return mods
+
+
+def _cover_kernels(m, depth=2):
+    """(P_k, Omega_{k+1} as a subspace of P_k) along a minimal resolution of m."""
+    out = []
+    for _ in range(depth):
+        proj, pi = projective_cover(m)
+        out.append((proj, pi.kernel()))
+        m, _ = submodule_from_subspace(proj, out[-1][1])
+    return out
+
+
+def test_submodule_from_subspace_matches_row_by_row_induction():
+    a1 = algebra_a1()
+    zero = FdModule(a1, "left", 0, [np.zeros((0, 0), dtype=np.int64)] * a1.dim)
+    cases = [pair for m in _fixture_modules() for pair in _cover_kernels(m)]
+    cases += [(regular_module(a1), Subspace.zero(2, 2)), (zero, Subspace.zero(2, 0))]
+    for m, span in cases:
+        sub, incl = submodule_from_subspace(m, span)
+        assert sub.dim == span.dim and validate_module(sub).ok
+        assert sub.action == tuple(induced_on_subspaces(act, span, span) for act in m.action)
+        assert incl.matrix == Matrix(m.p, span.basis.a.T) and incl.commutes()
+
+
+def test_submodule_from_subspace_rejects_unstable_span():
+    # the span of 1 in A1 = F_2[x]/(x^2) does not contain x = x * 1
+    with pytest.raises(ValueError, match="^not action-stable$"):
+        submodule_from_subspace(regular_module(algebra_a1()), Subspace(2, 2, [[1, 0]]))
+
+
+@pytest.mark.parametrize("a, count", [
+    (algebra_a1(), 1), (algebra_a4(), 1), (algebra_a2(), 2), (algebra_a3(), 2),
+    (_triangular(2, 3), 1), (_c2x4(), 4),
+    (make_group_algebra(cyclic_group_table(2), 3), 0),  # semisimple: no generators
+], ids=["a1", "a4", "a2", "a3", "t2_f3", "c2x4", "f3_c2"])
+def test_radical_generators_generate_rad_on_both_sides(a, count):
+    rad, gens = a.radical(), a.radical_generators()
+    r = rad.basis.a
+    rad2 = Subspace(a.p, a.dim, a.mul(r[:, None], r))
+    assert gens.shape == (count, a.dim) and count == rad.dim - rad2.dim
+    assert Subspace(a.p, a.dim, gens).add(rad2) == rad
+    basis = np.eye(a.dim, dtype=np.int64)
+    assert Subspace(a.p, a.dim, a.mul(gens[:, None], basis)) == rad  # sum x_i A
+    assert Subspace(a.p, a.dim, a.mul(basis[:, None], gens)) == rad  # sum A x_i
+
+
+def test_radical_submodule_and_socle_match_the_full_radical():
+    semisimple = make_group_algebra(cyclic_group_table(2), 3)
+    mods = _fixture_modules() + [regular_module(semisimple)]
+    mods += [sub for m in _fixture_modules() for sub, _ in
+             (submodule_from_subspace(proj, ker) for proj, ker in _cover_kernels(m))]
+    for m in mods:
+        acts = m.action_of(m.algebra.radical().basis.a)
+        rows = len(acts) * m.dim
+        assert radical_submodule(m) == Subspace(m.p, m.dim, acts.transpose(0, 2, 1).reshape(rows, m.dim))
+        assert socle(m) == kernel_basis(Matrix(m.p, acts.reshape(rows, m.dim)))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from homct import algmod, completion, resolve
+from homct import algmod, cli, completion, resolve
 from homct.algmod import make_group_algebra
 from homct.cli import ComputeRequest, main, run_compute, run_corpus
 from homct.exactla import Subspace
@@ -214,6 +214,29 @@ def test_main_oversized_modulus_is_schema_error(tmp_path, capsys):
     assert err.startswith("error: ") and ":p: must be a prime integer at most 3037000500" in err
 
 
+@pytest.mark.parametrize("field, value, where", [
+    ("action", 1.5, "k_right.json:action[0][0][0]"),  # used to be truncated to 1
+    ("action", "x", "k_right.json:action[0][0][0]"),  # used to be a traceback
+    ("unit", 1.7, "alg.json:unit[0]"),
+    ("mul", True, "alg.json:mul[0][0][0]"),  # a bool is not an integer entry
+])
+def test_main_non_integer_entry_is_schema_error(field, value, where, tmp_path, capsys):
+    with open(fx("a1.json")) as fh:
+        data = json.load(fh)
+    augmentation = [1, 0]
+    if field == "action":
+        augmentation[0] = value
+    elif field == "unit":
+        data["unit"][0] = value
+    else:
+        data["mul"][0][0][0] = value
+    args = _write_k_inputs(tmp_path, data, augmentation)
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{where}: must be an integer" in err
+
+
 def test_main_unsupported_algebra_exit_code(tmp_path, capsys):
     # F_2[C_3] is F_2 x F_4: its semisimple quotient has a factor larger than F_2
     alg = make_group_algebra(cyclic_group_table(3), 2)
@@ -269,6 +292,18 @@ def test_main_internal_failure_exit_code(monkeypatch, capsys):
     assert code == 5
     err = capsys.readouterr().err
     assert err == "error: connecting_tor: no lift\n"
+
+
+def test_main_out_of_memory_exit_code(monkeypatch, capsys):
+    def exhaust(req):
+        raise MemoryError("Unable to allocate 1.25 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_compute", exhaust)
+    code = main(["compare", "--algebra", fx("a1.json"), "--module-m", fx("a1_k_right.json"),
+                 "--module-n", fx("a1_k_left.json"), "--degrees", "0..1", "--depth", "3"])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 1.25 GiB for an array\n"
 
 
 def _fixtures_at_prime(tmp_path, p):

@@ -16,6 +16,7 @@ from homct.exactla import (
     _rref_array,
     image_basis,
     kernel_basis,
+    matpow,
     mulmod,
     preimage,
     quotient_and_induced,
@@ -440,3 +441,19 @@ def test_primality_checked_once_per_modulus():
         Matrix(p, [[1]])
     info = _is_prime.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("q", [4, 9, 32, 243])
+@pytest.mark.parametrize("e", [0, 1, 2, 5, 16])
+def test_matpow_matches_object_power(q, e):
+    # composite moduli: the radical chain raises to p^j modulo p^(j+1)
+    rng = np.random.default_rng(q * 17 + e)
+    stack = rng.integers(0, q, size=(3, 5, 5))
+    before = stack.copy()
+    for x in (stack, stack[0]):
+        ref = np.broadcast_to(np.eye(5, dtype=object), x.shape)
+        for _ in range(e):
+            ref = (ref @ x.astype(object)) % q
+        out = matpow(x, e, q)
+        assert out.dtype == np.int64 and np.array_equal(out, ref.astype(np.int64))
+    assert np.array_equal(stack, before)  # the input is not overwritten
