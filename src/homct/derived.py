@@ -258,6 +258,22 @@ def second_arg_ext_matrix(g: ModuleMap, src: ExtChain, tgt: ExtChain, j: int) ->
     return induced_on_subspaces(amb, src.hom_space(j), tgt.hom_space(j))
 
 
+def _solve_id_tensor(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, pmod: FdModule,
+                     rhs: np.ndarray) -> Matrix | None:
+    """Solve (id_P tensor g) X = rhs column-wise, free variables pinned to zero.
+
+    On a free P = A^b the map is kron(I_b, g): block j of X solves g x_j = rhs_j,
+    so g is eliminated once, with the b blocks of rhs side by side.
+    """
+    b = pmod.free_rank
+    if b is None:
+        return solve_matrix(second_arg_tensor_matrix(g, src, tgt, pmod), Matrix(g.p, rhs))
+    (n_out, n_in), k = g.matrix.a.shape, rhs.shape[1]
+    side_by_side = rhs.reshape(b, n_out, k).transpose(1, 0, 2).reshape(n_out, b * k)
+    x = solve_matrix(g.matrix, Matrix(g.p, side_by_side))
+    return None if x is None else Matrix(g.p, x.a.reshape(n_in, b, k).transpose(1, 0, 2).reshape(b * n_in, k))
+
+
 def connecting_tor(ses: ShortExactSeq, m: FdModule, i: int) -> Matrix:
     """Snake map Tor_i(m, N'') -> Tor_{i-1}(m, N') in class coordinates."""
     if i < 1:
@@ -270,17 +286,14 @@ def connecting_tor(ses: ShortExactSeq, m: FdModule, i: int) -> Matrix:
     h_bot = c_left.homology(i - 1)
     if h_top.dim == 0 or h_bot.dim == 0:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    pmod_i = c_mid.res.proj(i)
-    pmod_im1 = c_mid.res.proj(i - 1)
-    g_i = second_arg_tensor_matrix(ses.g, c_mid.component(i), c_right.component(i), pmod_i)
-    f_im1 = second_arg_tensor_matrix(ses.f, c_left.component(i - 1), c_mid.component(i - 1), pmod_im1)
-    d_mid = c_mid.differential(i)
     # batch the snake over all class representatives: one solve per map
-    lifted = solve_matrix(g_i, Matrix(m.p, h_top.sq.basis_representatives().T))
+    lifted = _solve_id_tensor(ses.g, c_mid.component(i), c_right.component(i), c_mid.res.proj(i),
+                              h_top.sq.basis_representatives().T)
     if lifted is None:
         raise RuntimeError("connecting map: lift through the surjection failed")
-    boundaries = d_mid @ lifted
-    pulled = solve_matrix(f_im1, boundaries)
+    boundaries = c_mid.differential(i) @ lifted
+    pulled = _solve_id_tensor(ses.f, c_left.component(i - 1), c_mid.component(i - 1),
+                              c_mid.res.proj(i - 1), boundaries.a)
     if pulled is None:
         raise RuntimeError("connecting map: boundary did not come from the kernel")
     return Matrix(m.p, h_bot.class_of(pulled.a.T).T)

@@ -11,8 +11,15 @@ one vector or a block of row vectors, so a change of basis is one matrix
 operation.
 
 The matrices built upstream are Kronecker and block products of small action
-matrices and are very sparse, so Gauss-Jordan elimination updates only the
-rows that are nonzero in the pivot column.  Every product mod p in homct,
+matrices, with one to three nonzeros per row, so Gauss-Jordan elimination
+finds pivots in bulk rather than one column at a time.  It relies on two
+invariants: row operations keep zero rows and zero columns zero, so only the
+core of nonzero rows and columns is eliminated; and each forward round, which
+takes as pivots the first rows leading in columns without a pivot and reduces
+every other row by the pivot of its leading column, strictly raises the
+leading column of each row it does not zero.  Back substitution then runs by
+levels, one product each.  Inputs of at most 4096 entries keep the
+one-pivot-per-step loop.  Every product mod p in homct,
 here and in the layers above, goes through ``mulmod``: float64 BLAS while
 each dot product stays exactly representable (inner * (p-1)^2 < 2^53), and
 int64 ``@`` beyond that, on inner blocks of floor((2^63-1) / (p-1)^2)
@@ -204,15 +211,34 @@ def matpow(x: np.ndarray, e: int, q: int) -> np.ndarray:
     return np.broadcast_to(np.eye(x.shape[-1], dtype=np.int64), x.shape).copy() if out is None else out
 
 
+# inputs of at most this many entries take the loop: each round costs a fixed
+# few dozen numpy calls, so a dense 3x3 takes 18 us in the loop and 125 us in
+# the rounds, and the two break even near 64 x 64 at 5 % density
+_LOOP_MAX_ENTRIES = 4096
+# the rounds update rows in blocks of at most this many entries (4 MiB of
+# int64), so the update's two temporaries stay small next to a large core
+_UPDATE_ENTRIES = 1 << 19
+
+
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan elimination mod p; returns (canonical RREF, pivot columns).
 
-    Row-sparse: each pivot updates only the rows that are nonzero in its
-    column, and only from the pivot column on, since the pivot row is zero
-    to its left.  The result is the same canonical RREF as a dense update of
-    every row.  Requires (p-1)^2 < 2^63 (MAX_MODULUS) for the row update.
+    The RREF of a matrix is unique, so both eliminators below return the same
+    array and pivot list.  Inputs of at most _LOOP_MAX_ENTRIES entries go
+    through the one-pivot-per-step loop, larger ones through the batched
+    rounds.  Requires (p-1)^2 < 2^63 (MAX_MODULUS) for the row update.
     """
-    r = np.mod(np.asarray(a, dtype=np.int64), p, order="C")
+    a = np.asarray(a, dtype=np.int64)
+    if a.size <= _LOOP_MAX_ENTRIES:
+        return _rref_loop(a, p)
+    return _rref_rounds(a, p)
+
+
+def _rref_loop(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """One pivot per step: it updates only the rows that are nonzero in its
+    column, and only from the pivot column on (the pivot row is zero to its
+    left)."""
+    r = np.mod(a, p, order="C")
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0
@@ -235,6 +261,126 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Lead-batched Gauss-Jordan elimination: one round finds every pivot
+    whose leading column is new and updates all other live rows at once.
+
+    Invariants: row operations never make a zero row or a zero column
+    nonzero, so only the core (nonzero rows x nonzero columns) is
+    eliminated; and every round strictly raises the leading column of each
+    row it updates, or zeroes the row, so the rounds end.
+
+    Forward rounds.  A live row leads at its first nonzero column.  In each
+    column that has no pivot yet, the first row leading there becomes the
+    pivot and is normalised; every other live row subtracts the pivot of its
+    leading column, from the round's smallest leading column on.  The result
+    is an echelon form whose pivot rows may still be nonzero in each other's
+    pivot columns.
+
+    Back substitution by levels.  A pivot row is final once every other pivot
+    column where it is nonzero belongs to a final row.  A level subtracts the
+    final rows it meets in one product over the non-pivot columns; since a
+    final row is zero in every pivot column but its own, that leaves the
+    level's rows zero in the met pivot columns, which are then set so.
+    """
+    nrows, ncols = a.shape
+    nz = a != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    cols = np.flatnonzero(nz.any(axis=0))
+    del nz
+    if not rows.size:
+        return np.zeros((nrows, ncols), dtype=np.int64), []
+    c = a[rows] if cols.size == ncols else a[np.ix_(rows, cols)]
+    if c.min() < 0 or c.max() >= p:  # every Matrix is reduced already
+        c %= p
+    pivot_row = np.full(c.shape[1], -1, dtype=np.intp)  # core row of each column's pivot
+    rows, lead = _leads(np.arange(c.shape[0]), c, 0)  # an entry mod p may zero a row
+    while rows.size:
+        lo = int(lead.min())
+        fresh = np.flatnonzero(pivot_row[lead] < 0)
+        new_cols, first = np.unique(lead[fresh], return_index=True)
+        new_rows = rows[fresh[first]]
+        pivot_row[new_cols] = new_rows
+        if p != 2:
+            inv = np.array([pow(int(v), p - 2, p) for v in c[new_rows, new_cols]], dtype=np.int64)
+            scale = inv != 1
+            at = new_rows[scale]
+            c[at, lo:] = c[at, lo:] * inv[scale, None] % p
+        rows, lead = np.delete(rows, fresh[first]), np.delete(lead, fresh[first])
+        if not rows.size:
+            break
+        step = max(1, _UPDATE_ENTRIES // (c.shape[1] - lo))  # rows per update block
+        parts = [_reduce_rows(c, rows[s:s + step], lead[s:s + step], pivot_row, lo, p)
+                 for s in range(0, rows.size, step)]
+        rows, lead = (np.concatenate(x) for x in zip(*parts))
+    pcols = np.flatnonzero(pivot_row >= 0)
+    prows = pivot_row[pcols]
+    dep = (c != 0)[prows][:, pcols]  # pivot rows x pivot columns, bool
+    np.fill_diagonal(dep, False)
+    waiting = dep.sum(axis=1)  # other pivot columns in the row, of rows not yet final
+    todo = np.ones(pcols.size, dtype=bool)
+    level = np.flatnonzero(waiting == 0)  # final already
+    free = np.flatnonzero(pivot_row < 0)
+    while level.size:
+        met = np.flatnonzero(dep[level].any(axis=0))
+        if met.size:
+            at = prows[level]
+            out = free[free > pcols[level].min()]  # the level's rows are zero further left
+            block = c[np.ix_(at, out)]
+            block -= mulmod(c[np.ix_(at, pcols[met])], c[np.ix_(prows[met], out)], p)
+            block %= p
+            c[np.ix_(at, out)] = block
+            c[np.ix_(at, pcols[met])] = 0
+        todo[level] = False
+        waiting -= dep[:, level].sum(axis=1)
+        level = np.flatnonzero(todo & (waiting == 0))
+    # only the pivot rows are nonzero now; the core is freed before the output exists
+    if 3 * np.count_nonzero(c) <= c.size:  # few nonzeros: scatter them, 24 bytes each
+        flat = np.flatnonzero(c)
+        vals = c.reshape(-1)[flat]
+        i, j = np.divmod(flat, c.shape[1])
+        out_row = np.empty(c.shape[0], dtype=np.intp)  # core row -> row of the RREF
+        out_row[prows] = np.arange(prows.size)
+        del c, flat
+        r = np.zeros((nrows, ncols), dtype=np.int64)
+        r[out_row[i], cols[j]] = vals
+    else:
+        red = c[prows]
+        del c
+        r = np.zeros((nrows, ncols), dtype=np.int64)
+        r[: red.shape[0], cols] = red
+    return r, cols[pcols].tolist()
+
+
+def _leads(rows: np.ndarray, block: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows whose part in ``block`` (columns lo on) is nonzero, and their leading columns."""
+    nz = block != 0
+    lead = nz.argmax(axis=1)
+    live = nz[np.arange(rows.size), lead]
+    return rows[live], lead[live] + lo
+
+
+def _reduce_rows(c: np.ndarray, rows: np.ndarray, lead: np.ndarray, pivot_row: np.ndarray,
+                 lo: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract from each row (columns lo on, in place) the pivot of its leading
+    column, times its entry there; returns _leads of the result.
+
+    The pivot is normalised and leads in the same column, so that entry
+    becomes zero and nothing left of it changes.
+    """
+    upd = c[rows, lo:]
+    sub = c[pivot_row[lead], lo:]
+    if p == 2:
+        upd ^= sub
+    else:
+        sub *= c[rows, lead][:, None]
+        upd -= sub
+        upd %= p
+    del sub
+    c[rows, lo:] = upd
+    return _leads(rows, upd, lo)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:

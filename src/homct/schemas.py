@@ -47,6 +47,7 @@ def _expect(cond: bool, path: str, msg: str) -> None:
 def _expect_ints(vec: list, path: str) -> None:
     for k, x in enumerate(vec):  # a JSON integer: not a float, a string or a bool
         _expect(type(x) is int, f"{path}[{k}]", "must be an integer")
+        _expect(-2**63 <= x < 2**63, f"{path}[{k}]", "must be an integer in [-2^63, 2^63)")
 
 
 def _load(path: str) -> dict:
@@ -66,9 +67,9 @@ def parse_algebra_file(path: str) -> Algebra:
         _expect(key in data, path, f"missing key '{key}'")
     p = data["p"]
     dim = data["dim"]
-    _expect(isinstance(p, int) and p <= MAX_MODULUS and _is_prime(p), f"{path}:p",
+    _expect(type(p) is int and p <= MAX_MODULUS and _is_prime(p), f"{path}:p",
             f"must be a prime integer at most {MAX_MODULUS}, so that (p-1)^2 < 2^63")
-    _expect(isinstance(dim, int) and dim >= 0, f"{path}:dim", "must be a nonnegative integer")
+    _expect(type(dim) is int and dim >= 0, f"{path}:dim", "must be a nonnegative integer")
     unit = data["unit"]
     _expect(isinstance(unit, list) and len(unit) == dim, f"{path}:unit",
             f"must be a coefficient vector of length {dim}")
@@ -111,7 +112,7 @@ def parse_module_file(path: str, algebra: Algebra | None = None) -> FdModule:
     side = data["side"]
     _expect(side in ("left", "right"), f"{path}:side", "must be 'left' or 'right'")
     dim = data["dim"]
-    _expect(isinstance(dim, int) and dim >= 0, f"{path}:dim", "must be a nonnegative integer")
+    _expect(type(dim) is int and dim >= 0, f"{path}:dim", "must be a nonnegative integer")
     action = data["action"]
     _expect(isinstance(action, list) and len(action) == algebra.dim, f"{path}:action",
             f"must have one matrix per algebra basis element ({algebra.dim})")

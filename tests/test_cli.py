@@ -237,6 +237,47 @@ def test_main_non_integer_entry_is_schema_error(field, value, where, tmp_path, c
     assert err.startswith("error: ") and f"{where}: must be an integer" in err
 
 
+@pytest.mark.parametrize("field, where", [
+    ("unit", "alg.json:unit[0]"),  # used to be an OverflowError traceback, exit 1
+    ("mul", "alg.json:mul[0][0][0]"),
+    ("action", "k_right.json:action[0][0][0]"),
+])
+def test_main_entry_beyond_int64_is_schema_error(field, where, tmp_path, capsys):
+    with open(fx("a1.json")) as fh:
+        data = json.load(fh)
+    augmentation = [1, 0]
+    if field == "action":
+        augmentation[0] = 10**30 + 1
+    elif field == "unit":
+        data["unit"][0] = 10**30 + 1
+    else:
+        data["mul"][0][0][0] = 10**30 + 1
+    args = _write_k_inputs(tmp_path, data, augmentation)
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{where}: must be an integer in [-2^63, 2^63)" in err
+
+
+@pytest.mark.parametrize("target, where", [("algebra", "alg.json:dim"), ("module", "k_right.json:dim")])
+def test_main_bool_dim_is_schema_error(target, where, tmp_path, capsys):
+    # True == 1: the one-dimensional module used to pass as "dim": 1
+    with open(fx("a1.json")) as fh:
+        data = json.load(fh)
+    if target == "algebra":
+        data["dim"] = True
+    args = _write_k_inputs(tmp_path, data, [1, 0])
+    if target == "module":
+        mod_path = tmp_path / "k_right.json"
+        mod = json.loads(mod_path.read_text())
+        mod["dim"] = True
+        mod_path.write_text(json.dumps(mod))
+    code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{where}: must be a nonnegative integer" in err
+
+
 def test_main_unsupported_algebra_exit_code(tmp_path, capsys):
     # F_2[C_3] is F_2 x F_4: its semisimple quotient has a factor larger than F_2
     alg = make_group_algebra(cyclic_group_table(3), 2)

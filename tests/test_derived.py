@@ -20,6 +20,7 @@ from homct.algmod import (
 )
 from homct.derived import (
     ShortExactSeq,
+    _solve_id_tensor,
     connecting_tor,
     ext,
     ext_chain,
@@ -30,7 +31,7 @@ from homct.derived import (
     tor,
     second_arg_tensor_matrix,
 )
-from homct.exactla import Matrix, Subspace, quotient_projection, rref
+from homct.exactla import Matrix, Subspace, quotient_projection, rref, solve_matrix
 from homct.fixtures import (
     a3_mod_x,
     a3_mod_y,
@@ -230,6 +231,51 @@ def test_connecting_over_triangular_algebra():
                 assert delta.a.shape == want
             else:
                 assert delta.to_lists() == want
+
+
+def _connecting_cases():
+    """(SES, m) pairs: the fixture SESs over A1 and A2, and T_2(F_3), whose
+    right simples have non-free projective covers."""
+    a1, a2, t2 = algebra_a1(), algebra_a2(), triangular_f3()
+    k = simple_k(a1)
+    both = direct_sum([k, regular_module(a1, "left")])
+    split = ShortExactSeq(ModuleMap(k, both, Matrix(2, [[1], [0], [0]])),
+                          ModuleMap(both, regular_module(a1, "left"), Matrix(2, [[0, 1, 0], [0, 0, 1]])))
+    _, _, _, incl, proj = min_inj_resolution(simple_k(a2, "left"), 2).cosyzygy_ses(1)
+    cases = [(socle_ses_a1(), simple_k(a1, "right")), (split, simple_k(a1, "right")),
+             (ShortExactSeq(incl, proj), simple_k(a2, "right"))]
+    for mi in range(2):
+        for ni in range(2):
+            res = min_proj_resolution(simple_modules(t2, "left")[ni], 2)
+            cases.append((ShortExactSeq(res.syzygy_incl(1), res.cover_map(0)), simple_modules(t2, "right")[mi]))
+    return cases
+
+
+def test_block_solve_matches_kronecker_solve():
+    # the snake's two solves, against the dense matrix of id_P tensor g
+    rng = np.random.default_rng(11)
+    paths, solvable = set(), set()
+    for ses, m in _connecting_cases():
+        p = m.p
+        for i in (1, 2, 3):
+            c_left, c_mid, c_right = (tensor_chain(m, x, i + 1) for x in (ses.left, ses.middle, ses.right))
+            for gmap, src_chain, tgt_chain, j in ((ses.g, c_mid, c_right, i), (ses.f, c_left, c_mid, i - 1)):
+                src, tgt, pmod = src_chain.component(j), tgt_chain.component(j), src_chain.res.proj(j)
+                dense = second_arg_tensor_matrix(gmap, src, tgt, pmod)
+                paths.add(pmod.free_rank is None)
+                reps = c_right.homology(i).sq.basis_representatives().T if c_right.homology(i).dim else None
+                images = dense.apply(rng.integers(0, p, size=(3, src.dim))).T  # consistent
+                candidates = [images, rng.integers(0, p, size=(tgt.dim, 2))]  # the second may not be
+                if reps is not None and gmap is ses.g:
+                    candidates.append(reps)
+                for rhs in candidates:
+                    got = _solve_id_tensor(gmap, src, tgt, pmod, rhs)
+                    want = solve_matrix(dense, Matrix(p, rhs))
+                    assert (got is None) == (want is None)
+                    assert got is None or got == want
+                    solvable.add(got is not None)
+    assert paths == {False, True}  # both the free block path and the relation path ran
+    assert solvable == {False, True}  # and both consistent and inconsistent systems
 
 
 # --- tensor spaces as block operators ---------------------------------------

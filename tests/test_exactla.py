@@ -1,13 +1,17 @@
 """Unit and property tests for the F_p linear algebra substrate."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homct import exactla
 from homct.exactla import (
+    _LOOP_MAX_ENTRIES,
     MAX_MODULUS,
     Matrix,
     Subquotient,
@@ -457,3 +461,131 @@ def test_matpow_matches_object_power(q, e):
         out = matpow(x, e, q)
         assert out.dtype == np.int64 and np.array_equal(out, ref.astype(np.int64))
     assert np.array_equal(stack, before)  # the input is not overwritten
+
+
+# --- the lead-batched eliminator, above the loop's size limit ---------------
+
+ELIM_PRIMES = [2, 3, 2**31 - 1, 3037000493]
+
+
+def _chain_blocks(n, p, rng):
+    """Block diagonal (prefix sums of e_0..e_{n-1}) + (bidiagonal chain), 2n x 2n.
+
+    Prefix sums s_j = e_0 + ... + e_j, in order: every round makes one pivot
+    e_t and leaves all later rows leading in column t + 1, so n - 1 rounds
+    update rows.  Chain rows e_i + c_i e_{i+1} are the pivots of their
+    columns from the first round on, and row i is final only after row i + 1:
+    n - 1 back-substitution levels multiply.
+    """
+    a = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    a[:n, :n] = np.tril(np.ones((n, n), dtype=np.int64)) * rng.integers(1, p, size=(n, 1))
+    idx = np.arange(n, 2 * n)
+    a[idx, idx] = rng.integers(1, p, size=n)
+    a[idx[:-1], idx[1:]] = rng.integers(1, p, size=n - 1)
+    return a
+
+
+def _structured_matrix(kind, p, rng):
+    """A matrix of more than _LOOP_MAX_ENTRIES entries, shaped like homct's inputs."""
+    if kind == "kron":  # id_P tensor g on a free P = A^b, as the Tor towers build it
+        shape = tuple(rng.integers(2, 9, size=2))
+        g = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.4)
+        b = math.isqrt(_LOOP_MAX_ENTRIES // g.size) + int(rng.integers(1, 4))
+        a = np.kron(np.eye(b, dtype=np.int64), g)
+    elif kind == "echelon":  # echelon rows of random rank, with combinations of them
+        cols, rank = int(rng.integers(60, 90)), int(rng.integers(1, 60))
+        piv = np.sort(rng.choice(cols, size=rank, replace=False))
+        a = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < 0.1)
+        a[np.arange(rank), piv] = rng.integers(1, p, size=rank)
+        a[np.arange(cols) < piv[:, None]] = 0
+        extra = max(_LOOP_MAX_ENTRIES // cols + 1 - rank, 0) + int(rng.integers(0, 20))
+        combos = rng.integers(0, p, size=(extra, rank)) * (rng.random((extra, rank)) < 0.3)
+        a = np.vstack([a, _exact_product(combos, a, p)])
+    elif kind == "chain":
+        a = _chain_blocks(int(rng.integers(33, 45)), p, rng)
+    elif kind == "wide":  # dense and wide: the RREF is dense right of its pivots
+        rows = int(rng.integers(20, 50))
+        a = rng.integers(0, p, size=(rows, _LOOP_MAX_ENTRIES // rows + int(rng.integers(1, 60))))
+    else:  # rank 0
+        a = np.zeros((int(rng.integers(65, 90)), 64), dtype=np.int64)
+    dup = a[rng.integers(0, a.shape[0], size=int(rng.integers(0, 8)))]  # duplicated rows
+    a = np.vstack([a, dup, np.zeros((int(rng.integers(0, 5)), a.shape[1]), dtype=np.int64)])
+    a = np.insert(a, rng.integers(0, a.shape[1] + 1, size=int(rng.integers(0, 5))), 0, axis=1)
+    return a[rng.permutation(a.shape[0])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(ELIM_PRIMES),
+    st.sampled_from(["kron", "echelon", "chain", "wide", "zero"]),
+    st.booleans(),  # entries shifted by multiples of p: negative, >= p, or p on a zero row
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_batched_rref_matches_dense_eliminator(p, kind, unreduced, seed):
+    rng = np.random.default_rng(seed)
+    a = _structured_matrix(kind, p, rng)
+    assert a.size > _LOOP_MAX_ENTRIES
+    if unreduced:
+        a += p * rng.integers(-1, 3, size=a.shape) * (rng.random(a.shape) < 0.05)
+    r, pivots = _rref_array(a, p)
+    ref, ref_pivots = _dense_rref(a, p)
+    assert pivots == ref_pivots and r.dtype == np.int64 and np.array_equal(r, ref)
+    if kind == "zero":
+        assert pivots == [] and not r.any()
+
+
+@pytest.mark.parametrize("p", ELIM_PRIMES)
+def test_batched_rref_runs_several_rounds_and_levels(p, monkeypatch):
+    # the test counts them: one _reduce_rows call per round that updates rows
+    # (a single block below _UPDATE_ENTRIES), one mulmod per level
+    n = 40
+    a = _chain_blocks(n, p, np.random.default_rng(p % 1000))
+    calls = {"_reduce_rows": 0, "mulmod": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(exactla, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(exactla, name, counted)
+    r, pivots = _rref_array(a, p)
+    assert calls == {"_reduce_rows": n - 1, "mulmod": n - 1}
+    ref, ref_pivots = _dense_rref(a, p)
+    assert pivots == ref_pivots == list(range(2 * n)) and np.array_equal(r, ref)
+
+
+@pytest.mark.parametrize("shape, path", [((64, 64), "_rref_loop"), ((64, 65), "_rref_rounds")])
+def test_rref_switch_sides(shape, path, monkeypatch):
+    # 64 x 64 = _LOOP_MAX_ENTRIES entries stays in the loop; one more column goes to the rounds
+    rng = np.random.default_rng(shape[1])
+    a = rng.integers(0, 3, size=shape) * (rng.random(shape) < 0.05)
+    a[5] = a[3]  # a duplicated row
+    used = []
+    for name in ("_rref_loop", "_rref_rounds"):
+        def spy(*args, _name=name, _fn=getattr(exactla, name)):
+            used.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(exactla, name, spy)
+    r, pivots = _rref_array(a, 3)
+    assert used == [path]
+    ref, ref_pivots = _dense_rref(a, 3)
+    assert pivots == ref_pivots and np.array_equal(r, ref)
+
+
+def test_batched_rref_memory_peak():
+    # sparse 2016 x 960 at p = 2, 3 nonzeros per row, a third of the rows zero:
+    # the rounds free their core before allocating the output and update rows
+    # in blocks, so no second full-size buffer is held
+    rng = np.random.default_rng(0)
+    a = np.zeros((2016, 960), dtype=np.int64)
+    for i in range(2016):
+        a[i, rng.choice(960, size=3, replace=False)] = 1
+    a[rng.choice(2016, size=672, replace=False)] = 0
+    tracemalloc.start()
+    try:
+        r, pivots = _rref_array(a, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * r.nbytes
+    # the first rounds update more rows than one block of _UPDATE_ENTRIES holds
+    ref, ref_pivots = exactla._rref_loop(a, 2)
+    assert pivots == ref_pivots and np.array_equal(r, ref)
