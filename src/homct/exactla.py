@@ -18,7 +18,11 @@ core of nonzero rows and columns is eliminated; and each forward round, which
 takes as pivots the first rows leading in columns without a pivot and reduces
 every other row by the pivot of its leading column, strictly raises the
 leading column of each row it does not zero.  Back substitution then runs by
-levels, one product each.  Inputs of at most 4096 entries keep the
+levels, one product each.  When most live rows lead in columns that have a
+pivot already, the pivots are back-substituted early and the live rows cleared
+of all of them in one product, so that rows do not crawl through the pivot
+columns one round at a time; how many would crawl depends on the order of the
+columns.  Inputs of at most 4096 entries keep the
 one-pivot-per-step loop.  Every product mod p in homct,
 here and in the layers above, goes through ``mulmod``: float64 BLAS while
 each dot product stays exactly representable (inner * (p-1)^2 < 2^53), and
@@ -218,6 +222,9 @@ _LOOP_MAX_ENTRIES = 4096
 # the rounds update rows in blocks of at most this many entries (4 MiB of
 # int64), so the update's two temporaries stay small next to a large core
 _UPDATE_ENTRIES = 1 << 19
+# a round in which fewer than one live row in this many leads in a new column
+# stalls: the pivots are reduced and the live rows cleared of them at once
+_STALL_RATIO = 4
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -279,11 +286,11 @@ def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     is an echelon form whose pivot rows may still be nonzero in each other's
     pivot columns.
 
-    Back substitution by levels.  A pivot row is final once every other pivot
-    column where it is nonzero belongs to a final row.  A level subtracts the
-    final rows it meets in one product over the non-pivot columns; since a
-    final row is zero in every pivot column but its own, that leaves the
-    level's rows zero in the met pivot columns, which are then set so.
+    Stalls.  When fewer than one live row in _STALL_RATIO leads in a new
+    column, the rows would only crawl through the pivot columns, about one
+    per round, and how many crawl depends on the order of the columns.  So
+    ``_flush`` clears them of every pivot column at once, after which they
+    all lead in new columns.
     """
     nrows, ncols = a.shape
     nz = a != 0
@@ -296,10 +303,14 @@ def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if c.min() < 0 or c.max() >= p:  # every Matrix is reduced already
         c %= p
     pivot_row = np.full(c.shape[1], -1, dtype=np.intp)  # core row of each column's pivot
+    reduced = np.zeros(c.shape[1], dtype=bool)  # pivot columns back-substituted already
     rows, lead = _leads(np.arange(c.shape[0]), c, 0)  # an entry mod p may zero a row
     while rows.size:
-        lo = int(lead.min())
         fresh = np.flatnonzero(pivot_row[lead] < 0)
+        if _STALL_RATIO * fresh.size < rows.size:
+            rows, lead = _flush(c, rows, int(lead.min()), pivot_row, reduced, p)
+            continue
+        lo = int(lead.min())
         new_cols, first = np.unique(lead[fresh], return_index=True)
         new_rows = rows[fresh[first]]
         pivot_row[new_cols] = new_rows
@@ -308,34 +319,18 @@ def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             scale = inv != 1
             at = new_rows[scale]
             c[at, lo:] = c[at, lo:] * inv[scale, None] % p
-        rows, lead = np.delete(rows, fresh[first]), np.delete(lead, fresh[first])
+        keep = np.ones(rows.size, dtype=bool)
+        keep[fresh[first]] = False
+        rows, lead = rows[keep], lead[keep]
         if not rows.size:
             break
         step = max(1, _UPDATE_ENTRIES // (c.shape[1] - lo))  # rows per update block
         parts = [_reduce_rows(c, rows[s:s + step], lead[s:s + step], pivot_row, lo, p)
                  for s in range(0, rows.size, step)]
         rows, lead = (np.concatenate(x) for x in zip(*parts))
+    _back_substitute(c, pivot_row, reduced, p)
     pcols = np.flatnonzero(pivot_row >= 0)
     prows = pivot_row[pcols]
-    dep = (c != 0)[prows][:, pcols]  # pivot rows x pivot columns, bool
-    np.fill_diagonal(dep, False)
-    waiting = dep.sum(axis=1)  # other pivot columns in the row, of rows not yet final
-    todo = np.ones(pcols.size, dtype=bool)
-    level = np.flatnonzero(waiting == 0)  # final already
-    free = np.flatnonzero(pivot_row < 0)
-    while level.size:
-        met = np.flatnonzero(dep[level].any(axis=0))
-        if met.size:
-            at = prows[level]
-            out = free[free > pcols[level].min()]  # the level's rows are zero further left
-            block = c[np.ix_(at, out)]
-            block -= mulmod(c[np.ix_(at, pcols[met])], c[np.ix_(prows[met], out)], p)
-            block %= p
-            c[np.ix_(at, out)] = block
-            c[np.ix_(at, pcols[met])] = 0
-        todo[level] = False
-        waiting -= dep[:, level].sum(axis=1)
-        level = np.flatnonzero(todo & (waiting == 0))
     # only the pivot rows are nonzero now; the core is freed before the output exists
     if 3 * np.count_nonzero(c) <= c.size:  # few nonzeros: scatter them, 24 bytes each
         flat = np.flatnonzero(c)
@@ -352,6 +347,100 @@ def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r = np.zeros((nrows, ncols), dtype=np.int64)
         r[: red.shape[0], cols] = red
     return r, cols[pcols].tolist()
+
+
+def _back_substitute(c: np.ndarray, pivot_row: np.ndarray, reduced: np.ndarray, p: int) -> None:
+    """Reduce the pivot rows of ``c`` (in place) to zero in each other's pivot
+    columns.
+
+    ``reduced`` marks the pivot columns whose rows an earlier call reduced,
+    and is updated.  The pivot rows found since are zero in those columns,
+    because they were cleared of them before they became pivots.  So only the
+    new pivot rows are reduced among themselves, and then the earlier ones
+    are cleared of the new pivot columns in one product per block of rows.
+
+    The pivot rows are normalised and zero left of their pivot.  A new pivot
+    row is final once every other new pivot column where it is nonzero
+    belongs to a final row.  A level clears its rows of the final rows they
+    meet in one product over the non-pivot columns; since a final row is zero
+    in every pivot column but its own, that leaves the level's rows zero in
+    the met pivot columns.
+    """
+    new = np.flatnonzero((pivot_row >= 0) & ~reduced)
+    if not new.size:
+        return
+    prows = pivot_row[new]
+    dep = (c != 0)[prows][:, new]  # new pivot rows x new pivot columns, bool
+    np.fill_diagonal(dep, False)
+    waiting = dep.sum(axis=1)  # other pivot columns in the row, of rows not yet final
+    todo = np.ones(new.size, dtype=bool)
+    level = np.flatnonzero(waiting == 0)  # final already
+    free = np.flatnonzero(pivot_row < 0)
+    while level.size:
+        met = np.flatnonzero(dep[level].any(axis=0))
+        if met.size:  # the level's rows are zero left of their pivots
+            _clear(c, prows[level], new[met], free[free > new[level].min()], pivot_row, p)
+        todo[level] = False
+        waiting -= dep[:, level].sum(axis=1)
+        level = np.flatnonzero(todo & (waiting == 0))
+    old = np.flatnonzero(reduced)
+    reduced[new] = True
+    if old.size:
+        _clear(c, pivot_row[old], new, free, pivot_row, p)
+
+
+def _flush(c: np.ndarray, rows: np.ndarray, lo: int, pivot_row: np.ndarray,
+           reduced: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Back-substitute the pivot rows, then clear the live ``rows`` of every
+    pivot column in one product; returns their _leads, all in new columns.
+
+    The live rows are zero left of ``lo``, and so is every pivot row they
+    meet, so the product runs over the non-pivot columns from ``lo`` on.
+    """
+    _back_substitute(c, pivot_row, reduced, p)
+    _clear(c, rows, np.flatnonzero(reduced), np.flatnonzero(pivot_row[lo:] < 0) + lo,
+           pivot_row, p)
+    step = max(1, _UPDATE_ENTRIES // c.shape[1])
+    parts = [_leads(rows[s:s + step], c[rows[s:s + step]], 0) for s in range(0, rows.size, step)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _clear(c: np.ndarray, rows: np.ndarray, pcols: np.ndarray, out: np.ndarray,
+           pivot_row: np.ndarray, p: int) -> None:
+    """Clear the given rows of ``c`` (in place) of the pivot columns
+    ``pcols``, whose pivot rows must be reduced.
+
+    A reduced pivot row is 1 in its pivot column and 0 in every other one,
+    so subtracting x[j] times the pivot row of j, for each j in ``pcols``,
+    zeroes x in ``pcols`` at once.  The product runs over the columns
+    ``out``, which must hold every non-pivot column where a met pivot row may
+    be nonzero.  Rows and columns go in blocks of about _UPDATE_ENTRIES.
+    """
+    step = max(1, _UPDATE_ENTRIES // c.shape[1])
+    for s in range(0, rows.size, step):
+        at = rows[s:s + step]
+        x = c[at]
+        hit = pcols[x[:, pcols].any(axis=0)]
+        if not hit.size:
+            continue
+        coef = x[:, hit]
+        width = max(1, _UPDATE_ENTRIES // hit.size)  # columns per product
+        for t in range(0, out.size, width):
+            o = out[t:t + width]
+            block = x[:, o]
+            block -= mulmod(coef, _take(c, pivot_row[hit], o), p)
+            block %= p
+            x[:, o] = block
+        x[:, hit] = 0
+        c[at] = x
+
+
+def _take(c: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """c[rows][:, cols]: rows first, then columns from the copy, which is
+    cheaper than one two-axis gather unless the rows are many."""
+    if rows.size * c.shape[1] <= _UPDATE_ENTRIES:
+        return c[rows][:, cols]
+    return c[np.ix_(rows, cols)]
 
 
 def _leads(rows: np.ndarray, block: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:

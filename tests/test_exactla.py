@@ -475,7 +475,7 @@ def _chain_blocks(n, p, rng):
     e_t and leaves all later rows leading in column t + 1, so n - 1 rounds
     update rows.  Chain rows e_i + c_i e_{i+1} are the pivots of their
     columns from the first round on, and row i is final only after row i + 1:
-    n - 1 back-substitution levels multiply.
+    n - 1 back-substitution levels clear their rows.
     """
     a = np.zeros((2 * n, 2 * n), dtype=np.int64)
     a[:n, :n] = np.tril(np.ones((n, n), dtype=np.int64)) * rng.integers(1, p, size=(n, 1))
@@ -537,19 +537,42 @@ def test_batched_rref_matches_dense_eliminator(p, kind, unreduced, seed):
 @pytest.mark.parametrize("p", ELIM_PRIMES)
 def test_batched_rref_runs_several_rounds_and_levels(p, monkeypatch):
     # the test counts them: one _reduce_rows call per round that updates rows
-    # (a single block below _UPDATE_ENTRIES), one mulmod per level
+    # (a single block below _UPDATE_ENTRIES), one _clear call per level
+    # (no stall, so no flush; full rank, so no product over free columns)
     n = 40
     a = _chain_blocks(n, p, np.random.default_rng(p % 1000))
-    calls = {"_reduce_rows": 0, "mulmod": 0}
+    calls = {"_reduce_rows": 0, "_clear": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(exactla, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(exactla, name, counted)
     r, pivots = _rref_array(a, p)
-    assert calls == {"_reduce_rows": n - 1, "mulmod": n - 1}
+    assert calls == {"_reduce_rows": n - 1, "_clear": n - 1}
     ref, ref_pivots = _dense_rref(a, p)
     assert pivots == ref_pivots == list(range(2 * n)) and np.array_equal(r, ref)
+
+
+@pytest.mark.parametrize("p", ELIM_PRIMES)
+def test_batched_rref_stall_flush_matches_dense_eliminator(p, monkeypatch):
+    # 200 sparse combinations of 40 sparse rows in 120 columns: after the first
+    # round most rows lead in columns that already have a pivot, so the rounds
+    # stall, and _flush (spied) clears the live rows of all pivots at once
+    rng = np.random.default_rng(p % 1000)
+    basis = rng.integers(0, p, size=(40, 120)) * (rng.random((40, 120)) < 0.08)
+    mix = rng.integers(0, p, size=(200, 40)) * (rng.random((200, 40)) < 0.1)
+    a = np.vstack([exactla.mulmod(mix % p, basis % p, p), basis])[rng.permutation(240)]
+    stalled = []
+
+    def spy(*args, _fn=exactla._flush):
+        stalled.append(args[1].size)
+        return _fn(*args)
+
+    monkeypatch.setattr(exactla, "_flush", spy)
+    r, pivots = _rref_array(a, p)
+    assert stalled
+    ref, ref_pivots = _dense_rref(a, p)
+    assert pivots == ref_pivots and np.array_equal(r, ref)
 
 
 @pytest.mark.parametrize("shape, path", [((64, 64), "_rref_loop"), ((64, 65), "_rref_rounds")])
