@@ -53,6 +53,8 @@ __all__ = [
     "dual_map",
     "tensor_over_algebra",
     "hom_over_algebra",
+    "hom_precompose",
+    "hom_postcompose",
     "stable_hom",
     "socle",
     "top",
@@ -829,6 +831,13 @@ def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return Subspace.full(p, dn * dm)
+    b = m.free_rank
+    if b is not None:
+        # a map out of A^b is fixed by its generator images: map (r, v) sends
+        # generator r to n_v, so its column r * dim A + u is a_u . n_v
+        maps = np.zeros((b, dn, dn, b, m.algebra.dim), dtype=np.int64)
+        maps[np.arange(b), :, :, np.arange(b), :] = _action_stack(n).transpose(2, 1, 0)
+        return Subspace(p, dn * dm, maps.reshape(b * dn, dn * dm))
     conds = []
     eye_m = Matrix.identity(p, dm)
     eye_n = Matrix.identity(p, dn)
@@ -838,6 +847,23 @@ def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:
         conds.append(c.a)
     stacked = Matrix(p, np.vstack(conds))
     return kernel_basis(stacked)
+
+
+def hom_precompose(d: ModuleMap, dom: Subspace, cod) -> Matrix:
+    """Matrix of f -> f o d from dom <= Hom(d.target, N) to cod <= Hom(d.source, N), row-major
+    matrix coordinates; cod is any space with Subspace.coords, whose check is f o d in cod."""
+    if dom.dim == 0:
+        return Matrix.zeros(d.p, cod.dim, 0)
+    maps = dom.basis.a.reshape(dom.dim, -1, d.matrix.rows)
+    return Matrix(d.p, cod.coords(mulmod(maps, d.matrix.a, d.p).reshape(dom.dim, -1)).T)
+
+
+def hom_postcompose(g: ModuleMap, dom: Subspace, cod) -> Matrix:
+    """Matrix of f -> g o f from dom <= Hom(P, g.source) to cod <= Hom(P, g.target), as hom_precompose."""
+    if dom.dim == 0:
+        return Matrix.zeros(g.p, cod.dim, 0)
+    maps = dom.basis.a.reshape(dom.dim, g.matrix.cols, -1)
+    return Matrix(g.p, cod.coords(mulmod(g.matrix.a, maps, g.p).reshape(dom.dim, -1)).T)
 
 
 def hom_map_from_vec(m: FdModule, n: FdModule, vec: np.ndarray) -> ModuleMap:

@@ -30,6 +30,8 @@ from .algmod import (
     _generator_images,
     dual_module,
     hom_over_algebra,
+    hom_postcompose,
+    hom_precompose,
     stable_hom,
 )
 from .completion import StabilizationReport, Tower, cosyzygy_tower, tower_limit
@@ -159,14 +161,15 @@ class _FreeHomCoords:
         x = np.asarray(coords, dtype=np.int64).reshape(self.b, self.dq) % self.p
         return Matrix(self.p, _free_map_matrix(self.qmod, x.T))
 
-    def coords_of(self, maps: np.ndarray) -> np.ndarray:
-        """Coordinates of one map (dim Q x dim P) or of a stack of maps."""
+    def coords(self, rows: np.ndarray) -> np.ndarray:
+        """Coordinates of one row-major map (dim Q * dim P) or of a block of them."""
+        maps = rows.reshape(rows.shape[:-1] + (self.dq, self.pmod.dim))
         gens = _generator_images(maps, self.pmod.algebra)  # (..., dim Q, b)
-        return gens.swapaxes(-1, -2).reshape(maps.shape[:-2] + (self.dim,))
+        return gens.swapaxes(-1, -2).reshape(rows.shape[:-1] + (self.dim,))
 
-    def postcompose(self, g: Matrix, tgt: "_FreeHomCoords") -> Matrix:
+    def postcompose(self, g: ModuleMap, tgt: "_FreeHomCoords") -> Matrix:
         """Matrix of f -> g o f into Hom(A^b, Q') coordinates."""
-        return Matrix(self.p, np.kron(np.eye(self.b, dtype=np.int64), g.a) % self.p)
+        return Matrix(self.p, np.kron(np.eye(self.b, dtype=np.int64), g.matrix.a) % self.p)
 
     def precompose(self, d: ModuleMap, tgt) -> Matrix:
         """Matrix of f -> f o d into Hom(source of d, Q) coordinates."""
@@ -182,25 +185,18 @@ class _SubHomCoords:
         self.qmod = qmod
         self.sub = hom_over_algebra(pmod, qmod)
         self.dim = self.sub.dim
+        self.coords = self.sub.coords
         self.p = pmod.p
 
     def to_ambient(self, coords: np.ndarray) -> Matrix:
         amb = self.sub.from_coords(coords)
         return Matrix(self.p, amb.reshape(self.qmod.dim, self.pmod.dim))
 
-    def coords_of(self, maps: np.ndarray) -> np.ndarray:
-        """Coordinates of one map (dim Q x dim P) or of a stack of maps."""
-        return self.sub.coords(maps.reshape(maps.shape[:-2] + (self.qmod.dim * self.pmod.dim,)))
-
-    def _basis_maps(self) -> np.ndarray:
-        """The Hom basis as a stack of dim Q x dim P maps."""
-        return self.sub.basis.a.reshape(self.dim, self.qmod.dim, self.pmod.dim)
-
-    def postcompose(self, g: Matrix, tgt) -> Matrix:
-        return Matrix(self.p, tgt.coords_of(mulmod(g.a, self._basis_maps(), self.p)).T)
+    def postcompose(self, g: ModuleMap, tgt) -> Matrix:
+        return hom_postcompose(g, self.sub, tgt)
 
     def precompose(self, d: ModuleMap, tgt) -> Matrix:
-        return Matrix(self.p, tgt.coords_of(mulmod(self._basis_maps(), d.matrix.a, self.p)).T)
+        return hom_precompose(d, self.sub, tgt)
 
 
 def _hom_coords(pmod: FdModule, qmod: FdModule):
@@ -261,7 +257,7 @@ class SegmentStage:
             tgt = self.coords_down[t]
             d_q = self.res_n.differential(t - self.i)
             d_p = self.res_m.differential(t)
-            post = self.coords[t].postcompose(d_q.matrix, tgt)
+            post = self.coords[t].postcompose(d_q, tgt)
             pre = self.coords[t - 1].precompose(d_p, tgt)
             block = np.zeros((tgt.dim, self.total), dtype=np.int64)
             block[:, self.offsets[t]: self.offsets[t] + self.coords[t].dim] = post.a
@@ -280,7 +276,7 @@ class SegmentStage:
             col = np.zeros((self.total, src.dim), dtype=np.int64)
             if t_src >= self.lo:
                 d_q = self.res_n.differential(t_src - self.i + 1)
-                post = src.postcompose(d_q.matrix, self.coords[t_src])
+                post = src.postcompose(d_q, self.coords[t_src])
                 col[self.offsets[t_src]: self.offsets[t_src] + self.coords[t_src].dim, :] = post.a
             t1 = t_src + 1
             if t1 <= self.hi:
@@ -312,7 +308,7 @@ class SegmentStage:
         vec = np.zeros(self.total, dtype=np.int64)
         for t in range(self.lo, self.hi + 1):
             f = seg.component(t)
-            vec[self.offsets[t]: self.offsets[t] + self.coords[t].dim] = self.coords[t].coords_of(f.matrix.a)
+            vec[self.offsets[t]: self.offsets[t] + self.coords[t].dim] = self.coords[t].coords(f.matrix.a.reshape(-1))
         return self.sq.class_of(vec)
 
     def extend_segment(self, seg: StableMapClass) -> StableMapClass:

@@ -4,7 +4,11 @@ Homology spaces always carry cycle representatives (through Subquotient), so
 connecting maps and tower transition maps are computed on witnesses and then
 recorded as matrices in class coordinates.  Tor resolves its first argument
 only; sensitivity to the second argument enters through functorial maps and
-the towers in the completion module.
+the towers in the completion module.  The Ext cochains Hom_A(P_j, N) keep
+their row-major matrix coordinates, but out of a free P_j = A^b they are
+spanned by generator images (N^b), and every map between them, the
+differentials included, is one product on the basis maps: no Kronecker
+system is solved on the Ext side.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .algmod import (
     TensorSpace,
     _generator_images,
     hom_over_algebra,
+    hom_postcompose,
+    hom_precompose,
     tensor_over_algebra,
 )
 from .exactla import (
@@ -26,12 +32,12 @@ from .exactla import (
     Subquotient,
     Subspace,
     image_basis,
-    induced_on_subspaces,
     kernel_basis,
     kron,
+    mulmod,
     solve_matrix,
 )
-from .resolve import CompleteResolution, Resolution, _memoized, min_proj_resolution
+from .resolve import CompleteResolution, Resolution, _hom_solve_free, _memoized, hom_solve, min_proj_resolution
 
 __all__ = [
     "HomologySpace",
@@ -214,9 +220,8 @@ class ExtChain:
             if j < 0:
                 self._delta[j] = Matrix.zeros(self.n.p, self.hom_space(0).dim, 0)
             else:
-                d = self.res.differential(j + 1)
-                amb = kron(Matrix.identity(self.n.p, self.n.dim), d.matrix.transpose())
-                self._delta[j] = induced_on_subspaces(amb, self.hom_space(j), self.hom_space(j + 1))
+                self._delta[j] = hom_precompose(self.res.differential(j + 1), self.hom_space(j),
+                                                self.hom_space(j + 1))
         return self._delta[j]
 
     def cohomology(self, i: int) -> HomologySpace:
@@ -229,13 +234,6 @@ class ExtChain:
                 b = image_basis(self.delta(i - 1)) if i >= 1 else Subspace.zero(self.n.p, self.dim(i))
                 self._cohomology[i] = HomologySpace(i, Subquotient(z, b))
         return self._cohomology[i]
-
-    def cocycle_to_map(self, j: int, coords: np.ndarray) -> ModuleMap:
-        vec = self.hom_space(j).from_coords(coords)
-        return ModuleMap(self.res.proj(j), self.n, Matrix(self.n.p, vec.reshape(self.n.dim, self.res.proj(j).dim)), check=False)
-
-    def map_to_coords(self, j: int, f: ModuleMap) -> np.ndarray:
-        return self.hom_space(j).coords(f.matrix.a.reshape(-1))
 
 
 def ext_chain(m: FdModule, n: FdModule, depth: int) -> ExtChain:
@@ -254,8 +252,7 @@ def ext(m: FdModule, n: FdModule, i: int) -> HomologySpace:
 
 def second_arg_ext_matrix(g: ModuleMap, src: ExtChain, tgt: ExtChain, j: int) -> Matrix:
     """Matrix of postcomposition with g: Hom(P_j, n) -> Hom(P_j, n') coords."""
-    amb = kron(g.matrix, Matrix.identity(g.p, src.res.proj(j).dim))
-    return induced_on_subspaces(amb, src.hom_space(j), tgt.hom_space(j))
+    return hom_postcompose(g, src.hom_space(j), tgt.hom_space(j))
 
 
 def _solve_id_tensor(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, pmod: FdModule,
@@ -311,21 +308,20 @@ def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
     h_bot = e_left.cohomology(j + 1)
     if h_top.dim == 0 or h_bot.dim == 0:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    from .resolve import hom_solve
-
-    d_next = e_mid.res.differential(j + 1)
-    boundaries = []
-    for ccoords in h_top.sq.basis_representatives():
-        c = e_right.cocycle_to_map(j, ccoords)
-        lifted = hom_solve(e_mid.res.proj(j), ses.middle, ses.g.matrix, c.matrix)
-        # P_{j+1} -> middle, lands in im f; flattened row-major as a Hom vector
-        boundaries.append((lifted.matrix @ d_next.matrix).a.reshape(-1))
-    # one pullback through f for all classes, as in connecting_tor
-    f_amb = kron(ses.f.matrix, Matrix.identity(m.p, e_mid.res.proj(j + 1).dim))
-    pulled = solve_matrix(f_amb, Matrix(m.p, np.array(boundaries, dtype=np.int64).T))
+    p, k, pj, dp = m.p, h_top.dim, e_mid.res.proj(j), e_mid.res.proj(j + 1).dim
+    reps = e_right.hom_space(j).from_coords(h_top.sq.basis_representatives()).reshape(k, ses.right.dim, pj.dim)
+    # lift every class through g: on a free P_j one solve on generator images
+    if pj.free_rank is not None:
+        lifted = _hom_solve_free(pj, ses.middle, ses.g.matrix, reps)
+    else:
+        lifted = np.array([hom_solve(pj, ses.middle, ses.g.matrix, Matrix(p, c)).matrix.a for c in reps])
+    # the boundaries P_{j+1} -> middle land in im f; f is injective, so one
+    # solve with the k boundaries side by side gives each its unique preimage
+    boundaries = mulmod(lifted, e_mid.res.differential(j + 1).matrix.a, p)
+    pulled = solve_matrix(ses.f.matrix, Matrix(p, boundaries.transpose(1, 0, 2).reshape(ses.middle.dim, k * dp)))
     if pulled is None:
         raise RuntimeError("ext connecting map: pullback through injection failed")
-    coords = e_left.hom_space(j + 1).coords(pulled.a.T)
+    coords = e_left.hom_space(j + 1).coords(pulled.a.reshape(ses.left.dim, k, dp).transpose(1, 0, 2).reshape(k, -1))
     return Matrix(m.p, h_bot.class_of(coords).T)
 
 

@@ -3,16 +3,17 @@
 Everything downstream (module theory, resolutions, homology towers) reduces
 to the operations in this module: canonical reduced row echelon form, kernel
 and image bases, deterministic solving, preimages of subspaces, and induced
-maps on (sub)quotients.  Matrices are immutable numpy int64 arrays with
+maps on quotients and subquotients.  Matrices are immutable numpy int64 arrays with
 entries reduced mod p; subspaces always carry their canonical RREF basis, so
 subspace equality is entry-wise comparison.  Coordinate maps (reduce,
 contains, coords, from_coords, apply, class_of, representative) take either
 one vector or a block of row vectors, so a change of basis is one matrix
 operation.
 
-The matrices built upstream are Kronecker and block products of small action
-matrices, with one to three nonzeros per row, so Gauss-Jordan elimination
-finds pivots in bulk rather than one column at a time.  It relies on two
+The matrices built upstream are block products of small action matrices (and
+Kronecker products on non-free Hom and tensor spaces), with one to three
+nonzeros per row, so Gauss-Jordan elimination finds pivots in bulk rather
+than one column at a time.  It relies on two
 invariants: row operations keep zero rows and zero columns zero, so only the
 core of nonzero rows and columns is eliminated; and each forward round, which
 takes as pivots the first rows leading in columns without a pivot and reduces
@@ -50,7 +51,6 @@ __all__ = [
     "solve_matrix",
     "preimage",
     "quotient_and_induced",
-    "induced_on_subspaces",
     "mulmod",
     "matpow",
     "MAX_MODULUS",
@@ -682,16 +682,6 @@ def quotient_projection(sub: Subspace) -> Matrix:
     columns and -basis[:, comp]^T on pivot columns.
     """
     return Matrix(sub.p, _null_rows(sub.basis.a, sub.pivots, sub.p))
-
-
-def induced_on_subspaces(f: Matrix, dom: Subspace, cod: Subspace) -> Matrix:
-    """Matrix of f restricted to dom -> cod in the RREF-basis coordinates.
-
-    Requires f(dom) <= cod (checked via coords).
-    """
-    # row by row: one block of dom.dim x f.rows images raises peak memory on Ext chains
-    cols = [cod.coords(f.apply(row)) for row in dom.basis.a]
-    return Matrix(f.p, np.array(cols, dtype=np.int64).reshape(dom.dim, cod.dim).T)
 
 
 class Subquotient:

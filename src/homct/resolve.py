@@ -30,6 +30,7 @@ from .algmod import (
     dual_module,
     free_module,
     hom_over_algebra,
+    hom_precompose,
     is_isomorphic,
     radical_submodule,
     regular_module,
@@ -40,9 +41,7 @@ from .exactla import (
     Matrix,
     Subspace,
     image_basis,
-    induced_on_subspaces,
     kernel_basis,
-    kron,
     mulmod,
     solve_matrix,
 )
@@ -528,20 +527,14 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
         hom_mid = hom_over_algebra(tcx.space(i), reg)
         hom_prev = hom_over_algebra(tcx.space(i - 1), reg)
         hom_next = hom_over_algebra(tcx.space(i + 1), reg)
-        mat_next = induced_on_subspaces(_precompose_matrix(reg, d_in), hom_mid, hom_next)
-        mat_prev = induced_on_subspaces(_precompose_matrix(reg, d_out), hom_prev, hom_mid)
+        mat_next = hom_precompose(d_in, hom_mid, hom_next)
+        mat_prev = hom_precompose(d_out, hom_prev, hom_mid)
         ker_h = kernel_basis(mat_next)
         im_h = image_basis(mat_prev)
         hhom[i] = ker_h.dim - im_h.dim
         if not ker_h.contains_subspace(im_h):
             hhom[i] = -1  # exactness violated structurally
     return AcyclicityReport(degrees, hdims, hhom)
-
-
-def _precompose_matrix(target: FdModule, d: ModuleMap) -> Matrix:
-    """Ambient matrix of f -> f o d on row-major Hom coordinates."""
-    eye = Matrix.identity(d.p, target.dim)
-    return kron(eye, d.matrix.transpose())
 
 
 # -- comparison lifts -----------------------------------------------------------
@@ -556,15 +549,8 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
     """
     p = post.p
     if source.free_rank is not None:
-        # rhs on the free generators: column r is rhs(gen_r)
-        sol = solve_matrix(post, Matrix(p, _generator_images(rhs.a, source.algebra)))
-        if sol is None:
-            raise RuntimeError("hom_solve: no A-linear solution")
-        g = ModuleMap(source, target, Matrix(p, _free_map_matrix(target, sol.a)), check=False)
-        # post must be A-linear for the generator solve to determine g
-        if (post @ g.matrix) != rhs:
-            raise RuntimeError("hom_solve: free-path solve failed (post not A-linear?)")
-        return g
+        return ModuleMap(source, target, Matrix(p, _hom_solve_free(source, target, post, rhs.a[None])[0]),
+                         check=False)
     hom = hom_over_algebra(source, target)
     if hom.dim == 0:
         if rhs.is_zero():
@@ -578,6 +564,21 @@ def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> 
         raise RuntimeError("hom_solve: no A-linear solution")
     vec = hom.from_coords(sol.a[:, 0])
     return ModuleMap(source, target, Matrix(p, vec.reshape(target.dim, source.dim)), check=False)
+
+
+def _hom_solve_free(source: FdModule, target: FdModule, post: Matrix, rhs: np.ndarray) -> np.ndarray:
+    """The maps g_c: A^b -> target with post @ g_c = rhs[c], as one (k, dim target, dim A^b) stack;
+    each is fixed by its generator images, and the k systems are solved side by side."""
+    p, k, b = post.p, len(rhs), source.free_rank
+    gens = _generator_images(rhs, source.algebra)  # (k, rows, b): column r is rhs[c](gen_r)
+    sol = solve_matrix(post, Matrix(p, gens.transpose(1, 0, 2).reshape(post.rows, k * b)))
+    if sol is None:
+        raise RuntimeError("hom_solve: no A-linear solution")
+    maps = _free_map_matrix(target, sol.a).reshape(target.dim, k, source.dim).transpose(1, 0, 2)
+    # post must be A-linear for the generator solve to determine g
+    if (mulmod(post.a, maps, p) != rhs).any():
+        raise RuntimeError("hom_solve: free-path solve failed (post not A-linear?)")
+    return maps
 
 
 def lift_module_map(f: ModuleMap, res_src: Resolution, res_tgt: Resolution, depth: int) -> list[ModuleMap]:

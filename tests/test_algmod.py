@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homct.algmod import (
     Algebra,
     FdModule,
     ModuleMap,
+    direct_sum,
     dual_module,
     free_module,
     hom_over_algebra,
@@ -32,8 +33,8 @@ from homct.algmod import (
     validate_algebra,
     validate_module,
 )
-from homct.algmod import _power_elt, _radical_chain
-from homct.exactla import Matrix, Subspace, induced_on_subspaces, kernel_basis
+from homct.algmod import _power_elt, _radical_chain, hom_postcompose, hom_precompose
+from homct.exactla import Matrix, Subspace, kernel_basis, kron
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -47,7 +48,8 @@ from homct.fixtures import (
     klein_four_table,
     simple_k,
 )
-from homct.resolve import projective_cover
+from homct.derived import ShortExactSeq, ext_chain, second_arg_ext_matrix
+from homct.resolve import min_inj_resolution, min_proj_resolution, projective_cover
 
 
 def nilpotent_closure_ideal(a):
@@ -750,6 +752,13 @@ def _cover_kernels(m, depth=2):
     return out
 
 
+def induced_on_subspaces(f, dom, cod):
+    """Matrix of f restricted to dom -> cod in RREF-basis coordinates, one row of
+    dom at a time: the reference that replaced exactla's function of this name."""
+    cols = [cod.coords(f.apply(row)) for row in dom.basis.a]
+    return Matrix(f.p, np.array(cols, dtype=np.int64).reshape(dom.dim, cod.dim).T)
+
+
 def test_submodule_from_subspace_matches_row_by_row_induction():
     a1 = algebra_a1()
     zero = FdModule(a1, "left", 0, [np.zeros((0, 0), dtype=np.int64)] * a1.dim)
@@ -794,3 +803,119 @@ def test_radical_submodule_and_socle_match_the_full_radical():
         rows = len(acts) * m.dim
         assert radical_submodule(m) == Subspace(m.p, m.dim, acts.transpose(0, 2, 1).reshape(rows, m.dim))
         assert socle(m) == kernel_basis(Matrix(m.p, acts.reshape(rows, m.dim)))
+
+
+# --- Hom spaces out of free modules --------------------------------------------
+
+def kronecker_hom(m, n):
+    """Hom_A(m, n) as the kernel of the stacked conditions X rho_m(a) = rho_n(a) X,
+    the general path of hom_over_algebra, kept as the reference of the free path."""
+    p, dm, dn = m.p, m.dim, n.dim
+    if dm == 0 or dn == 0:
+        return Subspace.full(p, dn * dm)
+    eye_m, eye_n = Matrix.identity(p, dm), Matrix.identity(p, dn)
+    conds = [(kron(eye_n, am.transpose()) - kron(an, eye_m)).a for am, an in zip(m.action, n.action)]
+    return kernel_basis(Matrix(p, np.vstack(conds)))
+
+
+_HOM_ALGEBRAS = {**fixture_algebras(), "t2": _triangular(2, 3), "c3": group_algebra_c3_f3()}
+
+
+def _hom_target(a, side, kind, r):
+    other = "right" if side == "left" else "left"
+    simples = simple_modules(a, side)
+    simple = simples[r % len(simples)]
+    if kind == "zero":
+        return FdModule(a, side, 0, [Matrix.zeros(a.p, 0, 0)] * a.dim, check=False)
+    if kind == "simple":
+        return simple
+    if kind == "regular":
+        return regular_module(a, side)
+    if kind == "free":
+        return free_module(a, side, r)
+    if kind == "dual_free":
+        return dual_module(free_module(a, other, r))
+    if kind == "syzygy":
+        return min_proj_resolution(simple, r + 1).syzygy(r + 1)
+    return direct_sum([simple, dual_module(free_module(a, other, 1))])  # a direct sum, not free
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(_HOM_ALGEBRAS)),
+    st.sampled_from(["left", "right"]),
+    st.integers(min_value=0, max_value=3),  # free rank of the source
+    st.sampled_from(["zero", "simple", "regular", "free", "dual_free", "syzygy", "sum"]),
+    st.integers(min_value=0, max_value=3),  # free rank, syzygy degree - 1 or simple index of the target
+)
+@example("t2", "left", 2, "regular", 0)  # the unit e11 + e22 is not a basis vector
+@example("t2", "right", 3, "free", 3)
+@example("c3", "left", 1, "syzygy", 2)
+@example("a2", "right", 0, "dual_free", 2)
+@example("a4", "left", 3, "zero", 0)
+@example("a3", "right", 2, "sum", 1)
+def test_free_hom_matches_kronecker_kernel(name, side, b, kind, r):
+    a = _HOM_ALGEBRAS[name]
+    m, n = free_module(a, side, b), _hom_target(a, side, kind, r)
+    hom = hom_over_algebra(m, n)
+    assert hom == kronecker_hom(m, n) and hom.dim == b * n.dim
+
+
+def _ext_delta_cases():
+    """(ExtChain, depth): A2 k with free P to depth 4, T_2(F_3) simples with non-free P."""
+    k = simple_k(algebra_a2())
+    cases = [(ext_chain(k, k, 5), 4)]
+    simples = simple_modules(_triangular(2, 3), "left")
+    cases += [(ext_chain(m, n, 4), 3) for m in simples for n in simples]
+    return cases
+
+
+def test_hom_precompose_matches_kronecker_induction_on_ext_deltas():
+    for ec, depth in _ext_delta_cases():
+        for j in range(depth + 1):
+            d = ec.res.differential(j + 1)
+            amb = kron(Matrix.identity(d.p, ec.n.dim), d.matrix.transpose())
+            want = induced_on_subspaces(amb, ec.hom_space(j), ec.hom_space(j + 1))
+            assert hom_precompose(d, ec.hom_space(j), ec.hom_space(j + 1)) == want
+            assert ec.delta(j) == want
+
+
+def test_hom_postcompose_matches_kronecker_induction_on_second_argument():
+    a2, t2 = algebra_a2(), _triangular(2, 3)
+    _, _, _, incl, proj = min_inj_resolution(simple_k(a2), 2).cosyzygy_ses(1)
+    cases = [(ShortExactSeq(incl, proj), simple_k(a2))]
+    for ni in range(2):
+        res = min_proj_resolution(simple_modules(t2, "left")[ni], 2)
+        cases += [(ShortExactSeq(res.syzygy_incl(1), res.cover_map(0)), m) for m in simple_modules(t2, "left")]
+    for ses, m in cases:
+        e_left, e_mid, e_right = (ext_chain(m, x, 4) for x in (ses.left, ses.middle, ses.right))
+        for j in range(4):
+            for g, src, tgt in ((ses.f, e_left, e_mid), (ses.g, e_mid, e_right)):
+                amb = kron(g.matrix, Matrix.identity(g.p, src.res.proj(j).dim))
+                want = induced_on_subspaces(amb, src.hom_space(j), tgt.hom_space(j))
+                assert hom_postcompose(g, src.hom_space(j), tgt.hom_space(j)) == want
+                assert second_arg_ext_matrix(g, src, tgt, j) == want
+
+
+def test_hom_compose_rejects_a_codomain_that_misses_the_image():
+    # the coords check is the check that f(dom) lies in cod
+    a1 = algebra_a1()
+    reg, k = regular_module(a1), simple_k(a1)
+    hom = hom_over_algebra(reg, reg)  # both maps 1 -> 1 and 1 -> x
+    top = ModuleMap(reg, k, Matrix(2, [[1, 0]]))
+    with pytest.raises(ValueError, match="not in subspace"):
+        hom_postcompose(top, hom, Subspace.zero(2, 2))
+    with pytest.raises(ValueError, match="not in subspace"):
+        hom_precompose(ModuleMap.identity(reg), hom, Subspace(2, 4, [[1, 0, 0, 1]]))
+
+
+def test_free_hom_memory_is_a_few_outputs():
+    # A^64 -> A^4 over A2: the stacked Kronecker conditions were 6912 x 2304 int64
+    m, n = free_module(algebra_a2(), "right", 64), free_module(algebra_a2(), "right", 4)
+    tracemalloc.start()
+    try:
+        hom = hom_over_algebra(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hom.dim == 64 * 12 and peak <= 4 * hom.basis.a.nbytes

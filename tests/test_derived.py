@@ -1,5 +1,6 @@
 """Tests for Tor, Ext, connecting maps, LES exactness and Tate homology."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -11,6 +12,9 @@ from homct.algmod import (
     FdModule,
     ModuleMap,
     direct_sum,
+    quotient_module,
+    socle,
+    submodule_from_subspace,
     dual_module,
     free_module,
     hom_over_algebra,
@@ -21,6 +25,7 @@ from homct.algmod import (
 from homct.derived import (
     ShortExactSeq,
     _solve_id_tensor,
+    connecting_ext,
     connecting_tor,
     ext,
     ext_chain,
@@ -29,9 +34,10 @@ from homct.derived import (
     tate_tor,
     tensor_chain,
     tor,
+    second_arg_ext_matrix,
     second_arg_tensor_matrix,
 )
-from homct.exactla import Matrix, Subspace, quotient_projection, rref, solve_matrix
+from homct.exactla import Matrix, Subspace, image_basis, kernel_basis, quotient_projection, rref, solve_matrix
 from homct.fixtures import (
     a3_mod_x,
     a3_mod_y,
@@ -379,6 +385,69 @@ def test_les_socle_ses_a2():
     _, _, _, incl, proj = inj.cosyzygy_ses(1)
     rep = les_check(ShortExactSeq(incl, proj), simple_k(a2, "right"), 0, 4)
     assert rep.ok
+
+
+def _ext_les_cases():
+    """(name, SES of left modules, m): the socle and cosyzygy SESs over A1 and A2,
+    and the syzygy SESs 0 -> Omega S_n -> P(S_n) -> S_n -> 0 over T_2(F_3)."""
+    a1, a2, t2 = algebra_a1(), algebra_a2(), triangular_f3()
+    reg = regular_module(a2, "left")
+    soc = socle(reg)
+    cases = [("a1-socle", socle_ses_a1(), simple_k(a1)),
+             ("a2-socle", ShortExactSeq(submodule_from_subspace(reg, soc)[1], quotient_module(reg, soc)[1]),
+              simple_k(a2))]
+    for name, a in (("a1", a1), ("a2", a2)):
+        _, _, _, incl, proj = min_inj_resolution(simple_k(a, "left"), 2).cosyzygy_ses(1)
+        cases.append((name + "-cosyzygy", ShortExactSeq(incl, proj), simple_k(a)))
+    for mi in range(2):
+        for ni in range(2):
+            res = min_proj_resolution(simple_modules(t2, "left")[ni], 2)
+            cases.append((f"t2-{mi}{ni}", ShortExactSeq(res.syzygy_incl(1), res.cover_map(0)),
+                          simple_modules(t2, "left")[mi]))
+    return cases
+
+
+def _digest(mat: Matrix) -> str:
+    a = np.ascontiguousarray(mat.a, dtype=np.int64)
+    return f"{a.shape[0]}x{a.shape[1]}:" + hashlib.sha1(a.tobytes()).hexdigest()[:12]
+
+
+# the connecting matrices delta_0..delta_3, recorded with the Kronecker-system
+# implementation (one hom_solve per class, pullback through kron(f, I))
+_EXT_CONNECTING = {
+    "a1-socle": ["1x1:3da89ee273be"] * 4,
+    "a1-cosyzygy": ["1x1:3da89ee273be"] * 4,
+    "a2-socle": ["4x1:4bb780410760", "8x2:f5f204e4ff61", "16x4:391f0fc02ed7", "32x8:81c208658b5b"],
+    "a2-cosyzygy": ["2x2:4bb780410760", "4x4:9eec7b8fbbde", "8x8:2915489b83cb", "16x16:de0cc27f2336"],
+    "t2-00": ["1x1:3da89ee273be"] + ["0x0:da39a3ee5e6b"] * 3,
+    "t2-01": ["0x0:da39a3ee5e6b", "0x1:da39a3ee5e6b", "0x0:da39a3ee5e6b", "0x0:da39a3ee5e6b"],
+    "t2-10": ["0x0:da39a3ee5e6b"] * 4,
+    "t2-11": ["0x1:da39a3ee5e6b"] + ["0x0:da39a3ee5e6b"] * 3,
+}
+
+
+def test_ext_long_exact_sequence():
+    # 0 -> Ext^0(m, X') -> Ext^0(m, X) -> Ext^0(m, X'') -> Ext^1(m, X') -> ...
+    for name, ses, m in _ext_les_cases():
+        chains = [ext_chain(m, x, 5) for x in (ses.left, ses.middle, ses.right)]
+
+        def induced(gmap, ca, cb, j):
+            ha, hb = ca.cohomology(j), cb.cohomology(j)
+            if ha.dim == 0 or hb.dim == 0:
+                return Matrix.zeros(m.p, hb.dim, ha.dim)
+            return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(gmap, ca, cb, j))
+
+        prev = Matrix.zeros(m.p, chains[0].cohomology(0).dim, 0)
+        digests = []
+        for j in range(4):
+            f_j, g_j = induced(ses.f, chains[0], chains[1], j), induced(ses.g, chains[1], chains[2], j)
+            delta = connecting_ext(ses, m, j)
+            assert image_basis(prev) == kernel_basis(f_j), (name, j, "left")
+            assert image_basis(f_j) == kernel_basis(g_j), (name, j, "middle")
+            assert image_basis(g_j) == kernel_basis(delta), (name, j, "right")
+            prev = delta
+            digests.append(_digest(delta))
+        assert digests == _EXT_CONNECTING[name], name
 
 
 # --- Tate homology ------------------------------------------------------------
