@@ -881,7 +881,7 @@ def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
     from .resolve import projective_cover
 
     hom = hom_over_algebra(m, n)
-    cover, pi = projective_cover(n)
+    cover, pi, _ = projective_cover(n)
     hom_to_cover = hom_over_algebra(m, cover)
     maps = hom_to_cover.basis.a.reshape(hom_to_cover.dim, cover.dim, m.dim)
     factored = Subspace(m.p, n.dim * m.dim,

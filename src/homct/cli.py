@@ -49,7 +49,7 @@ __all__ = ["main", "run_compute", "run_corpus", "ComputeRequest", "RequestError"
 
 
 class RequestError(ValueError):
-    """Invalid request: unknown theory, empty degree range, or depth < window."""
+    """Invalid request: unknown theory or algebra, empty degree range, or bad depth, window or count."""
 
 
 @dataclass
@@ -218,12 +218,14 @@ def run_corpus(seed: int, count: int, max_dim: int, algebra_names: list[str]) ->
 
     t0 = time.time()
     algebras = fx.fixture_algebras()
+    if count < 1:
+        raise RequestError(f"corpus count must be at least 1, got {count}")
     failures: list[str] = []
     checks = 0
     rng = np.random.default_rng(seed)
     for name in algebra_names:
         if name not in algebras:
-            raise ValueError(f"unknown fixture algebra '{name}'")
+            raise RequestError(f"unknown fixture algebra '{name}'")
         a = algebras[name]
         mods_l = fx.seeded_corpus(a, "left", count, seed, max_free_rank=1)
         mods_r = fx.seeded_corpus(a, "right", count, seed + 1, max_free_rank=1)
@@ -372,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
             _write_report(report, args.out, args.format)
             return 0 if not report["failures"] else 1
         if args.command == "dump-resolution":
+            if args.depth < 0:
+                raise RequestError(f"resolution depth must be nonnegative, got {args.depth}")
             algebra = parse_algebra_file(args.algebra)
             m = parse_module_file(args.module_m, algebra)
             res = min_proj_resolution(m, args.depth)

@@ -32,6 +32,7 @@ from .derived import (
 from .exactla import Matrix, Subquotient, Subspace, image_basis, rref
 from .resolve import (
     CompleteResolution,
+    _memoized,
     min_inj_resolution,
     min_proj_resolution,
     syzygy_map,
@@ -146,9 +147,10 @@ def cosyzygy_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
         stages.append(tor(m, inj.cosyzygy(k), k + i))
     maps: dict[int, Matrix] = {}
     for k in range(k_min + 1, K + 1):
-        om_prev, mid, om_next, incl, proj = inj.cosyzygy_ses(k)
-        ses = ShortExactSeq(incl, proj)
-        maps[k] = connecting_tor(ses, m, k + i)
+        _, _, _, incl, proj = inj.cosyzygy_ses(k)
+        # the SES depends only on (n, k): its exactness is checked once per process, a flag kept
+        _memoized(("cosyzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, proj) is not None)
+        maps[k] = connecting_tor(ShortExactSeq(incl, proj, check=False), m, k + i)
     return Tower(i, k_min, stages, maps, "cosyzygy")
 
 
@@ -252,7 +254,11 @@ def interleaving_crosscheck(m: FdModule, n: FdModule, i: int, K: int) -> Interle
     injective, its image equals the image of the tower transition delta_k,
     and delta_k = phi^k composed with the projection onto the cokernel.
     """
-    cos = cosyzygy_tower(m, n, i, K)
+    return _interleaving(m, n, i, K, cosyzygy_tower(m, n, i, K))
+
+
+def _interleaving(m: FdModule, n: FdModule, i: int, K: int, cos: Tower) -> InterleavingReport:
+    """interleaving_crosscheck against an already built cosyzygy tower."""
     k_min = max(0, -i)
     stages = list(range(k_min + 1, K + 1))
     phi_inj: dict[int, bool] = {}
@@ -342,7 +348,7 @@ def complete_homology(m: FdModule, n: FdModule, i: int, K: int, w: int = 3,
     rep = tower_limit(t, w)
     rep.provenance = "complete-homology"
     if cross_check:
-        inter = interleaving_crosscheck(m, n, i, K)
+        inter = _interleaving(m, n, i, K, t)
         if not inter.ok:
             raise RuntimeError("satellite/cosyzygy cross-check failed")
         rep.notes.append("satellite cross-check passed")

@@ -80,16 +80,16 @@ class HomologySpace:
 
 
 class ShortExactSeq:
-    """0 -> left -> middle -> right -> 0 of same-side modules (checked)."""
+    """0 -> left -> middle -> right -> 0 of same-side modules (exactness checked unless check=False)."""
 
-    def __init__(self, f: ModuleMap, g: ModuleMap):
+    def __init__(self, f: ModuleMap, g: ModuleMap, check: bool = True):
         if f.target.fingerprint() != g.source.fingerprint():
             raise ValueError("maps do not share the middle module")
-        if not f.is_injective():
+        if check and not f.is_injective():
             raise ValueError("first map is not injective")
-        if not g.is_surjective():
+        if check and not g.is_surjective():
             raise ValueError("second map is not surjective")
-        if f.image() != g.kernel():
+        if check and f.image() != g.kernel():
             raise ValueError("image != kernel at the middle")
         self.f = f
         self.g = g

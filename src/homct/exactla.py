@@ -10,6 +10,12 @@ contains, coords, from_coords, apply, class_of, representative) take either
 one vector or a block of row vectors, so a change of basis is one matrix
 operation.
 
+A kernel basis is one elimination, of m with its columns reversed: in m's
+column order each pivot row is then zero right of its pivot column, so the
+null row of a free column f is 1 at f, 0 at every other free column, and
+nonzero elsewhere only at pivot columns right of f.  In ascending f these
+rows are already the kernel's canonical RREF, pivoted at the free columns.
+
 The matrices built upstream are block products of small action matrices (and
 Kronecker products on non-free Hom and tensor spaces), with one to three
 nonzeros per row, so Gauss-Jordan elimination finds pivots in bulk rather
@@ -514,6 +520,13 @@ class Subspace:
         self.basis = Matrix(p, red)
         self.pivots = tuple(pivots)
 
+    @classmethod
+    def _from_rref(cls, p: int, ambient_dim: int, red: np.ndarray, pivots) -> "Subspace":
+        """The subspace whose canonical RREF basis is ``red`` already: no elimination."""
+        s = cls.__new__(cls)
+        s.p, s.ambient_dim, s.basis, s.pivots = p, ambient_dim, Matrix(p, red), tuple(pivots)
+        return s
+
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
         return Subspace(p, ambient_dim)
@@ -606,9 +619,15 @@ def _null_rows(r: np.ndarray, pivots, p: int) -> np.ndarray:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Kernel {v : m v = 0} as a canonical Subspace of F_p^cols."""
-    r, pivots = _rref_array(m.a, m.p)
-    return Subspace(m.p, m.cols, _null_rows(r, pivots, m.p))
+    """Kernel {v : m v = 0} as a canonical Subspace of F_p^cols, in one elimination (see the module docstring)."""
+    p, n = m.p, m.cols
+    r, rev = _rref_array(m.a[:, ::-1], p)
+    pivots = n - 1 - np.array(rev, dtype=np.intp)  # in the original column order
+    free = np.flatnonzero(np.isin(np.arange(n), pivots, invert=True))
+    rows = np.zeros((free.size, n), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    rows[:, pivots] = (-r[: len(rev), n - 1 - free].T) % p  # r at column n-1-f is m's column f
+    return Subspace._from_rref(p, n, rows, free.tolist())
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -706,7 +725,8 @@ class Subquotient:
         self.ambient_dim = z.ambient_dim
         self.z = z
         self.b = b
-        self._b_in_z = Subspace(z.p, z.dim, b_in_z)
+        # B's RREF rows lead at pivots of Z, so their Z-coordinates are an RREF already
+        self._b_in_z = Subspace._from_rref(z.p, z.dim, b_in_z, np.searchsorted(z.pivots, b.pivots).tolist())
         self._comp = self._b_in_z.complement_cols()
 
     @property

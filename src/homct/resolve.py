@@ -43,6 +43,7 @@ from .exactla import (
     image_basis,
     kernel_basis,
     mulmod,
+    rref,
     solve_matrix,
 )
 
@@ -89,67 +90,57 @@ def _memoized(key: tuple, build):
 # -- covers and envelopes ---------------------------------------------------
 
 
-def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap]:
-    """Projective cover P(m) with its surjection; kernel lands in rad P.
+def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap, Subspace]:
+    """Projective cover P(m) with its surjection and its kernel, which lands in rad P.
 
-    Supported class only (split basic).  For projective m returns (m, id).
+    Supported class only (split basic).  For projective m returns (m, id, 0).
+    The generators lift a basis of top m = top P: of the candidates e_t * (lift
+    of a top basis vector), simple by simple, each one independent modulo rad m
+    of those before it, which is the column rank profile of the reduced
+    candidates, so one elimination finds them.
     """
     a = m.algebra
     a.assert_supported()
     if m.dim == 0:
         zero = FdModule(a, m.side, 0, [Matrix.zeros(a.p, 0, 0)] * a.dim, check=False, free_rank=0)
-        return zero, ModuleMap(zero, m, Matrix.zeros(a.p, 0, 0), check=False)
+        return zero, ModuleMap(zero, m, Matrix.zeros(a.p, 0, 0), check=False), Subspace.zero(a.p, 0)
     idems = a.primitive_idempotents()
-    chars = a.characters()
     rad_m = radical_submodule(m)
     comp = rad_m.complement_cols()
-    # split top(m) into character eigenspaces and lift generators back into m
     top_dim = len(comp)
-    summands: list[tuple[int, np.ndarray]] = []  # (simple index, generator in m)
-    taken = Subspace.zero(a.p, m.dim)
-    idem_actions = m.action_of(np.array(idems))
-    for t, ch in enumerate(chars):
-        # e_t * (lift of each top basis vector): the complement columns of e_t's action
-        lifts = idem_actions[t][:, comp].T
-        for w, red in zip(lifts, rad_m.reduce(lifts)):
-            if not red.any():
-                continue
-            cand = taken.add(Subspace(a.p, m.dim, red.reshape(1, -1)))
-            if cand.dim > taken.dim:
-                # w generates a new simple summand of the top of type t
-                summands.append((t, w))
-                taken = cand
-            if len(summands) == top_dim:
-                break
-        if len(summands) == top_dim:
-            break
-    if len(summands) != top_dim:
+    # candidate t * top_dim + c is e_t times the lift of top basis vector c:
+    # column comp[c] of e_t's action
+    lifts = m.action_of(np.array(idems))[:, :, comp].transpose(0, 2, 1).reshape(-1, m.dim)
+    _, gens, _ = rref(Matrix(a.p, rad_m.reduce(lifts).T))
+    if len(gens) != top_dim:
         raise RuntimeError("projective cover: top decomposition failed")
-    # the surjection sends the generator of summand s to v_s: on A it is the
-    # orbit [a_u . v_s]_u, on A e_t that orbit restricted along A e_t -> A
-    orbits = np.hsplit(_free_map_matrix(m, np.array([v for _, v in summands]).T), top_dim)
+    # generator s has simple type gens[s] // top_dim, and the surjection sends
+    # it to its lift v_s: on A it is the orbit [a_u . v_s]_u, on A e_t that
+    # orbit restricted along A e_t -> A
+    orbits = np.hsplit(_free_map_matrix(m, lifts[gens].T), top_dim)
     if len(idems) == 1:
         proj = free_module(a, m.side, top_dim)
     else:
         reg = regular_module(a, m.side)
-        pairs = [submodule(reg, [idems[t]]) for t, _ in summands]
+        pairs = [submodule(reg, [idems[j // top_dim]]) for j in gens]
         orbits = [mulmod(orbit, incl.matrix.a, a.p) for orbit, (_, incl) in zip(orbits, pairs)]
         summand_mods = [sub for sub, _ in pairs]
         proj = direct_sum(summand_mods) if len(summand_mods) > 1 else summand_mods[0]
     pi = ModuleMap(proj, m, Matrix(a.p, np.hstack(orbits)))
-    if not pi.is_surjective():
+    ker = pi.kernel()  # one elimination of pi: it is onto iff dim P - dim ker = dim m
+    if proj.dim - ker.dim != m.dim:
         raise RuntimeError("projective cover: constructed map is not surjective")
-    if not radical_submodule(proj).contains_subspace(pi.kernel()):
+    if not radical_submodule(proj).contains_subspace(ker):
         raise RuntimeError("projective cover: kernel not inside rad P")
     if proj.dim == m.dim:
-        return m, ModuleMap.identity(m)
-    return proj, pi
+        return m, ModuleMap.identity(m), ker
+    return proj, pi, ker
 
 
 def injective_envelope(m: FdModule) -> tuple[FdModule, ModuleMap]:
     """Injective envelope as the dual of the projective cover of the dual."""
     dm = dual_module(m)
-    cover, pi = projective_cover(dm)
+    cover, pi, _ = projective_cover(dm)
     env = dual_module(cover)
     iota = ModuleMap(m, env, pi.matrix.transpose(), check=False)
     if not iota.is_injective():
@@ -165,7 +156,7 @@ def injective_envelope(m: FdModule) -> tuple[FdModule, ModuleMap]:
 
 
 def is_projective(m: FdModule) -> bool:
-    cover, _ = projective_cover(m)
+    cover, _, _ = projective_cover(m)
     return cover.dim == m.dim
 
 
@@ -183,7 +174,6 @@ class _Stage:
     cover_map: ModuleMap  # proj ->> syzygy_k
     syzygy: FdModule  # Omega_k
     incl: ModuleMap | None  # Omega_k -> P_{k-1} (None at k = 0)
-    betti: int
 
 
 class Resolution:
@@ -197,12 +187,10 @@ class Resolution:
 
     def extend(self, depth: int) -> "Resolution":
         while len(self._stages) <= depth:
-            k = len(self._stages)
             omega = self._next_syzygy
-            proj, pi = projective_cover(omega)
-            ker = pi.kernel()
+            proj, pi, ker = projective_cover(omega)
             sub, incl_sub = submodule_from_subspace(proj, ker)
-            self._stages.append(_Stage(proj, pi, omega, self._next_incl, dim_top(proj)))
+            self._stages.append(_Stage(proj, pi, omega, self._next_incl))
             self._next_syzygy = sub
             self._next_incl = incl_sub
         return self
@@ -216,8 +204,9 @@ class Resolution:
         return self._stages[k].proj
 
     def betti(self, k: int) -> int:
-        self.extend(k)
-        return self._stages[k].betti
+        """Summands of P_k: dim top P_k, as each top A e_t is one-dimensional (split basic)."""
+        proj = self.proj(k)
+        return proj.dim - radical_submodule(proj).dim
 
     def betti_table(self, depth: int) -> list[int]:
         return [self.betti(k) for k in range(depth + 1)]
@@ -268,10 +257,6 @@ class Resolution:
             "betti": self.betti_table(depth),
             "differentials": [self.differential(k).matrix.to_lists() for k in range(1, depth + 1)],
         }
-
-
-def dim_top(m: FdModule) -> int:
-    return m.dim - radical_submodule(m).dim
 
 
 def min_proj_resolution(m: FdModule, depth: int) -> Resolution:

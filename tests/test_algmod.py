@@ -746,7 +746,7 @@ def _cover_kernels(m, depth=2):
     """(P_k, Omega_{k+1} as a subspace of P_k) along a minimal resolution of m."""
     out = []
     for _ in range(depth):
-        proj, pi = projective_cover(m)
+        proj, pi, _ = projective_cover(m)
         out.append((proj, pi.kernel()))
         m, _ = submodule_from_subspace(proj, out[-1][1])
     return out

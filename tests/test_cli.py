@@ -140,6 +140,26 @@ def test_corpus_runs_clean_and_deterministic():
     assert r1["hash"] == r2["hash"]
 
 
+def test_main_corpus_unknown_algebra_is_request_error(capsys):
+    assert main(["corpus", "--algebras", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown fixture algebra 'bogus'\n"
+
+
+def test_main_corpus_count_below_one_is_request_error(tmp_path, capsys):
+    out = tmp_path / "corpus.json"
+    assert main(["corpus", "--count", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: corpus count") and not out.exists()
+
+
+def test_main_dump_resolution_negative_depth_is_request_error(tmp_path, capsys):
+    out = tmp_path / "res.json"
+    code = main(["dump-resolution", "--algebra", fx("a1.json"), "--module-m", fx("a1_k_right.json"),
+                 "--depth", "-1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: resolution depth") and not out.exists()
+
+
 # --- main entry point ------------------------------------------------------------------
 
 def test_main_compute_writes_report(tmp_path):

@@ -1,7 +1,9 @@
 """Tests for towers, satellites, stabilization and complete homology."""
 
 import numpy as np
+import pytest
 
+from homct import completion, derived, resolve
 from homct.algmod import ModuleMap, dual_module, regular_module
 from homct.completion import (
     cosyzygy_map,
@@ -79,6 +81,61 @@ def test_cosyzygy_tower_negative_degree_starts_late():
     t = cosyzygy_tower(k_r, k_l, -2, 6)
     assert t.k_min == 2 and len(t.dims()) == 5
     assert t.dims() == [1, 1, 1, 1, 1]
+
+
+def test_cosyzygy_ses_checked_once_per_process(monkeypatch):
+    monkeypatch.setattr(resolve, "_memo", {})
+    checked = []
+    real_init = derived.ShortExactSeq.__init__
+
+    def spy(self, f, g, check=True):
+        checked.append(check)
+        real_init(self, f, g, check)
+
+    monkeypatch.setattr(derived.ShortExactSeq, "__init__", spy)
+    a2 = algebra_a2()
+    k_r, k_l = simple_k(a2, "right"), simple_k(a2, "left")
+    t1 = cosyzygy_tower(k_r, k_l, 0, 3)
+    assert checked.count(True) == 3  # k = 1, 2, 3, each verified once
+    t2 = cosyzygy_tower(k_r, k_l, 1, 3)
+    t3 = cosyzygy_tower(k_r, k_l, -1, 4)
+    assert checked.count(True) == 4  # only k = 4 is new
+    assert t1.dims() == [1, 4, 16, 64] and t2.k_max == 3 and t3.k_min == 1
+
+
+def test_non_exact_pair_raises_after_a_genuine_ses_is_verified():
+    a2 = algebra_a2()
+    k_l = simple_k(a2, "left")
+    cosyzygy_tower(simple_k(a2, "right"), k_l, 0, 2)  # verifies the SESs at k = 1, 2
+    inj = min_inj_resolution(k_l, 3)
+    om_prev, mid, om_next, incl, proj = inj.cosyzygy_ses(1)
+    with pytest.raises(ValueError, match="not surjective"):
+        derived.ShortExactSeq(incl, ModuleMap.zero(mid, om_next))
+    with pytest.raises(ValueError, match="not injective"):
+        derived.ShortExactSeq(ModuleMap.zero(om_prev, mid), proj)
+
+
+def test_cosyzygy_tower_raises_on_a_non_exact_ses(monkeypatch):
+    monkeypatch.setattr(resolve, "_memo", {})
+    real = completion.min_inj_resolution
+
+    class Broken:  # the injective resolution of n, with a cokernel map that is not onto
+        def __init__(self, n, depth):
+            self.inj = real(n, depth)
+
+        def cosyzygy(self, k):
+            return self.inj.cosyzygy(k)
+
+        def cosyzygy_ses(self, k):
+            om_prev, mid, om_next, incl, _ = self.inj.cosyzygy_ses(k)
+            return om_prev, mid, om_next, incl, ModuleMap.zero(mid, om_next)
+
+    monkeypatch.setattr(completion, "min_inj_resolution", Broken)
+    a2 = algebra_a2()
+    k_l = simple_k(a2, "left")
+    with pytest.raises(ValueError, match="not surjective"):
+        cosyzygy_tower(simple_k(a2, "right"), k_l, 0, 2)
+    assert ("cosyzygy_ses", k_l.fingerprint(), 1) not in resolve._memo
 
 
 # --- right satellites -------------------------------------------------------
@@ -256,6 +313,20 @@ def test_complete_homology_cross_check_flag():
     k_r, k_l = simple_k(a1, "right"), simple_k(a1, "left")
     rep = complete_homology(k_r, k_l, 0, 4, 3, cross_check=True)
     assert rep.stabilized and "satellite cross-check passed" in rep.notes
+
+
+def test_complete_homology_cross_check_builds_one_tower(monkeypatch):
+    built = []
+
+    def counted(*args, _fn=completion.cosyzygy_tower):
+        built.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(completion, "cosyzygy_tower", counted)
+    a1 = algebra_a1()
+    k_r, k_l = simple_k(a1, "right"), simple_k(a1, "left")
+    rep = complete_homology(k_r, k_l, 0, 4, 3, cross_check=True)
+    assert len(built) == 1 and "satellite cross-check passed" in rep.notes
 
 
 def test_tower_json_dump():

@@ -612,3 +612,120 @@ def test_batched_rref_memory_peak():
     # the first rounds update more rows than one block of _UPDATE_ENTRIES holds
     ref, ref_pivots = exactla._rref_loop(a, 2)
     assert pivots == ref_pivots and np.array_equal(r, ref)
+
+
+# --- one-pass kernel basis ---------------------------------------------------
+
+KERNEL_PRIMES = [2, 3, 5, 3037000493]
+
+
+def _two_pass_kernel(a, p):
+    """The reference: null rows of the RREF, canonicalised by a second elimination."""
+    return Subspace(p, a.shape[1], exactla._null_rows(*_rref_array(a, p), p))
+
+
+def _assert_kernel_matches_two_pass(a, p):
+    k = kernel_basis(Matrix(p, a))
+    ref = _two_pass_kernel(Matrix(p, a).a, p)
+    assert k.pivots == ref.pivots and k.ambient_dim == ref.ambient_dim == a.shape[1]
+    assert k.basis.a.dtype == np.int64 and k.basis.a.shape == ref.basis.a.shape
+    assert np.array_equal(k.basis.a, ref.basis.a)
+    assert not mulmod(Matrix(p, a).a, k.basis.a.T, p).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(KERNEL_PRIMES),
+    st.integers(min_value=0, max_value=10),  # rows
+    st.integers(min_value=0, max_value=10),  # cols
+    st.integers(min_value=0, max_value=10),  # rank cap
+    st.floats(min_value=0.0, max_value=1.0),  # density of the factors
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_kernel_basis_matches_two_pass(p, rows, cols, k, density, seed):
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, size=(rows, k)) * (rng.random((rows, k)) < density)
+    right = rng.integers(0, p, size=(k, cols)) * (rng.random((k, cols)) < density)
+    _assert_kernel_matches_two_pass(_exact_product(left, right, p), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(KERNEL_PRIMES),
+    st.sampled_from(["kron", "echelon", "chain", "wide", "zero"]),
+    st.booleans(),  # transposed: the kernel of a tall matrix is small, of a wide one large
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_kernel_basis_matches_two_pass_batched(p, kind, transposed, seed):
+    a = _structured_matrix(kind, p, np.random.default_rng(seed))
+    assert a.size > _LOOP_MAX_ENTRIES
+    _assert_kernel_matches_two_pass(a.T.copy() if transposed else a, p)
+
+
+def _pinned_kernel_inputs(p):
+    rng = np.random.default_rng(p % 1000)
+    sparse = rng.integers(0, p, size=(64, 65)) * (rng.random((64, 65)) < 0.05)
+    return {
+        "0x0": np.zeros((0, 0), dtype=np.int64),
+        "0 rows": np.zeros((0, 5), dtype=np.int64),
+        "0 cols": np.zeros((5, 0), dtype=np.int64),
+        "zero": np.zeros((4, 6), dtype=np.int64),
+        "identity": np.eye(5, dtype=np.int64),
+        "full row rank": np.hstack([np.eye(3, dtype=np.int64), rng.integers(0, p, size=(3, 4))]),
+        "full column rank": np.vstack([np.eye(4, dtype=np.int64), rng.integers(0, p, size=(3, 4))]),
+        "loop, 64x64": sparse[:, :64],  # _LOOP_MAX_ENTRIES entries: the loop
+        "rounds, 64x65": sparse,  # one column more: the rounds
+        "rounds, zero 70x70": np.zeros((70, 70), dtype=np.int64),
+        "rounds, full rank 70x70": np.triu(rng.integers(1, p, size=(70, 70)))[rng.permutation(70)],
+    }
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_basis_pinned_shapes(p, monkeypatch):
+    used = []
+    for name in ("_rref_loop", "_rref_rounds"):
+        def spy(*args, _name=name, _fn=getattr(exactla, name)):
+            used.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(exactla, name, spy)
+    for name, a in _pinned_kernel_inputs(p).items():
+        used.clear()
+        _assert_kernel_matches_two_pass(a, p)
+        assert used[0] == ("_rref_rounds" if name.startswith("rounds") else "_rref_loop"), name
+    zero = kernel_basis(Matrix(p, np.zeros((4, 6), dtype=np.int64)))
+    assert zero == Subspace.full(p, 6) and zero.pivots == tuple(range(6))
+    assert kernel_basis(Matrix.identity(p, 5)).dim == 0
+
+
+def test_kernel_basis_eliminates_once(monkeypatch):
+    calls = []
+
+    def counted(a, p, _fn=exactla._rref_array):
+        calls.append(a.shape)
+        return _fn(a, p)
+
+    monkeypatch.setattr(exactla, "_rref_array", counted)
+    k = kernel_basis(Matrix(3, [[1, 2, 0, 1], [0, 0, 1, 2]]))
+    # free columns of the column-reversed elimination (pivots 3 and 2 of m)
+    assert calls == [(2, 4)] and k.pivots == (0, 1)
+    assert k.basis.to_lists() == [[1, 0, 2, 2], [0, 1, 1, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(KERNEL_PRIMES),
+    st.integers(min_value=0, max_value=9),  # ambient dimension
+    st.integers(min_value=0, max_value=6),  # spanning rows of Z
+    st.integers(min_value=0, max_value=6),  # rows of B, combinations of Z's
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_subquotient_boundary_coordinates_need_no_elimination(p, n, zr, br, seed):
+    # B's RREF basis in Z-coordinates, taken as an RREF as it stands, equals the
+    # eliminated one: the rows lead at pivots of Z
+    rng = np.random.default_rng(seed)
+    z = Subspace(p, n, rng.integers(0, p, size=(zr, n)))
+    b = Subspace(p, n, z.from_coords(rng.integers(0, p, size=(br, z.dim))))
+    sq = Subquotient(z, b)
+    ref = Subspace(p, z.dim, z.coords(b.basis.a))
+    assert sq._b_in_z.pivots == ref.pivots and np.array_equal(sq._b_in_z.basis.a, ref.basis.a)
+    assert sq.dim == z.dim - b.dim

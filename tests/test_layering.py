@@ -1,15 +1,22 @@
-"""Layering: every product mod p goes through ``exactla.mulmod``.
+"""Layering: every product mod p goes through ``exactla.mulmod``, and every
+elimination through ``exactla``'s public entry points.
 
 Outside ``exactla`` no module may contract raw arrays with numpy's product
 routines, or apply ``@`` to the entry array ``.a`` (or ``.a.T``) of a Matrix:
 an int64 product there wraps silently once inner * (p-1)^2 reaches 2^63,
-which ``mulmod`` avoids by splitting the inner dimension.
+which ``mulmod`` avoids by splitting the inner dimension.  Nor may it call
+the eliminator's private helpers or build a ``Subspace`` around a basis that
+was not eliminated there.  The elimination counts of one resolution stage and
+one homology space are pinned, so a change that eliminates a matrix twice
+fails here.
 """
 
 import ast
 from pathlib import Path
 
 import homct
+from homct import derived, exactla, resolve
+from homct.fixtures import algebra_a2, simple_k
 
 FORBIDDEN = {"einsum", "tensordot", "dot", "matmul", "inner"}
 SRC = Path(homct.__file__).parent
@@ -55,3 +62,76 @@ def test_checker_flags_raw_products():
            "f.a @ g.a\nf @ g\nr @ m.a.T % p\n")
     assert [name for _, name in _raw_products(ast.parse(src))] == [
         "np.einsum", "np.tensordot", ".dot", "@ on .a", "@ on .a"]
+
+
+# exactla's private eliminator and trusted constructor
+PRIVATE_ELIMINATION = {"_rref_array", "_null_rows", "_from_rref"}
+
+
+def _private_eliminations(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every use of PRIVATE_ELIMINATION and every ``Subspace.__new__``
+    or ``__new__(Subspace)``."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):  # from .exactla import ...
+            name = node.name
+        else:
+            name = None
+        if name in PRIVATE_ELIMINATION:
+            hits.append((node.lineno, name))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__":
+            owners = [node.func.value, *node.args[:1]]
+            if any(isinstance(o, ast.Name) and o.id == "Subspace" for o in owners):
+                hits.append((node.lineno, "Subspace.__new__"))
+    return sorted(hits)
+
+
+def test_eliminations_only_in_exactla():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "exactla.py")
+    found = [f"{p.name}:{line} {name}"
+             for p in modules
+             for line, name in _private_eliminations(ast.parse(p.read_text(), filename=str(p)))]
+    assert found == []
+
+
+def test_checker_flags_private_eliminations():
+    src = ("from .exactla import _rref_array\nexactla._null_rows(r, piv, p)\n"
+           "Subspace.__new__(Subspace)\nobject.__new__(Subspace)\nSubspace._from_rref(p, n, r, piv)\n"
+           "Matrix.__new__(Matrix)\n")
+    assert [name for _, name in _private_eliminations(ast.parse(src))] == [
+        "_rref_array", "_null_rows", "Subspace.__new__", "Subspace.__new__", "_from_rref"]
+
+
+def _count_eliminations(monkeypatch) -> list:
+    shapes = []
+
+    def counted(a, p, _fn=exactla._rref_array):
+        shapes.append(a.shape)
+        return _fn(a, p)
+
+    monkeypatch.setattr(exactla, "_rref_array", counted)
+    return shapes
+
+
+def test_one_resolution_stage_eliminates_four_matrices(monkeypatch):
+    # rad Omega, the top generators' rank profile, ker pi, rad P (the cover check)
+    a2 = algebra_a2()
+    res = resolve.Resolution(simple_k(a2, "right")).extend(1)
+    shapes = _count_eliminations(monkeypatch)
+    res.extend(2)
+    assert len(shapes) == 4
+
+
+def test_one_tensor_homology_eliminates_two_matrices(monkeypatch):
+    # cycles (one-pass kernel) and boundaries; the boundaries' cycle
+    # coordinates are an RREF already
+    a2 = algebra_a2()
+    res = resolve.Resolution(simple_k(a2, "right")).extend(3)
+    chain = derived.TensorChain(res, simple_k(a2, "left"))
+    shapes = _count_eliminations(monkeypatch)
+    assert chain.homology(2).dim == 4
+    assert len(shapes) == 2

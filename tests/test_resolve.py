@@ -6,24 +6,32 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from homct import resolve
 from homct.algmod import (
     Algebra,
+    FdModule,
+    _free_map_matrix,
     direct_sum,
     dual_module,
     is_isomorphic,
+    make_group_algebra,
     make_monomial_quotient,
     quotient_module,
+    radical_submodule,
     regular_module,
     simple_modules,
+    submodule,
 )
+from homct.exactla import Matrix, Subspace, kernel_basis, mulmod, solve_matrix
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
     algebra_a3,
     algebra_a4,
     a3_mod_x,
+    fixture_algebras,
     simple_k,
 )
 from homct.resolve import (
@@ -51,7 +59,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 def test_cover_of_k_over_a1():
     a1 = algebra_a1()
     k = simple_k(a1)
-    cover, pi = projective_cover(k)
+    cover, pi, _ = projective_cover(k)
     assert cover.dim == 2 and pi.is_surjective()
     ker = pi.kernel()
     assert ker.dim == 1 and ker.contains(np.array([0, 1]))
@@ -60,7 +68,7 @@ def test_cover_of_k_over_a1():
 def test_cover_of_projective_is_identity():
     a2 = algebra_a2()
     reg = regular_module(a2, "left")
-    cover, pi = projective_cover(reg)
+    cover, pi, _ = projective_cover(reg)
     assert cover is reg and pi.matrix == pi.matrix.identity(2, 3)
 
 
@@ -68,7 +76,7 @@ def test_cover_of_k2_over_a2():
     a2 = algebra_a2()
     k = simple_k(a2)
     k2 = direct_sum([k, k])
-    cover, pi = projective_cover(k2)
+    cover, pi, _ = projective_cover(k2)
     assert cover.dim == 6
     assert pi.kernel().dim == 4
 
@@ -92,17 +100,106 @@ def test_covers_over_non_local_triangular_algebra():
     for side, rows in expected.items():
         simples = simple_modules(a, side)
         for s, (dim, mat, dims, diffs) in zip(simples, rows):
-            cover, pi = projective_cover(s)
+            cover, pi, _ = projective_cover(s)
             assert cover.dim == dim and pi.matrix.to_lists() == mat
             res = min_proj_resolution(s, 2)
             assert [res.proj(k).dim for k in range(3)] == dims
             assert res.to_dict(2)["differentials"] == diffs
         reg = regular_module(a, side)
-        cover, pi = projective_cover(reg)
+        cover, pi, _ = projective_cover(reg)
         assert cover.dim == 3 and cover is reg
-        cover, pi = projective_cover(direct_sum(simples))
+        cover, pi, _ = projective_cover(direct_sum(simples))
         assert cover.dim == 3 and pi.matrix.to_lists() == sum_covers[side]
         assert pi.is_surjective() and pi.kernel().dim == 1
+
+
+def _greedy_cover(m):
+    """The reference: the top decomposition as it was, one rank test per candidate
+    top generator, kept when the rank modulo rad m grows; returns (generators, pi)."""
+    a = m.algebra
+    if m.dim == 0:
+        return [], Matrix.zeros(a.p, 0, 0)
+    idems = a.primitive_idempotents()
+    rad_m = radical_submodule(m)
+    comp = rad_m.complement_cols()
+    summands = []
+    taken = Subspace.zero(a.p, m.dim)
+    idem_actions = m.action_of(np.array(idems))
+    for t in range(len(a.characters())):
+        lifts = idem_actions[t][:, comp].T
+        for w, red in zip(lifts, rad_m.reduce(lifts)):
+            if not red.any():
+                continue
+            cand = taken.add(Subspace(a.p, m.dim, red.reshape(1, -1)))
+            if cand.dim > taken.dim:
+                summands.append((t, w))
+                taken = cand
+            if len(summands) == len(comp):
+                break
+        if len(summands) == len(comp):
+            break
+    orbits = np.hsplit(_free_map_matrix(m, np.array([w for _, w in summands]).T), len(comp))
+    if len(idems) > 1:
+        reg = regular_module(a, m.side)
+        incls = [submodule(reg, [idems[t]])[1] for t, _ in summands]
+        orbits = [mulmod(orbit, incl.matrix.a, a.p) for orbit, incl in zip(orbits, incls)]
+    return summands, Matrix(a.p, np.hstack(orbits))
+
+
+def _triangular_f3():
+    """T_2(F_3), upper triangular 2x2 over F_3 on e11, e12, e22: two simples."""
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, k] = 1
+    return Algebra(3, struct, [1, 0, 1])
+
+
+# F_3[C_3 x C_3]: element 3i + j is (i, j)
+C3XC3_TABLE = [[3 * ((g // 3 + h // 3) % 3) + (g + h) % 3 for h in range(9)] for g in range(9)]
+
+
+def _twisted(m, seed):
+    """m in another basis, x -> g x for a random unitriangular-product g: the top
+    basis no longer splits along the idempotents, so several candidates of one
+    simple type compete, and which one is kept matters."""
+    p, n = m.p, m.dim
+    rng = np.random.default_rng(seed)
+    g = mulmod(np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64),
+               np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64), p)
+    g_inv = solve_matrix(Matrix(p, g), Matrix.identity(p, n)).a
+    action = [Matrix(p, mulmod(mulmod(g, act.a, p), g_inv, p)) for act in m.action]
+    return FdModule(m.algebra, m.side, n, action)
+
+
+def _cover_inputs(a):
+    """Per side: the simples, their direct sum, the regular module, the zero
+    module, and the first syzygies of k along its minimal resolution; the
+    nonzero ones also in a twisted basis."""
+    for side in ("left", "right"):
+        simples = simple_modules(a, side)
+        res = min_proj_resolution(simples[0], 3)
+        mods = [*simples, direct_sum(simples + simples[:1]), regular_module(a, side),
+                *(res.syzygy(k) for k in range(1, 4))]
+        yield from mods
+        yield from (_twisted(m, seed) for seed, m in enumerate(mods))
+        yield FdModule(a, side, 0, [Matrix.zeros(a.p, 0, 0)] * a.dim, check=False)
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4", "t2f3", "c3c3"])
+def test_cover_rank_profile_matches_greedy_reference(name):
+    a = {**fixture_algebras(), "t2f3": _triangular_f3(),
+         "c3c3": make_group_algebra(C3XC3_TABLE, 3)}[name]
+    for m in _cover_inputs(a):
+        proj, pi, ker = projective_cover(m)
+        summands, ref_pi = _greedy_cover(m)
+        assert ker == kernel_basis(pi.matrix) and proj.dim - ker.dim == m.dim
+        if proj is m:  # projective or zero: the identity, and the reference cover is onto m
+            assert pi.matrix == Matrix.identity(a.p, m.dim) and ref_pi.cols == m.dim
+            assert m.dim == 0 or kernel_basis(ref_pi).dim == 0
+            continue
+        # the same generators in the same order give the same orbits, so the same pi
+        assert pi.matrix == ref_pi and proj.dim == ref_pi.cols
+        assert resolve.Resolution(m).betti(0) == len(summands)
 
 
 # --- envelopes -----------------------------------------------------------------
