@@ -33,6 +33,7 @@ from .exactla import (
     mulmod,
     quotient_and_induced,
     quotient_projection,
+    reduced,
     rref,
     solve_matrix,
 )
@@ -116,9 +117,8 @@ class Algebra:
         against each other; u * v = sum_{i,j} u_i v_j e_i e_j is one product
         of the flattened outer products u_i v_j with the structure constants.
         """
-        u = np.asarray(u, dtype=np.int64) % self.p
-        v = np.asarray(v, dtype=np.int64) % self.p
-        outer = u[..., :, None] * v[..., None, :] % self.p
+        u, v = reduced(u, self.p), reduced(v, self.p)
+        outer = reduced(u[..., :, None] * v[..., None, :], self.p)
         n = self.dim
         return mulmod(outer.reshape(outer.shape[:-2] + (n * n,)),
                       self.structure.reshape(n * n, n), self.p)
@@ -128,16 +128,12 @@ class Algebra:
 
         For a block of k row vectors: the k matrices as one (k, dim, dim) array.
         """
-        v = np.asarray(v, dtype=np.int64) % self.p
+        v = reduced(v, self.p)
         n = self.dim
         # (L_v)[k, j] = sum_i v_i c[i][j][k]: one product, then swap (j, k)
         lm = mulmod(v, self.structure.reshape(n, n * n), self.p)
         lm = lm.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
         return Matrix(self.p, lm) if v.ndim == 1 else lm
-
-    def right_mult_matrix(self, v):
-        """Matrix of x -> x * v on column coordinates (a stack for a block of rows)."""
-        return self.opposite().left_mult_matrix(v)
 
     def fingerprint(self) -> str:
         h = self._cache.get("fingerprint")
@@ -354,7 +350,7 @@ def _quotient_characters(q: Algebra) -> list[np.ndarray]:
                 refined.append(blk)
                 continue
             for lam in range(p):
-                shifted = Matrix(p, (lm.a - lam * np.eye(s, dtype=np.int64)) % p)
+                shifted = Matrix(p, lm.a - lam * np.eye(s, dtype=np.int64))
                 eig = kernel_basis(shifted).intersect(blk)
                 if eig.dim:
                     refined.append(eig)
@@ -550,10 +546,14 @@ class FdModule:
         """Action matrix of an algebra element.
 
         For a block of k row vectors: the k actions as one (k, dim, dim) array.
+        Only the actions of basis elements that some row uses are stacked, so acting
+        by a few sparse elements, such as the radical generators, copies only a few.
         """
-        avec = np.asarray(avec, dtype=np.int64) % self.p
+        avec = reduced(avec, self.p)
         d = self.dim
-        acts = mulmod(avec, _action_stack(self).reshape(len(self.action), d * d), self.p)
+        used = np.flatnonzero(avec.reshape(-1, len(self.action)).any(axis=0))
+        stack = np.array([self.action[u].a for u in used], dtype=np.int64).reshape(used.size, d * d)
+        acts = mulmod(avec[..., used], stack, self.p)
         acts = acts.reshape(avec.shape[:-1] + (d, d))
         return Matrix(self.p, acts) if avec.ndim == 1 else acts
 
@@ -582,12 +582,6 @@ class FdModule:
         if self.side == "left":
             raise ValueError("already a left module")
         return FdModule(self.algebra.opposite(), "left", self.dim, self.action,
-                        check=False, free_rank=self.free_rank)
-
-    def as_right_over_opposite(self) -> "FdModule":
-        if self.side == "right":
-            raise ValueError("already a right module")
-        return FdModule(self.algebra.opposite(), "right", self.dim, self.action,
                         check=False, free_rank=self.free_rank)
 
     def is_zero(self) -> bool:
@@ -786,7 +780,7 @@ class TensorSpace:
     def project(self, rows) -> np.ndarray:
         if self.relations is not None:
             return np.take(self.relations.reduce(rows), self._comp, axis=-1)
-        rows = np.asarray(rows, dtype=np.int64) % self.p
+        rows = reduced(rows, self.p)
         lead = rows.shape[:-1]
         da, dn = self.n.algebra.dim, self.n.dim
         # row u * dn + t of the action block is a_u . n_t
@@ -794,7 +788,7 @@ class TensorSpace:
         return mulmod(rows.reshape(lead + (self.b, da * dn)), act, self.p).reshape(lead + (self.dim,))
 
     def lift(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64) % self.p
+        coords = reduced(coords, self.p)
         lead = coords.shape[:-1]
         if self.relations is not None:
             out = np.zeros(lead + (self.relations.ambient_dim,), dtype=np.int64)
@@ -866,11 +860,6 @@ def hom_postcompose(g: ModuleMap, dom: Subspace, cod) -> Matrix:
     return Matrix(g.p, cod.coords(mulmod(g.matrix.a, maps, g.p).reshape(dom.dim, -1)).T)
 
 
-def hom_map_from_vec(m: FdModule, n: FdModule, vec: np.ndarray) -> ModuleMap:
-    mat = Matrix(m.p, np.asarray(vec, dtype=np.int64).reshape(n.dim, m.dim))
-    return ModuleMap(m, n, mat, check=False)
-
-
 def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
     """Hom_A(m, n) modulo maps factoring through a projective.
 
@@ -891,15 +880,15 @@ def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
 
 def socle(m: FdModule) -> Subspace:
     """Annihilator of rad(A) in m: the common kernel of the radical generators."""
-    acts = m.action_of(m.algebra.radical_generators())
-    return kernel_basis(Matrix(m.p, acts.reshape(len(acts) * m.dim, m.dim)))
+    gens = m.algebra.radical_generators()
+    return kernel_basis(Matrix(m.p, m.action_of(gens).reshape(len(gens) * m.dim, m.dim)))
 
 
 def radical_submodule(m: FdModule) -> Subspace:
     """rad(A) * m as a subspace of m: the sum of the images of the radical generators."""
-    acts = m.action_of(m.algebra.radical_generators())
-    # the columns x . m_j of each generator's action, generator by generator
-    return Subspace(m.p, m.dim, acts.transpose(0, 2, 1).reshape(len(acts) * m.dim, m.dim))
+    gens = m.algebra.radical_generators()
+    # the columns x . m_j of each generator's action; the actions are freed before eliminating
+    return Subspace(m.p, m.dim, m.action_of(gens).transpose(0, 2, 1).reshape(len(gens) * m.dim, m.dim))
 
 
 def top(m: FdModule) -> tuple[FdModule, ModuleMap]:

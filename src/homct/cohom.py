@@ -50,6 +50,7 @@ from .exactla import (
     image_basis,
     kernel_basis,
     mulmod,
+    reduced,
     rref,
     solve_matrix,
 )
@@ -158,7 +159,7 @@ class _FreeHomCoords:
         self.p = pmod.p
 
     def to_ambient(self, coords: np.ndarray) -> Matrix:
-        x = np.asarray(coords, dtype=np.int64).reshape(self.b, self.dq) % self.p
+        x = reduced(coords, self.p).reshape(self.b, self.dq)
         return Matrix(self.p, _free_map_matrix(self.qmod, x.T))
 
     def coords(self, rows: np.ndarray) -> np.ndarray:
@@ -169,7 +170,7 @@ class _FreeHomCoords:
 
     def postcompose(self, g: ModuleMap, tgt: "_FreeHomCoords") -> Matrix:
         """Matrix of f -> g o f into Hom(A^b, Q') coordinates."""
-        return Matrix(self.p, np.kron(np.eye(self.b, dtype=np.int64), g.matrix.a) % self.p)
+        return Matrix(self.p, np.kron(np.eye(self.b, dtype=np.int64), g.matrix.a))
 
     def precompose(self, d: ModuleMap, tgt) -> Matrix:
         """Matrix of f -> f o d into Hom(source of d, Q) coordinates."""
@@ -261,9 +262,7 @@ class SegmentStage:
             pre = self.coords[t - 1].precompose(d_p, tgt)
             block = np.zeros((tgt.dim, self.total), dtype=np.int64)
             block[:, self.offsets[t]: self.offsets[t] + self.coords[t].dim] = post.a
-            block[:, self.offsets[t - 1]: self.offsets[t - 1] + self.coords[t - 1].dim] = (
-                (-sign) * pre.a
-            ) % self.p
+            block[:, self.offsets[t - 1]: self.offsets[t - 1] + self.coords[t - 1].dim] = -sign * pre.a
             rows.append(block)
         return kernel_basis(Matrix(self.p, np.vstack(rows)))
 
@@ -282,10 +281,7 @@ class SegmentStage:
             if t1 <= self.hi:
                 d_p = self.res_m.differential(t1)
                 pre = src.precompose(d_p, self.coords[t1])
-                col[self.offsets[t1]: self.offsets[t1] + self.coords[t1].dim, :] = (
-                    col[self.offsets[t1]: self.offsets[t1] + self.coords[t1].dim, :]
-                    + sign * pre.a
-                ) % self.p
+                col[self.offsets[t1]: self.offsets[t1] + self.coords[t1].dim, :] += sign * pre.a
             blocks.append(col)
             src_dims.append(src.dim)
         if not blocks:

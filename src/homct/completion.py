@@ -293,23 +293,17 @@ def tower_limit(t: Tower, w: int) -> StabilizationReport:
         raise ValueError("window must be >= 1")
     K = t.k_max
     dims = t.dims()
-    p = None
-    for k in range(t.k_min + 1, K + 1):
-        p = t.maps[k].p
-        break
-    if p is None:
-        p = 2
+    p = t.maps[t.k_min + 1].p if K > t.k_min else 2
     chain: dict[int, list[int]] = {}
     eventual: dict[int, Subspace] = {}
     for idx, k in enumerate(range(t.k_min, K + 1)):
-        row = [dims[idx]]
-        comp = None
+        row, comp = [dims[idx]], None
         for khi in range(k + 1, K + 1):
-            step = t.maps[khi]
-            comp = step if comp is None else comp @ step
-            row.append(rref(comp)[2])
-        chain[k] = row
+            if comp is not None:  # the last composite's rank is its image's dim, below
+                row.append(rref(comp)[2])
+            comp = t.maps[khi] if comp is None else comp @ t.maps[khi]
         eventual[k] = image_basis(comp) if comp is not None else Subspace.full(p, dims[idx])
+        chain[k] = row + ([eventual[k].dim] if comp is not None else [])
     report = StabilizationReport("", t.i, t.k_min, w, dims, chain, "Inconclusive")
     report.provenance = t.provenance
     n_stages = len(dims)

@@ -175,7 +175,7 @@ def second_arg_tensor_matrix(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, p
     """Matrix of id_P tensor g between components with the same first argument."""
     p = g.p
     if pmod.free_rank is not None:
-        return Matrix(p, np.kron(np.eye(pmod.free_rank, dtype=np.int64), g.matrix.a) % p)
+        return Matrix(p, np.kron(np.eye(pmod.free_rank, dtype=np.int64), g.matrix.a))
     full = kron(Matrix.identity(p, pmod.dim), g.matrix)
     return Matrix(p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 

@@ -37,6 +37,15 @@ int64 ``@`` beyond that, on inner blocks of floor((2^63-1) / (p-1)^2)
 columns reduced mod p after each block, so no product wraps and none raises
 OverflowError.  The modulus is bounded by (p-1)^2 < 2^63 (MAX_MODULUS), the
 range of the eliminator's row update; every prime up to it computes.
+
+Values are reduced mod p only where they can leave [0, p), FFLAS-FFPACK's
+rule (Dumas-Giorgi-Pernet, ACM TOMS 2008): after products, row updates, pivot
+scaling and subtractions.  Inputs (``Matrix`` entries, vectors, the
+eliminator's input) are almost always reduced, so they are checked in one
+pass and reduced only when needed, in place by ``_reduce``: at p = 2^k it keeps
+the low k bits (a &= p - 1), exact in two's complement; otherwise a -= p *
+(a // p), as floor division by a scalar is exact and several times cheaper
+than ``%``, and int64 arithmetic is exact mod 2^64 should p * (a // p) wrap.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ __all__ = [
     "quotient_and_induced",
     "mulmod",
     "matpow",
+    "reduced",
     "MAX_MODULUS",
 ]
 
@@ -78,6 +88,34 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array ``a`` mod p >= 2 in place, in blocks of _UPDATE_ENTRIES; return it."""
+    if not p & (p - 1):
+        a &= p - 1
+        return a
+    if a.size <= _UPDATE_ENTRIES:
+        blocks = (a,)
+    else:
+        step = max(1, a.shape[0] * _UPDATE_ENTRIES // a.size)
+        blocks = (a[s:s + step] for s in range(0, a.shape[0], step))
+    for blk in blocks:
+        q = blk // p
+        q *= p
+        blk -= q
+    return a
+
+
+def _in_field(a: np.ndarray, p: int) -> bool:
+    """Every entry of the int64 array ``a`` in [0, p)?  One pass: read as uint64, a negative one is >= 2^63."""
+    return not a.size or int(a.view(np.uint64).max()) < p
+
+
+def reduced(v, p: int) -> np.ndarray:
+    """v as int64 entries in [0, p): v itself when they lie there already, else a reduced copy."""
+    a = np.asarray(v, dtype=np.int64)
+    return a if _in_field(a, p) else _reduce(a.copy(), p)
+
+
 class Matrix:
     """Immutable dense matrix over F_p (row-major, int64 entries in [0, p))."""
 
@@ -88,10 +126,11 @@ class Matrix:
             raise ValueError(f"modulus {p} exceeds {MAX_MODULUS}: (p-1)^2 must stay below 2^63")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        a = np.asarray(entries, dtype=np.int64)
+        a = np.array(entries, dtype=np.int64)  # a copy: never the caller's memory
         if a.ndim != 2:
             raise ValueError("matrix entries must be two-dimensional")
-        a = np.mod(a, p)
+        if not _in_field(a, p):
+            _reduce(a, p)
         a.setflags(write=False)
         self.p = p
         self.a = a
@@ -136,25 +175,25 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p or self.a.shape != other.a.shape:
             raise ValueError("shape or modulus mismatch")
-        return Matrix(self.p, (self.a + other.a) % self.p)
+        return Matrix(self.p, self.a + other.a)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p or self.a.shape != other.a.shape:
             raise ValueError("shape or modulus mismatch")
-        return Matrix(self.p, (self.a - other.a) % self.p)
+        return Matrix(self.p, self.a - other.a)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.p, (-self.a) % self.p)
+        return Matrix(self.p, -self.a)
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(self.p, (self.a * (c % self.p)) % self.p)
+        return Matrix(self.p, self.a * (c % self.p))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.p, self.a.T)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply to a coordinate vector (cols,) or to each row of a block (k, cols)."""
-        v = np.asarray(v, dtype=np.int64) % self.p
+        v = reduced(v, self.p)
         if v.ndim not in (1, 2) or v.shape[-1] != self.cols:
             raise ValueError(f"vector length {v.shape} does not match cols {self.cols}")
         return mulmod(v, self.a.T, self.p)
@@ -174,7 +213,7 @@ def vstack(ms: list[Matrix]) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.p != b.p:
         raise ValueError("modulus mismatch")
-    return Matrix(a.p, np.kron(a.a, b.a) % a.p)
+    return Matrix(a.p, np.kron(a.a, b.a))
 
 
 def mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -191,7 +230,10 @@ def mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     without rounding error.  Beyond that it runs on int64 ``@`` (no BLAS),
     split into inner blocks of floor((2^63-1) / (p-1)^2) columns, each of
     which stays below 2^63, and reduced after each block.  Every p up to
-    MAX_MODULUS computes exactly; nothing wraps or raises.
+    MAX_MODULUS computes exactly; nothing wraps or raises.  The sums, the
+    only values here that leave [0, p), are reduced in place by ``_reduce``,
+    exactly: &= p - 1 at p = 2^k keeps the residue in two's complement, and
+    floor division by the scalar p is exact (see the module docstring).
     """
     inner = x.shape[-1]
     if inner * (p - 1) ** 2 < 2**53:
@@ -200,10 +242,9 @@ def mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
         step = (2**63 - 1) // (p - 1) ** 2
         out = x[..., :step] @ y[..., :step, :]
         for lo in range(step, inner, step):
-            out %= p
-            out += x[..., lo:lo + step] @ y[..., lo:lo + step, :] % p
-    out %= p
-    return out
+            _reduce(out, p)
+            out += _reduce(x[..., lo:lo + step] @ y[..., lo:lo + step, :], p)
+    return _reduce(out, p)
 
 
 def matpow(x: np.ndarray, e: int, q: int) -> np.ndarray:
@@ -241,7 +282,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     through the one-pivot-per-step loop, larger ones through the batched
     rounds.  Requires (p-1)^2 < 2^63 (MAX_MODULUS) for the row update.
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = reduced(a, p)  # every Matrix is reduced already
     if a.size <= _LOOP_MAX_ENTRIES:
         return _rref_loop(a, p)
     return _rref_rounds(a, p)
@@ -251,7 +292,7 @@ def _rref_loop(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """One pivot per step: it updates only the rows that are nonzero in its
     column, and only from the pivot column on (the pivot row is zero to its
     left)."""
-    r = np.mod(a, p, order="C")
+    r = np.array(a, order="C")
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0
@@ -266,11 +307,11 @@ def _rref_loop(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             r[[row, i]] = r[[i, row]]
         inv = pow(int(r[row, col]), p - 2, p)
         if inv != 1:
-            r[row, col:] = (r[row, col:] * inv) % p
+            r[row, col:] = _reduce(r[row, col:] * inv, p)
         hit = np.flatnonzero(r[:, col])
         hit = hit[hit != row]
         if hit.size:
-            r[hit, col:] = (r[hit, col:] - np.outer(r[hit, col], r[row, col:])) % p
+            r[hit, col:] = _reduce(r[hit, col:] - np.outer(r[hit, col], r[row, col:]), p)
         pivots.append(col)
         row += 1
     return r, pivots
@@ -306,11 +347,9 @@ def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if not rows.size:
         return np.zeros((nrows, ncols), dtype=np.int64), []
     c = a[rows] if cols.size == ncols else a[np.ix_(rows, cols)]
-    if c.min() < 0 or c.max() >= p:  # every Matrix is reduced already
-        c %= p
     pivot_row = np.full(c.shape[1], -1, dtype=np.intp)  # core row of each column's pivot
     reduced = np.zeros(c.shape[1], dtype=bool)  # pivot columns back-substituted already
-    rows, lead = _leads(np.arange(c.shape[0]), c, 0)  # an entry mod p may zero a row
+    rows, lead = _leads(np.arange(c.shape[0]), c, 0)
     while rows.size:
         fresh = np.flatnonzero(pivot_row[lead] < 0)
         if _STALL_RATIO * fresh.size < rows.size:
@@ -324,7 +363,7 @@ def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             inv = np.array([pow(int(v), p - 2, p) for v in c[new_rows, new_cols]], dtype=np.int64)
             scale = inv != 1
             at = new_rows[scale]
-            c[at, lo:] = c[at, lo:] * inv[scale, None] % p
+            c[at, lo:] = _reduce(c[at, lo:] * inv[scale, None], p)
         keep = np.ones(rows.size, dtype=bool)
         keep[fresh[first]] = False
         rows, lead = rows[keep], lead[keep]
@@ -435,8 +474,7 @@ def _clear(c: np.ndarray, rows: np.ndarray, pcols: np.ndarray, out: np.ndarray,
             o = out[t:t + width]
             block = x[:, o]
             block -= mulmod(coef, _take(c, pivot_row[hit], o), p)
-            block %= p
-            x[:, o] = block
+            x[:, o] = _reduce(block, p)
         x[:, hit] = 0
         c[at] = x
 
@@ -472,7 +510,7 @@ def _reduce_rows(c: np.ndarray, rows: np.ndarray, lead: np.ndarray, pivot_row: n
     else:
         sub *= c[rows, lead][:, None]
         upd -= sub
-        upd %= p
+        _reduce(upd, p)
     del sub
     c[rows, lo:] = upd
     return _leads(rows, upd, lo)
@@ -495,7 +533,7 @@ def _row_major(v, p: int) -> np.ndarray:
     against 0.71 s for a 640x704 by 704x960 product); pivot columns are
     taken with np.take, which keeps C order where w[..., pivots] does not.
     """
-    return np.mod(np.asarray(v, dtype=np.int64), p, order="C")
+    return reduced(np.asarray(v, dtype=np.int64, order="C"), p)
 
 
 class Subspace:
@@ -506,18 +544,10 @@ class Subspace:
     def __init__(self, p: int, ambient_dim: int, basis_rows=None):
         self.p = p
         self.ambient_dim = ambient_dim
-        if basis_rows is None:
-            arr = np.zeros((0, ambient_dim), dtype=np.int64)
-        else:
-            arr = np.asarray(basis_rows, dtype=np.int64)
-            if arr.size == 0:
-                arr = np.zeros((0, ambient_dim), dtype=np.int64)
-            else:
-                arr = arr.reshape(-1, ambient_dim)
+        arr = np.asarray([] if basis_rows is None else basis_rows, dtype=np.int64)
+        arr = arr.reshape(-1, ambient_dim) if arr.size else np.zeros((0, ambient_dim), dtype=np.int64)
         red, pivots = _rref_array(arr, p)
-        red = red[: len(pivots)]
-        red.setflags(write=False)
-        self.basis = Matrix(p, red)
+        self.basis = Matrix(p, red[: len(pivots)])  # a copy, which frees the zero rows
         self.pivots = tuple(pivots)
 
     @classmethod
@@ -561,7 +591,7 @@ class Subspace:
         w = _row_major(v, self.p)
         if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
             raise ValueError("vector/ambient dimension mismatch")
-        return (w - mulmod(np.take(w, self.pivots, axis=-1), self.basis.a, self.p)) % self.p
+        return _reduce(w - mulmod(np.take(w, self.pivots, axis=-1), self.basis.a, self.p), self.p)
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v, or every row of the block v, lies in the subspace."""
@@ -614,7 +644,7 @@ def _null_rows(r: np.ndarray, pivots, p: int) -> np.ndarray:
     free = [j for j in range(r.shape[1]) if j not in piv]
     rows = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     rows[:, free] = np.eye(len(free), dtype=np.int64)
-    rows[:, pivots] = (-r[: len(pivots), free].T) % p
+    rows[:, pivots] = _reduce(-r[: len(pivots), free].T, p)
     return rows
 
 
@@ -626,7 +656,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     free = np.flatnonzero(np.isin(np.arange(n), pivots, invert=True))
     rows = np.zeros((free.size, n), dtype=np.int64)
     rows[np.arange(free.size), free] = 1
-    rows[:, pivots] = (-r[: len(rev), n - 1 - free].T) % p  # r at column n-1-f is m's column f
+    rows[:, pivots] = _reduce(-r[: len(rev), n - 1 - free].T, p)  # r at column n-1-f is m's column f
     return Subspace._from_rref(p, n, rows, free.tolist())
 
 
@@ -640,7 +670,7 @@ def solve(m: Matrix, rhs: np.ndarray) -> np.ndarray | None:
 
     Returns None when the system is inconsistent (a value, not an error).
     """
-    rhs = np.asarray(rhs, dtype=np.int64) % m.p
+    rhs = np.asarray(rhs, dtype=np.int64)
     if rhs.shape != (m.rows,):
         raise ValueError("rhs length mismatch")
     x = solve_matrix(m, Matrix(m.p, rhs.reshape(-1, 1)))
@@ -661,8 +691,7 @@ def solve_matrix(m: Matrix, rhs: Matrix) -> Matrix | None:
     if r[rank:, n:].any():
         return None
     x = np.zeros((n, rhs.cols), dtype=np.int64)
-    for i, c in enumerate(main):
-        x[c] = r[i, n:]
+    x[main] = r[:rank, n:]
     return Matrix(m.p, x)
 
 

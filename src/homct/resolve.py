@@ -243,11 +243,6 @@ class Resolution:
         pi = self.cover_map(k)
         return ModuleMap(self.proj(k), self.proj(k - 1), incl.matrix @ pi.matrix, check=False)
 
-    def syzygy_ses(self, k: int):
-        """0 -> Omega_{k+1} -> P_k -> Omega_k -> 0 (inclusion, cover)."""
-        self.extend(k)
-        return self.syzygy(k + 1), self.proj(k), self.syzygy(k), self.syzygy_incl(k + 1), self.cover_map(k)
-
     def to_dict(self, depth: int) -> dict:
         self.extend(depth)
         return {

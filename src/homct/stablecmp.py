@@ -436,9 +436,6 @@ class CompatibleFamily:
     def top(self) -> int:
         return max(self.reps) if self.reps else self.start - 1
 
-    def tor_class(self, k: int) -> np.ndarray:
-        return to_tor_class(self.dw, k, self.reps[k])
-
     def is_zero(self) -> bool:
         return all(not v.comps for v in self.reps.values())
 

@@ -34,7 +34,7 @@ from homct.algmod import (
     validate_module,
 )
 from homct.algmod import _power_elt, _radical_chain, hom_postcompose, hom_precompose
-from homct.exactla import Matrix, Subspace, kernel_basis, kron
+from homct.exactla import Matrix, Subspace, kernel_basis, kron, mulmod
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -50,6 +50,11 @@ from homct.fixtures import (
 )
 from homct.derived import ShortExactSeq, ext_chain, second_arg_ext_matrix
 from homct.resolve import min_inj_resolution, min_proj_resolution, projective_cover
+
+
+def right_mult_matrix(a, v):
+    """Matrix of x -> x * v on column coordinates (a stack for a block of rows)."""
+    return a.opposite().left_mult_matrix(v)
 
 
 def nilpotent_closure_ideal(a):
@@ -71,7 +76,7 @@ def nilpotent_closure_ideal(a):
             e[i] = 1
             for v in span.basis.a:
                 new_rows.append(a.left_mult_matrix(e).apply(v))
-                new_rows.append(a.right_mult_matrix(e).apply(v))
+                new_rows.append(right_mult_matrix(a, e).apply(v))
         bigger = Subspace(a.p, a.dim, np.array(new_rows, dtype=np.int64))
         if bigger.dim == span.dim:
             return span
@@ -311,6 +316,50 @@ def test_free_tensor_builds_nothing_dense():
     assert t.dim == 128 * 3 and peak < 2**20
 
 
+def test_radical_submodule_stacks_only_the_used_actions():
+    # A^10 over F_2[(C_2)^4]: the radical generators use 5 of the 16 basis
+    # elements, so neither a 16-action stack (16 x 160 x 160 int64) nor its
+    # float64 cast is built
+    a = make_group_algebra(np.bitwise_xor.outer(np.arange(16), np.arange(16)), 2)
+    m = free_module(a, "left", 10)
+    a.radical_generators()  # cached before the trace
+    tracemalloc.start()
+    try:
+        rad_m = radical_submodule(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rad_m.dim == 150 and peak < 16 * m.dim * m.dim * 8
+
+
+def _full_stack_action(m, avec):
+    """Reference: act through the stack of all dim A action matrices."""
+    avec = np.asarray(avec, dtype=np.int64) % m.p
+    stack = np.stack([act.a for act in m.action]).reshape(len(m.action), m.dim * m.dim)
+    return mulmod(avec, stack, m.p).reshape(avec.shape[:-1] + (m.dim, m.dim))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("support", ["sparse", "dense", "empty"])
+def test_action_of_matches_full_stack(p, support):
+    rng = np.random.default_rng(p)
+    n, d = 6, 5
+    a = Algebra(p, rng.integers(0, p, size=(n, n, n)), rng.integers(0, p, size=n), check=False)
+    m = FdModule(a, "left", d, list(rng.integers(0, p, size=(n, d, d))), check=False)
+    block = rng.integers(-p, 2 * p, size=(4, n))  # unreduced entries as well
+    if support == "sparse":  # two basis elements in all, one row uses none
+        block[:, [0, 2, 3, 5]] = 0
+        block[2] = 0
+        block[0, 1] = 1
+    elif support == "empty":
+        block[:] = 0
+    ref = _full_stack_action(m, block)
+    assert np.array_equal(m.action_of(block), ref)
+    assert np.array_equal(m.action_of(block.reshape(2, 2, n)), ref.reshape(2, 2, d, d))
+    for row, act in zip(block, ref):
+        assert m.action_of(row) == Matrix(p, act)
+
+
 def test_inconsistent_free_rank_rejected():
     a1 = algebra_a1()
     reg = regular_module(a1, "left")
@@ -487,8 +536,8 @@ def test_products_match_exact_reference(p, n, d, k, extreme, seed):
     assert np.array_equal(a.mul(u[0], v[0]), ref_mul[0])
     assert np.array_equal(a.left_mult_matrix(v), np.array(ref_left))
     assert a.left_mult_matrix(v[0]) == Matrix(p, ref_left[0])
-    assert np.array_equal(a.right_mult_matrix(v), np.array(ref_right))
-    assert a.right_mult_matrix(v[0]) == Matrix(p, ref_right[0])
+    assert np.array_equal(right_mult_matrix(a, v), np.array(ref_right))
+    assert right_mult_matrix(a, v[0]) == Matrix(p, ref_right[0])
 
     acts = rand(n, d, d)
     m = FdModule(a, "left", d, list(acts), check=False)

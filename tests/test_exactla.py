@@ -16,7 +16,9 @@ from homct.exactla import (
     Matrix,
     Subquotient,
     Subspace,
+    _UPDATE_ENTRIES,
     _is_prime,
+    _reduce,
     _rref_array,
     image_basis,
     kernel_basis,
@@ -25,6 +27,7 @@ from homct.exactla import (
     preimage,
     quotient_and_induced,
     quotient_projection,
+    reduced,
     rref,
     solve,
 )
@@ -729,3 +732,56 @@ def test_subquotient_boundary_coordinates_need_no_elimination(p, n, zr, br, seed
     ref = Subspace(p, z.dim, z.coords(b.basis.a))
     assert sq._b_in_z.pivots == ref.pivots and np.array_equal(sq._b_in_z.basis.a, ref.basis.a)
     assert sq.dim == z.dim - b.dim
+
+
+# --- reduction mod p: only where values can leave [0, p) ----------------------
+
+REDUCE_MODULI = [2, 3, 4, 8, 9, 2**31 - 1, 3037000493]
+INT64 = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=2**62 - 2**10, max_value=2**62 + 2**10),
+    st.integers(min_value=-(2**62) - 2**10, max_value=-(2**62) + 2**10),
+    st.integers(min_value=-20, max_value=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(REDUCE_MODULI),
+    st.lists(st.lists(INT64, min_size=3, max_size=3), min_size=0, max_size=6),
+)
+def test_reduce_matches_np_mod(p, rows):
+    a = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    ref = np.mod(a, p)
+    out = _reduce(a, p)
+    assert out is a and np.array_equal(a, ref)  # in place
+    assert np.array_equal(reduced(ref - p, p), ref) and reduced(ref, p) is ref
+
+
+@pytest.mark.parametrize("p", [2, 3, 3037000493])
+def test_reduce_in_blocks_and_on_views(p):
+    rng = np.random.default_rng(p)
+    big = rng.integers(-(2**63), 2**63 - 1, size=(1000, 3 * _UPDATE_ENTRIES // 1000), dtype=np.int64)
+    ref = np.mod(big, p)
+    _reduce(big.T, p)  # more than _UPDATE_ENTRIES entries, reduced through a transposed view
+    assert np.array_equal(big, ref)
+    row = rng.integers(-(2**63), 2**63 - 1, size=(1, 3 * _UPDATE_ENTRIES), dtype=np.int64)
+    before = row.copy()
+    _reduce(row[:, ::2], p)  # one long strided row: the even entries only
+    assert np.array_equal(row[:, ::2], np.mod(before[:, ::2], p))
+    assert np.array_equal(row[:, 1::2], before[:, 1::2])
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_matrix_reduces_copies_and_freezes_its_entries(p):
+    for src in (np.array([[-1, p, 2 * p + 1], [-(2**62), 2**62, 0]], dtype=np.int64),
+                np.arange(6, dtype=np.int64).reshape(2, 3) % p,  # in range already
+                np.arange(12, dtype=np.int64).reshape(3, 4).T):  # a view, column-major
+        m = Matrix(p, src)
+        assert np.array_equal(m.a, np.mod(src, p)) and not np.shares_memory(m.a, src)
+        with pytest.raises(ValueError):
+            m.a[0, 0] = 1
+    lists = [[-1, p + 1], [p - 1, -p]]
+    assert np.array_equal(Matrix(p, lists).a, np.mod(np.array(lists), p))
+    m = Matrix(p, [[1, 2]])
+    assert np.array_equal(m.apply([-1, p + 3]), np.mod([-1 + 2 * (p + 3)], p))

@@ -6,9 +6,9 @@ routines, or apply ``@`` to the entry array ``.a`` (or ``.a.T``) of a Matrix:
 an int64 product there wraps silently once inner * (p-1)^2 reaches 2^63,
 which ``mulmod`` avoids by splitting the inner dimension.  Nor may it call
 the eliminator's private helpers or build a ``Subspace`` around a basis that
-was not eliminated there.  The elimination counts of one resolution stage and
-one homology space are pinned, so a change that eliminates a matrix twice
-fails here.
+was not eliminated there.  The elimination counts of one resolution stage,
+one homology space and one tower limit are pinned, so a change that
+eliminates a matrix twice fails here.
 """
 
 import ast
@@ -135,3 +135,17 @@ def test_one_tensor_homology_eliminates_two_matrices(monkeypatch):
     shapes = _count_eliminations(monkeypatch)
     assert chain.homology(2).dim == 4
     assert len(shapes) == 2
+
+
+def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
+    # stages k = 0..3 give 3 + 2 + 1 composites V_K' -> V_k, each eliminated
+    # once (the last of each row by image_basis, whose dim is its rank), and
+    # the top stage's full space
+    from homct import completion
+
+    a2 = algebra_a2()
+    tower = completion.cosyzygy_tower(simple_k(a2, "right"), simple_k(a2, "left"), 0, 3)
+    shapes = _count_eliminations(monkeypatch)
+    report = completion.tower_limit(tower, 2)
+    assert report.dims == [1, 4, 16, 64]
+    assert len(shapes) == 6 + 1

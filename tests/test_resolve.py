@@ -12,6 +12,7 @@ from homct import resolve
 from homct.algmod import (
     Algebra,
     FdModule,
+    ModuleMap,
     _free_map_matrix,
     direct_sum,
     dual_module,
@@ -50,6 +51,11 @@ from homct.resolve import (
     projective_cover,
 )
 from homct.schemas import parse_module_file
+
+
+def hom_map_from_vec(m, n, vec):
+    """The map m -> n whose row-major matrix coordinates are vec."""
+    return ModuleMap(m, n, Matrix(m.p, np.asarray(vec, dtype=np.int64).reshape(n.dim, m.dim)), check=False)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -429,7 +435,7 @@ def test_lift_module_map_commutes():
     a3 = algebra_a3()
     k = simple_k(a3)
     m = a3_mod_x()
-    from homct.algmod import hom_over_algebra, hom_map_from_vec
+    from homct.algmod import hom_over_algebra
 
     hom = hom_over_algebra(m, k)
     assert hom.dim >= 1
