@@ -656,8 +656,6 @@ class ModuleMap:
     def inverse(self) -> "ModuleMap":
         if not self.is_isomorphism():
             raise ValueError("map is not invertible")
-        from .exactla import solve_matrix
-
         inv = solve_matrix(self.matrix, Matrix.identity(self.p, self.target.dim))
         return ModuleMap(self.target, self.source, inv, check=False)
 

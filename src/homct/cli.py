@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algmod import RadicalError, UnsupportedAlgebraError, dual_module
+from .algmod import (
+    RadicalError,
+    UnsupportedAlgebraError,
+    dual_module,
+    regular_module,
+    stable_hom,
+    tensor_over_algebra,
+    validate_module,
+)
 from .completion import complete_homology
 from .derived import tate_tor, tor, ext as ext_op
 from .resolve import (
@@ -208,12 +216,6 @@ def run_corpus(seed: int, count: int, max_dim: int, algebra_names: list[str]) ->
     timing.
     """
     from . import fixtures as fx
-    from .algmod import (
-        regular_module,
-        stable_hom,
-        tensor_over_algebra,
-        validate_module,
-    )
     from .exactla import Matrix, kernel_basis, rref
 
     t0 = time.time()

@@ -42,6 +42,8 @@ from .derived import (
     connecting_ext,
     ext,
     ext_chain,
+    ext_map,
+    tensor_chain,
 )
 from .exactla import (
     Matrix,
@@ -377,24 +379,13 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
     for idx, k in enumerate(range(k_min + 1, K + 1)):
         st_prev = stages[idx]
         st = stages[idx + 1]
-        omega = res_n.syzygy(k)
         incl = res_n.syzygy_incl(k)
-        pk1 = res_n.proj(k - 1)
         # left satellite: kernel of Ext^{k+i}(m, Omega_k n) -> Ext^{k+i}(m, Q_{k-1})
-        ec_om = ext_chain(m, omega, k + i + 1)
-        ec_p = ext_chain(m, pk1, k + i + 1)
-        h_om = ec_om.cohomology(k + i)
-        h_p = ec_p.cohomology(k + i)
-        if h_om.dim == 0:
-            satellite = Subspace.zero(m.p, 0)
-        elif h_p.dim == 0:
+        h_om = ext(m, incl.source, k + i)
+        if h_om.dim == 0 or ext(m, incl.target, k + i).dim == 0:
             satellite = Subspace.full(m.p, h_om.dim)
         else:
-            from .derived import second_arg_ext_matrix
-
-            amb = second_arg_ext_matrix(incl, ec_om, ec_p, k + i)
-            induced = h_p.sq.induced_from(h_om.sq, amb)
-            satellite = kernel_basis(induced)
+            satellite = kernel_basis(ext_map(incl, m, k + i))
         # transition image, transported through Theta: the transition's columns
         theta_moved = np.array([st.theta_ext_class(col)[1] for col in maps[k - 1].a.T],
                                dtype=np.int64)
@@ -560,8 +551,6 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
     ext_spaces = []
     pairings: dict[int, Matrix] = {}
     perfect = True
-    from .derived import tensor_chain
-
     for k in range(k_min, K + 1):
         omega = res_n.syzygy(k)
         h_ext = ext(m_op, omega, k + i)

@@ -21,18 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algmod import FdModule, ModuleMap, dual_map
-from .derived import (
-    HomologySpace,
-    ShortExactSeq,
-    connecting_tor,
-    second_arg_tensor_matrix,
-    tensor_chain,
-    tor,
-)
+from .derived import HomologySpace, ShortExactSeq, connecting_tor, tate_tor, tor, tor_map
 from .exactla import Matrix, Subquotient, Subspace, image_basis, rref
 from .resolve import (
     CompleteResolution,
     _memoized,
+    is_injective,
     min_inj_resolution,
     min_proj_resolution,
     syzygy_map,
@@ -193,20 +187,9 @@ def right_satellite(m: FdModule, j: int, n_steps: int, n: FdModule) -> Satellite
     inj = min_inj_resolution(n, n_steps + 1)
     omega = inj.cosyzygy(n_steps)
     base = tor(m, omega, j)
-    if base.dim == 0:
-        return SatelliteStage(m.p, base, Subspace.zero(m.p, 0))
-    inje = inj.space(n_steps - 1)
-    proj = inj.cosyzygy_proj(n_steps)
-    c_inj = tensor_chain(m, inje, j + 1)
-    c_om = tensor_chain(m, omega, j + 1)
-    h_inj = c_inj.homology(j)
-    if h_inj.dim == 0:
-        killed = Subspace.zero(m.p, base.dim)
-    else:
-        amb = second_arg_tensor_matrix(proj, c_inj.component(j), c_om.component(j), c_inj.res.proj(j))
-        induced = base.sq.induced_from(h_inj.sq, amb)
-        killed = image_basis(induced)
-    return SatelliteStage(m.p, base, killed)
+    if base.dim == 0 or tor(m, inj.space(n_steps - 1), j).dim == 0:
+        return SatelliteStage(m.p, base, Subspace.zero(m.p, base.dim))
+    return SatelliteStage(m.p, base, image_basis(tor_map(inj.cosyzygy_proj(n_steps), m, j)))
 
 
 def satellite_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
@@ -416,21 +399,8 @@ def left_satellite_check(m: FdModule, i: int, k_steps: int, n: FdModule) -> Left
         d = tor(m, n, i).dim
         return LeftSatelliteReport(d, d)
     res = min_proj_resolution(n, k_steps)
-    omega = res.syzygy(k_steps)
-    incl = res.syzygy_incl(k_steps)
-    pk1 = res.proj(k_steps - 1)
-    h_om = tor(m, omega, i)
-    h_p = tor(m, pk1, i)
-    if h_om.dim == 0:
-        sat_dim = 0
-    elif h_p.dim == 0:
-        sat_dim = h_om.dim
-    else:
-        c_om = tensor_chain(m, omega, i + 1)
-        c_p = tensor_chain(m, pk1, i + 1)
-        amb = second_arg_tensor_matrix(incl, c_om.component(i), c_p.component(i), c_om.res.proj(i))
-        induced = h_p.sq.induced_from(h_om.sq, amb)
-        sat_dim = h_om.dim - rref(induced)[2]
+    induced = tor_map(res.syzygy_incl(k_steps), m, i)  # Tor_i(m, Omega_k n) -> Tor_i(m, P_{k-1})
+    sat_dim = induced.cols - (rref(induced)[2] if induced.a.size else 0)
     return LeftSatelliteReport(sat_dim, tor(m, n, k_steps + i).dim)
 
 
@@ -466,9 +436,6 @@ def induced_iso_check(m: FdModule, tcx: CompleteResolution, corpus: list[FdModul
     stabilized complete homology in every window degree.  Evidence only: the
     quantification over all functor families is not finitely checkable.
     """
-    from .derived import tate_tor
-    from .resolve import is_injective
-
     g = tcx.agreement_degree
     vanish_ok = True
     tor_ok = True

@@ -1,5 +1,14 @@
 """Tor, Ext, connecting homomorphisms, long exact sequences, Tate homology.
 
+This module is the chain layer of the package.  One chain type,
+``TensorChain``, is P tensor_A n over a projective resolution P or, as
+``TateChain``, over the window of a complete resolution; ``ExtChain`` is
+Hom_A(P, n).  Both read (co)homology by one rule, ``_homology``.  The
+functoriality in the second argument is three functions: ``tensor_map``
+(id_{P_i} tensor g between memoized chains), ``tor_map`` and ``ext_map``
+(Tor_i(m, g) and Ext^j(m, g) in class coordinates).  Other modules build no
+tensor differential and no second-argument map of their own.
+
 Homology spaces always carry cycle representatives (through Subquotient), so
 connecting maps and tower transition maps are computed on witnesses and then
 recorded as matrices in class coordinates.  Tor resolves its first argument
@@ -52,6 +61,9 @@ __all__ = [
     "tate_tor",
     "tensor_chain",
     "ext_chain",
+    "tensor_map",
+    "tor_map",
+    "ext_map",
     "second_arg_tensor_matrix",
     "second_arg_ext_matrix",
 ]
@@ -98,23 +110,39 @@ class ShortExactSeq:
         self.right = g.target
 
 
+def _homology(i: int, dim: int, out, into) -> HomologySpace:
+    """ker(out()) / im(into()) in degree i, where the space has dimension dim.
+
+    A zero space needs no map: then neither is called.  into None stands for
+    the zero map into degree i.
+    """
+    if dim == 0:
+        return HomologySpace(i, None)
+    z = kernel_basis(out())
+    b = Subspace.zero(z.p, dim) if into is None else image_basis(into())
+    return HomologySpace(i, Subquotient(z, b))
+
+
 class TensorChain:
     """The chain complex P tensor_A n for a fixed resolution P of m (right)."""
 
-    def __init__(self, res: Resolution, n: FdModule):
+    def __init__(self, res: Resolution | CompleteResolution, n: FdModule):
         if res.module.side != "right" or n.side != "left":
             raise ValueError("tensor chain needs a right-module resolution and a left module")
         self.res = res
         self.n = n
-        self._components: dict[int, TensorSpace] = {}
+        self._components: dict[int, TensorSpace | None] = {}
         self._diffs: dict[int, Matrix] = {}
         self._homology: dict[int, HomologySpace] = {}
 
+    def _space(self, j: int) -> FdModule | None:
+        """The projective in degree j; None below degree 0."""
+        return self.res.proj(j) if j >= 0 else None
+
     def component(self, j: int) -> TensorSpace | None:
-        if j < 0:
-            return None
         if j not in self._components:
-            self._components[j] = tensor_over_algebra(self.res.proj(j), self.n)
+            space = self._space(j)
+            self._components[j] = None if space is None else tensor_over_algebra(space, self.n)
         return self._components[j]
 
     def dim(self, j: int) -> int:
@@ -136,13 +164,23 @@ class TensorChain:
 
     def homology(self, i: int) -> HomologySpace:
         if i not in self._homology:
-            if i < 0 or self.dim(i) == 0:
-                self._homology[i] = HomologySpace(i, None)
-            else:
-                z = kernel_basis(self.differential(i))
-                b = image_basis(self.differential(i + 1))
-                self._homology[i] = HomologySpace(i, Subquotient(z, b))
+            self._homology[i] = _homology(i, self.dim(i), lambda: self.differential(i),
+                                          lambda: self.differential(i + 1))
         return self._homology[i]
+
+
+class TateChain(TensorChain):
+    """T tensor_A n for a complete resolution T, in every degree of its window.
+
+    Only the source of the components differs: ``tcx.space`` raises outside
+    the window, so a degree there is an error, never a silent zero.
+    """
+
+    def _space(self, j: int) -> FdModule:
+        return self.res.space(j)
+
+    # an entry of its own, which the tracer times apart from TensorChain's
+    homology = TensorChain.homology
 
 
 def _free_block_entries(d: ModuleMap) -> np.ndarray:
@@ -186,12 +224,26 @@ def tensor_chain(m: FdModule, n: FdModule, depth: int) -> TensorChain:
     return _memoized(("tensor", m.fingerprint(), n.fingerprint()), lambda: TensorChain(res, n))
 
 
-def tor(m: FdModule, n: FdModule, i: int, with_witness: bool = True) -> HomologySpace:
+def tor(m: FdModule, n: FdModule, i: int) -> HomologySpace:
     """Tor_i(m, n) = H_i(P tensor_A n); zero for i < 0 by convention."""
     if i < 0:
         return HomologySpace(i, None)
     tc = tensor_chain(m, n, i + 1)
     return tc.homology(i)
+
+
+def tensor_map(g: ModuleMap, m: FdModule, i: int) -> Matrix:
+    """id_{P_i} tensor g between the memoized tensor chains of m with g's source and target."""
+    src, tgt = tensor_chain(m, g.source, i + 1), tensor_chain(m, g.target, i + 1)
+    return second_arg_tensor_matrix(g, src.component(i), tgt.component(i), src.res.proj(i))
+
+
+def tor_map(g: ModuleMap, m: FdModule, i: int) -> Matrix:
+    """Tor_i(m, g) in class coordinates; a zero matrix when either side is zero."""
+    ha, hb = tor(m, g.source, i), tor(m, g.target, i)
+    if ha.dim == 0 or hb.dim == 0:
+        return Matrix.zeros(m.p, hb.dim, ha.dim)
+    return hb.sq.induced_from(ha.sq, tensor_map(g, m, i))
 
 
 class ExtChain:
@@ -212,27 +264,19 @@ class ExtChain:
         return self._hom[j]
 
     def dim(self, j: int) -> int:
-        return self.hom_space(j).dim
+        return 0 if j < 0 else self.hom_space(j).dim
 
     def delta(self, j: int) -> Matrix:
         """Cochain map position j -> j+1: f -> f o d_{j+1}, in Hom coordinates."""
         if j not in self._delta:
-            if j < 0:
-                self._delta[j] = Matrix.zeros(self.n.p, self.hom_space(0).dim, 0)
-            else:
-                self._delta[j] = hom_precompose(self.res.differential(j + 1), self.hom_space(j),
-                                                self.hom_space(j + 1))
+            self._delta[j] = hom_precompose(self.res.differential(j + 1), self.hom_space(j), self.hom_space(j + 1))
         return self._delta[j]
 
     def cohomology(self, i: int) -> HomologySpace:
         """H^i in Hom-space coordinates (ambient = hom_space(i) coords)."""
         if i not in self._cohomology:
-            if i < 0 or self.dim(i) == 0:
-                self._cohomology[i] = HomologySpace(i, None)
-            else:
-                z = kernel_basis(self.delta(i))
-                b = image_basis(self.delta(i - 1)) if i >= 1 else Subspace.zero(self.n.p, self.dim(i))
-                self._cohomology[i] = HomologySpace(i, Subquotient(z, b))
+            self._cohomology[i] = _homology(i, self.dim(i), lambda: self.delta(i),
+                                            (lambda: self.delta(i - 1)) if i >= 1 else None)
         return self._cohomology[i]
 
 
@@ -253,6 +297,15 @@ def ext(m: FdModule, n: FdModule, i: int) -> HomologySpace:
 def second_arg_ext_matrix(g: ModuleMap, src: ExtChain, tgt: ExtChain, j: int) -> Matrix:
     """Matrix of postcomposition with g: Hom(P_j, n) -> Hom(P_j, n') coords."""
     return hom_postcompose(g, src.hom_space(j), tgt.hom_space(j))
+
+
+def ext_map(g: ModuleMap, m: FdModule, j: int) -> Matrix:
+    """Ext^j(m, g) in class coordinates; a zero matrix when either side is zero."""
+    ha, hb = ext(m, g.source, j), ext(m, g.target, j)
+    if ha.dim == 0 or hb.dim == 0:
+        return Matrix.zeros(m.p, hb.dim, ha.dim)
+    src, tgt = ext_chain(m, g.source, j + 1), ext_chain(m, g.target, j + 1)
+    return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(g, src, tgt, j))
 
 
 def _solve_id_tensor(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, pmod: FdModule,
@@ -338,68 +391,21 @@ class LesReport:
 def les_check(ses: ShortExactSeq, m: FdModule, lo: int, hi: int) -> LesReport:
     """Verify im = ker at every joint of the Tor long exact sequence on [lo, hi]."""
     lo = max(lo, 0)
-    depth = hi + 1
-    chains = {
-        "left": tensor_chain(m, ses.left, depth),
-        "mid": tensor_chain(m, ses.middle, depth),
-        "right": tensor_chain(m, ses.right, depth),
-    }
     failures: list[str] = []
-
-    def induced(gmap, ca, cb, i):
-        ha, hb = ca.homology(i), cb.homology(i)
-        if ha.dim == 0 or hb.dim == 0:
-            return Matrix.zeros(m.p, hb.dim, ha.dim)
-        amb = second_arg_tensor_matrix(gmap, ca.component(i), cb.component(i), ca.res.proj(i))
-        return hb.sq.induced_from(ha.sq, amb)
-
     for i in range(lo, hi + 1):
-        f_i = induced(ses.f, chains["left"], chains["mid"], i)
-        g_i = induced(ses.g, chains["mid"], chains["right"], i)
+        f_i = tor_map(ses.f, m, i)
+        g_i = tor_map(ses.g, m, i)
         if image_basis(f_i) != kernel_basis(g_i):
             failures.append(f"exactness fails at Tor_{i}(middle)")
-        if i == 0 and image_basis(g_i).dim != chains["right"].homology(0).dim:
+        if i == 0 and image_basis(g_i).dim != tor(m, ses.right, 0).dim:
             failures.append("right exactness fails at Tor_0(right)")
         if i >= 1:
             delta_i = connecting_tor(ses, m, i)
             if image_basis(g_i) != kernel_basis(delta_i):
                 failures.append(f"exactness fails at Tor_{i}(right)")
-            f_im1 = induced(ses.f, chains["left"], chains["mid"], i - 1)
-            if image_basis(delta_i) != kernel_basis(f_im1):
+            if image_basis(delta_i) != kernel_basis(tor_map(ses.f, m, i - 1)):
                 failures.append(f"exactness fails at Tor_{i-1}(left)")
     return LesReport(list(range(lo, hi + 1)), failures)
-
-
-class TateChain:
-    """T tensor_A n for a complete resolution T (all integer degrees in window)."""
-
-    def __init__(self, tcx: CompleteResolution, n: FdModule):
-        self.tcx = tcx
-        self.n = n
-        self._components: dict[int, TensorSpace] = {}
-        self._diffs: dict[int, Matrix] = {}
-
-    def component(self, j: int) -> TensorSpace:
-        if j not in self._components:
-            self._components[j] = tensor_over_algebra(self.tcx.space(j), self.n)
-        return self._components[j]
-
-    def differential(self, j: int) -> Matrix:
-        if j not in self._diffs:
-            src = self.component(j)
-            tgt = self.component(j - 1)
-            if src.dim == 0 or tgt.dim == 0:
-                self._diffs[j] = Matrix.zeros(self.n.p, tgt.dim, src.dim)
-            else:
-                self._diffs[j] = first_arg_tensor_matrix(self.tcx.differential(j), src, tgt, self.n)
-        return self._diffs[j]
-
-    def homology(self, i: int) -> HomologySpace:
-        z = kernel_basis(self.differential(i))
-        b = image_basis(self.differential(i + 1))
-        if z.ambient_dim == 0:
-            return HomologySpace(i, None)
-        return HomologySpace(i, Subquotient(z, b))
 
 
 def tate_chain(tcx: CompleteResolution, n: FdModule) -> TateChain:

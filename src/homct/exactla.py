@@ -559,11 +559,12 @@ class Subspace:
 
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
-        return Subspace(p, ambient_dim)
+        return Subspace._from_rref(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
 
     @staticmethod
     def full(p: int, ambient_dim: int) -> "Subspace":
-        return Subspace(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
+        """F_p^n; the identity is its own RREF, with pivots 0..n-1."""
+        return Subspace._from_rref(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), range(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -34,6 +34,7 @@ from .algmod import (
     is_isomorphic,
     radical_submodule,
     regular_module,
+    socle,
     submodule,
     submodule_from_subspace,
 )
@@ -146,8 +147,6 @@ def injective_envelope(m: FdModule) -> tuple[FdModule, ModuleMap]:
     if not iota.is_injective():
         raise RuntimeError("injective envelope: embedding not injective")
     # essential: the socle of E must lie in the image (checked on generators)
-    from .algmod import socle
-
     if not iota.image().contains(socle(env).basis.a):
         raise RuntimeError("injective envelope: image not essential")
     if env.dim == m.dim:
@@ -199,9 +198,14 @@ class Resolution:
     def depth(self) -> int:
         return len(self._stages) - 1
 
-    def proj(self, k: int) -> FdModule:
+    def _stage(self, k: int) -> _Stage:
+        if k < 0:
+            raise ValueError(f"resolution degree {k} is negative")
         self.extend(k)
-        return self._stages[k].proj
+        return self._stages[k]
+
+    def proj(self, k: int) -> FdModule:
+        return self._stage(k).proj
 
     def betti(self, k: int) -> int:
         """Summands of P_k: dim top P_k, as each top A e_t is one-dimensional (split basic)."""
@@ -213,11 +217,12 @@ class Resolution:
 
     def cover_map(self, k: int) -> ModuleMap:
         """The surjection P_k ->> Omega_k (k = 0: the augmentation onto m)."""
-        self.extend(k)
-        return self._stages[k].cover_map
+        return self._stage(k).cover_map
 
     def syzygy(self, k: int) -> FdModule:
         """Omega_k; Omega_0 is the resolved module itself."""
+        if k < 0:
+            raise ValueError(f"syzygy degree {k} is negative")
         if k == 0:
             return self.module
         self.extend(k - 1)
@@ -268,11 +273,9 @@ class InjResolution:
     def __init__(self, n: FdModule, depth: int):
         self.module = n
         self._dual_res = min_proj_resolution(dual_module(n), depth)
-        self._depth = depth
 
     def extend(self, depth: int) -> "InjResolution":
         self._dual_res.extend(depth)
-        self._depth = max(self._depth, depth)
         return self
 
     def space(self, j: int) -> FdModule:

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algmod import FdModule, dual_module, regular_module, submodule
-from .derived import (
-    HomologySpace,
-    first_arg_tensor_matrix,
-    second_arg_tensor_matrix,
-    tensor_chain,
-    tor,
-)
-from .exactla import Matrix, image_basis, kernel_basis, solve_matrix, vstack
+from .derived import HomologySpace, ShortExactSeq, TensorChain, connecting_ext, ext, tensor_chain, tensor_map, tor
+from .exactla import Matrix, image_basis, kernel_basis, rref, solve_matrix, vstack
 from .resolve import (
     detect_periodicity,
     is_projective,
@@ -78,20 +72,21 @@ class DoubleWindow:
         self.n_max = n_max
         self.res = min_proj_resolution(m, m_max + 1)
         self.inj = min_inj_resolution(n, n_max + 2)
-        self._comp: dict[tuple[int, int], object] = {}
-        self._vert: dict[tuple[int, int], Matrix] = {}
+        # column n is the memoized chain P tensor_A I^n, kept here because
+        # inj.space builds a fresh module, with a fresh fingerprint, per call
+        self._cols: dict[int, TensorChain] = {}
         self._horiz: dict[tuple[int, int], Matrix] = {}
+
+    def _column(self, col: int) -> TensorChain:
+        if col not in self._cols:
+            self._cols[col] = tensor_chain(self.m, self.inj.space(col), self.m_max + 1)
+        return self._cols[col]
 
     # component D^n_m lives at row m (projective degree), column n (injective degree)
     def component(self, row: int, col: int):
         if row < 0 or col < 0:
             return None
-        key = (row, col)
-        if key not in self._comp:
-            from .algmod import tensor_over_algebra
-
-            self._comp[key] = tensor_over_algebra(self.res.proj(row), self.inj.space(col))
-        return self._comp[key]
+        return self._column(col).component(row)
 
     def dim(self, row: int, col: int) -> int:
         c = self.component(row, col)
@@ -99,28 +94,14 @@ class DoubleWindow:
 
     def vert(self, row: int, col: int) -> Matrix:
         """d^v: D^col_row -> D^col_{row-1} (zero out of row 0)."""
-        key = (row, col)
-        if key not in self._vert:
-            src = self.component(row, col)
-            if row == 0:
-                self._vert[key] = Matrix.zeros(self.m.p, 0, src.dim if src else 0)
-            else:
-                tgt = self.component(row - 1, col)
-                d = self.res.differential(row)
-                self._vert[key] = first_arg_tensor_matrix(d, src, tgt, self.inj.space(col))
-        return self._vert[key]
+        return self._column(col).differential(row)
 
     def horiz(self, row: int, col: int) -> Matrix:
         """d^h: D^col_row -> D^{col+1}_row with the sign (-1)^row."""
         key = (row, col)
         if key not in self._horiz:
-            src = self.component(row, col)
-            tgt = self.component(row, col + 1)
-            cod = self.inj.codifferential(col)
-            mat = second_arg_tensor_matrix(cod, src, tgt, self.res.proj(row))
-            if row % 2 == 1:
-                mat = -mat
-            self._horiz[key] = mat
+            mat = tensor_map(self.inj.codifferential(col), self.m, row)
+            self._horiz[key] = -mat if row % 2 == 1 else mat
         return self._horiz[key]
 
     def check_invariants(self, rows: int | None = None, cols: int | None = None) -> None:
@@ -376,7 +357,6 @@ def stable_homology_via_duality(m: FdModule, n: FdModule, i: int, K: int, w: int
         raise ValueError("realization must be 'segments' or 'ext'")
     from .cohom import cotower_limit
     from .completion import Tower
-    from .derived import ShortExactSeq, connecting_ext, ext
 
     k_min = max(0, -i)
     res = min_proj_resolution(dn_op, K + 2)
@@ -397,15 +377,11 @@ def to_tor_class(dw: DoubleWindow, k: int, w: WindowElement) -> np.ndarray:
         raise ValueError("element is not supported at the left edge column")
     i = w.i
     row = i + k
-    omega = dw.inj.cosyzygy(k)
-    h = tor(dw.m, omega, row)
+    h = tor(dw.m, dw.inj.cosyzygy(k), row)
     if h.dim == 0:
         return np.zeros(0, dtype=np.int64)
-    comp_om = tensor_chain(dw.m, omega, row + 1).component(row)
-    incl = dw.inj.cosyzygy_incl(k)
-    amb = second_arg_tensor_matrix(incl, comp_om, dw.component(row, k), dw.res.proj(row))
-    vec = w.component(k)
-    x = solve_matrix(amb, Matrix(dw.m.p, vec.reshape(-1, 1)))
+    amb = tensor_map(dw.inj.cosyzygy_incl(k), dw.m, row)
+    x = solve_matrix(amb, Matrix(dw.m.p, w.component(k).reshape(-1, 1)))
     if x is None:
         raise ValueError("left-edge element is not a horizontal cycle")
     return h.class_of(x.a[:, 0])
@@ -414,13 +390,8 @@ def to_tor_class(dw: DoubleWindow, k: int, w: WindowElement) -> np.ndarray:
 def from_tor_class(dw: DoubleWindow, k: int, i: int, cls: np.ndarray) -> WindowElement:
     """Left-edge window representative of a Tor_{k+i}(m, Omega^k n) class."""
     row = i + k
-    omega = dw.inj.cosyzygy(k)
-    h = tor(dw.m, omega, row)
-    rep = h.representative(cls)
-    comp_om = tensor_chain(dw.m, omega, row + 1).component(row)
-    incl = dw.inj.cosyzygy_incl(k)
-    amb = second_arg_tensor_matrix(incl, comp_om, dw.component(row, k), dw.res.proj(row))
-    return WindowElement(dw, i, {k: amb.apply(rep)})
+    rep = tor(dw.m, dw.inj.cosyzygy(k), row).representative(cls)
+    return WindowElement(dw, i, {k: tensor_map(dw.inj.cosyzygy_incl(k), dw.m, row).apply(rep)})
 
 
 @dataclass
@@ -581,8 +552,6 @@ def injectivity_probe(dw: DoubleWindow, i: int, K: int, w: int = 3) -> Injectivi
     if h is None or h.dim == 0:
         return InjectivityProbe(i, rep.limit_dim, 0, True)
     mat = Matrix(dw.m.p, np.array(cols, dtype=np.int64).T.reshape(h.dim, len(cols)))
-    from .exactla import rref
-
     eth_rank = rref(mat)[2]
     # sigma of each assembled element reproduces its family: no kernel observed
     ok = True

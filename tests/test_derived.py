@@ -29,11 +29,13 @@ from homct.derived import (
     connecting_tor,
     ext,
     ext_chain,
+    ext_map,
     les_check,
     tate_chain,
     tate_tor,
     tensor_chain,
     tor,
+    tor_map,
     second_arg_ext_matrix,
     second_arg_tensor_matrix,
 )
@@ -448,6 +450,45 @@ def test_ext_long_exact_sequence():
             prev = delta
             digests.append(_digest(delta))
         assert digests == _EXT_CONNECTING[name], name
+
+
+# --- functoriality in the second argument -----------------------------------
+
+def _tor_map_reference(g: ModuleMap, m: FdModule, i: int) -> Matrix:
+    """Tor_i(m, g) by hand from the two tensor chains: the reference for tor_map."""
+    ca, cb = tensor_chain(m, g.source, i + 1), tensor_chain(m, g.target, i + 1)
+    ha, hb = ca.homology(i), cb.homology(i)
+    if ha.dim == 0 or hb.dim == 0:
+        return Matrix.zeros(m.p, hb.dim, ha.dim)
+    amb = second_arg_tensor_matrix(g, ca.component(i), cb.component(i), ca.res.proj(i))
+    return hb.sq.induced_from(ha.sq, amb)
+
+
+def _ext_map_reference(g: ModuleMap, m: FdModule, j: int) -> Matrix:
+    """Ext^j(m, g) by hand from the two Hom cochains: the reference for ext_map."""
+    ca, cb = ext_chain(m, g.source, j + 1), ext_chain(m, g.target, j + 1)
+    ha, hb = ca.cohomology(j), cb.cohomology(j)
+    if ha.dim == 0 or hb.dim == 0:
+        return Matrix.zeros(m.p, hb.dim, ha.dim)
+    return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(g, ca, cb, j))
+
+
+def test_tor_map_and_ext_map_match_the_hand_built_maps():
+    nonzero = set()
+    for name, ses, m in _ext_les_cases():
+        right_simples = simple_modules(m.algebra, "right")
+        for g in (ses.f, ses.g):
+            for i in range(4):
+                got = ext_map(g, m, i)
+                assert got == _ext_map_reference(g, m, i), (name, i, "ext")
+                nonzero.add(("ext", name[:2], not got.is_zero()))
+                for mr in right_simples:
+                    got = tor_map(g, mr, i)
+                    assert got == _tor_map_reference(g, mr, i), (name, i, "tor")
+                    nonzero.add(("tor", name[:2], not got.is_zero()))
+    # nonzero maps on every algebra, the non-local T_2(F_3) included
+    assert {(kind, alg) for kind, alg, nz in nonzero if nz} == {
+        (kind, alg) for kind in ("ext", "tor") for alg in ("a1", "a2", "t2")}
 
 
 # --- Tate homology ------------------------------------------------------------

@@ -85,6 +85,16 @@ def test_kernel_enumeration_oracle_f2():
     assert k.contains(np.array([1, 1]))
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_full_and_zero_equal_their_eliminated_versions(p):
+    # both are built as the RREF they are, with no elimination
+    for n in range(6):
+        full, zero = Subspace.full(p, n), Subspace.zero(p, n)
+        assert full == Subspace(p, n, np.eye(n, dtype=np.int64)) and full.pivots == tuple(range(n))
+        assert zero == Subspace(p, n) and zero.pivots == ()
+        assert full.basis.a.shape == (n, n) and zero.basis.a.shape == (0, n)
+
+
 def test_image_identity_full():
     assert image_basis(Matrix.identity(3, 4)) == Subspace.full(3, 4)
 

@@ -6,8 +6,10 @@ routines, or apply ``@`` to the entry array ``.a`` (or ``.a.T``) of a Matrix:
 an int64 product there wraps silently once inner * (p-1)^2 reaches 2^63,
 which ``mulmod`` avoids by splitting the inner dimension.  Nor may it call
 the eliminator's private helpers or build a ``Subspace`` around a basis that
-was not eliminated there.  The elimination counts of one resolution stage,
-one homology space and one tower limit are pinned, so a change that
+was not eliminated there.  The chain layer is ``derived``: tensor
+differentials, second-argument maps and the tensor chains themselves are
+built there and nowhere else.  The elimination counts of one resolution
+stage, one homology space and one tower limit are pinned, so a change that
 eliminates a matrix twice fails here.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import homct
 from homct import derived, exactla, resolve
-from homct.fixtures import algebra_a2, simple_k
+from homct.fixtures import algebra_a2, algebra_a4, simple_k
 
 FORBIDDEN = {"einsum", "tensordot", "dot", "matmul", "inner"}
 SRC = Path(homct.__file__).parent
@@ -106,6 +108,53 @@ def test_checker_flags_private_eliminations():
         "_rref_array", "_null_rows", "Subspace.__new__", "Subspace.__new__", "_from_rref"]
 
 
+def _calls_by_scope(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
+    """(enclosing qualname, callee) of every call to one of ``names``, bare or as an attribute."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    hits.append((".".join(scope) or "<module>", name))
+            visit(child, scope)
+
+    visit(tree, [])
+    return sorted(hits)
+
+
+def _src_calls(names: set[str]) -> list[tuple[str, str, str]]:
+    """(module file, enclosing qualname, callee) over every module of the package."""
+    return sorted((p.name, scope, name)
+                  for p in SRC.glob("*.py")
+                  for scope, name in _calls_by_scope(ast.parse(p.read_text(), filename=str(p)), names))
+
+
+def test_one_chain_layer():
+    # every tensor differential comes from TensorChain.differential
+    assert _src_calls({"first_arg_tensor_matrix"}) == [
+        ("derived.py", "TensorChain.differential", "first_arg_tensor_matrix")]
+    # maps in the second argument are built inside derived only
+    second = _src_calls({"second_arg_tensor_matrix", "second_arg_ext_matrix"})
+    assert second and {module for module, _, _ in second} == {"derived.py"}
+    # tensor components come from the chains; the corpus sweep checks the unit law
+    assert _src_calls({"tensor_over_algebra"}) == [
+        ("cli.py", "run_corpus", "tensor_over_algebra"),
+        ("derived.py", "TensorChain.component", "tensor_over_algebra")]
+
+
+def test_checker_finds_calls_by_scope():
+    src = ("f(x)\nclass C:\n    def m(self):\n        mod.f(1)\n        g(f)\n"
+           "def h():\n    def inner():\n        return f()\n    return f\n")
+    assert _calls_by_scope(ast.parse(src), {"f"}) == [
+        ("<module>", "f"), ("C.m", "f"), ("h.inner", "f")]
+
+
 def _count_eliminations(monkeypatch) -> list:
     shapes = []
 
@@ -137,10 +186,24 @@ def test_one_tensor_homology_eliminates_two_matrices(monkeypatch):
     assert len(shapes) == 2
 
 
+def test_one_tate_homology_eliminates_two_matrices(monkeypatch):
+    # the same rule on a complete resolution; its negative degrees are not
+    # free, so their tensor components (one relation elimination each) are
+    # built before counting
+    a4 = algebra_a4()
+    tcx = resolve.complete_resolution(simple_k(a4, "right"), 5)
+    chain = derived.TateChain(tcx, simple_k(a4, "left"))
+    for j in (-2, -1, 0):
+        chain.component(j)
+    shapes = _count_eliminations(monkeypatch)
+    assert chain.homology(-1).dim == 1
+    assert len(shapes) == 2
+
+
 def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
     # stages k = 0..3 give 3 + 2 + 1 composites V_K' -> V_k, each eliminated
-    # once (the last of each row by image_basis, whose dim is its rank), and
-    # the top stage's full space
+    # once (the last of each row by image_basis, whose dim is its rank); the
+    # top stage's full space is an RREF already
     from homct import completion
 
     a2 = algebra_a2()
@@ -148,4 +211,4 @@ def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
     shapes = _count_eliminations(monkeypatch)
     report = completion.tower_limit(tower, 2)
     assert report.dims == [1, 4, 16, 64]
-    assert len(shapes) == 6 + 1
+    assert len(shapes) == 6

@@ -290,6 +290,14 @@ def test_memoization_extends_in_place():
     assert r1 is r2 and r2.depth >= 5
 
 
+@pytest.mark.parametrize("method", ["proj", "cover_map", "syzygy"])
+def test_negative_degree_raises(method):
+    # a negative index would otherwise read a stage from the end of the list
+    res = resolve.Resolution(simple_k(algebra_a2(), "right")).extend(2)
+    with pytest.raises(ValueError):
+        getattr(res, method)(-1)
+
+
 # --- minimal injective resolutions ------------------------------------------------
 
 def test_inj_resolution_k_a1():

@@ -4,6 +4,7 @@ import numpy as np
 
 from homct.algmod import dual_module, regular_module
 from homct.completion import cosyzygy_tower, tower_limit
+from homct.derived import tensor_chain
 from homct.exactla import Matrix, kernel_basis
 from homct.fixtures import (
     a3_mod_x,
@@ -122,6 +123,16 @@ def test_double_window_a3_anticommutes():
     dw = build_double_window(a3_mod_x("right"), a3_mod_y("left"), 4, 4)
     # build_double_window(check=True) verified anti-commutation and exactness
     assert dw.dim(0, 0) == 4  # A3 tensor_A3 A3 = A3
+
+
+def test_double_window_columns_are_the_memoized_tensor_chains():
+    m, n = a3_mod_x("right"), a3_mod_y("left")
+    dw = build_double_window(m, n, 3, 3)
+    for c in range(4):
+        chain = tensor_chain(m, dw.inj.space(c), 4)
+        for r in range(4):
+            assert dw.component(r, c) is chain.component(r)
+            assert dw.vert(r, c) is chain.differential(r)
 
 
 # --- compression --------------------------------------------------------------------
