@@ -912,12 +912,13 @@ def submodule(m: FdModule, generators) -> tuple[FdModule, ModuleMap]:
 
 def submodule_from_subspace(m: FdModule, span: Subspace) -> tuple[FdModule, ModuleMap]:
     """Action-stable subspace as a module, with inclusion (stability checked)."""
+    basis = span.basis.a
     try:
-        action = [Matrix(m.p, span.coords(act.apply(span.basis.a)).T) for act in m.action]
+        action = [Matrix(m.p, span.coords(act.apply(basis)).T) for act in m.action]
     except ValueError:
         raise ValueError("not action-stable") from None
     sub = FdModule(m.algebra, m.side, span.dim, action, check=False)
-    incl = ModuleMap(sub, m, Matrix(m.p, span.basis.a.T.copy()), check=False)
+    incl = ModuleMap(sub, m, Matrix(m.p, basis.T.copy()), check=False)
     return sub, incl
 
 

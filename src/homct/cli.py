@@ -108,6 +108,11 @@ def run_compute(req: ComputeRequest) -> dict:
         if not isinstance(tate_cx, CompleteResolution):
             notes.append(tate_cx.reason)
             tate_cx = None
+        bad = [i for i in degrees if tate_cx is not None and not tate_cx.lo < i < tate_cx.hi]
+        if bad:  # Tate degree i reads T_{i-1}..T_{i+1}; the window is [-depth-1, depth+1]
+            raise RequestError(f"Tate degree {bad[0]} needs degrees {bad[0] - 1}..{bad[0] + 1} of the complete "
+                               f"resolution, outside its window [{tate_cx.lo}, {tate_cx.hi}]; "
+                               f"--depth {max(map(abs, degrees))} covers it")
     copure = None
     if "stable" in theories:
         copure = copure_vanishing_certificate(m, req.depth)

@@ -49,7 +49,6 @@ from .exactla import (
     Matrix,
     Subquotient,
     Subspace,
-    image_basis,
     kernel_basis,
     mulmod,
     reduced,
@@ -170,14 +169,16 @@ class _FreeHomCoords:
         gens = _generator_images(maps, self.pmod.algebra)  # (..., dim Q, b)
         return gens.swapaxes(-1, -2).reshape(rows.shape[:-1] + (self.dim,))
 
-    def postcompose(self, g: ModuleMap, tgt: "_FreeHomCoords") -> Matrix:
-        """Matrix of f -> g o f into Hom(A^b, Q') coordinates."""
-        return Matrix(self.p, np.kron(np.eye(self.b, dtype=np.int64), g.matrix.a))
+    def postcompose(self, g: ModuleMap, tgt: "_FreeHomCoords", out: np.ndarray) -> None:
+        """Write the matrix of f -> g o f, kron(I_b, g), to ``out``: one copy of g per generator."""
+        rows = g.matrix.rows
+        for j in range(self.b):
+            out[j * rows:(j + 1) * rows, j * self.dq:(j + 1) * self.dq] = g.matrix.a
 
-    def precompose(self, d: ModuleMap, tgt) -> Matrix:
-        """Matrix of f -> f o d into Hom(source of d, Q) coordinates."""
+    def precompose(self, d: ModuleMap, tgt, out: np.ndarray) -> None:
+        """Write the matrix of f -> f o d into Hom(source of d, Q) coordinates to ``out``."""
         entries = _free_block_entries(d)  # (b, c, da): d maps A^c -> A^b
-        return _entry_action_matrix(entries.transpose(1, 0, 2), self.qmod)
+        out[...] = _entry_action_matrix(entries.transpose(1, 0, 2), self.qmod).a
 
 
 class _SubHomCoords:
@@ -195,11 +196,11 @@ class _SubHomCoords:
         amb = self.sub.from_coords(coords)
         return Matrix(self.p, amb.reshape(self.qmod.dim, self.pmod.dim))
 
-    def postcompose(self, g: ModuleMap, tgt) -> Matrix:
-        return hom_postcompose(g, self.sub, tgt)
+    def postcompose(self, g: ModuleMap, tgt, out: np.ndarray) -> None:
+        out[...] = hom_postcompose(g, self.sub, tgt).a
 
-    def precompose(self, d: ModuleMap, tgt) -> Matrix:
-        return hom_precompose(d, self.sub, tgt)
+    def precompose(self, d: ModuleMap, tgt, out: np.ndarray) -> None:
+        out[...] = hom_precompose(d, self.sub, tgt).a
 
 
 def _hom_coords(pmod: FdModule, qmod: FdModule):
@@ -251,45 +252,41 @@ class SegmentStage:
     def dim(self) -> int:
         return self.sq.dim
 
+    def _at(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """The columns of window degree t in a block of rows of a segment system."""
+        return rows[:, self.offsets[t]: self.offsets[t] + self.coords[t].dim]
+
     def _cocycles(self) -> Subspace:
-        if self.total == 0:
-            return Subspace.zero(self.p, 0)
-        rows = []
-        sign = 1 if self.i % 2 == 0 else -1
-        for t in range(self.lo + 1, self.hi + 1):
+        """Z: the kernel of the squares d_Q phi_t - (-1)^i phi_{t-1} d_P, one row per condition."""
+        window = range(self.lo + 1, self.hi + 1)
+        a = np.zeros((sum(self.coords_down[t].dim for t in window), self.total), dtype=np.int64)
+        r = 0
+        for t in window:
             tgt = self.coords_down[t]
-            d_q = self.res_n.differential(t - self.i)
-            d_p = self.res_m.differential(t)
-            post = self.coords[t].postcompose(d_q, tgt)
-            pre = self.coords[t - 1].precompose(d_p, tgt)
-            block = np.zeros((tgt.dim, self.total), dtype=np.int64)
-            block[:, self.offsets[t]: self.offsets[t] + self.coords[t].dim] = post.a
-            block[:, self.offsets[t - 1]: self.offsets[t - 1] + self.coords[t - 1].dim] = -sign * pre.a
-            rows.append(block)
-        return kernel_basis(Matrix(self.p, np.vstack(rows)))
+            rows = a[r: r + tgt.dim]
+            self.coords[t].postcompose(self.res_n.differential(t - self.i), tgt, self._at(rows, t))
+            pre = self._at(rows, t - 1)
+            self.coords[t - 1].precompose(self.res_m.differential(t), tgt, pre)
+            if self.i % 2 == 0:  # -pre, kept in [0, p)
+                np.subtract(self.p, pre, out=pre, where=pre != 0)
+            r += tgt.dim
+        return kernel_basis(Matrix(self.p, a))
 
     def _coboundaries(self) -> Subspace:
-        sign = 1 if self.i % 2 == 0 else -1
-        blocks = []
-        src_dims = []
-        for t_src in sorted(self.coords_up):
-            src = self.coords_up[t_src]
-            col = np.zeros((self.total, src.dim), dtype=np.int64)
-            if t_src >= self.lo:
-                d_q = self.res_n.differential(t_src - self.i + 1)
-                post = src.postcompose(d_q, self.coords[t_src])
-                col[self.offsets[t_src]: self.offsets[t_src] + self.coords[t_src].dim, :] = post.a
-            t1 = t_src + 1
-            if t1 <= self.hi:
-                d_p = self.res_m.differential(t1)
-                pre = src.precompose(d_p, self.coords[t1])
-                col[self.offsets[t1]: self.offsets[t1] + self.coords[t1].dim, :] += sign * pre.a
-            blocks.append(col)
-            src_dims.append(src.dim)
-        if not blocks:
-            return Subspace.zero(self.p, self.total)
-        delta = np.hstack(blocks)
-        return image_basis(Matrix(self.p, delta))
+        """B: the coboundaries of the generators of Hom(P_t, Q_{t-i+1}), one per row."""
+        a = np.zeros((sum(src.dim for src in self.coords_up.values()), self.total), dtype=np.int64)
+        r = 0
+        for t, src in sorted(self.coords_up.items()):
+            gens = a[r: r + src.dim]
+            if t >= self.lo:
+                src.postcompose(self.res_n.differential(t - self.i + 1), self.coords[t], self._at(gens, t).T)
+            if t < self.hi:
+                pre = self._at(gens, t + 1).T
+                src.precompose(self.res_m.differential(t + 1), self.coords[t + 1], pre)
+                if self.i % 2:
+                    np.subtract(self.p, pre, out=pre, where=pre != 0)
+            r += src.dim
+        return Subspace(self.p, self.total, a)
 
     # -- segment <-> class plumbing ------------------------------------------
 

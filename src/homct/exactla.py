@@ -4,11 +4,13 @@ Everything downstream (module theory, resolutions, homology towers) reduces
 to the operations in this module: canonical reduced row echelon form, kernel
 and image bases, deterministic solving, preimages of subspaces, and induced
 maps on quotients and subquotients.  Matrices are immutable numpy int64 arrays with
-entries reduced mod p; subspaces always carry their canonical RREF basis, so
-subspace equality is entry-wise comparison.  Coordinate maps (reduce,
-contains, coords, from_coords, apply, class_of, representative) take either
-one vector or a block of row vectors, so a change of basis is one matrix
-operation.
+entries reduced mod p.  A subspace of dimension r is its canonical RREF less the
+identity: its pivot columns and the r x (n - r) block at the other (free) columns.
+Coordinate maps (reduce, contains, coords, from_coords, apply, class_of,
+representative) take one vector or a block of row vectors.  w has coordinates
+c = w at the pivots, where c . basis equals c by construction, so w lies in the
+subspace iff c . block equals w at the free columns: checks multiply by the
+block only, and the dense basis is built only for callers that need rows.
 
 A kernel basis is one elimination, of m with its columns reversed: in m's
 column order each pivot row is then zero right of its pivot column, so the
@@ -536,95 +538,132 @@ def _row_major(v, p: int) -> np.ndarray:
     return reduced(np.asarray(v, dtype=np.int64, order="C"), p)
 
 
-class Subspace:
-    """Subspace of F_p^n, stored as its unique RREF basis (rows)."""
+def _free_cols(n: int, pivots) -> np.ndarray:
+    """The columns of F_p^n that are not pivots, ascending."""
+    return np.delete(np.arange(n), list(pivots))
 
-    __slots__ = ("p", "ambient_dim", "basis", "pivots")
+
+class Subspace:
+    """Subspace of F_p^n, stored as its canonical RREF: the pivot columns and
+    the dim x (n - dim) block of the basis at the other columns, ``free``."""
+
+    __slots__ = ("p", "ambient_dim", "pivots", "free", "block")
 
     def __init__(self, p: int, ambient_dim: int, basis_rows=None):
-        self.p = p
-        self.ambient_dim = ambient_dim
         arr = np.asarray([] if basis_rows is None else basis_rows, dtype=np.int64)
         arr = arr.reshape(-1, ambient_dim) if arr.size else np.zeros((0, ambient_dim), dtype=np.int64)
         red, pivots = _rref_array(arr, p)
-        self.basis = Matrix(p, red[: len(pivots)])  # a copy, which frees the zero rows
-        self.pivots = tuple(pivots)
+        free = _free_cols(ambient_dim, pivots)
+        self._set(p, ambient_dim, pivots, free, red[: len(pivots)][:, free])
+
+    def _set(self, p: int, ambient_dim: int, pivots, free: np.ndarray, block: np.ndarray) -> None:
+        block.setflags(write=False)
+        self.p, self.ambient_dim, self.pivots, self.free, self.block = p, ambient_dim, tuple(pivots), free, block
 
     @classmethod
-    def _from_rref(cls, p: int, ambient_dim: int, red: np.ndarray, pivots) -> "Subspace":
-        """The subspace whose canonical RREF basis is ``red`` already: no elimination."""
+    def _from_rref(cls, p: int, ambient_dim: int, pivots, block: np.ndarray) -> "Subspace":
+        """The subspace whose canonical RREF has these pivots and non-pivot block: no elimination."""
         s = cls.__new__(cls)
-        s.p, s.ambient_dim, s.basis, s.pivots = p, ambient_dim, Matrix(p, red), tuple(pivots)
+        s._set(p, ambient_dim, pivots, _free_cols(ambient_dim, pivots), block)
         return s
 
     @staticmethod
     def zero(p: int, ambient_dim: int) -> "Subspace":
-        return Subspace._from_rref(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
+        return Subspace._from_rref(p, ambient_dim, (), np.zeros((0, ambient_dim), dtype=np.int64))
 
     @staticmethod
     def full(p: int, ambient_dim: int) -> "Subspace":
-        """F_p^n; the identity is its own RREF, with pivots 0..n-1."""
-        return Subspace._from_rref(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), range(ambient_dim))
+        """F_p^n: pivots 0..n-1 and an n x 0 block."""
+        return Subspace._from_rref(p, ambient_dim, range(ambient_dim), np.zeros((ambient_dim, 0), dtype=np.int64))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
+
+    @property
+    def basis(self) -> Matrix:
+        """The dense RREF basis (dim x ambient_dim), built on each call; no coordinate map needs it."""
+        return Matrix(self.p, self._rows())
+
+    def _rows(self, idx=slice(None)) -> np.ndarray:
+        """Rows ``idx`` of the dense RREF basis: 1 at their pivots, the block at the free columns."""
+        piv = np.asarray(self.pivots, dtype=np.intp)[idx]
+        out = np.zeros((piv.size, self.ambient_dim), dtype=np.int64)
+        out[np.arange(piv.size), piv] = 1
+        out[:, self.free] = self.block[idx]
+        return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.p == other.p
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.pivots == other.pivots
+            and bool(np.array_equal(self.block, other.block))
         )
 
     def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis))
+        return hash((self.p, self.ambient_dim, self.pivots, self.block.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, dim={self.dim}, ambient={self.ambient_dim})"
+
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, c . block, w at the free columns) for w = v mod p and c = w at the pivots: w lies in
+        the subspace, with coordinates c, iff the last two agree."""
+        w = _row_major(v, self.p)
+        if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
+            raise ValueError("vector/ambient dimension mismatch")
+        c = np.take(w, self.pivots, axis=-1)
+        return c, mulmod(c, self.block, self.p), np.take(w, self.free, axis=-1)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Canonical representative of v modulo this subspace (pivot coords zeroed).
 
         v is a vector (n,) or a block of row vectors (k, n); so is the result.
         """
-        w = _row_major(v, self.p)
-        if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
-            raise ValueError("vector/ambient dimension mismatch")
-        return _reduce(w - mulmod(np.take(w, self.pivots, axis=-1), self.basis.a, self.p), self.p)
+        _, spanned, rest = self._split(v)
+        out = np.zeros(rest.shape[:-1] + (self.ambient_dim,), dtype=np.int64)
+        out[..., self.free] = _reduce(rest - spanned, self.p)
+        return out
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v, or every row of the block v, lies in the subspace."""
-        return not self.reduce(v).any()
+        _, spanned, rest = self._split(v)
+        return bool(np.array_equal(spanned, rest))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return self.contains(other.basis.a)
+        return self.contains(other._rows())
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of v (or of each row of v) in the RREF basis; requires v in the subspace."""
-        w = _row_major(v, self.p)
-        c = np.take(w, self.pivots, axis=-1)
-        if (mulmod(c, self.basis.a, self.p) != w).any():
+        c, spanned, rest = self._split(v)
+        if not np.array_equal(spanned, rest):
             raise ValueError("vector not in subspace")
         return c
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """Ambient vector (or row block) with the given RREF-basis coordinates."""
-        return mulmod(_row_major(c, self.p), self.basis.a, self.p)
+        return self._span(_row_major(c, self.p))
+
+    def _span(self, c: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """c times the basis rows ``rows``: c at their pivots, c . block at the free columns."""
+        out = np.zeros(c.shape[:-1] + (self.ambient_dim,), dtype=np.int64)
+        out[..., np.asarray(self.pivots, dtype=np.intp)[rows]] = c
+        out[..., self.free] = mulmod(c, self.block[rows], self.p)
+        return out
 
     def complement_cols(self) -> list[int]:
         """Non-pivot coordinates: the canonical complement's coordinate set."""
-        piv = set(self.pivots)
-        return [j for j in range(self.ambient_dim) if j not in piv]
+        return self.free.tolist()
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        return Subspace(self.p, self.ambient_dim, np.vstack([self.basis.a, other.basis.a]))
+        return Subspace(self.p, self.ambient_dim, np.vstack([self._rows(), other._rows()]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        ann = np.vstack([annihilator(self).basis.a, annihilator(other).basis.a])
+        ann = np.vstack([annihilator(self)._rows(), annihilator(other)._rows()])
         return kernel_basis(Matrix(self.p, ann))
 
 
@@ -653,12 +692,10 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Kernel {v : m v = 0} as a canonical Subspace of F_p^cols, in one elimination (see the module docstring)."""
     p, n = m.p, m.cols
     r, rev = _rref_array(m.a[:, ::-1], p)
-    pivots = n - 1 - np.array(rev, dtype=np.intp)  # in the original column order
-    free = np.flatnonzero(np.isin(np.arange(n), pivots, invert=True))
-    rows = np.zeros((free.size, n), dtype=np.int64)
-    rows[np.arange(free.size), free] = 1
-    rows[:, pivots] = _reduce(-r[: len(rev), n - 1 - free].T, p)  # r at column n-1-f is m's column f
-    return Subspace._from_rref(p, n, rows, free.tolist())
+    free = _free_cols(n, n - 1 - np.array(rev, dtype=np.intp))  # m's free columns, the kernel's pivots
+    # r at column n-1-f is m's column f; r's rows reversed put m's pivot columns in ascending order
+    block = np.ascontiguousarray(r[: len(rev)][::-1, n - 1 - free].T)
+    return Subspace._from_rref(p, n, free.tolist(), _reduce(np.negative(block, out=block), p))
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -705,7 +742,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     ann = annihilator(s)
     if ann.dim == 0:
         return Subspace.full(m.p, m.cols)
-    return kernel_basis(Matrix(m.p, mulmod(ann.basis.a, m.a, m.p)))
+    return kernel_basis(Matrix(m.p, mulmod(ann._rows(), m.a, m.p)))
 
 
 def quotient_and_induced(f: Matrix, dom_sub: Subspace, cod_sub: Subspace) -> Matrix:
@@ -717,11 +754,10 @@ def quotient_and_induced(f: Matrix, dom_sub: Subspace, cod_sub: Subspace) -> Mat
     """
     if dom_sub.ambient_dim != f.cols or cod_sub.ambient_dim != f.rows:
         raise ValueError("subspace/matrix dimension mismatch")
-    if not cod_sub.contains(f.apply(dom_sub.basis.a)):
+    if not cod_sub.contains(f.apply(dom_sub._rows())):
         raise ValueError("not submodule-compatible: f(dom_sub) not in cod_sub")
     # column j of f is the image of e_j; keep the complement columns of dom_sub
-    images = f.a[:, dom_sub.complement_cols()].T
-    return Matrix(f.p, cod_sub.reduce(images)[:, cod_sub.complement_cols()].T)
+    return Matrix(f.p, cod_sub.reduce(f.a[:, dom_sub.free].T)[:, cod_sub.free].T)
 
 
 def quotient_projection(sub: Subspace) -> Matrix:
@@ -730,7 +766,7 @@ def quotient_projection(sub: Subspace) -> Matrix:
     Column j is reduce(e_j) on the complement: the identity on complement
     columns and -basis[:, comp]^T on pivot columns.
     """
-    return Matrix(sub.p, _null_rows(sub.basis.a, sub.pivots, sub.p))
+    return Matrix(sub.p, _null_rows(sub._rows(), sub.pivots, sub.p))
 
 
 class Subquotient:
@@ -748,7 +784,7 @@ class Subquotient:
         if z.p != b.p or z.ambient_dim != b.ambient_dim:
             raise ValueError("Z/B ambient mismatch")
         try:
-            b_in_z = z.coords(b.basis.a)  # raises unless every row of B lies in Z
+            b_in_z = z.coords(b._rows())  # raises unless every row of B lies in Z
         except ValueError:
             raise ValueError("B is not contained in Z") from None
         self.p = z.p
@@ -756,8 +792,9 @@ class Subquotient:
         self.z = z
         self.b = b
         # B's RREF rows lead at pivots of Z, so their Z-coordinates are an RREF already
-        self._b_in_z = Subspace._from_rref(z.p, z.dim, b_in_z, np.searchsorted(z.pivots, b.pivots).tolist())
-        self._comp = self._b_in_z.complement_cols()
+        piv = np.searchsorted(z.pivots, b.pivots)
+        self._comp = _free_cols(z.dim, piv)
+        self._b_in_z = Subspace._from_rref(z.p, z.dim, piv.tolist(), b_in_z[:, self._comp])
 
     @property
     def dim(self) -> int:
@@ -769,21 +806,21 @@ class Subquotient:
 
     def representative(self, cls: np.ndarray) -> np.ndarray:
         """Distinguished ambient representative of class coordinates (vector or row block)."""
-        return mulmod(_row_major(cls, self.p), self.basis_representatives(), self.p)
+        return self.z._span(_row_major(cls, self.p), self._comp)
 
     def basis_representatives(self) -> np.ndarray:
         """Representatives of the class basis, one per row (dim x ambient)."""
-        return self.z.basis.a[self._comp]
+        return self.z._rows(self._comp)
 
     def induced_from(self, other: "Subquotient", f: Matrix) -> Matrix:
         """Matrix (self.dim x other.dim) of the map other -> self induced by f.
 
         Checks f(Z_other) <= Z_self and f(B_other) <= B_self.
         """
-        cycles = f.apply(other.z.basis.a)
+        cycles = f.apply(other.z._rows())
         if not self.z.contains(cycles):
             raise ValueError("map does not preserve cycles")
-        if not self.b.contains(f.apply(other.b.basis.a)):
+        if not self.b.contains(f.apply(other.b._rows())):
             raise ValueError("map does not preserve boundaries")
         # the class basis of other is represented by Z-basis rows of its complement
         return Matrix(self.p, self.class_of(cycles[other._comp]).T)

@@ -343,6 +343,27 @@ def test_main_invalid_request_exit_code(bad, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _a1_compare(degrees, tmp_path):
+    return main(["compare", "--algebra", fx("a1.json"), "--module-m", fx("a1_k_right.json"),
+                 "--module-n", fx("a1_k_left.json"), f"--degrees={degrees}", "--depth", "3",
+                 "--out", str(tmp_path / "out.json")])
+
+
+def test_main_tate_degree_outside_window_exit_code(tmp_path, capsys):
+    # A1 certifies on the window [-4, 4] at depth 3; Tate degree -4 reads degree -5
+    assert _a1_compare("-4..-4", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: Tate degree -4 needs degrees -5..-3 of the complete resolution, "
+                   "outside its window [-4, 4]; --depth 4 covers it\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_main_tate_degrees_inside_window_exit_zero(tmp_path):
+    assert _a1_compare("-3..3", tmp_path) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert all(report["per_degree"][str(i)]["tate"]["certified"] for i in range(-3, 4))
+
+
 def test_main_internal_failure_exit_code(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("connecting_tor: no lift")

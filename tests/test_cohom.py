@@ -1,9 +1,21 @@
 """Tests for the completed-Ext cotower, the mu comparison and the duality bridge."""
 
+import tracemalloc
+
 import numpy as np
 
-from homct.algmod import ModuleMap, regular_module, stable_hom
+from homct import cohom
+from homct.algmod import (
+    Algebra,
+    ModuleMap,
+    hom_postcompose,
+    hom_precompose,
+    regular_module,
+    simple_modules,
+    stable_hom,
+)
 from homct.cohom import (
+    SegmentStage,
     bc_cotower,
     bc_ext,
     duality_bridge_check,
@@ -12,8 +24,8 @@ from homct.cohom import (
     mu_stage_check,
     pcomp_ext,
 )
-from homct.derived import ext
-from homct.exactla import Matrix
+from homct.derived import _entry_action_matrix, _free_block_entries, ext
+from homct.exactla import Matrix, Subspace, image_basis, kernel_basis
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -102,6 +114,159 @@ def test_pcomp_a4_odd_degree_signs():
     for i in (0, 1, 2):
         rep = pcomp_ext(k, k, i, 3)
         assert rep.stabilized and rep.limit_dim == 1
+
+
+def triangular_f3() -> Algebra:
+    """Upper triangular 2x2 matrices over F_3 (basis e11, e12, e22): two simples, unit e11 + e22."""
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, k] = 1
+    return Algebra(3, struct, [1, 0, 1])
+
+
+def _t2_modules():
+    t2 = triangular_f3()
+    return dict(zip(["s0", "s1", "reg"], [*simple_modules(t2, "left"), regular_module(t2, "left")]))
+
+
+# (m, n, i) -> (stage dims, verdict) of pcomp_ext(m, n, i, 3) over T_2(F_3),
+# recorded before the segment systems were built in place
+T2_PCOMP = {
+    ("s0", "s0", 0): ([1, 1, 0, 0], "NotStabilized"), ("s0", "s0", 1): ([0, 0, 0, 0], "Stabilized"),
+    ("s0", "s1", 0): ([0, 0, 0, 0], "Stabilized"), ("s0", "s1", 1): ([1, 0, 0, 0], "Stabilized"),
+    ("s0", "reg", 0): ([0, 0, 0, 0], "Stabilized"), ("s0", "reg", 1): ([1, 0, 0, 0], "Stabilized"),
+    ("s1", "s0", 0): ([0, 0, 0, 0], "Stabilized"), ("s1", "s0", 1): ([0, 0, 0, 0], "Stabilized"),
+    ("s1", "s1", 0): ([1, 0, 0, 0], "Stabilized"), ("s1", "s1", 1): ([0, 0, 0, 0], "Stabilized"),
+    ("s1", "reg", 0): ([2, 0, 0, 0], "Stabilized"), ("s1", "reg", 1): ([0, 0, 0, 0], "Stabilized"),
+    ("reg", "s0", 0): ([1, 0, 0, 0], "Stabilized"), ("reg", "s0", 1): ([0, 0, 0, 0], "Stabilized"),
+    ("reg", "s1", 0): ([1, 0, 0, 0], "Stabilized"), ("reg", "s1", 1): ([0, 0, 0, 0], "Stabilized"),
+    ("reg", "reg", 0): ([3, 0, 0, 0], "Stabilized"), ("reg", "reg", 1): ([0, 0, 0, 0], "Stabilized"),
+}
+
+
+def test_pcomp_t2_non_free_dims_pinned():
+    # non-local: the projectives are sums of indecomposables, so Hom goes through _SubHomCoords
+    mods = _t2_modules()
+    for (a, b, i), (dims, verdict) in T2_PCOMP.items():
+        rep = pcomp_ext(mods[a], mods[b], i, 3)
+        assert (rep.dims, rep.verdict) == (dims, verdict), (a, b, i)
+
+
+# --- segment systems against the stacked reference ------------------------------------
+
+def _ref_post(coords, g, tgt):
+    """The matrix of f -> g o f: kron(I_b, g) on a free P, else through the Hom subspace."""
+    if isinstance(coords, cohom._FreeHomCoords):
+        return np.kron(np.eye(coords.b, dtype=np.int64), g.matrix.a)
+    return hom_postcompose(g, coords.sub, tgt).a
+
+
+def _ref_pre(coords, d, tgt):
+    """The matrix of f -> f o d."""
+    if isinstance(coords, cohom._FreeHomCoords):
+        return _entry_action_matrix(_free_block_entries(d).transpose(1, 0, 2), coords.qmod).a
+    return hom_precompose(d, coords.sub, tgt).a
+
+
+def _stacked_cocycles(st):
+    """The cocycle system as it was first built: one zero block per square, stacked."""
+    rows = [np.zeros((0, st.total), dtype=np.int64)]
+    sign = 1 if st.i % 2 == 0 else -1
+    for t in range(st.lo + 1, st.hi + 1):
+        tgt = st.coords_down[t]
+        block = np.zeros((tgt.dim, st.total), dtype=np.int64)
+        block[:, st.offsets[t]: st.offsets[t] + st.coords[t].dim] = _ref_post(
+            st.coords[t], st.res_n.differential(t - st.i), tgt)
+        block[:, st.offsets[t - 1]: st.offsets[t - 1] + st.coords[t - 1].dim] = -sign * _ref_pre(
+            st.coords[t - 1], st.res_m.differential(t), tgt)
+        rows.append(block)
+    return np.vstack(rows) % st.p
+
+
+def _stacked_coboundaries(st):
+    """The coboundary map (B is its column space): one zero block per source, stacked."""
+    sign = 1 if st.i % 2 == 0 else -1
+    blocks = [np.zeros((st.total, 0), dtype=np.int64)]
+    for t_src in sorted(st.coords_up):
+        src = st.coords_up[t_src]
+        col = np.zeros((st.total, src.dim), dtype=np.int64)
+        if t_src >= st.lo:
+            col[st.offsets[t_src]: st.offsets[t_src] + st.coords[t_src].dim, :] = _ref_post(
+                src, st.res_n.differential(t_src - st.i + 1), st.coords[t_src])
+        t1 = t_src + 1
+        if t1 <= st.hi:
+            col[st.offsets[t1]: st.offsets[t1] + st.coords[t1].dim, :] += sign * _ref_pre(
+                src, st.res_m.differential(t1), st.coords[t1])
+        blocks.append(col)
+    return np.hstack(blocks) % st.p
+
+
+def _segment_cases():
+    """(m, n, i, k): A2 k with free P, A4 k at odd i (the sign), T_2(F_3) with non-free P."""
+    a2, a4 = simple_k(algebra_a2()), simple_k(algebra_a4())
+    cases = [(a2, a2, i, k) for i in (0, 1) for k in (0, 1, 2)]
+    cases += [(a4, a4, i, k) for i in (1, 3) for k in (0, 1, 2)]
+    mods = _t2_modules().values()
+    cases += [(m, n, i, k) for m in mods for n in mods for i in (0, 1) for k in (0, 1)]
+    return cases
+
+
+def test_segment_systems_match_stacked_reference(monkeypatch):
+    systems = {}
+
+    def spy_kernel(m, _fn=kernel_basis):
+        systems["z"] = m.a.copy()
+        return _fn(m)
+
+    class SpySubspace(Subspace):
+        __slots__ = ()
+
+        def __init__(self, p, ambient_dim, basis_rows=None):
+            systems["b"] = np.array(basis_rows)
+            super().__init__(p, ambient_dim, basis_rows)
+
+    monkeypatch.setattr(cohom, "kernel_basis", spy_kernel)
+    monkeypatch.setattr(cohom, "Subspace", SpySubspace)
+    rng = np.random.default_rng(0)
+    for m, n, i, k in _segment_cases():
+        p = m.p
+        res_m, res_n = min_proj_resolution(m, k + i + 4), min_proj_resolution(n, k + 4)
+        systems.clear()
+        st = SegmentStage(res_m, res_n, i, k)
+        cocycles, coboundaries = _stacked_cocycles(st), _stacked_coboundaries(st)
+        # built in place, entries already in [0, p), generators of B as rows
+        if st.total:
+            assert np.array_equal(systems["z"], cocycles)
+        assert np.array_equal(systems["b"], coboundaries.T)
+        z = kernel_basis(Matrix(p, cocycles)) if st.total else Subspace.zero(p, 0)
+        b = image_basis(Matrix(p, coboundaries))
+        assert st.sq.z == z and st.sq.b == b
+        assert np.array_equal(st.sq.z.basis.a, z.basis.a) and np.array_equal(st.sq.b.basis.a, b.basis.a)
+        # class coordinates, from the dense bases: reduce the Z-coordinates by B's rows
+        zb, bp = z.basis.a, np.searchsorted(z.pivots, b.pivots)
+        comp = [j for j in range(z.dim) if j not in set(bp.tolist())]
+        vecs = rng.integers(0, p, size=(5, z.dim)) @ zb % p
+        zc = vecs[:, list(z.pivots)]
+        want = (zc - zc[:, bp] @ b.basis.a[:, list(z.pivots)]) % p
+        assert np.array_equal(st.sq.class_of(vecs), want[:, comp])
+        cls = rng.integers(0, p, size=(3, st.dim))
+        assert np.array_equal(st.sq.representative(cls), cls @ zb[comp] % p)
+
+
+def test_segments_memory_peak():
+    # a2-pcomp: the largest segment system is 2016 x 960, eliminated from the
+    # caller's array; stacked copies and kron(I_b, g) blocks peaked at 83 MiB
+    from homct.stablecmp import stable_homology_via_duality
+
+    a2 = algebra_a2()
+    m, n = simple_k(a2, "right"), simple_k(a2, "left")
+    tracemalloc.start()
+    try:
+        rep = stable_homology_via_duality(m, n, 0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dims == [1, 4, 16, 64] and peak <= 50 * 2**20
 
 
 # --- mu -----------------------------------------------------------------------------

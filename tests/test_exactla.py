@@ -795,3 +795,188 @@ def test_matrix_reduces_copies_and_freezes_its_entries(p):
     assert np.array_equal(Matrix(p, lists).a, np.mod(np.array(lists), p))
     m = Matrix(p, [[1, 2]])
     assert np.array_equal(m.apply([-1, p + 3]), np.mod([-1 + 2 * (p + 3)], p))
+
+
+# --- compact subspaces against the full-basis reference -------------------------
+
+class FullSubspace:
+    """Reference: a subspace stored as its full dim x n RREF basis, every map through it."""
+
+    def __init__(self, p, n, rows=None):
+        arr = np.zeros(0, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+        red, piv = _rref_array(arr.reshape(-1, n) % p if arr.size else np.zeros((0, n), dtype=np.int64), p)
+        self.p, self.n, self.basis, self.pivots = p, n, red[: len(piv)], tuple(piv)
+        self.comp = [j for j in range(n) if j not in set(piv)]
+
+    @property
+    def dim(self):
+        return len(self.pivots)
+
+    def reduce(self, v):
+        w = np.asarray(v, dtype=np.int64) % self.p
+        return (w - mulmod(w[..., list(self.pivots)], self.basis, self.p)) % self.p
+
+    def contains(self, v):
+        return not self.reduce(v).any()
+
+    def coords(self, v):
+        w = np.asarray(v, dtype=np.int64) % self.p
+        c = w[..., list(self.pivots)]
+        if (mulmod(c, self.basis, self.p) != w).any():
+            raise ValueError("vector not in subspace")
+        return c
+
+    def from_coords(self, c):
+        return mulmod(np.asarray(c, dtype=np.int64) % self.p, self.basis, self.p)
+
+    def add(self, other):
+        return FullSubspace(self.p, self.n, np.vstack([self.basis, other.basis]))
+
+
+def _ref_kernel(a, p):
+    """Null rows of the RREF, canonicalised by a second elimination."""
+    return FullSubspace(p, a.shape[1], exactla._null_rows(*_rref_array(a % p, p), p))
+
+
+def _ref_annihilator(s):
+    return FullSubspace(s.p, s.n, np.eye(s.n, dtype=np.int64)) if s.dim == 0 else _ref_kernel(s.basis, s.p)
+
+
+def _ref_intersect(s, t):
+    return _ref_kernel(np.vstack([_ref_annihilator(s).basis, _ref_annihilator(t).basis]), s.p)
+
+
+def _ref_preimage(m, s):
+    ann = _ref_annihilator(s)
+    if ann.dim == 0:
+        return FullSubspace(s.p, m.cols, np.eye(m.cols, dtype=np.int64))
+    return _ref_kernel(mulmod(ann.basis, m.a, s.p), s.p)
+
+
+def _ref_induced(f, dom, cod):
+    if not cod.contains(f.apply(dom.basis)):
+        raise ValueError("not submodule-compatible")
+    return cod.reduce(f.a[:, dom.comp].T)[:, cod.comp].T
+
+
+def _ref_subquotient(z, b):
+    """(class_of, representative, basis representatives) of Z/B through the full bases."""
+    b_in_z = FullSubspace(z.p, z.dim, z.coords(b.basis))
+    reps = z.basis[b_in_z.comp]
+    return (lambda v: b_in_z.reduce(z.coords(v))[..., b_in_z.comp],
+            lambda cls: mulmod(np.asarray(cls, dtype=np.int64) % z.p, reps, z.p), reps)
+
+
+def _same(s, ref):
+    return (s.pivots == ref.pivots and s.dim == ref.dim and s.ambient_dim == ref.n
+            and np.array_equal(s.basis.a, ref.basis) and s.complement_cols() == ref.comp)
+
+
+COMPACT_PRIMES = [2, 3, 2**31 - 1, 3037000493]
+
+
+@st.composite
+def subspace_rows(draw, p, n):
+    """Spanning rows of a subspace of F_p^n: zero, full, or a random rank."""
+    kind = draw(st.sampled_from(["zero", "full", "random", "random"]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((draw(st.integers(0, 2)), n), dtype=np.int64)
+    if kind == "full":
+        return np.vstack([np.eye(n, dtype=np.int64), rng.integers(0, p, size=(1, n))])
+    r = draw(st.integers(0, n))
+    mix = rng.integers(0, p, size=(draw(st.integers(0, n + 1)), r))
+    return mulmod(mix, rng.integers(0, p, size=(r, n)), p) if r else np.zeros((mix.shape[0], n), dtype=np.int64)
+
+
+@st.composite
+def compact_cases(draw):
+    p = draw(st.sampled_from(COMPACT_PRIMES))
+    n = draw(st.integers(0, 7))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return p, n, draw(subspace_rows(p, n)), draw(subspace_rows(p, n)), seed
+
+
+@settings(max_examples=250, deadline=None)
+@given(compact_cases())
+def test_compact_subspace_matches_full_basis(case):
+    p, n, rows, other_rows, seed = case
+    rng = np.random.default_rng(seed)
+    s, ref = Subspace(p, n, rows), FullSubspace(p, n, rows)
+    t, ref_t = Subspace(p, n, other_rows), FullSubspace(p, n, other_rows)
+    assert _same(s, ref) and _same(t, ref_t)
+    assert s.block.shape == (s.dim, n - s.dim)
+    # equality and hash follow the canonical basis
+    again = Subspace(p, n, s.basis.a)
+    assert s == again and hash(s) == hash(again)
+    assert (s == t) == (ref.pivots == ref_t.pivots and np.array_equal(ref.basis, ref_t.basis))
+    for k in (None, 0, 1, 4):  # one vector, and row blocks
+        shape = (n,) if k is None else (k, n)
+        v = rng.integers(-p, 2 * p, size=shape)
+        assert np.array_equal(s.reduce(v), ref.reduce(v))
+        assert s.contains(v) == ref.contains(v)
+        c = rng.integers(0, p, size=shape[:-1] + (s.dim,))
+        members = s.from_coords(c)
+        assert np.array_equal(members, ref.from_coords(c))
+        assert s.contains(members) and np.array_equal(s.coords(members), ref.coords(members))
+        if ref.contains(v):
+            assert np.array_equal(s.coords(v), ref.coords(v))
+        else:
+            with pytest.raises(ValueError):
+                s.coords(v)
+    assert _same(s.add(t), ref.add(ref_t))
+    assert _same(s.intersect(t), _ref_intersect(ref, ref_t))
+    assert _same(exactla.annihilator(s), _ref_annihilator(ref))
+    assert s.contains_subspace(t) == ref.contains(ref_t.basis)
+    # maps: preimage of t under f, and the map induced on s -> f(s) + t
+    m_dim = int(rng.integers(0, 6))
+    f = Matrix(p, rng.integers(0, p, size=(n, m_dim)))
+    assert _same(preimage(f, t), _ref_preimage(f, ref_t))
+    g = Matrix(p, rng.integers(0, p, size=(m_dim, n)))
+    cod_rows = np.vstack([g.apply(ref.basis), rng.integers(0, p, size=(1, m_dim))])
+    cod, ref_cod = Subspace(p, m_dim, cod_rows), FullSubspace(p, m_dim, cod_rows)
+    assert np.array_equal(quotient_and_induced(g, s, cod).a, _ref_induced(g, ref, ref_cod) % p)
+    # Z/B with B spanned by members of Z, and a B outside Z
+    b_rows = s.from_coords(rng.integers(0, p, size=(int(rng.integers(0, 3)), s.dim)))
+    sq = Subquotient(s, Subspace(p, n, b_rows))
+    class_of, representative, reps = _ref_subquotient(ref, FullSubspace(p, n, b_rows))
+    members = s.from_coords(rng.integers(0, p, size=(3, s.dim)))
+    assert np.array_equal(sq.class_of(members), class_of(members))
+    assert np.array_equal(sq.class_of(members[0]), class_of(members[0]))
+    cls = rng.integers(0, p, size=(3, sq.dim))
+    assert np.array_equal(sq.representative(cls), representative(cls))
+    assert np.array_equal(sq.basis_representatives(), reps)
+    if not ref.contains(ref_t.basis):
+        with pytest.raises(ValueError):
+            Subquotient(s, t)
+
+
+@pytest.mark.parametrize("p", COMPACT_PRIMES)
+def test_compact_edge_shapes(p):
+    for n in (0, 1, 5):
+        full, zero = Subspace.full(p, n), Subspace.zero(p, n)
+        assert full.block.shape == (n, 0) and zero.block.shape == (0, n)
+        v = np.arange(n, dtype=np.int64) % p
+        assert np.array_equal(full.coords(v), v) and not full.reduce(v).any()
+        assert np.array_equal(zero.reduce(v), v) and zero.coords(np.zeros(n, dtype=np.int64)).shape == (0,)
+        assert np.array_equal(full.from_coords(v), v) and zero.from_coords(np.zeros(0, dtype=np.int64)).shape == (n,)
+        assert zero.contains(np.zeros((3, n), dtype=np.int64)) and full.contains(np.ones((3, n), dtype=np.int64))
+        with pytest.raises(ValueError):
+            full.coords(np.zeros(n + 1, dtype=np.int64))
+
+
+def test_coords_multiplies_by_the_non_pivot_block_only(monkeypatch):
+    # a hyperplane of F_5^6: the membership check is (k x 5) @ (5 x 1), not (k x 5) @ (5 x 6)
+    shapes = []
+
+    def spy(x, y, p, _fn=exactla.mulmod):
+        shapes.append(y.shape)
+        return _fn(x, y, p)
+
+    s = Subspace(5, 6, [[1, 0, 0, 0, 0, 2], [0, 1, 0, 0, 0, 3], [0, 0, 1, 0, 0, 4],
+                        [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]])
+    members = s.from_coords(np.arange(10, dtype=np.int64).reshape(2, 5) % 5)
+    monkeypatch.setattr(exactla, "mulmod", spy)
+    assert np.array_equal(s.coords(members), np.arange(10).reshape(2, 5) % 5)
+    assert shapes == [(5, 1)]

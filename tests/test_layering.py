@@ -6,7 +6,9 @@ routines, or apply ``@`` to the entry array ``.a`` (or ``.a.T``) of a Matrix:
 an int64 product there wraps silently once inner * (p-1)^2 reaches 2^63,
 which ``mulmod`` avoids by splitting the inner dimension.  Nor may it call
 the eliminator's private helpers or build a ``Subspace`` around a basis that
-was not eliminated there.  The chain layer is ``derived``: tensor
+was not eliminated there.  ``cohom`` writes its segment systems in place, with
+no np.kron, np.hstack or np.vstack copy, and a subspace's coordinate maps never
+build its dense basis.  The chain layer is ``derived``: tensor
 differentials, second-argument maps and the tensor chains themselves are
 built there and nowhere else.  The elimination counts of one resolution
 stage, one homology space and one tower limit are pinned, so a change that
@@ -15,6 +17,8 @@ eliminates a matrix twice fails here.
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 import homct
 from homct import derived, exactla, resolve
@@ -106,6 +110,46 @@ def test_checker_flags_private_eliminations():
            "Matrix.__new__(Matrix)\n")
     assert [name for _, name in _private_eliminations(ast.parse(src))] == [
         "_rref_array", "_null_rows", "Subspace.__new__", "Subspace.__new__", "_from_rref"]
+
+
+# dense copies the segment systems never need: each is written in place
+SEGMENT_COPIES = {"kron", "hstack", "vstack"}
+
+
+def _numpy_copies(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every np.kron, np.hstack and np.vstack call."""
+    return sorted((node.lineno, f"np.{node.func.attr}") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in SEGMENT_COPIES
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy"))
+
+
+def test_cohom_builds_no_stacked_copies():
+    path = SRC / "cohom.py"
+    assert _numpy_copies(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_checker_flags_stacked_copies():
+    src = ("import numpy as np\nnp.kron(a, b)\nnp.hstack(cols)\nnumpy.vstack(rows)\n"
+           "kron(a, b)\nnp.stack(rows)\nx.vstack(rows)\n")
+    assert [name for _, name in _numpy_copies(ast.parse(src))] == ["np.kron", "np.hstack", "np.vstack"]
+
+
+def test_coordinate_maps_never_build_the_dense_basis(monkeypatch):
+    built = []
+    dense_rows = exactla.Subspace._rows
+
+    def spy(self, idx=slice(None)):
+        built.append(self.dim)
+        return dense_rows(self, idx)
+
+    s = exactla.Subspace(3, 6, [[1, 2, 0, 1, 0, 2], [0, 0, 1, 2, 0, 1], [0, 0, 0, 0, 1, 1]])
+    members = s.from_coords([[1, 2, 0], [2, 2, 1]])
+    monkeypatch.setattr(exactla.Subspace, "_rows", spy)
+    assert np.array_equal(s.coords(members), [[1, 2, 0], [2, 2, 1]])
+    assert not s.reduce(members).any() and s.contains(members) and not s.contains([1, 0, 0, 0, 0, 0])
+    assert built == []
+    assert s.basis.a.shape == (3, 6) and built == [3]  # built on request only, through _rows
 
 
 def _calls_by_scope(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
