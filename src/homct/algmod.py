@@ -439,12 +439,8 @@ def make_group_algebra(mult_table, p: int) -> Algebra:
     for i in range(n):
         if not any(table[i][j] == identity and table[j][i] == identity for j in range(n)):
             raise ValueError(f"not a group: element {i} has no inverse")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise ValueError(f"not a group: associativity fails at ({i},{j},{k})")
     basis = np.eye(n, dtype=np.int64)  # row g is the group element g
+    # Algebra checks associativity: (g_i g_j) g_k = g_i (g_j g_k) in F_p[G] iff it holds in the table
     return Algebra(p, basis[table], basis[identity], [f"g{i}" for i in range(n)])
 
 

@@ -14,7 +14,9 @@ mismatch error, since the two routes are theorems of each other.
 Squares between chain-map segments commute up to the sign (-1)^i:
     d_Q phi_t = (-1)^i phi_{t-1} d_P.
 Homotopies are normalized by solving degree by degree with free variables
-pinned to zero.
+pinned to zero.  A stage's class plumbing takes a block of classes, one per
+row, and returns one stack of k maps per window degree, so a transition is
+one call: one ``hom_solve`` lifts every class, one ``class_of`` reads them back.
 """
 
 from __future__ import annotations
@@ -101,16 +103,10 @@ def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     k_min = max(0, i)
     res_m = min_proj_resolution(m, K + 2)
     res_n = min_proj_resolution(n, K + 2)
-    stages = []
-    reps_cache: dict[int, Subquotient] = {}
-    for k in range(k_min, K + 1):
-        sq = stable_hom(res_m.syzygy(k), res_n.syzygy(k - i))
-        reps_cache[k] = sq
-        stages.append(sq)
+    stages = [stable_hom(res_m.syzygy(k), res_n.syzygy(k - i)) for k in range(k_min, K + 1)]
     maps: dict[int, Matrix] = {}
     for k in range(k_min, K):
-        src = reps_cache[k]
-        tgt = reps_cache[k + 1]
+        src, tgt = stages[k - k_min], stages[k + 1 - k_min]
         src_m, src_n = res_m.syzygy(k), res_n.syzygy(k - i)
         images = []  # Omega(f) for the representative f of each class, flattened
         for vec in src.basis_representatives():
@@ -159,9 +155,12 @@ class _FreeHomCoords:
         self.dim = self.b * self.dq
         self.p = pmod.p
 
-    def to_ambient(self, coords: np.ndarray) -> Matrix:
-        x = reduced(coords, self.p).reshape(self.b, self.dq)
-        return Matrix(self.p, _free_map_matrix(self.qmod, x.T))
+    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
+        """The maps (k, dim Q, dim P) with a block of coordinates (k, dim), in one product:
+        row c holds the images of map c's b generators."""
+        k = len(coords)
+        gens = reduced(coords, self.p).reshape(k * self.b, self.dq).T
+        return _free_map_matrix(self.qmod, gens).reshape(self.dq, k, self.pmod.dim).swapaxes(0, 1)
 
     def coords(self, rows: np.ndarray) -> np.ndarray:
         """Coordinates of one row-major map (dim Q * dim P) or of a block of them."""
@@ -192,15 +191,19 @@ class _SubHomCoords:
         self.coords = self.sub.coords
         self.p = pmod.p
 
-    def to_ambient(self, coords: np.ndarray) -> Matrix:
-        amb = self.sub.from_coords(coords)
-        return Matrix(self.p, amb.reshape(self.qmod.dim, self.pmod.dim))
+    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
+        return self.sub.from_coords(coords).reshape(len(coords), self.qmod.dim, self.pmod.dim)
 
     def postcompose(self, g: ModuleMap, tgt, out: np.ndarray) -> None:
         out[...] = hom_postcompose(g, self.sub, tgt).a
 
     def precompose(self, d: ModuleMap, tgt, out: np.ndarray) -> None:
         out[...] = hom_precompose(d, self.sub, tgt).a
+
+
+def _rows(maps: np.ndarray) -> np.ndarray:
+    """A stack of maps (k, rows, cols) as k row-major rows."""
+    return maps.reshape(len(maps), maps.shape[1] * maps.shape[2])
 
 
 def _hom_coords(pmod: FdModule, qmod: FdModule):
@@ -288,45 +291,39 @@ class SegmentStage:
             r += src.dim
         return Subspace(self.p, self.total, a)
 
-    # -- segment <-> class plumbing ------------------------------------------
+    # -- segment <-> class plumbing, a block of classes (k, dim) per call ----------
+    # A block of k segments is one stack (k, dim Q_{t-i}, dim P_t) per window degree t.
 
-    def segment_from_class(self, cls: np.ndarray) -> StableMapClass:
+    def segment_from_class(self, cls: np.ndarray) -> list[np.ndarray]:
+        """The distinguished segments of a block of classes, one stack per degree of the window."""
         vec = self.sq.representative(cls)
-        comps = []
-        for t in range(self.lo, self.hi + 1):
-            coords = vec[self.offsets[t]: self.offsets[t] + self.coords[t].dim]
-            mat = self.coords[t].to_ambient(coords)
-            comps.append(ModuleMap(self.res_m.proj(t), self.res_n.proj(t - self.i), mat, check=False))
-        return StableMapClass(self.i, self.lo, self.hi, comps)
+        return [self.coords[t].to_ambient(self._at(vec, t)) for t in range(self.lo, self.hi + 1)]
 
-    def class_of_segment(self, seg: StableMapClass) -> np.ndarray:
-        vec = np.zeros(self.total, dtype=np.int64)
-        for t in range(self.lo, self.hi + 1):
-            f = seg.component(t)
-            vec[self.offsets[t]: self.offsets[t] + self.coords[t].dim] = self.coords[t].coords(f.matrix.a.reshape(-1))
+    def class_of_segment(self, comps: list[np.ndarray]) -> np.ndarray:
+        """Class coordinates (k, dim) of a block of segments on this stage's window."""
+        vec = np.zeros((len(comps[0]), self.total), dtype=np.int64)
+        for t, f in zip(range(self.lo, self.hi + 1), comps):
+            self._at(vec, t)[...] = self.coords[t].coords(_rows(f))
         return self.sq.class_of(vec)
 
-    def extend_segment(self, seg: StableMapClass) -> StableMapClass:
-        """Extend one degree upward (projectivity; exists by row exactness)."""
-        t = seg.hi + 1
+    def extend_segment(self, comps: list[np.ndarray]) -> list[np.ndarray]:
+        """Extend a block of segments one degree upward (projectivity; exists by row exactness)."""
+        t = self.lo + len(comps)
         self.res_m.extend(t)
         self.res_n.extend(t - self.i)
-        sign = 1 if self.i % 2 == 0 else -1
-        d_p = self.res_m.differential(t)
+        rhs = mulmod(comps[-1], self.res_m.differential(t).matrix.a, self.p)
+        if self.i % 2:  # -rhs, kept in [0, p)
+            np.subtract(self.p, rhs, out=rhs, where=rhs != 0)
         d_q = self.res_n.differential(t - self.i)
-        rhs = (seg.component(t - 1).matrix @ d_p.matrix).scale(sign)
-        f_t = hom_solve(self.res_m.proj(t), self.res_n.proj(t - self.i), d_q.matrix, rhs)
-        return StableMapClass(self.i, seg.lo, t, list(seg.comps) + [f_t])
+        return comps + [hom_solve(self.res_m.proj(t), self.res_n.proj(t - self.i), d_q.matrix, rhs)]
 
     def theta_ext_class(self, cls: np.ndarray):
-        """The stage isomorphism onto Ext^{k+i}(M, Omega_k N) class coordinates."""
-        seg = self.segment_from_class(cls)
-        f = seg.component(self.lo)
-        pi = self.res_n.cover_map(self.k)
-        coc = pi.matrix @ f.matrix
+        """The stage isomorphism onto Ext^{k+i}(M, Omega_k N) class coordinates, for a block of classes."""
+        f = self.coords[self.lo].to_ambient(self._at(self.sq.representative(cls), self.lo))
+        coc = mulmod(self.res_n.cover_map(self.k).matrix.a, f, self.p)  # (k, dim Omega_k N, dim P_lo)
         ec = ext_chain(self.res_m.module, self.res_n.syzygy(self.k), self.lo + 1)
         h = ec.cohomology(self.lo)
-        coords = ec.hom_space(self.lo).coords(coc.a.reshape(-1))
+        coords = ec.hom_space(self.lo).coords(_rows(coc))
         return h, h.class_of(coords)
 
 
@@ -356,14 +353,9 @@ def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> Stabiliza
     maps: dict[int, Matrix] = {}
     for idx, k in enumerate(range(k_min, K)):
         st, st_next = stages[idx], stages[idx + 1]
-        cols = []
-        for cls in np.eye(st.dim, dtype=np.int64):
-            seg = st.segment_from_class(cls)
-            seg = st.extend_segment(seg)
-            shifted = StableMapClass(i, seg.lo + 1, seg.hi, seg.comps[1:])
-            cols.append(st_next.class_of_segment(shifted))
-        arr = np.array(cols, dtype=np.int64).T if cols else np.zeros((st_next.dim, 0), dtype=np.int64)
-        maps[k] = Matrix(m.p, arr.reshape(st_next.dim, st.dim))
+        # every class of stage k at once: extend its segments a degree, then drop the bottom one
+        comps = st.extend_segment(st.segment_from_class(np.eye(st.dim, dtype=np.int64)))
+        maps[k] = Matrix(m.p, st_next.class_of_segment(comps[1:]).T)
     _verify_satellite_route(m, res_n, i, k_min, K, stages, maps)
     rep = cotower_limit(Tower(i, k_min, stages, maps, "pcomp-ext"), w)
     rep.provenance = "pcomp-ext"
@@ -383,9 +375,8 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
             satellite = Subspace.full(m.p, h_om.dim)
         else:
             satellite = kernel_basis(ext_map(incl, m, k + i))
-        # transition image, transported through Theta: the transition's columns
-        theta_moved = np.array([st.theta_ext_class(col)[1] for col in maps[k - 1].a.T],
-                               dtype=np.int64)
+        # transition image, transported through Theta: the transition's columns, one per row
+        theta_moved = st.theta_ext_class(maps[k - 1].a.T)[1]
         img = Subspace(m.p, h_om.dim, theta_moved)
         if img != satellite:
             # the image of the transition must equal the satellite subspace
@@ -395,10 +386,9 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
         ses = ShortExactSeq(incl, res_n.cover_map(k - 1))
         delta = connecting_ext(ses, m, k + i - 1)
         sign = 1 if i % 2 == 0 else m.p - 1
-        for cls, rhs in zip(np.eye(st_prev.dim, dtype=np.int64), theta_moved):
-            _, via_theta = st_prev.theta_ext_class(cls)
-            if not np.array_equal(delta.apply(via_theta), (sign * rhs) % m.p):
-                raise RuntimeError("internal route mismatch: connecting map square")
+        _, via_theta = st_prev.theta_ext_class(np.eye(st_prev.dim, dtype=np.int64))
+        if not np.array_equal(delta.apply(via_theta), (sign * theta_moved) % m.p):
+            raise RuntimeError("internal route mismatch: connecting map square")
 
 
 # -- the mu comparison ---------------------------------------------------------
@@ -483,9 +473,12 @@ def mu_stage_check(m: FdModule, n: FdModule, i: int, K: int) -> MuStageReport:
         if st.dim != target_sq.dim:
             dims_equal = False
             continue
+        comps = st.segment_from_class(np.eye(st.dim, dtype=np.int64))
         cols = []
-        for cls in np.eye(st.dim, dtype=np.int64):
-            seg = st.segment_from_class(cls)
+        for c in range(st.dim):
+            seg = StableMapClass(i, st.lo, st.hi, [
+                ModuleMap(res_m.proj(t), res_n.proj(t - i), Matrix(m.p, f[c]), check=False)
+                for t, f in zip(range(st.lo, st.hi + 1), comps)])
             _, out = mu_forward(seg, st.lo, res_m, res_n)
             cols.append(out)
         if st.dim:

@@ -46,7 +46,7 @@ from .exactla import (
     mulmod,
     solve_matrix,
 )
-from .resolve import CompleteResolution, Resolution, _hom_solve_free, _memoized, hom_solve, min_proj_resolution
+from .resolve import CompleteResolution, Resolution, _memoized, hom_solve, min_proj_resolution
 
 __all__ = [
     "HomologySpace",
@@ -82,7 +82,7 @@ class HomologySpace:
 
     def class_of(self, v: np.ndarray) -> np.ndarray:
         if self.sq is None:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(np.shape(v)[:-1] + (0,), dtype=np.int64)
         return self.sq.class_of(v)
 
     def representative(self, cls: np.ndarray) -> np.ndarray:
@@ -363,11 +363,7 @@ def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
     p, k, pj, dp = m.p, h_top.dim, e_mid.res.proj(j), e_mid.res.proj(j + 1).dim
     reps = e_right.hom_space(j).from_coords(h_top.sq.basis_representatives()).reshape(k, ses.right.dim, pj.dim)
-    # lift every class through g: on a free P_j one solve on generator images
-    if pj.free_rank is not None:
-        lifted = _hom_solve_free(pj, ses.middle, ses.g.matrix, reps)
-    else:
-        lifted = np.array([hom_solve(pj, ses.middle, ses.g.matrix, Matrix(p, c)).matrix.a for c in reps])
+    lifted = hom_solve(pj, ses.middle, ses.g.matrix, reps)  # every class lifted through g in one call
     # the boundaries P_{j+1} -> middle land in im f; f is injective, so one
     # solve with the k boundaries side by side gives each its unique preimage
     boundaries = mulmod(lifted, e_mid.res.differential(j + 1).matrix.a, p)

@@ -44,6 +44,7 @@ from .exactla import (
     image_basis,
     kernel_basis,
     mulmod,
+    reduced,
     rref,
     solve_matrix,
 )
@@ -523,44 +524,41 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
 # -- comparison lifts -----------------------------------------------------------
 
 
-def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: Matrix) -> ModuleMap:
-    """Find g in Hom_A(source, target) with post @ g.matrix = rhs (deterministic).
+def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs):
+    """Find g in Hom_A(source, target) with post @ g = rhs (deterministic).
 
-    For a free source the solve reduces to one linear system on generator
-    images; otherwise it runs in Hom-subspace coordinates.  Either way the
-    result is A-linear by construction.
+    rhs is one Matrix, answered by a ModuleMap, or a (k, post.rows, dim source)
+    stack of right-hand sides, answered by the (k, dim target, dim source)
+    stack of their maps: a block of right-hand sides is one call.  For a free
+    source every g is fixed by its generator images, and the k systems are
+    solved side by side on them; otherwise one solve in Hom-subspace
+    coordinates takes the k right-hand sides as columns.  Free variables are
+    pinned to zero, so each map is the one its own solve gives, and each is
+    A-linear by construction.
     """
     p = post.p
+    stack = reduced(rhs.a[None] if isinstance(rhs, Matrix) else rhs, p)
+    k = len(stack)
     if source.free_rank is not None:
-        return ModuleMap(source, target, Matrix(p, _hom_solve_free(source, target, post, rhs.a[None])[0]),
-                         check=False)
-    hom = hom_over_algebra(source, target)
-    if hom.dim == 0:
-        if rhs.is_zero():
-            return ModuleMap.zero(source, target)
-        raise RuntimeError("hom_solve: empty Hom space with nonzero rhs")
-    # column h is post o (basis map h), flattened row-major
-    posted = mulmod(post.a, hom.basis.a.reshape(hom.dim, target.dim, source.dim), p)
-    sys = Matrix(p, posted.reshape(hom.dim, post.rows * source.dim).T)
-    sol = solve_matrix(sys, Matrix(p, rhs.a.reshape(-1, 1)))
-    if sol is None:
-        raise RuntimeError("hom_solve: no A-linear solution")
-    vec = hom.from_coords(sol.a[:, 0])
-    return ModuleMap(source, target, Matrix(p, vec.reshape(target.dim, source.dim)), check=False)
-
-
-def _hom_solve_free(source: FdModule, target: FdModule, post: Matrix, rhs: np.ndarray) -> np.ndarray:
-    """The maps g_c: A^b -> target with post @ g_c = rhs[c], as one (k, dim target, dim A^b) stack;
-    each is fixed by its generator images, and the k systems are solved side by side."""
-    p, k, b = post.p, len(rhs), source.free_rank
-    gens = _generator_images(rhs, source.algebra)  # (k, rows, b): column r is rhs[c](gen_r)
-    sol = solve_matrix(post, Matrix(p, gens.transpose(1, 0, 2).reshape(post.rows, k * b)))
-    if sol is None:
-        raise RuntimeError("hom_solve: no A-linear solution")
-    maps = _free_map_matrix(target, sol.a).reshape(target.dim, k, source.dim).transpose(1, 0, 2)
-    # post must be A-linear for the generator solve to determine g
-    if (mulmod(post.a, maps, p) != rhs).any():
-        raise RuntimeError("hom_solve: free-path solve failed (post not A-linear?)")
+        gens = _generator_images(stack, source.algebra)  # (k, rows, b): column r is rhs[c](gen_r)
+        sol = solve_matrix(post, Matrix(p, gens.transpose(1, 0, 2).reshape(post.rows, k * source.free_rank)))
+        if sol is None:
+            raise RuntimeError("hom_solve: no A-linear solution")
+        maps = _free_map_matrix(target, sol.a).reshape(target.dim, k, source.dim).transpose(1, 0, 2)
+        # post must be A-linear for the generator solve to determine g
+        if (mulmod(post.a, maps, p) != stack).any():
+            raise RuntimeError("hom_solve: free-path solve failed (post not A-linear?)")
+    else:
+        hom = hom_over_algebra(source, target)
+        # column h is post o (basis map h), flattened row-major; one rhs column per map
+        posted = mulmod(post.a, hom.basis.a.reshape(hom.dim, target.dim, source.dim), p)
+        sys = Matrix(p, posted.reshape(hom.dim, post.rows * source.dim).T)
+        sol = solve_matrix(sys, Matrix(p, stack.reshape(k, post.rows * source.dim).T))
+        if sol is None:
+            raise RuntimeError("hom_solve: no A-linear solution")
+        maps = hom.from_coords(sol.a.T).reshape(k, target.dim, source.dim)
+    if isinstance(rhs, Matrix):
+        return ModuleMap(source, target, Matrix(p, maps[0]), check=False)
     return maps
 
 

@@ -58,6 +58,8 @@ def _load(path: str) -> dict:
         raise SchemaError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})")
+    except (OSError, ValueError) as exc:  # a directory, a NUL in the path, bytes that are not UTF-8
+        raise SchemaError(f"{path}: cannot read ({exc})")
 
 
 def parse_algebra_file(path: str) -> Algebra:
@@ -106,6 +108,7 @@ def parse_module_file(path: str, algebra: Algebra | None = None) -> FdModule:
     if algebra is None:
         _expect("algebra" in data, path, "missing key 'algebra'")
         alg_path = data["algebra"]
+        _expect(isinstance(alg_path, str), f"{path}:algebra", "must be a path string")
         if not os.path.isabs(alg_path):
             alg_path = os.path.join(os.path.dirname(os.path.abspath(path)), alg_path)
         algebra = parse_algebra_file(alg_path)
@@ -123,7 +126,9 @@ def parse_module_file(path: str, algebra: Algebra | None = None) -> FdModule:
             _expect(isinstance(row, list) and len(row) == dim, f"{path}:action[{i}][{r}]",
                     f"must have {dim} entries")
             _expect_ints(row, f"{path}:action[{i}][{r}]")
-    mod = FdModule(algebra, side, dim, [np.array(a, dtype=np.int64) for a in action], check=False)
+    # reshaped, so that a zero module's [] is a 0 x 0 matrix rather than a 1-D array
+    mod = FdModule(algebra, side, dim, [np.array(a, dtype=np.int64).reshape(dim, dim) for a in action],
+                   check=False)
     rep = validate_module(mod)
     _expect(rep.ok, path, "module axioms fail: " + "; ".join(rep.violations))
     return mod

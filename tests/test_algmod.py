@@ -222,6 +222,17 @@ def test_not_a_group_rejected():
         make_group_algebra([[0, 1], [1, 1]], 2)
 
 
+def test_non_associative_loop_rejected_at_first_failing_triple():
+    # a Latin square with identity 0 in which every element is its own inverse,
+    # but not a group: Algebra's associativity check rejects it
+    loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    first = next((i, j, k) for i in range(5) for j in range(5) for k in range(5)
+                 if loop[loop[i, j], k] != loop[i, loop[j, k]])
+    assert first == (1, 1, 2)
+    with pytest.raises(ValueError, match=r"associativity fails at triple \(1,1,2\)"):
+        make_group_algebra(loop, 2)
+
+
 def test_monomial_quotient_dims():
     assert algebra_a1().dim == 2
     assert algebra_a2().dim == 3

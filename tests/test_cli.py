@@ -298,6 +298,32 @@ def test_main_bool_dim_is_schema_error(target, where, tmp_path, capsys):
     assert err.startswith("error: ") and f"{where}: must be a nonnegative integer" in err
 
 
+def _dims(value):
+    """Every value under a key ending in "dim", anywhere in a report section."""
+    if isinstance(value, dict):
+        return [x for k, v in value.items() for x in ([v] if k.endswith("dim") else _dims(v))]
+    return []
+
+
+@pytest.mark.parametrize("zero_side", ["right", "left"])
+def test_main_zero_module_computes_zero(zero_side, tmp_path):
+    # "action": [[], [], []] used to parse to 1-D arrays: every theory stopped
+    # with "matrix entries must be two-dimensional" and exit 1
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"algebra": os.path.abspath(fx("a2.json")), "side": zero_side,
+                                "dim": 0, "action": [[], [], []]}))
+    m = str(zero) if zero_side == "right" else fx("a2_k_right.json")
+    n = str(zero) if zero_side == "left" else fx("a2_k_left.json")
+    for theory in ("tor", "ext", "tate", "complete", "stable"):
+        out = tmp_path / f"{theory}.json"
+        code = main(["compute", "--algebra", fx("a2.json"), "--module-m", m, "--module-n", n,
+                     "--theory", theory, "--degrees", "0..1", "--out", str(out)])
+        assert code == 0, theory
+        dims = _dims(json.loads(out.read_text())["per_degree"])
+        # Tate over A2 with M = k is not certified and reports no dimension
+        assert set(dims) <= {0} and (dims or theory == "tate"), theory
+
+
 def test_main_unsupported_algebra_exit_code(tmp_path, capsys):
     # F_2[C_3] is F_2 x F_4: its semisimple quotient has a factor larger than F_2
     alg = make_group_algebra(cyclic_group_table(3), 2)

@@ -8,6 +8,7 @@ from homct import cohom
 from homct.algmod import (
     Algebra,
     ModuleMap,
+    _free_map_matrix,
     hom_postcompose,
     hom_precompose,
     regular_module,
@@ -24,7 +25,7 @@ from homct.cohom import (
     mu_stage_check,
     pcomp_ext,
 )
-from homct.derived import _entry_action_matrix, _free_block_entries, ext
+from homct.derived import _entry_action_matrix, _free_block_entries, ext, ext_chain
 from homct.exactla import Matrix, Subspace, image_basis, kernel_basis
 from homct.fixtures import (
     algebra_a1,
@@ -33,7 +34,7 @@ from homct.fixtures import (
     algebra_a4,
     simple_k,
 )
-from homct.resolve import min_proj_resolution
+from homct.resolve import hom_solve, min_proj_resolution
 
 
 # --- Benson-Carlson cotower -----------------------------------------------------
@@ -251,6 +252,64 @@ def test_segment_systems_match_stacked_reference(monkeypatch):
         assert np.array_equal(st.sq.class_of(vecs), want[:, comp])
         cls = rng.integers(0, p, size=(3, st.dim))
         assert np.array_equal(st.sq.representative(cls), cls @ zb[comp] % p)
+
+
+# --- block transitions against the per-class reference -------------------------------
+
+def _ref_segment(st, cls):
+    """The distinguished segment of one class, one matrix per window degree."""
+    vec = st.sq.representative(cls)
+    comps = []
+    for t in range(st.lo, st.hi + 1):
+        c = st.coords[t]
+        x = vec[st.offsets[t]: st.offsets[t] + c.dim]
+        if isinstance(c, cohom._FreeHomCoords):
+            comps.append(_free_map_matrix(c.qmod, x.reshape(c.b, c.dq).T))
+        else:
+            comps.append(c.sub.from_coords(x).reshape(c.qmod.dim, c.pmod.dim))
+    return comps
+
+
+def _ref_transition(st, st_next):
+    """The transition one class at a time, as pcomp_ext computed it before it took blocks:
+    extend the segment a degree, drop its bottom component, read the class in stage k+1."""
+    p, i, t = st.p, st.i, st.hi + 1
+    cols = []
+    for cls in np.eye(st.dim, dtype=np.int64):
+        comps = _ref_segment(st, cls)
+        rhs = (Matrix(p, comps[-1]) @ st.res_m.differential(t).matrix).scale(1 if i % 2 == 0 else -1)
+        f_t = hom_solve(st.res_m.proj(t), st.res_n.proj(t - i), st.res_n.differential(t - i).matrix, rhs)
+        vec = np.zeros(st_next.total, dtype=np.int64)
+        for t_next, f in zip(range(st_next.lo, st_next.hi + 1), comps[1:] + [f_t.matrix.a]):
+            vec[st_next.offsets[t_next]: st_next.offsets[t_next] + st_next.coords[t_next].dim] = (
+                st_next.coords[t_next].coords(f.reshape(-1)))
+        cols.append(st_next.sq.class_of(vec))
+    return np.array(cols, dtype=np.int64).reshape(st.dim, st_next.dim).T
+
+
+def _ref_theta(st, cls):
+    """Theta of one class: the segment's bottom component composed with the cover, as an Ext class."""
+    f = _ref_segment(st, cls)[0]
+    ec = ext_chain(st.res_m.module, st.res_n.syzygy(st.k), st.lo + 1)
+    coc = st.res_n.cover_map(st.k).matrix @ Matrix(st.p, f)
+    return ec.cohomology(st.lo).class_of(ec.hom_space(st.lo).coords(coc.a.reshape(-1)))
+
+
+def test_block_transitions_match_per_class_reference():
+    nonzero = 0
+    for m, n, i, k in _segment_cases():
+        res_m, res_n = min_proj_resolution(m, k + i + 4), min_proj_resolution(n, k + 5)
+        st, st_next = SegmentStage(res_m, res_n, i, k), SegmentStage(res_m, res_n, i, k + 1)
+        want = _ref_transition(st, st_next)
+        comps = st.extend_segment(st.segment_from_class(np.eye(st.dim, dtype=np.int64)))
+        got = st_next.class_of_segment(comps[1:]).T
+        assert got.shape == want.shape and np.array_equal(got, want), (m.p, i, k)
+        nonzero += bool(want.any())
+        # Theta of a block of classes, row by row
+        block = np.random.default_rng(k).integers(0, m.p, size=(3, st.dim))
+        _, theta = st.theta_ext_class(block)
+        assert np.array_equal(theta.reshape(3, -1), [_ref_theta(st, c).reshape(-1) for c in block])
+    assert nonzero >= 10
 
 
 def test_segments_memory_peak():

@@ -12,7 +12,9 @@ build its dense basis.  The chain layer is ``derived``: tensor
 differentials, second-argument maps and the tensor chains themselves are
 built there and nowhere else.  The elimination counts of one resolution
 stage, one homology space and one tower limit are pinned, so a change that
-eliminates a matrix twice fails here.
+eliminates a matrix twice fails here.  So are the block calls: a transition of
+the segments route and a connecting map in Ext lift all their classes with
+one ``hom_solve``, and a transition converts them back with one ``class_of``.
 """
 
 import ast
@@ -256,3 +258,60 @@ def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
     report = completion.tower_limit(tower, 2)
     assert report.dims == [1, 4, 16, 64]
     assert len(shapes) == 6
+
+
+# -- block calls: one solve and one class conversion per transition -------------------
+
+
+def test_pcomp_transition_is_one_block_call(monkeypatch):
+    # A2 stages have dims 1, 4, 16, 64: each transition lifts all its classes
+    # with one hom_solve and converts them back with one class_of
+    from homct import cohom
+
+    solves, stage_sqs, converted = [], [], []
+    hom_solve, init, class_of = cohom.hom_solve, cohom.SegmentStage.__init__, exactla.Subquotient.class_of
+
+    def spy_solve(source, target, post, rhs):
+        solves.append(len(rhs))
+        return hom_solve(source, target, post, rhs)
+
+    def spy_init(self, *args):
+        init(self, *args)
+        stage_sqs.append(self.sq)
+
+    def spy_class_of(self, v):
+        if any(self is sq for sq in stage_sqs):
+            converted.append(len(v))
+        return class_of(self, v)
+
+    monkeypatch.setattr(cohom, "hom_solve", spy_solve)
+    monkeypatch.setattr(cohom.SegmentStage, "__init__", spy_init)
+    monkeypatch.setattr(exactla.Subquotient, "class_of", spy_class_of)
+    k = simple_k(algebra_a2())
+    assert cohom.pcomp_ext(k, k, 0, 3).dims == [1, 4, 16, 64]
+    assert solves == converted == [1, 4, 16]
+
+
+def test_connecting_ext_on_non_free_projective_is_one_solve(monkeypatch):
+    # T_2(F_3), upper triangular 2 x 2 matrices: P_0 covers a simple and is not
+    # free; m = S + S gives the connecting map of the syzygy sequence two classes
+    from homct.algmod import Algebra, direct_sum, simple_modules
+
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), c in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, c] = 1
+    s = simple_modules(Algebra(3, struct, [1, 0, 1]), "left")[0]
+    m = direct_sum([s, s])
+    assert resolve.min_proj_resolution(m, 1).proj(0).free_rank is None
+    res = resolve.min_proj_resolution(s, 2)
+    ses = derived.ShortExactSeq(res.syzygy_incl(1), res.cover_map(0))
+    solves = []
+    hom_solve = derived.hom_solve
+
+    def spy_solve(source, target, post, rhs):
+        solves.append(len(rhs))
+        return hom_solve(source, target, post, rhs)
+
+    monkeypatch.setattr(derived, "hom_solve", spy_solve)
+    delta = derived.connecting_ext(ses, m, 0)
+    assert delta.a.tolist() == [[1, 0], [0, 1]] and solves == [2]

@@ -459,6 +459,82 @@ def test_lift_module_map_commutes():
         assert lhs == rhs
 
 
+def _hom_solve_reference(source, target, post, rhs):
+    """One map per call, as hom_solve solved it before it took stacks: on a free
+    source by its generator images, otherwise in Hom-subspace coordinates."""
+    from homct.algmod import _generator_images, hom_over_algebra
+
+    p = post.p
+    if source.free_rank is not None:
+        sol = solve_matrix(post, Matrix(p, _generator_images(rhs.a, source.algebra)))
+        if sol is None or not (post @ Matrix(p, _free_map_matrix(target, sol.a))) == rhs:
+            raise RuntimeError("no A-linear solution")
+        return _free_map_matrix(target, sol.a)
+    hom = hom_over_algebra(source, target)
+    posted = mulmod(post.a, hom.basis.a.reshape(hom.dim, target.dim, source.dim), p)
+    sol = solve_matrix(Matrix(p, posted.reshape(hom.dim, -1).T), Matrix(p, rhs.a.reshape(-1, 1)))
+    if sol is None:
+        raise RuntimeError("no A-linear solution")
+    return hom.from_coords(sol.a[:, 0]).reshape(target.dim, source.dim)
+
+
+def _t2_left_simples():
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, k] = 1
+    return simple_modules(Algebra(3, struct, [1, 0, 1]), "left")
+
+
+def _lifting_problems():
+    """(source, pi, rhs stack): k = 6 maps from a projective source into N, to lift through
+    N's cover pi; A2 with the free source A^2, T_2(F_3) with a sum of indecomposable
+    projectives (not free)."""
+    from homct.algmod import free_module, hom_over_algebra
+
+    a2 = algebra_a2()
+    s0, s1 = _t2_left_simples()
+    rng = np.random.default_rng(3)
+    out = []
+    for source, n in ((free_module(a2, "left", 2), min_proj_resolution(simple_k(a2), 2).syzygy(1)),
+                      (projective_cover(direct_sum([s0, s0]))[0], direct_sum([s0, s1, s0]))):
+        _, pi, _ = projective_cover(n)
+        hom = hom_over_algebra(source, n)
+        rhs = hom.from_coords(rng.integers(0, n.p, size=(6, hom.dim))).reshape(6, n.dim, source.dim)
+        assert rhs.any()
+        out.append((source, pi, rhs))
+    return out
+
+
+def test_stacked_hom_solve_equals_single_solves():
+    free_kinds = []
+    for source, pi, rhs in _lifting_problems():
+        target, post = pi.source, pi.matrix
+        free_kinds.append(source.free_rank is not None)
+        stacked = resolve.hom_solve(source, target, post, rhs)
+        singles = [resolve.hom_solve(source, target, post, Matrix(post.p, r)).matrix.a for r in rhs]
+        assert np.array_equal(stacked, singles)
+        assert np.array_equal(stacked, [_hom_solve_reference(source, target, post, Matrix(post.p, r)) for r in rhs])
+        assert np.array_equal(mulmod(post.a, stacked, post.p), rhs)
+    assert free_kinds == [True, False]
+
+
+def test_inconsistent_rhs_raises_on_both_paths():
+    from homct.algmod import hom_over_algebra
+
+    for source, pi, rhs in _lifting_problems():
+        target, post = pi.source, pi.matrix
+        # add 1 at the first entry of rhs[2] where that leaves Hom_A: then no lift exists
+        hom, bad = hom_over_algebra(source, pi.target), rhs.copy()
+        flat = bad[2].reshape(-1)  # a view into bad
+        flat[next(j for j in range(flat.size) if not hom.contains(flat + (np.arange(flat.size) == j)))] += 1
+        bad %= post.p
+        assert not hom.contains(bad[2].reshape(-1))
+        with pytest.raises(RuntimeError, match="hom_solve"):
+            resolve.hom_solve(source, target, post, bad)
+        with pytest.raises(RuntimeError, match="hom_solve"):
+            resolve.hom_solve(source, target, post, Matrix(post.p, bad[2]))
+
+
 # --- the process memo -------------------------------------------------------------
 
 def test_memo_shares_resolution_across_parsed_copies():
