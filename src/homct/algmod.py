@@ -187,6 +187,30 @@ class Algebra:
             self._cache["radical_generators"] = gens
         return gens
 
+    def generating_basis(self) -> list[int]:
+        """Indices of basis elements that generate A as an algebra, chosen by closure.
+
+        Each basis element in turn is taken when it lies outside the subalgebra
+        the unit and the elements taken before it generate.  A linear map that
+        commutes with the actions of these elements commutes with every action
+        of a module, as rho(xy) is rho(x) rho(y) (or rho(y) rho(x)) and rho(1) = 1.
+        """
+        gens = self._cache.get("generating_basis")
+        if gens is None:
+            p, n, gens = self.p, self.dim, []
+            basis = np.eye(n, dtype=np.int64)
+            sub = Subspace(p, n, self.unit[None])
+            for i in range(n):
+                if sub.contains(basis[i]):
+                    continue
+                gens.append(i)
+                grown = Subspace(p, n, np.vstack([sub.basis.a, basis[i]]))
+                while grown.dim > sub.dim:  # right products by the generators until closed
+                    sub, rows = grown, grown.basis.a
+                    grown = Subspace(p, n, np.vstack([rows, self.mul(rows[:, None], basis[gens]).reshape(-1, n)]))
+            self._cache["generating_basis"] = gens
+        return gens
+
     def semisimple_quotient(self) -> tuple["Algebra", list[int]]:
         """Quotient by the radical, on canonical complement coordinates.
 
@@ -618,9 +642,12 @@ class ModuleMap:
         if check and not self.commutes():
             raise ValueError("matrix does not commute with the action")
 
-    def commutes(self) -> bool:
-        return all(t @ self.matrix == self.matrix @ s
-                   for s, t in zip(self.source.action, self.target.action))
+    def commutes(self, elements=None) -> bool:
+        """True iff the matrix commutes with the action of every basis element, or of those
+        indexed by ``elements``: between modules, Algebra.generating_basis() suffices."""
+        src, tgt = self.source.action, self.target.action
+        return all(tgt[u] @ self.matrix == self.matrix @ src[u]
+                   for u in (range(len(src)) if elements is None else elements))
 
     @property
     def p(self):
@@ -879,7 +906,12 @@ def socle(m: FdModule) -> Subspace:
 
 
 def radical_submodule(m: FdModule) -> Subspace:
-    """rad(A) * m as a subspace of m: the sum of the images of the radical generators."""
+    """rad(A) * m as a subspace of m: the sum of the images of the radical generators.
+
+    For free m = A^b it is (rad A)^b, read off rad A's RREF with no elimination.
+    """
+    if m.free_rank is not None:
+        return m.algebra.radical().power(m.free_rank)
     gens = m.algebra.radical_generators()
     # the columns x . m_j of each generator's action; the actions are freed before eliminating
     return Subspace(m.p, m.dim, m.action_of(gens).transpose(0, 2, 1).reshape(len(gens) * m.dim, m.dim))

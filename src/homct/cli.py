@@ -8,7 +8,8 @@ set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
 report, 2 invalid input file or request, 3 unsupported algebra class, 4
 radical certification failure, 5 internal construction failure (a
 ``RuntimeError``, such as a connecting map, projective cover or Hom solve
-with no solution), 6 out of memory; codes 2-6 print ``error: ...`` to stderr.
+with no solution), 6 out of memory, naming the innermost homct function the
+error passed through; codes 2-6 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -319,6 +320,18 @@ def _parse_degrees(text: str) -> tuple[int, int]:
         raise RequestError(f"degrees must be lo..hi or one integer, got '{text}'") from None
 
 
+def _allocation_site(exc: BaseException) -> str | None:
+    """<module>.<function> of the innermost homct frame that exc passed through below main."""
+    site = None
+    tb = exc.__traceback__.tb_next  # main's own frame is not a site
+    while tb is not None:
+        module, code = tb.tb_frame.f_globals.get("__name__", ""), tb.tb_frame.f_code
+        if module.startswith("homct."):
+            site = f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
+        tb = tb.tb_next
+    return site
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="homct",
@@ -408,7 +421,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        site = _allocation_site(exc)
+        print(f"error: out of memory{f' in {site}' if site else ''}: {exc}", file=sys.stderr)
         return 6
     return 0
 

@@ -576,6 +576,15 @@ class Subspace:
         """F_p^n: pivots 0..n-1 and an n x 0 block."""
         return Subspace._from_rref(p, ambient_dim, range(ambient_dim), np.zeros((ambient_dim, 0), dtype=np.int64))
 
+    def power(self, b: int) -> "Subspace":
+        """S^b inside (F_p^n)^b, no elimination: b diagonal copies of S's RREF are canonical,
+        with pivots r * n + (S's pivots) and S's non-pivot block on the diagonal."""
+        n, (k, f) = self.ambient_dim, self.block.shape
+        block = np.zeros((b, k, b, f), dtype=np.int64)
+        block[np.arange(b), :, np.arange(b), :] = self.block
+        pivots = (n * np.arange(b)[:, None] + np.asarray(self.pivots, dtype=np.intp)).ravel()
+        return Subspace._from_rref(self.p, n * b, pivots.tolist(), block.reshape(b * k, b * f))
+
     @property
     def dim(self) -> int:
         return len(self.pivots)

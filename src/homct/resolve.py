@@ -26,7 +26,6 @@ from .algmod import (
     _free_map_matrix,
     _generator_images,
     direct_sum,
-    dual_map,
     dual_module,
     free_module,
     hom_over_algebra,
@@ -70,8 +69,9 @@ __all__ = [
 ]
 
 # The one process-wide memo of homological data, keyed by content fingerprints:
-# ("res", m) resolutions, ("tensor"|"ext", m, n) chains in derived, and
-# ("self_injective", algebra) verdicts.  Library callers may share it across threads.
+# ("res", m) projective and ("inj", n) injective resolutions, ("tensor"|"ext", m, n)
+# chains in derived, and ("self_injective", algebra) verdicts.  Library callers may
+# share it across threads.
 _memo: dict[tuple, object] = {}
 _memo_lock = threading.Lock()
 
@@ -99,7 +99,9 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap, Subspace]:
     The generators lift a basis of top m = top P: of the candidates e_t * (lift
     of a top basis vector), simple by simple, each one independent modulo rad m
     of those before it, which is the column rank profile of the reduced
-    candidates, so one elimination finds them.
+    candidates, so one elimination finds them.  The cover map is checked
+    A-linear on the algebra generators, and ker pi inside rad P, which is
+    read off rad A when P is free.
     """
     a = m.algebra
     a.assert_supported()
@@ -128,7 +130,9 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap, Subspace]:
         orbits = [mulmod(orbit, incl.matrix.a, a.p) for orbit, (_, incl) in zip(orbits, pairs)]
         summand_mods = [sub for sub, _ in pairs]
         proj = direct_sum(summand_mods) if len(summand_mods) > 1 else summand_mods[0]
-    pi = ModuleMap(proj, m, Matrix(a.p, np.hstack(orbits)))
+    pi = ModuleMap(proj, m, Matrix(a.p, np.hstack(orbits)), check=False)
+    if not pi.commutes(a.generating_basis()):  # A-linear, as proj and m are modules
+        raise ValueError("matrix does not commute with the action")
     ker = pi.kernel()  # one elimination of pi: it is onto iff dim P - dim ker = dim m
     if proj.dim - ker.dim != m.dim:
         raise RuntimeError("projective cover: constructed map is not surjective")
@@ -170,29 +174,34 @@ def is_injective(m: FdModule) -> bool:
 
 @dataclass
 class _Stage:
-    proj: FdModule
-    cover_map: ModuleMap  # proj ->> syzygy_k
-    syzygy: FdModule  # Omega_k
-    incl: ModuleMap | None  # Omega_k -> P_{k-1} (None at k = 0)
+    proj: FdModule  # P_k
+    cover_map: ModuleMap  # P_k ->> Omega_k
+    ker: Subspace  # ker of the cover map, Omega_{k+1} inside P_k
+    _kernel: tuple[FdModule, ModuleMap] | None = field(default=None, init=False, repr=False)
+
+    def kernel(self) -> tuple[FdModule, ModuleMap]:
+        """Omega_{k+1} with its inclusion into P_k, induced from ker on first request."""
+        if self._kernel is None:
+            self._kernel = submodule_from_subspace(self.proj, self.ker)
+        return self._kernel
 
 
 class Resolution:
-    """Minimal projective resolution, extended in place on deeper requests."""
+    """Minimal projective resolution, extended in place on deeper requests.
+
+    Stage k holds P_k, its cover map and ker pi_k.  The module Omega_{k+1} is
+    induced on ker pi_k only when stage k + 1, syzygy(k + 1) or
+    syzygy_incl(k + 1) reads it, and then once per stage.
+    """
 
     def __init__(self, m: FdModule):
         self.module = m
         self._stages: list[_Stage] = []
-        self._next_syzygy: FdModule = m
-        self._next_incl: ModuleMap | None = None
 
     def extend(self, depth: int) -> "Resolution":
         while len(self._stages) <= depth:
-            omega = self._next_syzygy
-            proj, pi, ker = projective_cover(omega)
-            sub, incl_sub = submodule_from_subspace(proj, ker)
-            self._stages.append(_Stage(proj, pi, omega, self._next_incl))
-            self._next_syzygy = sub
-            self._next_incl = incl_sub
+            omega = self._stages[-1].kernel()[0] if self._stages else self.module
+            self._stages.append(_Stage(*projective_cover(omega)))
         return self
 
     @property
@@ -224,21 +233,13 @@ class Resolution:
         """Omega_k; Omega_0 is the resolved module itself."""
         if k < 0:
             raise ValueError(f"syzygy degree {k} is negative")
-        if k == 0:
-            return self.module
-        self.extend(k - 1)
-        if k <= self.depth:
-            return self._stages[k].syzygy
-        return self._next_syzygy
+        return self.module if k == 0 else self._stage(k - 1).kernel()[0]
 
     def syzygy_incl(self, k: int) -> ModuleMap:
         """The inclusion Omega_k -> P_{k-1} (k >= 1)."""
         if k < 1:
             raise ValueError("syzygy inclusion needs k >= 1")
-        self.extend(k - 1)
-        if k <= self.depth:
-            return self._stages[k].incl
-        return self._next_incl
+        return self._stage(k - 1).kernel()[1]
 
     def differential(self, k: int) -> ModuleMap:
         """d_k: P_k -> P_{k-1} (k >= 1), composite of cover and inclusion."""
@@ -269,41 +270,54 @@ def min_proj_resolution(m: FdModule, depth: int) -> Resolution:
 
 
 class InjResolution:
-    """Minimal injective resolution, realized by dualizing a projective one."""
+    """Minimal injective resolution, realized by dualizing a projective one.
+
+    Each dual is built once per instance: the spaces, cosyzygies and maps are
+    cached by degree.
+    """
 
     def __init__(self, n: FdModule, depth: int):
         self.module = n
         self._dual_res = min_proj_resolution(dual_module(n), depth)
+        self._cache: dict[tuple[str, int], object] = {}
+
+    def _cached(self, key: tuple[str, int], build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     def extend(self, depth: int) -> "InjResolution":
-        self._dual_res.extend(depth)
+        with _memo_lock:
+            self._dual_res.extend(depth)
         return self
 
     def space(self, j: int) -> FdModule:
         """I^j, an injective module of the same side as n."""
-        return dual_module(self._dual_res.proj(j))
+        return self._cached(("space", j), lambda: dual_module(self._dual_res.proj(j)))
 
     def cosyzygy(self, j: int) -> FdModule:
         """Omega^j n (j = 0 gives back n itself, with identical matrices)."""
-        return dual_module(self._dual_res.syzygy(j))
+        return self._cached(("cosyzygy", j), lambda: dual_module(self._dual_res.syzygy(j)))
 
     def codifferential(self, j: int) -> ModuleMap:
         """I^j -> I^{j+1}."""
-        return dual_map(self._dual_res.differential(j + 1))
+        return self._cached(("codifferential", j), lambda: ModuleMap(
+            self.space(j), self.space(j + 1), self._dual_res.differential(j + 1).matrix.transpose(), check=False))
 
     def augmentation(self) -> ModuleMap:
         """n -> I^0 (an essential embedding)."""
-        return dual_map(self._dual_res.cover_map(0))
+        return self.cosyzygy_incl(0)
 
     def cosyzygy_incl(self, j: int) -> ModuleMap:
         """Omega^j -> I^j (j = 0: the augmentation)."""
-        if j == 0:
-            return self.augmentation()
-        return dual_map(self._dual_res.cover_map(j))
+        return self._cached(("cosyzygy_incl", j), lambda: ModuleMap(
+            self.cosyzygy(j), self.space(j), self._dual_res.cover_map(j).matrix.transpose(), check=False))
 
     def cosyzygy_proj(self, j: int) -> ModuleMap:
         """I^{j-1} ->> Omega^j (j >= 1)."""
-        return dual_map(self._dual_res.syzygy_incl(j))
+        return self._cached(("cosyzygy_proj", j), lambda: ModuleMap(
+            self.space(j - 1), self.cosyzygy(j), self._dual_res.syzygy_incl(j).matrix.transpose(), check=False))
 
     def cosyzygy_ses(self, k: int):
         """0 -> Omega^{k-1} -> I^{k-1} -> Omega^k -> 0 (k >= 1)."""
@@ -317,7 +331,19 @@ class InjResolution:
 
 
 def min_inj_resolution(n: FdModule, depth: int) -> InjResolution:
-    return InjResolution(n, depth)
+    """Memoized minimal injective resolution of n, one instance per fingerprint.
+
+    The instance is built outside the memo lock, as building it requests the
+    memoized dual resolution; only its insertion takes the lock.
+    """
+    key = ("inj", n.fingerprint())
+    with _memo_lock:
+        inj = _memo.get(key)
+    if inj is None:
+        inj = InjResolution(n, depth)
+        with _memo_lock:
+            inj = _memo.setdefault(key, inj)
+    return inj.extend(depth)
 
 
 # -- periodicity and self-injectivity ----------------------------------------

@@ -46,6 +46,7 @@ from homct.fixtures import (
     a3_mod_ideal,
     group_algebra_c3_f3,
     klein_four_table,
+    seeded_corpus,
     simple_k,
 )
 from homct.derived import ShortExactSeq, ext_chain, second_arg_ext_matrix
@@ -979,3 +980,107 @@ def test_free_hom_memory_is_a_few_outputs():
     finally:
         tracemalloc.stop()
     assert hom.dim == 64 * 12 and peak <= 4 * hom.basis.a.nbytes
+
+
+# --- algebra generators and the closed-form radical of free modules ---------------
+
+
+def _elementary_abelian_f2(r, seed=0):
+    """F_2[(C_2)^r], its group elements relabeled by a seeded permutation (seed 0 keeps them)."""
+    n = 2**r
+    perm = np.random.default_rng(seed).permutation(n) if seed else np.arange(n)
+    table = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            table[perm[i], perm[j]] = perm[i ^ j]
+    return make_group_algebra(table, 2)
+
+
+def _generator_test_algebras():
+    return {**fixture_algebras(), "t2f3": _triangular(2, 3), "c3f3": group_algebra_c3_f3(),
+            "c2x2": _elementary_abelian_f2(2, seed=5), "c2x3": _elementary_abelian_f2(3, seed=7)}
+
+
+def _commutes_on_every_basis_element(f):
+    """ModuleMap.commutes before generators: every basis element's action (the reference)."""
+    return all(t @ f.matrix == f.matrix @ s for s, t in zip(f.source.action, f.target.action))
+
+
+def _radical_submodule_by_elimination(m):
+    """radical_submodule before the closed form: eliminate the radical generators' images."""
+    gens = m.algebra.radical_generators()
+    return Subspace(m.p, m.dim, m.action_of(gens).transpose(0, 2, 1).reshape(len(gens) * m.dim, m.dim))
+
+
+def _maps_commuting_with(m, n, elements):
+    """A basis of the linear maps m -> n commuting with the actions of the basis elements ``elements``."""
+    eye_m, eye_n = Matrix.identity(m.p, m.dim), Matrix.identity(m.p, n.dim)
+    conds = [(kron(eye_n, m.action[u].transpose()) - kron(n.action[u], eye_m)).a for u in elements]
+    if not conds:
+        return np.eye(m.dim * n.dim, dtype=np.int64)
+    return kernel_basis(Matrix(m.p, np.vstack(conds))).basis.a
+
+
+@pytest.mark.parametrize("name", sorted(_generator_test_algebras()))
+def test_generator_check_equals_the_all_basis_check(name):
+    a = _generator_test_algebras()[name]
+    gens = a.generating_basis()
+    rng = np.random.default_rng(11)
+    for side in ("left", "right"):
+        mods = [regular_module(a, side), *simple_modules(a, side), free_module(a, side, 2)]
+        if len(a.characters()) == 1:
+            mods += seeded_corpus(a, side, 3, seed=3)
+        else:
+            mods.append(direct_sum(simple_modules(a, side)))
+        partial = 0  # maps that commute with some generators but not with all
+        for m in mods:
+            for n in mods[:4]:
+                # subsets: every generator, each one alone, all but each one
+                subsets = [gens] + [[g] for g in gens] + [[h for h in gens if h != g] for g in gens]
+                cands = [rng.integers(0, a.p, size=n.dim * m.dim) for _ in range(2)]
+                for s in subsets:
+                    basis = _maps_commuting_with(m, n, s)
+                    cands += list(basis[:3]) + [rng.integers(0, a.p, size=len(basis)) @ basis % a.p]
+                for vec in cands:
+                    f = ModuleMap(m, n, Matrix(a.p, vec.reshape(n.dim, m.dim)), check=False)
+                    on_gens = [f.commutes([g]) for g in gens]
+                    assert f.commutes(gens) == all(on_gens) == _commutes_on_every_basis_element(f)
+                    assert f.commutes() == _commutes_on_every_basis_element(f)
+                    partial += any(on_gens) and not all(on_gens)
+        assert len(gens) == 1 or partial > 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_generating_basis_of_elementary_abelian_2_group(r):
+    for seed in (0, 3):
+        a = _elementary_abelian_f2(r, seed)
+        gens = a.generating_basis()
+        assert len(gens) == r and a.generating_basis() is gens  # chosen once per algebra
+        # the chosen group elements generate the group: their products reach every element
+        reached = {int(np.flatnonzero(a.unit)[0])}
+        for g in gens:
+            reached |= {int(np.flatnonzero(a.mul(np.eye(a.dim, dtype=np.int64)[g],
+                                                    np.eye(a.dim, dtype=np.int64)[h]))[0]) for h in reached}
+        assert len(reached) == 2**r
+
+
+def test_generating_basis_of_the_fixtures():
+    # A1, A4, F_3[C_3] are generated by one element; A2 and A3 by x and y; T_2(F_3) by e11 and e12
+    gens = {name: a.generating_basis() for name, a in _generator_test_algebras().items()}
+    assert {name: len(g) for name, g in gens.items()} == {
+        "a1": 1, "a2": 2, "a3": 2, "a4": 1, "t2f3": 2, "c3f3": 1, "c2x2": 2, "c2x3": 3}
+    a3 = algebra_a3()
+    assert sorted(a3.basis_names[g] for g in gens["a3"]) == ["x", "y"]
+
+
+@pytest.mark.parametrize("name", sorted(_generator_test_algebras()))
+def test_closed_form_radical_of_free_modules_equals_elimination(name):
+    a = _generator_test_algebras()[name]
+    for side in ("left", "right"):
+        for b in range(4):
+            m = free_module(a, side, b)
+            closed, eliminated = radical_submodule(m), _radical_submodule_by_elimination(m)
+            assert closed == eliminated and closed.free.tolist() == eliminated.free.tolist()
+            if side == "right":
+                opp = m.as_left_over_opposite()
+                assert radical_submodule(opp) == _radical_submodule_by_elimination(opp) == closed

@@ -212,13 +212,33 @@ def _count_eliminations(monkeypatch) -> list:
     return shapes
 
 
-def test_one_resolution_stage_eliminates_four_matrices(monkeypatch):
-    # rad Omega, the top generators' rank profile, ker pi, rad P (the cover check)
+def test_one_resolution_stage_eliminates_three_matrices(monkeypatch):
+    # rad Omega, the top generators' rank profile, ker pi; rad P of the free
+    # cover (the check ker pi <= rad P) is read off rad A with no elimination
     a2 = algebra_a2()
     res = resolve.Resolution(simple_k(a2, "right")).extend(1)
     shapes = _count_eliminations(monkeypatch)
     res.extend(2)
-    assert len(shapes) == 4
+    assert len(shapes) == 3
+
+
+def test_extend_does_not_build_the_next_syzygy(monkeypatch):
+    # extend(d) keeps ker pi_d; Omega_{d+1} is induced once, when it is read
+    built = []
+    induce = resolve.submodule_from_subspace
+
+    def spy(m, span):
+        built.append(span.dim)
+        return induce(m, span)
+
+    monkeypatch.setattr(resolve, "submodule_from_subspace", spy)
+    res = resolve.Resolution(simple_k(algebra_a2(), "right")).extend(2)
+    assert built == [2, 4]  # Omega_1 and Omega_2, the modules stages 1 and 2 cover
+    omega = res.syzygy(3)
+    assert built == [2, 4, 8] and res.depth == 2
+    assert res.syzygy(3) is omega and res.syzygy_incl(3).source is omega
+    res.extend(3)
+    assert built == [2, 4, 8] and res.syzygy(3) is omega
 
 
 def test_one_tensor_homology_eliminates_two_matrices(monkeypatch):

@@ -583,3 +583,103 @@ def test_memo_one_entry_per_key_under_thread_contention(monkeypatch):
     assert len({id(res) for res, _ in results}) == 1
     assert len({id(verdict) for _, verdict in results}) == 1
     assert results[0][0].depth >= 3 and results[0][1][0] is False
+
+
+# --- lazy syzygies against the eager reference --------------------------------------
+
+
+class _EagerResolution:
+    """Resolution.extend before lazy syzygies: every stage induces the next syzygy at once."""
+
+    def __init__(self, m):
+        self.module = m
+        self.stages = []  # (P_k, cover map, Omega_k, Omega_k -> P_{k-1})
+        self.next_syzygy, self.next_incl = m, None
+
+    def extend(self, depth):
+        while len(self.stages) <= depth:
+            omega = self.next_syzygy
+            proj, pi, ker = projective_cover(omega)
+            sub, incl_sub = resolve.submodule_from_subspace(proj, ker)
+            self.stages.append((proj, pi, omega, self.next_incl))
+            self.next_syzygy, self.next_incl = sub, incl_sub
+        return self
+
+
+def _triangular_f3():
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    for (i, j), c in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        struct[i, j, c] = 1
+    return Algebra(3, struct, [1, 0, 1])
+
+
+def _lazy_eager_modules():
+    mods = [simple_k(a, side) for a in fixture_algebras().values() for side in ("left", "right")]
+    mods += [a3_mod_x("right"), *simple_modules(_triangular_f3(), "left"),
+             simple_k(make_group_algebra([[i ^ j for j in range(4)] for i in range(4)], 2), "right")]
+    return mods
+
+
+@pytest.mark.parametrize("idx", range(len(_lazy_eager_modules())))
+def test_lazy_resolution_agrees_with_eager_stage_by_stage(idx):
+    m = _lazy_eager_modules()[idx]
+    depth = 5
+    eager = _EagerResolution(m).extend(depth)
+    lazy = resolve.Resolution(m).extend(depth)
+    for k, (proj, pi, omega, incl) in enumerate(eager.stages):
+        assert lazy.proj(k).fingerprint() == proj.fingerprint() and lazy.proj(k).free_rank == proj.free_rank
+        assert lazy.cover_map(k).matrix == pi.matrix
+        assert lazy.syzygy(k).fingerprint() == omega.fingerprint()
+        if k:
+            assert lazy.syzygy_incl(k).matrix == incl.matrix
+            assert lazy.syzygy_incl(k).source is lazy.syzygy(k)
+    assert lazy.syzygy(depth + 1).fingerprint() == eager.next_syzygy.fingerprint()
+    assert lazy.syzygy_incl(depth + 1).matrix == eager.next_incl.matrix
+    assert lazy.depth == depth
+
+
+def test_tor_over_elementary_abelian_group_of_order_32():
+    # Betti numbers C(i + 4, 4) of k over F_2[(C_2)^5]
+    from homct.derived import tor
+
+    n = 32
+    a = make_group_algebra([[i ^ j for j in range(n)] for i in range(n)], 2)
+    k_r, k_l = simple_k(a, "right"), simple_k(a, "left")
+    assert [tor(k_r, k_l, i).dim for i in range(3)] == [1, 5, 15]
+
+
+def test_inj_resolution_one_instance_per_fingerprint(monkeypatch):
+    monkeypatch.setattr(resolve, "_memo", {})
+    path = os.path.join(FIXTURES, "a2_k_left.json")
+    n1, n2 = parse_module_file(path), parse_module_file(path)
+    inj = min_inj_resolution(n1, 2)
+    assert min_inj_resolution(n2, 3) is inj
+    # each dual is built once: spaces, cosyzygies and maps are the same objects on every call
+    assert inj.space(3) is inj.space(3) and inj.cosyzygy(2) is inj.cosyzygy(2)
+    assert inj.codifferential(1) is inj.codifferential(1)
+    om_prev, mid, om_next, incl, proj = inj.cosyzygy_ses(2)
+    assert om_prev is inj.cosyzygy(1) and mid is inj.space(1) and om_next is inj.cosyzygy(2)
+    assert incl.source is om_prev and incl.target is mid and proj.source is mid and proj.target is om_next
+    assert inj.augmentation() is inj.cosyzygy_incl(0)
+    assert [inj.space(j).dim for j in range(4)] == [3, 6, 12, 24]
+
+
+def test_inj_resolution_one_instance_under_thread_contention(monkeypatch):
+    monkeypatch.setattr(resolve, "_memo", {})
+    k_l = simple_k(algebra_a2(), "left")
+    workers = 8
+    barrier = threading.Barrier(workers)
+
+    def race(_):
+        barrier.wait(timeout=30)
+        return min_inj_resolution(k_l, 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(race, j) for j in range(workers)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(inj) for inj in results}) == 1
+    assert results[0]._dual_res.depth >= 3
