@@ -39,8 +39,8 @@ from .algmod import (
 from .completion import StabilizationReport, Tower, cosyzygy_tower, tower_limit
 from .derived import (
     ShortExactSeq,
-    _entry_action_matrix,
     _free_block_entries,
+    _write_entry_actions,
     connecting_ext,
     ext,
     ext_chain,
@@ -169,15 +169,19 @@ class _FreeHomCoords:
         return gens.swapaxes(-1, -2).reshape(rows.shape[:-1] + (self.dim,))
 
     def postcompose(self, g: ModuleMap, tgt: "_FreeHomCoords", out: np.ndarray) -> None:
-        """Write the matrix of f -> g o f, kron(I_b, g), to ``out``: one copy of g per generator."""
-        rows = g.matrix.rows
-        for j in range(self.b):
-            out[j * rows:(j + 1) * rows, j * self.dq:(j + 1) * self.dq] = g.matrix.a
+        """Write the matrix of f -> g o f, kron(I_b, g), to ``out``: one copy of g per generator.
+
+        ``out`` may be any strided view (the coboundary system passes a
+        transposed one); its diagonal blocks are written through one view of them.
+        """
+        rows, (s0, s1) = g.matrix.rows, out.strides
+        diagonal = np.lib.stride_tricks.as_strided(out, (self.b, rows, self.dq), (rows * s0 + self.dq * s1, s0, s1))
+        diagonal[...] = g.matrix.a
 
     def precompose(self, d: ModuleMap, tgt, out: np.ndarray) -> None:
-        """Write the matrix of f -> f o d into Hom(source of d, Q) coordinates to ``out``."""
+        """Write the matrix of f -> f o d into Hom(source of d, Q) coordinates to the zero ``out``."""
         entries = _free_block_entries(d)  # (b, c, da): d maps A^c -> A^b
-        out[...] = _entry_action_matrix(entries.transpose(1, 0, 2), self.qmod).a
+        _write_entry_actions(entries.transpose(1, 0, 2), self.qmod, out)
 
 
 class _SubHomCoords:

@@ -142,9 +142,10 @@ def cosyzygy_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     maps: dict[int, Matrix] = {}
     for k in range(k_min + 1, K + 1):
         _, _, _, incl, proj = inj.cosyzygy_ses(k)
-        # the SES depends only on (n, k): its exactness is checked once per process, a flag kept
-        _memoized(("cosyzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, proj) is not None)
-        maps[k] = connecting_tor(ShortExactSeq(incl, proj, check=False), m, k + i)
+        # the SES depends only on (n, k): it is checked once per process, and
+        # every tower shares its snake operators
+        ses = _memoized(("cosyzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, proj))
+        maps[k] = connecting_tor(ses, m, k + i)
     return Tower(i, k_min, stages, maps, "cosyzygy")
 
 

@@ -18,10 +18,23 @@ their row-major matrix coordinates, but out of a free P_j = A^b they are
 spanned by generator images (N^b), and every map between them, the
 differentials included, is one product on the basis maps: no Kronecker
 system is solved on the Ext side.
+
+Connecting maps in Tor are snake maps read off the short exact sequence
+0 -> N' -f-> N -g-> N'' -> 0.  The sequence eliminates f and g once each
+(``exactla.Solver``) and keeps, for every basis element u of A, the operator
+V_u = T_f . act_u(N) . S_g, where S_g is the section of g and T_f the
+transform with T_f f = rref(f).  On free P_i and P_{i-1}, a differential is
+d_i = sum_u D_u a_u with D_u the coefficient matrices of its entries, so T_f
+applied to the boundary of the lift of a cycle y of P_i tensor N'' is
+sum_u (D_u tensor V_u) y.  Its rows below rank f must vanish (the boundary
+lies in im f), and its top rows are the preimage under id tensor f: the
+middle chain P tensor N is never built.  On a non-free P the map is two
+solves through the middle chain, one per map.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +43,7 @@ from .algmod import (
     FdModule,
     ModuleMap,
     TensorSpace,
+    _action_stack,
     _generator_images,
     hom_over_algebra,
     hom_postcompose,
@@ -38,6 +52,7 @@ from .algmod import (
 )
 from .exactla import (
     Matrix,
+    Solver,
     Subquotient,
     Subspace,
     image_basis,
@@ -92,7 +107,11 @@ class HomologySpace:
 
 
 class ShortExactSeq:
-    """0 -> left -> middle -> right -> 0 of same-side modules (exactness checked unless check=False)."""
+    """0 -> left -> middle -> right -> 0 of same-side modules (exactness checked unless check=False).
+
+    The snake operators are built on first use and kept: f and g are each
+    eliminated once (``Solver``), however many connecting maps read them.
+    """
 
     def __init__(self, f: ModuleMap, g: ModuleMap, check: bool = True):
         if f.target.fingerprint() != g.source.fingerprint():
@@ -108,6 +127,23 @@ class ShortExactSeq:
         self.left = f.source
         self.middle = f.target
         self.right = g.target
+
+    @functools.cached_property
+    def f_solver(self) -> Solver:
+        """f eliminated once: its transform T_f pulls a vector of im f back to its preimage."""
+        return Solver(self.f.matrix)
+
+    @functools.cached_property
+    def g_solver(self) -> Solver:
+        """g eliminated once: its section S_g lifts through g."""
+        return Solver(self.g.matrix)
+
+    @functools.cached_property
+    def snake_operators(self) -> np.ndarray:
+        """V_u = T_f . act_u(middle) . S_g for every algebra basis element u: (dim A, dim middle, dim right)."""
+        p = self.f.p
+        lift = mulmod(_action_stack(self.middle), self.g_solver.section(), p)
+        return mulmod(self.f_solver.transform, lift, p)
 
 
 def _homology(i: int, dim: int, out, into) -> HomologySpace:
@@ -193,12 +229,23 @@ def _free_block_entries(d: ModuleMap) -> np.ndarray:
     return gens.reshape(d.target.free_rank, a.dim, d.source.free_rank).transpose(0, 2, 1)
 
 
+def _write_entry_actions(entries: np.ndarray, n: FdModule, out: np.ndarray) -> None:
+    """Write to the zero array ``out`` the block matrix whose (r, s) block is the action on n
+    of the algebra element entries[r, s].  Only the nonzero entries act; ``out`` may be
+    any strided view, such as a transposed block of a larger system."""
+    rows, cols, _ = entries.shape
+    dn, (s0, s1) = n.dim, out.strides
+    blocks = np.lib.stride_tricks.as_strided(out, (rows, dn, cols, dn), (dn * s0, s0, dn * s1, s1))
+    r, s = np.nonzero(entries.any(axis=2))
+    if r.size:
+        blocks[r, :, s, :] = n.action_of(entries[r, s])
+
+
 def _entry_action_matrix(entries: np.ndarray, n: FdModule) -> Matrix:
     """Block matrix whose (r, s) block is the action on n of the algebra element entries[r, s]."""
-    rows, cols, da = entries.shape
-    dn = n.dim
-    acts = n.action_of(entries.reshape(rows * cols, da)).reshape(rows, cols, dn, dn)
-    return Matrix(n.p, acts.swapaxes(1, 2).reshape(rows * dn, cols * dn))
+    out = np.zeros((entries.shape[0] * n.dim, entries.shape[1] * n.dim), dtype=np.int64)
+    _write_entry_actions(entries, n, out)
+    return Matrix(n.p, out)
 
 
 def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
@@ -308,45 +355,64 @@ def ext_map(g: ModuleMap, m: FdModule, j: int) -> Matrix:
     return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(g, src, tgt, j))
 
 
-def _solve_id_tensor(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, pmod: FdModule,
-                     rhs: np.ndarray) -> Matrix | None:
-    """Solve (id_P tensor g) X = rhs column-wise, free variables pinned to zero.
+def _snake_by_operators(ses: ShortExactSeq, d: ModuleMap, reps: np.ndarray) -> np.ndarray:
+    """Preimages under id tensor f of the boundaries of the lifts of reps, on free P_i and P_{i-1}.
 
-    On a free P = A^b the map is kron(I_b, g): block j of X solves g x_j = rhs_j,
-    so g is eliminated once, with the b blocks of rhs side by side.
+    d: P_i -> P_{i-1} is sum_u D_u a_u with D_u the coefficient matrices of
+    its entries, so T_f applied to the boundary of a lifted y is
+    sum_u (D_u tensor V_u) y: no vector of P tensor middle is formed.  reps
+    holds one representative per column, generator-major (b_i * dim right, k).
     """
-    b = pmod.free_rank
-    if b is None:
-        return solve_matrix(second_arg_tensor_matrix(g, src, tgt, pmod), Matrix(g.p, rhs))
-    (n_out, n_in), k = g.matrix.a.shape, rhs.shape[1]
-    side_by_side = rhs.reshape(b, n_out, k).transpose(1, 0, 2).reshape(n_out, b * k)
-    x = solve_matrix(g.matrix, Matrix(g.p, side_by_side))
-    return None if x is None else Matrix(g.p, x.a.reshape(n_in, b, k).transpose(1, 0, 2).reshape(b * n_in, k))
+    p, entries = ses.f.p, _free_block_entries(d)  # (b_{i-1}, b_i, dim A)
+    (b_lo, b_hi, _), r, k = entries.shape, ses.right.dim, reps.shape[1]
+    y = reps.reshape(b_hi, r, k)
+    if not ses.g_solver.consistent(y):
+        raise RuntimeError("connecting map: lift through the surjection failed")
+    used = np.flatnonzero(entries.any(axis=(0, 1)))
+    # z_u = (D_u tensor id) y, one product for every used u: (used, b_{i-1}, r, k)
+    z = mulmod(entries[:, :, used].transpose(2, 0, 1).reshape(used.size * b_lo, b_hi), y.reshape(b_hi, r * k), p)
+    v = ses.snake_operators[used]  # (used, dim middle, r)
+    transformed = mulmod(v.transpose(1, 0, 2).reshape(v.shape[1], used.size * r),
+                         z.reshape(used.size, b_lo, r, k).transpose(0, 2, 1, 3).reshape(used.size * r, b_lo * k), p)
+    pulled = ses.f_solver.scatter(transformed)  # checks the sum: every boundary lies in im f
+    if pulled is None:
+        raise RuntimeError("connecting map: boundary did not come from the kernel")
+    return pulled.reshape(ses.left.dim, b_lo, k).transpose(1, 0, 2).reshape(b_lo * ses.left.dim, k)
+
+
+def _snake_by_solves(ses: ShortExactSeq, m: FdModule, i: int, reps: np.ndarray) -> np.ndarray:
+    """The same preimages on a non-free P_i or P_{i-1}: one solve per map through the middle chain."""
+    p, depth = m.p, i + 1
+    c_left, c_mid, c_right = (tensor_chain(m, x, depth) for x in (ses.left, ses.middle, ses.right))
+    res = c_mid.res
+    lifted = solve_matrix(second_arg_tensor_matrix(ses.g, c_mid.component(i), c_right.component(i), res.proj(i)),
+                          Matrix(p, reps))
+    if lifted is None:
+        raise RuntimeError("connecting map: lift through the surjection failed")
+    boundaries = c_mid.differential(i) @ lifted
+    pulled = solve_matrix(second_arg_tensor_matrix(ses.f, c_left.component(i - 1), c_mid.component(i - 1),
+                                                   res.proj(i - 1)), boundaries)
+    if pulled is None:
+        raise RuntimeError("connecting map: boundary did not come from the kernel")
+    return pulled.a
 
 
 def connecting_tor(ses: ShortExactSeq, m: FdModule, i: int) -> Matrix:
     """Snake map Tor_i(m, N'') -> Tor_{i-1}(m, N') in class coordinates."""
     if i < 1:
         raise ValueError("connecting map needs i >= 1")
-    depth = i + 1
-    c_left = tensor_chain(m, ses.left, depth)
-    c_mid = tensor_chain(m, ses.middle, depth)
-    c_right = tensor_chain(m, ses.right, depth)
+    c_right = tensor_chain(m, ses.right, i + 1)
     h_top = c_right.homology(i)
-    h_bot = c_left.homology(i - 1)
+    h_bot = tensor_chain(m, ses.left, i + 1).homology(i - 1)
     if h_top.dim == 0 or h_bot.dim == 0:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    # batch the snake over all class representatives: one solve per map
-    lifted = _solve_id_tensor(ses.g, c_mid.component(i), c_right.component(i), c_mid.res.proj(i),
-                              h_top.sq.basis_representatives().T)
-    if lifted is None:
-        raise RuntimeError("connecting map: lift through the surjection failed")
-    boundaries = c_mid.differential(i) @ lifted
-    pulled = _solve_id_tensor(ses.f, c_left.component(i - 1), c_mid.component(i - 1),
-                              c_mid.res.proj(i - 1), boundaries.a)
-    if pulled is None:
-        raise RuntimeError("connecting map: boundary did not come from the kernel")
-    return Matrix(m.p, h_bot.class_of(pulled.a.T).T)
+    # batch the snake over all class representatives, one per column
+    reps, res = h_top.sq.basis_representatives().T, c_right.res
+    if res.proj(i).free_rank is None or res.proj(i - 1).free_rank is None:
+        pulled = _snake_by_solves(ses, m, i, reps)
+    else:
+        pulled = _snake_by_operators(ses, res.differential(i), reps)
+    return Matrix(m.p, h_bot.class_of(pulled.T).T)
 
 
 def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
@@ -367,10 +433,10 @@ def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
     # the boundaries P_{j+1} -> middle land in im f; f is injective, so one
     # solve with the k boundaries side by side gives each its unique preimage
     boundaries = mulmod(lifted, e_mid.res.differential(j + 1).matrix.a, p)
-    pulled = solve_matrix(ses.f.matrix, Matrix(p, boundaries.transpose(1, 0, 2).reshape(ses.middle.dim, k * dp)))
+    pulled = ses.f_solver.solve(boundaries.transpose(1, 0, 2).reshape(ses.middle.dim, k * dp))
     if pulled is None:
         raise RuntimeError("ext connecting map: pullback through injection failed")
-    coords = e_left.hom_space(j + 1).coords(pulled.a.reshape(ses.left.dim, k, dp).transpose(1, 0, 2).reshape(k, -1))
+    coords = e_left.hom_space(j + 1).coords(pulled.reshape(ses.left.dim, k, dp).transpose(1, 0, 2).reshape(k, -1))
     return Matrix(m.p, h_bot.class_of(coords).T)
 
 

@@ -18,6 +18,10 @@ null row of a free column f is 1 at f, 0 at every other free column, and
 nonzero elsewhere only at pivot columns right of f.  In ascending f these
 rows are already the kernel's canonical RREF, pivoted at the free columns.
 
+A solve eliminates m once, beside the identity (``Solver``): the transform T
+with T m = rref(m) then solves m X = rhs for any rhs with one product, and
+rhs is inconsistent iff a row of T rhs below the rank is nonzero.
+
 The matrices built upstream are block products of small action matrices (and
 Kronecker products on non-free Hom and tensor spaces), with one to three
 nonzeros per row, so Gauss-Jordan elimination finds pivots in bulk rather
@@ -66,6 +70,7 @@ __all__ = [
     "image_basis",
     "solve",
     "solve_matrix",
+    "Solver",
     "preimage",
     "quotient_and_induced",
     "mulmod",
@@ -712,6 +717,62 @@ def image_basis(m: Matrix) -> Subspace:
     return Subspace(m.p, m.rows, m.a.T)
 
 
+class Solver:
+    """m eliminated once, for solving m X = rhs against any number of right-hand sides.
+
+    The RREF of [m | I] is [rref(m) | T]: T is invertible and T m = rref(m),
+    whose rows below rank m are zero.  So m X = rhs iff rref(m) X = T rhs,
+    which holds for some X iff the rows of T rhs below the rank are zero; the
+    solution with its free variables pinned to zero is then the top rows of
+    T rhs scattered to m's pivot rows.  That is the solution the elimination
+    of the augmented [m | rhs] gives, as the rows of an RREF are unique.
+    """
+
+    __slots__ = ("p", "cols", "pivots", "transform")
+
+    def __init__(self, m: Matrix):
+        (rows, n), p = m.a.shape, m.p
+        aug = np.zeros((rows, n + rows), dtype=np.int64)
+        aug[:, :n] = m.a
+        np.fill_diagonal(aug[:, n:], 1)
+        r, pivots = _rref_array(aug, p)
+        del aug
+        self.p, self.cols = p, n
+        self.pivots = [c for c in pivots if c < n]  # the first rank pivots are m's
+        self.transform = np.ascontiguousarray(r[:, n:])  # T
+        self.transform.setflags(write=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def section(self) -> np.ndarray:
+        """S (cols x rows): S rhs is the pinned solution of every consistent rhs."""
+        s = np.zeros((self.cols, self.transform.shape[0]), dtype=np.int64)
+        s[self.pivots] = self.transform[: self.rank]
+        return s
+
+    def consistent(self, rhs: np.ndarray) -> bool:
+        """Is m X = rhs solvable?  rhs, entries in [0, p), has m.rows rows, or is a stack of such blocks.
+
+        Every rhs is when m has full row rank: then no row lies below the rank.
+        """
+        low = self.transform[self.rank:]
+        return not low.size or not mulmod(low, rhs, self.p).any()
+
+    def scatter(self, transformed: np.ndarray) -> np.ndarray | None:
+        """The pinned solution X from T rhs, or None when some column is inconsistent."""
+        if transformed[self.rank:].any():
+            return None
+        x = np.zeros((self.cols, transformed.shape[1]), dtype=np.int64)
+        x[self.pivots] = transformed[: self.rank]
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """X with m X = rhs column-wise, free variables pinned to zero; None if inconsistent."""
+        return self.scatter(mulmod(self.transform, rhs, self.p))
+
+
 def solve(m: Matrix, rhs: np.ndarray) -> np.ndarray | None:
     """Deterministic solve m x = rhs; free variables pinned to zero.
 
@@ -725,21 +786,15 @@ def solve(m: Matrix, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def solve_matrix(m: Matrix, rhs: Matrix) -> Matrix | None:
-    """Solve m X = rhs column-wise; None if any column is inconsistent."""
+    """Solve m X = rhs column-wise; None if any column is inconsistent.
+
+    One ``Solver``, used once: the elimination has m.rows x (m.cols + m.rows)
+    entries whatever the width of rhs.
+    """
     if rhs.rows != m.rows:
         raise ValueError("rhs rows mismatch")
-    aug = np.hstack([m.a, rhs.a])
-    r, pivots = _rref_array(aug, m.p)
-    n = m.cols
-    main = [c for c in pivots if c < n]
-    if len(main) < len(pivots):
-        return None
-    rank = len(main)
-    if r[rank:, n:].any():
-        return None
-    x = np.zeros((n, rhs.cols), dtype=np.int64)
-    x[main] = r[:rank, n:]
-    return Matrix(m.p, x)
+    x = Solver(m).solve(rhs.a)
+    return None if x is None else Matrix(m.p, x)
 
 
 def preimage(m: Matrix, s: Subspace) -> Subspace:

@@ -70,8 +70,9 @@ __all__ = [
 
 # The one process-wide memo of homological data, keyed by content fingerprints:
 # ("res", m) projective and ("inj", n) injective resolutions, ("tensor"|"ext", m, n)
-# chains in derived, and ("self_injective", algebra) verdicts.  Library callers may
-# share it across threads.
+# chains in derived, ("cosyzygy_ses", n, k) checked sequences with their snake
+# operators in completion, and ("self_injective", algebra) verdicts.  Library
+# callers may share it across threads.
 _memo: dict[tuple, object] = {}
 _memo_lock = threading.Lock()
 

@@ -9,6 +9,8 @@ from homct.algmod import (
     Algebra,
     ModuleMap,
     _free_map_matrix,
+    direct_sum,
+    free_module,
     hom_postcompose,
     hom_precompose,
     regular_module,
@@ -161,6 +163,24 @@ def _ref_post(coords, g, tgt):
         return np.kron(np.eye(coords.b, dtype=np.int64), g.matrix.a)
     return hom_postcompose(g, coords.sub, tgt).a
 
+
+
+def test_free_postcompose_writes_kron_in_any_layout():
+    # one strided write of the diagonal blocks; the coboundary system passes a
+    # transposed view into a wider array, which must be written in place
+    a = algebra_a4()
+    q = regular_module(a, "left")
+    q2 = direct_sum([q, simple_k(a, "left")])
+    g = ModuleMap(q, q2, Matrix(3, np.random.default_rng(5).integers(0, 3, size=(q2.dim, q.dim))), check=False)
+    for b in range(5):
+        coords = cohom._FreeHomCoords(free_module(a, "left", b), q)
+        want = np.kron(np.eye(b, dtype=np.int64), g.matrix.a)
+        out = np.zeros_like(want)
+        coords.postcompose(g, None, out)
+        assert np.array_equal(out, want)
+        wide = np.zeros((want.shape[1] + 3, want.shape[0] + 2), dtype=np.int64)
+        coords.postcompose(g, None, wide[1:-2, 2:].T)
+        assert np.array_equal(wide[1:-2, 2:].T, want) and wide.sum() == want.sum()
 
 def _ref_pre(coords, d, tgt):
     """The matrix of f -> f o d."""

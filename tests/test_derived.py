@@ -4,6 +4,7 @@ import hashlib
 import os
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +19,17 @@ from homct.algmod import (
     dual_module,
     free_module,
     hom_over_algebra,
+    make_group_algebra,
+    make_monomial_quotient,
     regular_module,
     simple_modules,
     tensor_over_algebra,
 )
 from homct.derived import (
     ShortExactSeq,
-    _solve_id_tensor,
+    _entry_action_matrix,
+    _free_block_entries,
+    _write_entry_actions,
     connecting_ext,
     connecting_tor,
     ext,
@@ -54,6 +59,7 @@ from homct.resolve import complete_resolution, min_inj_resolution, min_proj_reso
 from homct.schemas import parse_module_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+C3XC3_TABLE = [[3 * ((g // 3 + h // 3) % 3) + (g + h) % 3 for h in range(9)] for g in range(9)]
 
 
 def swap_side(m: FdModule) -> FdModule:
@@ -259,31 +265,86 @@ def _connecting_cases():
     return cases
 
 
-def test_block_solve_matches_kronecker_solve():
-    # the snake's two solves, against the dense matrix of id_P tensor g
-    rng = np.random.default_rng(11)
+def _cosyzygy_cases():
+    """(SES, k) pairs: the cosyzygy sequences k = 1, 2 of k over A4 and F_3[C_3 x C_3]."""
+    cases = []
+    for a in (algebra_a4(), make_group_algebra(C3XC3_TABLE, 3)):
+        inj = min_inj_resolution(simple_k(a, "left"), 3)
+        cases += [(ShortExactSeq(*inj.cosyzygy_ses(k)[3:]), simple_k(a, "right")) for k in (1, 2)]
+    return cases
+
+
+def _connecting_tor_reference(ses, m, i):
+    """The snake as connecting_tor computed it through the middle chain: lift every class
+    through the dense id_P tensor g, apply the middle differential, pull back through the
+    dense id_P tensor f.  None when either system is inconsistent."""
+    c_left, c_mid, c_right = (tensor_chain(m, x, i + 1) for x in (ses.left, ses.middle, ses.right))
+    h_top, h_bot = c_right.homology(i), c_left.homology(i - 1)
+    if h_top.dim == 0 or h_bot.dim == 0:
+        return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
+    res = c_mid.res
+    g_dense = second_arg_tensor_matrix(ses.g, c_mid.component(i), c_right.component(i), res.proj(i))
+    lifted = solve_matrix(g_dense, Matrix(m.p, h_top.sq.basis_representatives().T))
+    if lifted is None:
+        return None
+    f_dense = second_arg_tensor_matrix(ses.f, c_left.component(i - 1), c_mid.component(i - 1), res.proj(i - 1))
+    pulled = solve_matrix(f_dense, c_mid.differential(i) @ lifted)
+    return None if pulled is None else Matrix(m.p, h_bot.class_of(pulled.a.T).T)
+
+
+def test_connecting_tor_matches_two_solve_snake():
+    # the snake from sequence operators against the two dense solves through the
+    # middle chain; with f or g replaced by zero one of the systems is inconsistent,
+    # and both must refuse it
     paths, solvable = set(), set()
-    for ses, m in _connecting_cases():
-        p = m.p
+    for ses, m in _connecting_cases() + _cosyzygy_cases():
+        broken = (ShortExactSeq(ModuleMap.zero(ses.left, ses.middle), ses.g, check=False),
+                  ShortExactSeq(ses.f, ModuleMap.zero(ses.middle, ses.right), check=False))
         for i in (1, 2, 3):
-            c_left, c_mid, c_right = (tensor_chain(m, x, i + 1) for x in (ses.left, ses.middle, ses.right))
-            for gmap, src_chain, tgt_chain, j in ((ses.g, c_mid, c_right, i), (ses.f, c_left, c_mid, i - 1)):
-                src, tgt, pmod = src_chain.component(j), tgt_chain.component(j), src_chain.res.proj(j)
-                dense = second_arg_tensor_matrix(gmap, src, tgt, pmod)
-                paths.add(pmod.free_rank is None)
-                reps = c_right.homology(i).sq.basis_representatives().T if c_right.homology(i).dim else None
-                images = dense.apply(rng.integers(0, p, size=(3, src.dim))).T  # consistent
-                candidates = [images, rng.integers(0, p, size=(tgt.dim, 2))]  # the second may not be
-                if reps is not None and gmap is ses.g:
-                    candidates.append(reps)
-                for rhs in candidates:
-                    got = _solve_id_tensor(gmap, src, tgt, pmod, rhs)
-                    want = solve_matrix(dense, Matrix(p, rhs))
-                    assert (got is None) == (want is None)
-                    assert got is None or got == want
-                    solvable.add(got is not None)
-    assert paths == {False, True}  # both the free block path and the relation path ran
+            res = min_proj_resolution(m, i + 1)
+            paths.add(res.proj(i).free_rank is None or res.proj(i - 1).free_rank is None)
+            for s in (ses, *broken):
+                want = _connecting_tor_reference(s, m, i)
+                try:
+                    got = connecting_tor(s, m, i)
+                except RuntimeError:
+                    got = None
+                assert (got is None) == (want is None)
+                assert got is None or got == want
+                solvable.add(got is not None)
+    assert paths == {False, True}  # both the operator path and the two-solve path ran
     assert solvable == {False, True}  # and both consistent and inconsistent systems
+
+
+def _entry_action_matrix_reference(entries, n):
+    """The block matrix of entry actions as first built: the action of every entry, zero or not, stacked."""
+    rows, cols, da = entries.shape
+    dn = n.dim
+    acts = n.action_of(entries.reshape(rows * cols, da)).reshape(rows, cols, dn, dn)
+    return Matrix(n.p, acts.swapaxes(1, 2).reshape(rows * dn, cols * dn))
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_entry_action_matrix_acts_only_on_nonzero_entries(p):
+    a = make_monomial_quotient(2, [(3, 0), (1, 1), (0, 3)], p)  # dim 5, local
+    n = direct_sum([regular_module(a, "left"), simple_k(a, "left")])
+    rng = np.random.default_rng(p % 1000)
+    unit = np.asarray(a.unit, dtype=np.int64)
+    for rows, cols in ((0, 0), (0, 2), (1, 1), (3, 4), (5, 2)):
+        dense = rng.integers(0, p, size=(rows, cols, a.dim))
+        sparse = dense * (rng.random((rows, cols, 1)) < 0.3)
+        units = np.zeros((rows, cols, a.dim), dtype=np.int64)
+        units[rng.random((rows, cols)) < 0.5] = unit
+        for entries in (dense, sparse, np.zeros_like(dense), units):
+            want = _entry_action_matrix_reference(entries, n)
+            assert _entry_action_matrix(entries, n) == want
+            # written in place into a transposed block of a larger zero array
+            wide = np.zeros((cols * n.dim + 2, rows * n.dim), dtype=np.int64)
+            _write_entry_actions(entries, n, wide[1:-1].T)
+            assert np.array_equal(wide[1:-1].T, want.a) and wide.sum() == want.a.sum()
+    # the blocks of a resolution differential
+    d = min_proj_resolution(simple_k(a, "right"), 2).differential(2)
+    assert _entry_action_matrix(_free_block_entries(d), n) == _entry_action_matrix_reference(_free_block_entries(d), n)
 
 
 # --- tensor spaces as block operators ---------------------------------------

@@ -14,6 +14,7 @@ from homct.exactla import (
     _LOOP_MAX_ENTRIES,
     MAX_MODULUS,
     Matrix,
+    Solver,
     Subquotient,
     Subspace,
     _UPDATE_ENTRIES,
@@ -30,6 +31,7 @@ from homct.exactla import (
     reduced,
     rref,
     solve,
+    solve_matrix,
 )
 
 
@@ -337,6 +339,59 @@ def test_row_block_calls_match_row_by_row(params):
     assert s.contains(reps) and np.array_equal(sq.class_of(reps), cls)
     assert np.array_equal(sq.basis_representatives(),
                           _stacked(sq.representative, np.eye(sq.dim, dtype=np.int64), n))
+
+
+
+# --- the solver against the augmented elimination ---------------------------
+
+def _solve_matrix_reference(m, rhs):
+    """solve_matrix as it was before ``Solver``: one elimination of the augmented [m | rhs]."""
+    n = m.cols
+    r, pivots = _rref_array(np.hstack([m.a, rhs.a]), m.p)
+    main = [c for c in pivots if c < n]
+    if len(main) < len(pivots) or r[len(main):, n:].any():
+        return None
+    x = np.zeros((n, rhs.cols), dtype=np.int64)
+    x[main] = r[: len(main), n:]
+    return Matrix(m.p, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 2**31 - 1]),
+    st.integers(min_value=0, max_value=9),  # rows
+    st.integers(min_value=0, max_value=9),  # cols
+    st.integers(min_value=0, max_value=9),  # rank cap
+    st.integers(min_value=0, max_value=14),  # consistent columns: rhs may be wider than m
+    st.integers(min_value=0, max_value=2),  # random columns, inconsistent unless m has full row rank
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_solver_matches_augmented_elimination(p, rows, cols, k, width, noise, seed):
+    rng = np.random.default_rng(seed)
+    m = Matrix(p, _exact_product(rng.integers(0, p, size=(rows, k)), rng.integers(0, p, size=(k, cols)), p))
+    images = _exact_product(m.a, rng.integers(0, p, size=(cols, width)), p)
+    rhs = Matrix(p, np.hstack([images, rng.integers(0, p, size=(rows, noise))])[:, rng.permutation(width + noise)])
+    want = _solve_matrix_reference(m, rhs)
+    solver = Solver(m)
+    got = solver.solve(rhs.a)
+    assert solve_matrix(m, rhs) == want
+    assert (got is None) == (want is None) == (not solver.consistent(rhs.a))
+    assert got is None or np.array_equal(got, want.a)
+    # T m = rref(m), and the section gives the pinned solution of every consistent rhs
+    red, pivots, rank = rref(m)
+    assert solver.pivots == pivots and solver.rank == rank
+    assert np.array_equal(mulmod(solver.transform, m.a, p), red.a)
+    assert np.array_equal(mulmod(solver.section(), images, p), _solve_matrix_reference(m, Matrix(p, images)).a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_solver_zero_size_systems(p):
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        m = Matrix.zeros(p, rows, cols)
+        for rhs in (np.zeros((rows, 2), dtype=np.int64), np.ones((rows, 2), dtype=np.int64)):
+            want = _solve_matrix_reference(m, Matrix(p, rhs))
+            got = solve_matrix(m, Matrix(p, rhs))
+            assert got == want and (got is None) == (rows > 0 and rhs.any())
 
 
 # --- kernels against their references ------------------------------------

@@ -15,6 +15,10 @@ stage, one homology space and one tower limit are pinned, so a change that
 eliminates a matrix twice fails here.  So are the block calls: a transition of
 the segments route and a connecting map in Ext lift all their classes with
 one ``hom_solve``, and a transition converts them back with one ``class_of``.
+A solve eliminates m beside the identity, whatever the width of its
+right-hand side; a cosyzygy sequence's f and g are eliminated once across all
+towers of a compare, and a connecting map in Tor over free projectives builds
+no part of the middle chain.
 """
 
 import ast
@@ -335,3 +339,70 @@ def test_connecting_ext_on_non_free_projective_is_one_solve(monkeypatch):
     monkeypatch.setattr(derived, "hom_solve", spy_solve)
     delta = derived.connecting_ext(ses, m, 0)
     assert delta.a.tolist() == [[1, 0], [0, 1]] and solves == [2]
+
+
+# -- snake maps: each sequence's f and g eliminated once, no middle chain --------------
+
+
+def test_solve_matrix_eliminates_m_beside_the_identity(monkeypatch):
+    # one elimination of [m | I], m.rows x (m.cols + m.rows), whatever the width of rhs
+    m = exactla.Matrix(3, [[1, 2, 0], [0, 1, 1], [1, 0, 2], [2, 2, 2], [0, 0, 1]])
+    shapes = _count_eliminations(monkeypatch)
+    for width in (0, 1, 7, 40):
+        exactla.solve_matrix(m, exactla.Matrix.zeros(3, 5, width))
+    assert shapes == [(5, 8)] * 4
+
+
+def test_compare_eliminates_each_cosyzygy_sequence_once(tmp_path, monkeypatch):
+    # compare over F_3[C_3 x C_3] runs towers in degrees -1, 0, 1 over the
+    # cosyzygy sequences k = 1..4; each f and each g is eliminated once in all
+    import json
+
+    from homct import cli, completion, schemas
+    from homct.algmod import make_group_algebra
+
+    monkeypatch.setattr(resolve, "_memo", {})
+    solved = []
+
+    class Spy(exactla.Solver):
+        __slots__ = ()
+
+        def __init__(self, m):
+            solved.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(derived, "Solver", Spy)
+    a = make_group_algebra([[3 * ((g // 3 + h // 3) % 3) + (g + h) % 3 for h in range(9)] for g in range(9)], 3)
+    (tmp_path / "c3c3.json").write_text(json.dumps(schemas.algebra_to_json(a)))
+    args = []
+    for side, flag in (("right", "--module-m"), ("left", "--module-n")):
+        (tmp_path / f"k_{side}.json").write_text(json.dumps(schemas.module_to_json(simple_k(a, side), "c3c3.json")))
+        args += [flag, str(tmp_path / f"k_{side}.json")]
+    code = cli.main(["compare", "--algebra", str(tmp_path / "c3c3.json"), *args, "--degrees=-1..1", "--depth", "3",
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    inj = completion.min_inj_resolution(simple_k(a, "left"), 4)
+    for k in range(1, 5):
+        *_, incl, proj = inj.cosyzygy_ses(k)
+        assert [sum(x is y.matrix for x in solved) for y in (incl, proj)] == [1, 1], k
+
+
+def test_connecting_tor_builds_no_middle_chain(monkeypatch):
+    # on free P the snake reads the sequence's operators: the middle chain's
+    # components and differentials are never built
+    monkeypatch.setattr(resolve, "_memo", {})
+    built = []
+    first_arg = derived.first_arg_tensor_matrix
+
+    def spy(d, src, tgt, n):
+        built.append(n.fingerprint())
+        return first_arg(d, src, tgt, n)
+
+    monkeypatch.setattr(derived, "first_arg_tensor_matrix", spy)
+    a2 = algebra_a2()
+    k_r = simple_k(a2, "right")
+    *_, incl, proj = resolve.min_inj_resolution(simple_k(a2, "left"), 3).cosyzygy_ses(2)
+    ses = derived.ShortExactSeq(incl, proj)
+    assert [derived.connecting_tor(ses, k_r, i).a.shape for i in (1, 2, 3)] == [(2, 8), (4, 16), (8, 32)]
+    assert built and ses.middle.fingerprint() not in built
+    assert ("tensor", k_r.fingerprint(), ses.middle.fingerprint()) not in resolve._memo
