@@ -2,9 +2,11 @@
 
 An Algebra is given by structure constants c[i][j][k] (e_i e_j = sum_k
 c[i][j][k] e_k) and a unit vector.  An FdModule carries one action matrix per
-algebra basis element; a ModuleMap is a linear map commuting with every
-action.  Right modules are identified with left modules over the opposite
-algebra by keeping the same action matrices.
+algebra basis element, except a free module A^b or its dual D(A)^b, which
+keeps A or D(A) and b, and whose actions ``act`` applies copy by copy; a
+ModuleMap is a linear map commuting with every action.  Right modules are
+identified with left modules over the opposite algebra by keeping the same
+action matrices.
 
 The supported algebra class is the split basic case: algebras whose
 semisimple quotient is a product of copies of F_p.  There the radical is
@@ -18,6 +20,8 @@ right ideal, so rad * M and soc M are read from their actions alone.
 from __future__ import annotations
 
 import hashlib
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +70,7 @@ __all__ = [
     "regular_module",
     "simple_modules",
     "free_module",
+    "act",
 ]
 
 
@@ -532,7 +537,14 @@ def make_monomial_quotient(num_vars: int, relations, p: int, cutoff: int = 512) 
 
 
 class FdModule:
-    """Finite-dimensional one-sided module with explicit action matrices."""
+    """Finite-dimensional one-sided module.
+
+    A module built explicitly (a parsed input, a submodule, a quotient) keeps
+    one dense action matrix per algebra basis element.  One built as b copies
+    of a base module, a free module A^b or its dual D(A)^b, keeps only the
+    base and b: its actions are block diagonal, ``act`` applies them copy by
+    copy, and no (b d) x (b d) matrix of it is held.
+    """
 
     def __init__(self, algebra: Algebra, side: str, dim: int, action, check: bool = True,
                  free_rank: int | None = None):
@@ -541,22 +553,44 @@ class FdModule:
         self.algebra = algebra
         self.side = side
         self.dim = dim
-        self.action = tuple(
+        self._action = tuple(
             m if isinstance(m, Matrix) else Matrix(algebra.p, m) for m in action
         )
-        if len(self.action) != algebra.dim:
+        if len(self._action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
-        for m in self.action:
+        for m in self._action:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrices must be dim x dim")
         if free_rank is not None and free_rank * algebra.dim != dim:
             raise ValueError(f"free_rank {free_rank} needs dim {free_rank * algebra.dim}, not {dim}")
         self.free_rank = free_rank
+        self._base: FdModule | None = None
+        self.copies = 1
         self._fp: str | None = None
         if check:
             rep = validate_module(self)
             if not rep.ok:
                 raise ValueError("invalid module: " + "; ".join(rep.violations))
+
+    @classmethod
+    def _copies_of(cls, base: "FdModule", b: int) -> "FdModule":
+        """base^b, kept as base and b; base is an explicit module."""
+        m = cls.__new__(cls)
+        m.algebra, m.side, m.dim = base.algebra, base.side, base.dim * b
+        m._action, m._base, m.copies, m._fp = None, base, b, None
+        m.free_rank = None if base.free_rank is None else base.free_rank * b
+        return m
+
+    @property
+    def base(self) -> "FdModule":
+        """The explicit module of which this one is ``copies`` copies (itself when explicit)."""
+        return self if self._base is None else self._base
+
+    @property
+    def action(self):
+        """One action matrix per algebra basis element.  For copies of a base each
+        block-diagonal matrix is built when it is read and not kept."""
+        return self._action if self._base is None else _BlockActions(self._base, self.copies)
 
     @property
     def p(self) -> int:
@@ -570,26 +604,42 @@ class FdModule:
         by a few sparse elements, such as the radical generators, copies only a few.
         """
         avec = reduced(avec, self.p)
-        d = self.dim
-        used = np.flatnonzero(avec.reshape(-1, len(self.action)).any(axis=0))
-        stack = np.array([self.action[u].a for u in used], dtype=np.int64).reshape(used.size, d * d)
-        acts = mulmod(avec[..., used], stack, self.p)
-        acts = acts.reshape(avec.shape[:-1] + (d, d))
+        base = self.base
+        d = base.dim
+        used = np.flatnonzero(avec.reshape(-1, self.algebra.dim).any(axis=0))
+        stack = np.array([base._action[u].a for u in used], dtype=np.int64).reshape(used.size, d * d)
+        acts = mulmod(avec[..., used], stack, self.p).reshape(avec.shape[:-1] + (d, d))
+        if self.copies != 1:
+            acts = _block_diagonal(acts, self.copies)
         return Matrix(self.p, acts) if avec.ndim == 1 else acts
 
     def fingerprint(self) -> str:
+        """SHA-1 of the algebra, side, dimension and the bytes of every action matrix.
+
+        Copies of a base hash each block-diagonal matrix one band of rows at a
+        time, (d, b d), so the digest is that of the dense matrices.
+        """
         if self._fp is None:
             h = hashlib.sha1()
             h.update(self.algebra.fingerprint().encode())
             h.update(self.side.encode())
             h.update(str(self.dim).encode())
-            for m in self.action:
-                h.update(m.a.tobytes())
+            if self._base is None:
+                for m in self._action:
+                    h.update(m.a.tobytes())
+            else:
+                d, b = self._base.dim, self.copies
+                band = np.zeros((d, b * d), dtype=np.int64)
+                for m in self._base._action:
+                    for r in range(b):
+                        band[:, r * d:(r + 1) * d] = m.a
+                        h.update(band)
+                        band[:, r * d:(r + 1) * d] = 0
             self._fp = h.hexdigest()
         return self._fp
 
     def __eq__(self, other):
-        return isinstance(other, FdModule) and self.fingerprint() == other.fingerprint()
+        return isinstance(other, FdModule) and (self is other or self.fingerprint() == other.fingerprint())
 
     def __hash__(self):
         return hash(self.fingerprint())
@@ -601,15 +651,71 @@ class FdModule:
         """Right A-module seen as left A-opposite module (same matrices)."""
         if self.side == "left":
             raise ValueError("already a left module")
-        return FdModule(self.algebra.opposite(), "left", self.dim, self.action,
+        if self._base is not None:
+            return FdModule._copies_of(self._base.as_left_over_opposite(), self.copies)
+        return FdModule(self.algebra.opposite(), "left", self.dim, self._action,
                         check=False, free_rank=self.free_rank)
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
 
+class _BlockActions(Sequence):
+    """The action matrices of b copies of a base module, each built block diagonal on access."""
+
+    def __init__(self, base: FdModule, b: int):
+        self.base, self.b = base, b
+
+    def __len__(self) -> int:
+        return len(self.base._action)
+
+    def __getitem__(self, u: int) -> Matrix:
+        return Matrix(self.base.p, _block_diagonal(self.base._action[u].a, self.b))
+
+
+def _block_diagonal(blocks: np.ndarray, b: int) -> np.ndarray:
+    """b copies of each (d, d) matrix of a stack (..., d, d) on the diagonal: (..., b d, b d)."""
+    d = blocks.shape[-1]
+    out = np.zeros(blocks.shape[:-2] + (b, d, b, d), dtype=np.int64)
+    out[..., np.arange(b), :, np.arange(b), :] = blocks
+    return out.reshape(blocks.shape[:-2] + (b * d, b * d))
+
+
+def act(m: FdModule, x, elements=None, dual: bool = False) -> np.ndarray:
+    """rho(a) x: algebra elements acting on a block x (..., dim m, c) of column vectors of m.
+
+    ``elements`` is a basis index u, giving (..., dim m, c); a block (k, dim A)
+    of algebra elements, whose (k, dim m, dim m) actions broadcast against x as
+    numpy's matmul does; or None for every basis element, giving (dim A, ...,
+    dim m, c), one element at a time.  With ``dual`` the actions are transposed,
+    the action on D(m): x^T rho(a) is act(m, x, a, dual=True)^T.  For b copies
+    of a base module, x is read as (..., b, d, c), so the base's d x d actions
+    are the only matrices used.
+    """
+    x = reduced(x, m.p)
+    if elements is None:
+        out = np.empty((m.algebra.dim,) + x.shape, dtype=np.int64)
+        for u in range(m.algebra.dim):
+            out[u] = act(m, x, u, dual)
+        return out
+    base, b = m.base, m.copies
+    if isinstance(elements, (int, np.integer)):
+        acts = base._action[elements].a
+    else:
+        acts = base.action_of(np.atleast_2d(elements))
+    if dual:
+        acts = acts.swapaxes(-1, -2)
+    c = x.shape[-1]
+    out = mulmod(acts[..., None, :, :], x.reshape(x.shape[:-2] + (b, base.dim, c)), m.p)
+    return out.reshape(out.shape[:-3] + (m.dim, c))
+
+
 def validate_module(m: FdModule) -> ValidationReport:
-    """Check the action respects structure constants and the unit acts as 1."""
+    """Check the action respects structure constants and the unit acts as 1.
+
+    Copies of a base module are valid exactly when the base is."""
+    if m.copies != 1:
+        return validate_module(m.base)
     a = m.algebra
     n = a.dim
     violations = []
@@ -645,16 +751,16 @@ class ModuleMap:
     def commutes(self, elements=None) -> bool:
         """True iff the matrix commutes with the action of every basis element, or of those
         indexed by ``elements``: between modules, Algebra.generating_basis() suffices."""
-        src, tgt = self.source.action, self.target.action
-        return all(tgt[u] @ self.matrix == self.matrix @ src[u]
-                   for u in (range(len(src)) if elements is None else elements))
+        f = self.matrix.a
+        return all(np.array_equal(act(self.target, f, u), act(self.source, f.T, u, dual=True).T)
+                   for u in (range(self.source.algebra.dim) if elements is None else elements))
 
     @property
     def p(self):
         return self.matrix.p
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        if other.target.fingerprint() != self.source.fingerprint():
+        if other.target is not self.source and other.target.fingerprint() != self.source.fingerprint():
             raise ValueError("composition mismatch")
         return ModuleMap(other.source, self.target, self.matrix @ other.matrix, check=False)
 
@@ -702,20 +808,14 @@ def regular_module(a: Algebra, side: str = "left") -> FdModule:
 
 
 def free_module(a: Algebra, side: str, rank: int) -> FdModule:
-    """Free module A^rank with block-diagonal regular action."""
+    """Free module A^rank, kept as the regular module and rank (the regular module itself at rank 1)."""
     reg = regular_module(a, side)
-    if rank == 1:
-        return reg
-    action = []
-    for i in range(a.dim):
-        blocks = np.kron(np.eye(rank, dtype=np.int64), reg.action[i].a)
-        action.append(Matrix(a.p, blocks))
-    return FdModule(a, side, a.dim * rank, action, check=False, free_rank=rank)
+    return reg if rank == 1 else FdModule._copies_of(reg, rank)
 
 
 def _action_stack(m: FdModule) -> np.ndarray:
-    """The action matrices of m as one (dim A, dim m, dim m) array."""
-    return np.stack([act.a for act in m.action])
+    """The action matrices of an explicit module m as one (dim A, dim m, dim m) array."""
+    return np.stack([x.a for x in m._action])
 
 
 def _free_map_matrix(m: FdModule, gens: np.ndarray) -> np.ndarray:
@@ -723,8 +823,8 @@ def _free_map_matrix(m: FdModule, gens: np.ndarray) -> np.ndarray:
 
     Column r * dim A + u is a_u . gens[:, r], in the basis order of free_module.
     """
-    images = mulmod(_action_stack(m), gens, m.p)  # (u, row, r)
-    return np.transpose(images, (1, 2, 0)).reshape(m.dim, gens.shape[1] * len(m.action))
+    images = act(m, gens)  # (u, row, r)
+    return np.transpose(images, (1, 2, 0)).reshape(m.dim, gens.shape[1] * m.algebra.dim)
 
 
 def _generator_images(maps: np.ndarray, a: Algebra) -> np.ndarray:
@@ -769,9 +869,11 @@ def direct_sum(mods: list[FdModule]) -> FdModule:
 
 
 def dual_module(m: FdModule) -> FdModule:
-    """F_p-linear dual; side swaps, action matrices transpose."""
+    """F_p-linear dual; side swaps, action matrices transpose.  D(N^b) is kept as D(N)^b."""
+    if m.copies != 1:
+        return FdModule._copies_of(dual_module(m.base), m.copies)
     side = "right" if m.side == "left" else "left"
-    return FdModule(m.algebra, side, m.dim, [x.transpose() for x in m.action], check=False)
+    return FdModule(m.algebra, side, m.dim, [x.transpose() for x in m._action], check=False)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -802,11 +904,12 @@ class TensorSpace:
         if self.relations is not None:
             return np.take(self.relations.reduce(rows), self._comp, axis=-1)
         rows = reduced(rows, self.p)
-        lead = rows.shape[:-1]
-        da, dn = self.n.algebra.dim, self.n.dim
-        # row u * dn + t of the action block is a_u . n_t
-        act = _action_stack(self.n).swapaxes(1, 2).reshape(da * dn, dn)
-        return mulmod(rows.reshape(lead + (self.b, da * dn)), act, self.p).reshape(lead + (self.dim,))
+        lead, da, dn = rows.shape[:-1], self.n.algebra.dim, self.n.dim
+        # the coefficients x_u of a_u tensor n, one column per (row, copy); a_u tensor x_u goes to a_u . x_u
+        k = math.prod(lead)
+        x = rows.reshape(k, self.b, da, dn).transpose(2, 3, 0, 1).reshape(da, dn, k * self.b)
+        out = reduced(sum(act(self.n, x[u], u) for u in range(da)), self.p)  # (dn, rows * copies)
+        return out.T.reshape(lead + (self.dim,))
 
     def lift(self, coords) -> np.ndarray:
         coords = reduced(coords, self.p)
@@ -826,16 +929,26 @@ def tensor_over_algebra(m: FdModule, n: FdModule) -> TensorSpace:
         raise ValueError("tensor needs (right, left) modules")
     if m.algebra.fingerprint() != n.algebra.fingerprint():
         raise ValueError("modules over different algebras")
-    p = m.p
-    dm, dn = m.dim, n.dim
     if m.free_rank is not None:
         return TensorSpace(m, n, None)
+    return TensorSpace(m, n, _tensor_relations(m, n))
+
+
+def _tensor_relations(m: FdModule, n: FdModule) -> Subspace:
+    """The span of (m_s e_i) tensor n_t - m_s tensor (e_i n_t), pair (s, t) at s * dim n + t.
+
+    For m = N^b the relations of copy r are those of N tensor n, on the
+    coordinates from r * dim N * dim n on, so their canonical RREF is one power.
+    """
+    if m.copies != 1:
+        return _tensor_relations(m.base, n).power(m.copies)
+    p, dm, dn = m.p, m.dim, n.dim
     # row (i, s, t) is (m_s e_i) tensor n_t - m_s tensor (e_i n_t); zero rows dropped
     eye_m = np.eye(dm, dtype=np.int64)
     eye_n = np.eye(dn, dtype=np.int64)
     rels = np.vstack([np.kron(ma.a.T, eye_n) - np.kron(eye_m, na.a.T)
                       for ma, na in zip(m.action, n.action)]) % p
-    return TensorSpace(m, n, Subspace(p, dm * dn, rels[rels.any(axis=1)]))
+    return Subspace(p, dm * dn, rels[rels.any(axis=1)])
 
 
 def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:
@@ -849,10 +962,16 @@ def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:
     b = m.free_rank
     if b is not None:
         # a map out of A^b is fixed by its generator images: map (r, v) sends
-        # generator r to n_v, so its column r * dim A + u is a_u . n_v
-        maps = np.zeros((b, dn, dn, b, m.algebra.dim), dtype=np.int64)
-        maps[np.arange(b), :, :, np.arange(b), :] = _action_stack(n).transpose(2, 1, 0)
+        # generator r to n_v, so its column r * dim A + u is a_u . n_v, which for
+        # n = N^c lies in the copy of n_v
+        base, c, e = n.base, n.copies, n.base.dim
+        maps = np.zeros((b, c, e, c, e, b, m.algebra.dim), dtype=np.int64)
+        r, j = np.arange(b)[:, None], np.arange(c)
+        maps[r, j, :, j, :, r, :] = _action_stack(base).transpose(2, 1, 0)
         return Subspace(p, dn * dm, maps.reshape(b * dn, dn * dm))
+    if n.copies != 1:
+        # Hom(m, N^c) = Hom(m, N)^c: row-major, the rows of copy j fill coordinates j * dim N * dm onwards
+        return hom_over_algebra(m, n.base).power(n.copies)
     conds = []
     eye_m = Matrix.identity(p, dm)
     eye_n = Matrix.identity(p, dn)
@@ -900,7 +1019,9 @@ def stable_hom(m: FdModule, n: FdModule) -> Subquotient:
 
 
 def socle(m: FdModule) -> Subspace:
-    """Annihilator of rad(A) in m: the common kernel of the radical generators."""
+    """Annihilator of rad(A) in m: the common kernel of the radical generators; soc(N^b) = soc(N)^b."""
+    if m.copies != 1:
+        return socle(m.base).power(m.copies)
     gens = m.algebra.radical_generators()
     return kernel_basis(Matrix(m.p, m.action_of(gens).reshape(len(gens) * m.dim, m.dim)))
 
@@ -908,10 +1029,13 @@ def socle(m: FdModule) -> Subspace:
 def radical_submodule(m: FdModule) -> Subspace:
     """rad(A) * m as a subspace of m: the sum of the images of the radical generators.
 
-    For free m = A^b it is (rad A)^b, read off rad A's RREF with no elimination.
+    For free m = A^b it is (rad A)^b, read off rad A's RREF with no elimination, and
+    rad(N^b) = rad(N)^b.
     """
     if m.free_rank is not None:
         return m.algebra.radical().power(m.free_rank)
+    if m.copies != 1:
+        return radical_submodule(m.base).power(m.copies)
     gens = m.algebra.radical_generators()
     # the columns x . m_j of each generator's action; the actions are freed before eliminating
     return Subspace(m.p, m.dim, m.action_of(gens).transpose(0, 2, 1).reshape(len(gens) * m.dim, m.dim))
@@ -930,8 +1054,9 @@ def submodule(m: FdModule, generators) -> tuple[FdModule, ModuleMap]:
             raise ValueError("generator has wrong length")
     span = Subspace(m.p, m.dim, np.array(gens, dtype=np.int64) if gens else None)
     while True:
-        rows = [span.basis.a] + [act.apply(span.basis.a) for act in m.action]
-        bigger = Subspace(m.p, m.dim, np.vstack(rows))
+        basis = span.basis.a
+        images = act(m, basis.T).transpose(0, 2, 1).reshape(-1, m.dim)  # a_u . basis rows
+        bigger = Subspace(m.p, m.dim, np.vstack([basis, images]))
         if bigger.dim == span.dim:
             break
         span = bigger
@@ -941,8 +1066,8 @@ def submodule(m: FdModule, generators) -> tuple[FdModule, ModuleMap]:
 def submodule_from_subspace(m: FdModule, span: Subspace) -> tuple[FdModule, ModuleMap]:
     """Action-stable subspace as a module, with inclusion (stability checked)."""
     basis = span.basis.a
-    try:
-        action = [Matrix(m.p, span.coords(act.apply(basis)).T) for act in m.action]
+    try:  # one basis element at a time: the images of the basis are dim m x dim span
+        action = [Matrix(m.p, span.coords(act(m, basis.T, u).T).T) for u in range(m.algebra.dim)]
     except ValueError:
         raise ValueError("not action-stable") from None
     sub = FdModule(m.algebra, m.side, span.dim, action, check=False)
@@ -952,7 +1077,7 @@ def submodule_from_subspace(m: FdModule, span: Subspace) -> tuple[FdModule, Modu
 
 def quotient_module(m: FdModule, sub: Subspace) -> tuple[FdModule, ModuleMap]:
     """m / sub with the canonical projection; sub must be action-stable."""
-    if not all(sub.contains(act.apply(sub.basis.a)) for act in m.action):
+    if not all(sub.contains(x.apply(sub.basis.a)) for x in m.action):
         raise ValueError("not action-stable")
     action = [quotient_and_induced(m.action[i], sub, sub) for i in range(m.algebra.dim)]
     quot = FdModule(m.algebra, m.side, m.dim - sub.dim, action, check=False)

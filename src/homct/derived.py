@@ -43,8 +43,8 @@ from .algmod import (
     FdModule,
     ModuleMap,
     TensorSpace,
-    _action_stack,
     _generator_images,
+    act,
     hom_over_algebra,
     hom_postcompose,
     hom_precompose,
@@ -114,7 +114,7 @@ class ShortExactSeq:
     """
 
     def __init__(self, f: ModuleMap, g: ModuleMap, check: bool = True):
-        if f.target.fingerprint() != g.source.fingerprint():
+        if f.target is not g.source and f.target.fingerprint() != g.source.fingerprint():
             raise ValueError("maps do not share the middle module")
         if check and not f.is_injective():
             raise ValueError("first map is not injective")
@@ -140,10 +140,11 @@ class ShortExactSeq:
 
     @functools.cached_property
     def snake_operators(self) -> np.ndarray:
-        """V_u = T_f . act_u(middle) . S_g for every algebra basis element u: (dim A, dim middle, dim right)."""
-        p = self.f.p
-        lift = mulmod(_action_stack(self.middle), self.g_solver.section(), p)
-        return mulmod(self.f_solver.transform, lift, p)
+        """V_u = T_f . act_u(middle) . S_g for every algebra basis element u: (dim A, dim middle, dim right).
+
+        For a middle of b copies, such as an injective D(A)^b, act_u . S_g is b products of
+        the base's d x d action by d rows of S_g."""
+        return mulmod(self.f_solver.transform, act(self.middle, self.g_solver.section()), self.f.p)
 
 
 def _homology(i: int, dim: int, out, into) -> HomologySpace:
@@ -232,13 +233,16 @@ def _free_block_entries(d: ModuleMap) -> np.ndarray:
 def _write_entry_actions(entries: np.ndarray, n: FdModule, out: np.ndarray) -> None:
     """Write to the zero array ``out`` the block matrix whose (r, s) block is the action on n
     of the algebra element entries[r, s].  Only the nonzero entries act; ``out`` may be
-    any strided view, such as a transposed block of a larger system."""
+    any strided view, such as a transposed block of a larger system.  For n = N^c each
+    block is c copies of the action on N, written on its diagonal."""
     rows, cols, _ = entries.shape
-    dn, (s0, s1) = n.dim, out.strides
-    blocks = np.lib.stride_tricks.as_strided(out, (rows, dn, cols, dn), (dn * s0, s0, dn * s1, s1))
+    dn, c, e, (s0, s1) = n.dim, n.copies, n.base.dim, out.strides
+    # copy j of block (r, s): rows r * dn + j * e + x, columns s * dn + j * e + y
+    blocks = np.lib.stride_tricks.as_strided(
+        out, (rows, c, e, cols, e), (dn * s0, e * (s0 + s1), s0, dn * s1, s1))
     r, s = np.nonzero(entries.any(axis=2))
     if r.size:
-        blocks[r, :, s, :] = n.action_of(entries[r, s])
+        blocks[r, :, :, s, :] = n.base.action_of(entries[r, s])[:, None]
 
 
 def _entry_action_matrix(entries: np.ndarray, n: FdModule) -> Matrix:

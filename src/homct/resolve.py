@@ -25,6 +25,7 @@ from .algmod import (
     ModuleMap,
     _free_map_matrix,
     _generator_images,
+    act,
     direct_sum,
     dual_module,
     free_module,
@@ -107,7 +108,7 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap, Subspace]:
     a = m.algebra
     a.assert_supported()
     if m.dim == 0:
-        zero = FdModule(a, m.side, 0, [Matrix.zeros(a.p, 0, 0)] * a.dim, check=False, free_rank=0)
+        zero = free_module(a, m.side, 0)
         return zero, ModuleMap(zero, m, Matrix.zeros(a.p, 0, 0), check=False), Subspace.zero(a.p, 0)
     idems = a.primitive_idempotents()
     rad_m = radical_submodule(m)
@@ -115,7 +116,7 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap, Subspace]:
     top_dim = len(comp)
     # candidate t * top_dim + c is e_t times the lift of top basis vector c:
     # column comp[c] of e_t's action
-    lifts = m.action_of(np.array(idems))[:, :, comp].transpose(0, 2, 1).reshape(-1, m.dim)
+    lifts = act(m, np.eye(m.dim, dtype=np.int64)[:, comp], np.array(idems)).transpose(0, 2, 1).reshape(-1, m.dim)
     _, gens, _ = rref(Matrix(a.p, rad_m.reduce(lifts).T))
     if len(gens) != top_dim:
         raise RuntimeError("projective cover: top decomposition failed")

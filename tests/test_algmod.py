@@ -12,6 +12,7 @@ from homct.algmod import (
     Algebra,
     FdModule,
     ModuleMap,
+    act,
     direct_sum,
     dual_module,
     free_module,
@@ -50,6 +51,7 @@ from homct.fixtures import (
     simple_k,
 )
 from homct.derived import ShortExactSeq, ext_chain, second_arg_ext_matrix
+from homct.schemas import module_to_json
 from homct.resolve import min_inj_resolution, min_proj_resolution, projective_cover
 
 
@@ -1084,3 +1086,100 @@ def test_closed_form_radical_of_free_modules_equals_elimination(name):
             if side == "right":
                 opp = m.as_left_over_opposite()
                 assert radical_submodule(opp) == _radical_submodule_by_elimination(opp) == closed
+
+
+# --- free modules and their duals as a base module plus a rank ---------------------
+
+
+def _kronecker_free(a, side, b):
+    """A^b with its dense block-diagonal actions kron(I_b, rho_A(u)): the reference form."""
+    reg = regular_module(a, side)
+    return FdModule(a, side, b * a.dim, [np.kron(np.eye(b, dtype=np.int64), x.a) for x in reg.action],
+                    check=False, free_rank=b)
+
+
+def _kronecker_dual(m):
+    """The dual with every dense action matrix transposed."""
+    side = "right" if m.side == "left" else "left"
+    return FdModule(m.algebra, side, m.dim, [x.a.T for x in m.action], check=False)
+
+
+_BLOCK_ALGEBRAS = {**fixture_algebras(), "c2x3": _elementary_abelian_f2(3), "t2f3": _triangular(2, 3)}
+
+
+def _stable_subspaces(ref):
+    """Action-stable subspaces of the explicit module ref: 0, rad, soc and everything."""
+    return [Subspace.zero(ref.p, ref.dim), radical_submodule(ref), socle(ref), Subspace.full(ref.p, ref.dim)]
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_ALGEBRAS))
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("b", [0, 1, 2, 5])
+def test_free_and_dual_modules_match_the_kronecker_form(name, side, b):
+    a = _BLOCK_ALGEBRAS[name]
+    rng = np.random.default_rng(b)
+    free = free_module(a, side, b)
+    pairs = [(free, _kronecker_free(a, side, b))]
+    pairs.append((dual_module(free), _kronecker_dual(pairs[0][1])))
+    pairs += [(m.as_left_over_opposite(), FdModule(a.opposite(), "left", ref.dim, ref.action, check=False,
+                                                       free_rank=ref.free_rank))
+              for m, ref in pairs if m.side == "right"]
+    for m, ref in pairs:
+        assert (m.dim, m.side, m.free_rank is None) == (ref.dim, ref.side, ref.free_rank is None)
+        assert [x.a.tolist() for x in m.action] == [x.a.tolist() for x in ref.action]
+        assert m.fingerprint() == ref.fingerprint() and m == ref
+        assert module_to_json(m, "alg.json") == module_to_json(ref, "alg.json")
+        assert validate_module(m).ok
+        # actions of algebra elements, on a block of rows and on one row
+        block = rng.integers(0, a.p, size=(3, a.dim))
+        assert np.array_equal(m.action_of(block), ref.action_of(block))
+        assert m.action_of(block[0]) == ref.action_of(block[0])
+        x = rng.integers(0, a.p, size=(m.dim, 4))
+        stack = np.stack([y.a for y in ref.action])
+        assert np.array_equal(act(m, x), mulmod(stack, x, a.p))
+        assert np.array_equal(act(m, x, block), mulmod(ref.action_of(block), x, a.p))
+        assert np.array_equal(act(m, x, 1 % a.dim, dual=True), mulmod(stack[1 % a.dim].T.copy(), x, a.p))
+        # induced submodules, dual-side module structure and A-linearity checks
+        assert (radical_submodule(m), socle(m)) == (radical_submodule(ref), socle(ref))
+        for span in _stable_subspaces(ref):
+            sub, incl = submodule_from_subspace(m, span)
+            sub_ref, incl_ref = submodule_from_subspace(ref, span)
+            assert sub.action == sub_ref.action and incl.matrix == incl_ref.matrix
+        # Hom into the module, and its tensor relations with a simple
+        k = simple_modules(m.algebra, m.side)[0]
+        assert hom_over_algebra(k, m) == kronecker_hom(k, ref)
+        if m.side == "right":
+            k = simple_modules(a, "left")[0]
+            t, t_ref = tensor_over_algebra(m, k), tensor_over_algebra(ref, k)
+            assert t.dim == t_ref.dim and t.relations == t_ref.relations
+        # kron(C, I) mixes the copies of the base, so it is A-linear; a random matrix is not
+        mixing = np.kron(rng.integers(0, a.p, size=(b, b)), np.eye(m.dim // max(b, 1), dtype=np.int64))
+        for f in (mixing, rng.integers(0, a.p, size=(m.dim, m.dim))):
+            for src, tgt in ((m, m), (m, ref), (ref, m)):
+                fm = ModuleMap(src, tgt, Matrix(a.p, f), check=False)
+                assert fm.commutes() == _commutes_on_every_basis_element(fm)
+                assert fm.commutes(m.algebra.generating_basis()) == fm.commutes()
+
+
+def test_free_and_dual_modules_build_no_dense_action_stack():
+    # A^40 over F_2[(C_2)^4]: one dense action stack is 16 x 640^2 int64 = 50 MiB
+    a = _c2x4()
+    stack_bytes = a.dim * (40 * a.dim) ** 2 * 8
+    socle(regular_module(a, "left"))  # the radical and its generators are cached before the trace
+    peaks = []
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            out = build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    free = traced(lambda: free_module(a, "left", 40))
+    dual = traced(lambda: dual_module(free))
+    span = socle(free)  # soc(A)^40: the syzygy of A^40 / soc, whose cover is A^40
+    sub, _ = traced(lambda: submodule_from_subspace(free, span))
+    assert (free.dim, dual.dim, sub.dim) == (640, 640, 40)
+    assert max(peaks) < stack_bytes / 16

@@ -415,22 +415,23 @@ def test_main_out_of_memory_exit_code(monkeypatch, capsys):
 
 
 def test_main_out_of_memory_names_the_allocation_site(monkeypatch, capsys):
-    # numpy fails inside free_module, the first rank-2 free module of A2's resolution of k;
-    # the message names that innermost homct frame, not the numpy frame below it
-    kron = algmod.np.kron
+    # numpy fails in algmod.act, the first time an action of a rank-2 free module of A2's
+    # resolution of k is applied copy by copy; the message names that innermost homct frame,
+    # not the numpy frame below it
+    mulmod = algmod.mulmod
 
-    def exhaust(a, b):
-        if a.shape[0] > 1:
+    def exhaust(x, y, p):
+        if y.ndim == 3 and y.shape[0] > 1:  # act's (copies, d, c) block of columns
             raise MemoryError("Unable to allocate 1.25 GiB for an array")
-        return kron(a, b)
+        return mulmod(x, y, p)
 
     monkeypatch.setattr(resolve, "_memo", {})
-    monkeypatch.setattr(algmod.np, "kron", exhaust)
+    monkeypatch.setattr(algmod, "mulmod", exhaust)
     code = main(["compute", "--theory", "tor", "--algebra", fx("a2.json"), "--module-m", fx("a2_k_right.json"),
                  "--module-n", fx("a2_k_left.json"), "--degrees", "0..2", "--depth", "3"])
     assert code == 6
     err = capsys.readouterr().err
-    assert err == "error: out of memory in homct.algmod.free_module: Unable to allocate 1.25 GiB for an array\n"
+    assert err == "error: out of memory in homct.algmod.act: Unable to allocate 1.25 GiB for an array\n"
 
 
 def _fixtures_at_prime(tmp_path, p):
