@@ -58,8 +58,9 @@ __all__ = [
     "dual_map",
     "tensor_over_algebra",
     "hom_over_algebra",
-    "hom_precompose",
-    "hom_postcompose",
+    "hom_coords",
+    "FreeHomCoords",
+    "SubHomCoords",
     "stable_hom",
     "socle",
     "top",
@@ -673,12 +674,16 @@ class _BlockActions(Sequence):
         return Matrix(self.base.p, _block_diagonal(self.base._action[u].a, self.b))
 
 
-def _block_diagonal(blocks: np.ndarray, b: int) -> np.ndarray:
-    """b copies of each (d, d) matrix of a stack (..., d, d) on the diagonal: (..., b d, b d)."""
-    d = blocks.shape[-1]
-    out = np.zeros(blocks.shape[:-2] + (b, d, b, d), dtype=np.int64)
-    out[..., np.arange(b), :, np.arange(b), :] = blocks
-    return out.reshape(blocks.shape[:-2] + (b * d, b * d))
+def _block_diagonal(g: np.ndarray, b: int, out: np.ndarray | None = None) -> np.ndarray:
+    """kron(I_b, g) for each matrix g (r, c) of a stack (..., r, c), written through one view of
+    the diagonal blocks of the zero array ``out`` (any strided view) or of a new one: (..., b r, b c)."""
+    r, c = g.shape[-2:]
+    if out is None:
+        out = np.zeros(g.shape[:-2] + (b * r, b * c), dtype=np.int64)
+    *lead, s0, s1 = out.strides
+    diagonal = np.lib.stride_tricks.as_strided(out, out.shape[:-2] + (b, r, c), (*lead, r * s0 + c * s1, s0, s1))
+    diagonal[...] = g[..., None, :, :]
+    return out
 
 
 def act(m: FdModule, x, elements=None, dual: bool = False) -> np.ndarray:
@@ -723,7 +728,7 @@ def validate_module(m: FdModule) -> ValidationReport:
         violations.append("rho(unit) != id")
     # rho(e_i e_j) against rho(e_i) rho(e_j) (left) or rho(e_j) rho(e_i) (right)
     expected = m.action_of(a.structure.reshape(n * n, n)).reshape(n, n, m.dim, m.dim)
-    acts = _action_stack(m)
+    acts = np.stack([x.a for x in m._action])
     if m.side == "left":
         got = mulmod(acts[:, None], acts[None, :], m.p)
     else:
@@ -813,11 +818,6 @@ def free_module(a: Algebra, side: str, rank: int) -> FdModule:
     return reg if rank == 1 else FdModule._copies_of(reg, rank)
 
 
-def _action_stack(m: FdModule) -> np.ndarray:
-    """The action matrices of an explicit module m as one (dim A, dim m, dim m) array."""
-    return np.stack([x.a for x in m._action])
-
-
 def _free_map_matrix(m: FdModule, gens: np.ndarray) -> np.ndarray:
     """Matrix of the A-linear map A^b -> m sending free generator r to gens[:, r].
 
@@ -836,6 +836,34 @@ def _generator_images(maps: np.ndarray, a: Algebra) -> np.ndarray:
     """
     blocks = maps.reshape(maps.shape[:-1] + (maps.shape[-1] // a.dim, a.dim))
     return mulmod(blocks, a.unit[:, None], a.p)[..., 0]
+
+
+def _free_block_entries(d: ModuleMap) -> np.ndarray:
+    """Algebra-entry matrix M with d = (left) multiplication by M, free modules.
+
+    Entry (r, s) is component r of the image of generator s: (b_tgt, b_src, dim A).
+    """
+    a = d.source.algebra
+    gens = _generator_images(d.matrix.a, a)  # (b_tgt * dim A, b_src)
+    return gens.reshape(d.target.free_rank, a.dim, d.source.free_rank).transpose(0, 2, 1)
+
+
+def _write_entry_actions(entries: np.ndarray, n: FdModule, out: np.ndarray | None = None) -> np.ndarray:
+    """The block matrix whose (r, s) block is the action on n of the algebra element
+    entries[r, s], written to the zero array ``out`` or to a new one.  Only the nonzero
+    entries act; ``out`` may be any strided view, such as a transposed block of a larger
+    system.  For n = N^c each block is c copies of the action on N, written on its diagonal."""
+    rows, cols, _ = entries.shape
+    if out is None:
+        out = np.zeros((rows * n.dim, cols * n.dim), dtype=np.int64)
+    dn, c, e, (s0, s1) = n.dim, n.copies, n.base.dim, out.strides
+    # copy j of block (r, s): rows r * dn + j * e + x, columns s * dn + j * e + y
+    blocks = np.lib.stride_tricks.as_strided(
+        out, (rows, c, e, cols, e), (dn * s0, e * (s0 + s1), s0, dn * s1, s1))
+    r, s = np.nonzero(entries.any(axis=2))
+    if r.size:
+        blocks[r, :, :, s, :] = n.base.action_of(entries[r, s])[:, None]
+    return out
 
 
 def simple_modules(a: Algebra, side: str = "left") -> list[FdModule]:
@@ -959,16 +987,10 @@ def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return Subspace.full(p, dn * dm)
-    b = m.free_rank
-    if b is not None:
-        # a map out of A^b is fixed by its generator images: map (r, v) sends
-        # generator r to n_v, so its column r * dim A + u is a_u . n_v, which for
-        # n = N^c lies in the copy of n_v
-        base, c, e = n.base, n.copies, n.base.dim
-        maps = np.zeros((b, c, e, c, e, b, m.algebra.dim), dtype=np.int64)
-        r, j = np.arange(b)[:, None], np.arange(c)
-        maps[r, j, :, j, :, r, :] = _action_stack(base).transpose(2, 1, 0)
-        return Subspace(p, dn * dm, maps.reshape(b * dn, dn * dm))
+    if m.free_rank is not None:
+        # the maps with one generator image n_v, in generator-coordinate order
+        hom = FreeHomCoords(m, n)
+        return Subspace(p, dn * dm, hom.to_ambient(np.eye(hom.dim, dtype=np.int64)).reshape(hom.dim, dn * dm))
     if n.copies != 1:
         # Hom(m, N^c) = Hom(m, N)^c: row-major, the rows of copy j fill coordinates j * dim N * dm onwards
         return hom_over_algebra(m, n.base).power(n.copies)
@@ -983,21 +1005,88 @@ def hom_over_algebra(m: FdModule, n: FdModule) -> Subspace:
     return kernel_basis(stacked)
 
 
-def hom_precompose(d: ModuleMap, dom: Subspace, cod) -> Matrix:
-    """Matrix of f -> f o d from dom <= Hom(d.target, N) to cod <= Hom(d.source, N), row-major
-    matrix coordinates; cod is any space with Subspace.coords, whose check is f o d in cod."""
-    if dom.dim == 0:
-        return Matrix.zeros(d.p, cod.dim, 0)
-    maps = dom.basis.a.reshape(dom.dim, -1, d.matrix.rows)
-    return Matrix(d.p, cod.coords(mulmod(maps, d.matrix.a, d.p).reshape(dom.dim, -1)).T)
+class FreeHomCoords:
+    """Hom_A(A^b, N) in generator coordinates: N^b, the images of the b free generators.
+
+    Coordinate r * dim N + v is component v of the image of generator r, so
+    no basis of maps in the (dim N * dim A^b)-dimensional matrix space is built.
+    Maps between Hom spaces are written to ``out``, a zero array of shape
+    (dim tgt, dim self) that may be any strided view, or to a new one.
+    """
+
+    def __init__(self, pmod: FdModule, qmod: FdModule):
+        self.pmod = pmod
+        self.qmod = qmod
+        self.b = pmod.free_rank
+        self.dq = qmod.dim
+        self.dim = self.b * self.dq
+        self.p = pmod.p
+
+    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
+        """The maps (k, dim N, dim P) with a block of coordinates (k, dim), in one product:
+        row c holds the images of map c's b generators."""
+        k = len(coords)
+        gens = reduced(coords, self.p).reshape(k * self.b, self.dq).T
+        return _free_map_matrix(self.qmod, gens).reshape(self.dq, k, self.pmod.dim).swapaxes(0, 1)
+
+    def coords(self, rows: np.ndarray) -> np.ndarray:
+        """Coordinates of one row-major map (dim N * dim P) or of a block of them."""
+        maps = rows.reshape(rows.shape[:-1] + (self.dq, self.pmod.dim))
+        gens = _generator_images(maps, self.pmod.algebra)  # (..., dim N, b)
+        return gens.swapaxes(-1, -2).reshape(rows.shape[:-1] + (self.dim,))
+
+    def postcompose(self, g: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix of f -> g o f, kron(I_b, g): one copy of g per generator."""
+        return _block_diagonal(g.matrix.a, self.b, out)
+
+    def precompose(self, d: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix of f -> f o d into tgt = Hom(source of d, N): the entry actions of d, transposed."""
+        return _write_entry_actions(_free_block_entries(d).transpose(1, 0, 2), self.qmod, out)  # d: A^c -> A^b
 
 
-def hom_postcompose(g: ModuleMap, dom: Subspace, cod) -> Matrix:
-    """Matrix of f -> g o f from dom <= Hom(P, g.source) to cod <= Hom(P, g.target), as hom_precompose."""
-    if dom.dim == 0:
-        return Matrix.zeros(g.p, cod.dim, 0)
-    maps = dom.basis.a.reshape(dom.dim, g.matrix.cols, -1)
-    return Matrix(g.p, cod.coords(mulmod(g.matrix.a, maps, g.p).reshape(dom.dim, -1)).T)
+class SubHomCoords:
+    """Hom_A(M, N) in the coordinates of its RREF basis from ``hom_over_algebra``.
+
+    The maps between Hom spaces read ``tgt.coords``, which for this type checks
+    that each image lies in tgt.
+    """
+
+    def __init__(self, pmod: FdModule, qmod: FdModule):
+        self.pmod = pmod
+        self.qmod = qmod
+        self.sub = hom_over_algebra(pmod, qmod)
+        self.dim = self.sub.dim
+        self.coords = self.sub.coords
+        self.p = pmod.p
+
+    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
+        return self.sub.from_coords(coords).reshape(len(coords), self.qmod.dim, self.pmod.dim)
+
+    def _maps(self) -> np.ndarray:
+        """The basis maps (dim, dim N, dim M)."""
+        return self.sub.basis.a.reshape(self.dim, self.qmod.dim, self.pmod.dim)
+
+    def _images(self, images: np.ndarray, tgt, out: np.ndarray | None) -> np.ndarray:
+        """Write the tgt coordinates of the images (dim, ...) of the basis maps, one column each."""
+        if out is None:
+            out = np.zeros((tgt.dim, self.dim), dtype=np.int64)
+        if self.dim:
+            out[...] = tgt.coords(images.reshape(self.dim, -1)).T
+        return out
+
+    def postcompose(self, g: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix of f -> g o f into tgt = Hom(M, target of g)."""
+        return self._images(mulmod(g.matrix.a, self._maps(), self.p), tgt, out)
+
+    def precompose(self, d: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix of f -> f o d into tgt = Hom(source of d, N)."""
+        return self._images(mulmod(self._maps(), d.matrix.a, self.p), tgt, out)
+
+
+def hom_coords(m: FdModule, n: FdModule) -> FreeHomCoords | SubHomCoords:
+    """Hom_A(m, n) with coordinates: generator images N^b out of a free m = A^b, else
+    the RREF basis of ``hom_over_algebra``."""
+    return FreeHomCoords(m, n) if m.free_rank is not None else SubHomCoords(m, n)
 
 
 def stable_hom(m: FdModule, n: FdModule) -> Subquotient:

@@ -17,6 +17,9 @@ Homotopies are normalized by solving degree by degree with free variables
 pinned to zero.  A stage's class plumbing takes a block of classes, one per
 row, and returns one stack of k maps per window degree, so a transition is
 one call: one ``hom_solve`` lifts every class, one ``class_of`` reads them back.
+Hom spaces out of the projectives are ``algmod.hom_coords`` spaces, the type
+of ``derived``'s Ext cochains, so a segment class and an Ext class read the
+same generator coordinates on a free resolution.
 """
 
 from __future__ import annotations
@@ -27,20 +30,16 @@ import numpy as np
 
 from .algmod import (
     FdModule,
+    FreeHomCoords,
     ModuleMap,
-    _free_map_matrix,
-    _generator_images,
+    SubHomCoords,
     dual_module,
-    hom_over_algebra,
-    hom_postcompose,
-    hom_precompose,
+    hom_coords,
     stable_hom,
 )
 from .completion import StabilizationReport, Tower, cosyzygy_tower, tower_limit
 from .derived import (
     ShortExactSeq,
-    _free_block_entries,
-    _write_entry_actions,
     connecting_ext,
     ext,
     ext_chain,
@@ -53,7 +52,6 @@ from .exactla import (
     Subspace,
     kernel_basis,
     mulmod,
-    reduced,
     rref,
     solve_matrix,
 )
@@ -139,88 +137,17 @@ class StableMapClass:
         return self.comps[t - self.lo]
 
 
-class _FreeHomCoords:
-    """Hom_A(A^b, Q) in generator-image coordinates: b stacked copies of Q.
-
-    Avoids materializing the Hom subspace of the (dim Q * dim P)-dimensional
-    matrix space, which is what makes deep stages over algebras with growing
-    Betti numbers tractable.
-    """
-
-    def __init__(self, pmod: FdModule, qmod: FdModule):
-        self.pmod = pmod
-        self.qmod = qmod
-        self.b = pmod.free_rank
-        self.dq = qmod.dim
-        self.dim = self.b * self.dq
-        self.p = pmod.p
-
-    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
-        """The maps (k, dim Q, dim P) with a block of coordinates (k, dim), in one product:
-        row c holds the images of map c's b generators."""
-        k = len(coords)
-        gens = reduced(coords, self.p).reshape(k * self.b, self.dq).T
-        return _free_map_matrix(self.qmod, gens).reshape(self.dq, k, self.pmod.dim).swapaxes(0, 1)
-
-    def coords(self, rows: np.ndarray) -> np.ndarray:
-        """Coordinates of one row-major map (dim Q * dim P) or of a block of them."""
-        maps = rows.reshape(rows.shape[:-1] + (self.dq, self.pmod.dim))
-        gens = _generator_images(maps, self.pmod.algebra)  # (..., dim Q, b)
-        return gens.swapaxes(-1, -2).reshape(rows.shape[:-1] + (self.dim,))
-
-    def postcompose(self, g: ModuleMap, tgt: "_FreeHomCoords", out: np.ndarray) -> None:
-        """Write the matrix of f -> g o f, kron(I_b, g), to ``out``: one copy of g per generator.
-
-        ``out`` may be any strided view (the coboundary system passes a
-        transposed one); its diagonal blocks are written through one view of them.
-        """
-        rows, (s0, s1) = g.matrix.rows, out.strides
-        diagonal = np.lib.stride_tricks.as_strided(out, (self.b, rows, self.dq), (rows * s0 + self.dq * s1, s0, s1))
-        diagonal[...] = g.matrix.a
-
-    def precompose(self, d: ModuleMap, tgt, out: np.ndarray) -> None:
-        """Write the matrix of f -> f o d into Hom(source of d, Q) coordinates to the zero ``out``."""
-        entries = _free_block_entries(d)  # (b, c, da): d maps A^c -> A^b
-        _write_entry_actions(entries.transpose(1, 0, 2), self.qmod, out)
-
-
-class _SubHomCoords:
-    """Fallback Hom coordinates through the explicit Hom subspace."""
-
-    def __init__(self, pmod: FdModule, qmod: FdModule):
-        self.pmod = pmod
-        self.qmod = qmod
-        self.sub = hom_over_algebra(pmod, qmod)
-        self.dim = self.sub.dim
-        self.coords = self.sub.coords
-        self.p = pmod.p
-
-    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
-        return self.sub.from_coords(coords).reshape(len(coords), self.qmod.dim, self.pmod.dim)
-
-    def postcompose(self, g: ModuleMap, tgt, out: np.ndarray) -> None:
-        out[...] = hom_postcompose(g, self.sub, tgt).a
-
-    def precompose(self, d: ModuleMap, tgt, out: np.ndarray) -> None:
-        out[...] = hom_precompose(d, self.sub, tgt).a
-
-
 def _rows(maps: np.ndarray) -> np.ndarray:
     """A stack of maps (k, rows, cols) as k row-major rows."""
     return maps.reshape(len(maps), maps.shape[1] * maps.shape[2])
 
 
-def _hom_coords(pmod: FdModule, qmod: FdModule):
-    if pmod.free_rank is not None:
-        return _FreeHomCoords(pmod, qmod)
-    return _SubHomCoords(pmod, qmod)
-
-
 class SegmentStage:
     """H^i Hom(P, Q>=k) on the window [k+i, k+i+SEGMENT_BUFFER], as a subquotient.
 
-    Class coordinates live in stacked Hom coordinates per window degree
-    (generator-image coordinates when the projectives are free).
+    Class coordinates live in stacked Hom coordinates per window degree, one
+    ``algmod.hom_coords`` space each (generator images Q^b when P_t = A^b),
+    whose precompose and postcompose write the segment systems in place.
     """
 
     def __init__(self, res_m: Resolution, res_n: Resolution, i: int, k: int):
@@ -235,16 +162,16 @@ class SegmentStage:
         self.p = res_m.module.p
         res_m.extend(self.hi + 1)
         res_n.extend(self.hi - i + 1)
-        self.coords: dict[int, object] = {}
-        self.coords_up: dict[int, object] = {}
-        self.coords_down: dict[int, object] = {}
+        self.coords: dict[int, FreeHomCoords | SubHomCoords] = {}
+        self.coords_up: dict[int, FreeHomCoords | SubHomCoords] = {}
+        self.coords_down: dict[int, FreeHomCoords | SubHomCoords] = {}
         for t in range(self.lo, self.hi + 1):
-            self.coords[t] = _hom_coords(res_m.proj(t), res_n.proj(t - i))
+            self.coords[t] = hom_coords(res_m.proj(t), res_n.proj(t - i))
             if t > self.lo:
-                self.coords_down[t] = _hom_coords(res_m.proj(t), res_n.proj(t - i - 1))
+                self.coords_down[t] = hom_coords(res_m.proj(t), res_n.proj(t - i - 1))
         for t in range(self.lo - 1, self.hi + 1):
             if t >= 0:
-                self.coords_up[t] = _hom_coords(res_m.proj(t), res_n.proj(t - i + 1))
+                self.coords_up[t] = hom_coords(res_m.proj(t), res_n.proj(t - i + 1))
         self.offsets: dict[int, int] = {}
         off = 0
         for t in range(self.lo, self.hi + 1):
@@ -566,8 +493,8 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         # cycles in P tensor_k D(omega), flat pair index s * dx + t
         z = comp.lift(h_tor.sq.basis_representatives())
         # cocycles P -> omega, flat index t * p_dim + s; transposed to s * dx + t
-        c = ec.hom_space(k + i).from_coords(ec.cohomology(k + i).sq.basis_representatives())
-        c = c.reshape(h_ext.dim, dx, p_dim).transpose(0, 2, 1).reshape(h_ext.dim, p_dim * dx)
+        c = ec.hom_space(k + i).to_ambient(ec.cohomology(k + i).sq.basis_representatives())
+        c = c.transpose(0, 2, 1).reshape(h_ext.dim, p_dim * dx)
         mat = Matrix(m.p, mulmod(z, c.T, m.p))
         pairings[k] = mat
         if rref(mat)[2] != h_tor.dim:

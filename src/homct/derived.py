@@ -13,11 +13,12 @@ Homology spaces always carry cycle representatives (through Subquotient), so
 connecting maps and tower transition maps are computed on witnesses and then
 recorded as matrices in class coordinates.  Tor resolves its first argument
 only; sensitivity to the second argument enters through functorial maps and
-the towers in the completion module.  The Ext cochains Hom_A(P_j, N) keep
-their row-major matrix coordinates, but out of a free P_j = A^b they are
-spanned by generator images (N^b), and every map between them, the
-differentials included, is one product on the basis maps: no Kronecker
-system is solved on the Ext side.
+the towers in the completion module.  The Ext cochains Hom_A(P_j, N) are
+``algmod.hom_coords`` spaces: out of a free P_j = A^b a cochain is its b
+generator images, a vector of N^b, so the differential is the block matrix
+of the actions of d_{j+1}'s algebra entries on N and a second-argument map
+is kron(I_b, g); no basis of maps is built and no Kronecker system is solved.
+Out of a non-free P_j the cochains keep the RREF basis of the Hom subspace.
 
 Connecting maps in Tor are snake maps read off the short exact sequence
 0 -> N' -f-> N -g-> N'' -> 0.  The sequence eliminates f and g once each
@@ -41,13 +42,15 @@ import numpy as np
 
 from .algmod import (
     FdModule,
+    FreeHomCoords,
     ModuleMap,
+    SubHomCoords,
     TensorSpace,
-    _generator_images,
+    _block_diagonal,
+    _free_block_entries,
+    _write_entry_actions,
     act,
-    hom_over_algebra,
-    hom_postcompose,
-    hom_precompose,
+    hom_coords,
     tensor_over_algebra,
 )
 from .exactla import (
@@ -220,42 +223,10 @@ class TateChain(TensorChain):
     homology = TensorChain.homology
 
 
-def _free_block_entries(d: ModuleMap) -> np.ndarray:
-    """Algebra-entry matrix M with d = (left) multiplication by M, free modules.
-
-    Entry (r, s) is component r of the image of generator s: (b_tgt, b_src, dim A).
-    """
-    a = d.source.algebra
-    gens = _generator_images(d.matrix.a, a)  # (b_tgt * dim A, b_src)
-    return gens.reshape(d.target.free_rank, a.dim, d.source.free_rank).transpose(0, 2, 1)
-
-
-def _write_entry_actions(entries: np.ndarray, n: FdModule, out: np.ndarray) -> None:
-    """Write to the zero array ``out`` the block matrix whose (r, s) block is the action on n
-    of the algebra element entries[r, s].  Only the nonzero entries act; ``out`` may be
-    any strided view, such as a transposed block of a larger system.  For n = N^c each
-    block is c copies of the action on N, written on its diagonal."""
-    rows, cols, _ = entries.shape
-    dn, c, e, (s0, s1) = n.dim, n.copies, n.base.dim, out.strides
-    # copy j of block (r, s): rows r * dn + j * e + x, columns s * dn + j * e + y
-    blocks = np.lib.stride_tricks.as_strided(
-        out, (rows, c, e, cols, e), (dn * s0, e * (s0 + s1), s0, dn * s1, s1))
-    r, s = np.nonzero(entries.any(axis=2))
-    if r.size:
-        blocks[r, :, :, s, :] = n.base.action_of(entries[r, s])[:, None]
-
-
-def _entry_action_matrix(entries: np.ndarray, n: FdModule) -> Matrix:
-    """Block matrix whose (r, s) block is the action on n of the algebra element entries[r, s]."""
-    out = np.zeros((entries.shape[0] * n.dim, entries.shape[1] * n.dim), dtype=np.int64)
-    _write_entry_actions(entries, n, out)
-    return Matrix(n.p, out)
-
-
 def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
     """Matrix of d tensor id_n between tensor components."""
     if d.source.free_rank is not None and d.target.free_rank is not None:
-        return _entry_action_matrix(_free_block_entries(d), n)
+        return Matrix(n.p, _write_entry_actions(_free_block_entries(d), n))
     full = kron(d.matrix, Matrix.identity(n.p, n.dim))
     return Matrix(n.p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 
@@ -264,7 +235,7 @@ def second_arg_tensor_matrix(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, p
     """Matrix of id_P tensor g between components with the same first argument."""
     p = g.p
     if pmod.free_rank is not None:
-        return Matrix(p, np.kron(np.eye(pmod.free_rank, dtype=np.int64), g.matrix.a))
+        return Matrix(p, _block_diagonal(g.matrix.a, pmod.free_rank))
     full = kron(Matrix.identity(p, pmod.dim), g.matrix)
     return Matrix(p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 
@@ -305,13 +276,14 @@ class ExtChain:
             raise ValueError("ext chain needs same-side modules")
         self.res = res
         self.n = n
-        self._hom: dict[int, Subspace] = {}
+        self._hom: dict[int, FreeHomCoords | SubHomCoords] = {}
         self._delta: dict[int, Matrix] = {}
         self._cohomology: dict[int, HomologySpace] = {}
 
-    def hom_space(self, j: int) -> Subspace:
+    def hom_space(self, j: int) -> FreeHomCoords | SubHomCoords:
+        """Hom_A(P_j, n) with its coordinates, N^b when P_j = A^b (``algmod.hom_coords``)."""
         if j not in self._hom:
-            self._hom[j] = hom_over_algebra(self.res.proj(j), self.n)
+            self._hom[j] = hom_coords(self.res.proj(j), self.n)
         return self._hom[j]
 
     def dim(self, j: int) -> int:
@@ -320,7 +292,8 @@ class ExtChain:
     def delta(self, j: int) -> Matrix:
         """Cochain map position j -> j+1: f -> f o d_{j+1}, in Hom coordinates."""
         if j not in self._delta:
-            self._delta[j] = hom_precompose(self.res.differential(j + 1), self.hom_space(j), self.hom_space(j + 1))
+            d, tgt = self.res.differential(j + 1), self.hom_space(j + 1)
+            self._delta[j] = Matrix(self.n.p, self.hom_space(j).precompose(d, tgt))
         return self._delta[j]
 
     def cohomology(self, i: int) -> HomologySpace:
@@ -347,7 +320,7 @@ def ext(m: FdModule, n: FdModule, i: int) -> HomologySpace:
 
 def second_arg_ext_matrix(g: ModuleMap, src: ExtChain, tgt: ExtChain, j: int) -> Matrix:
     """Matrix of postcomposition with g: Hom(P_j, n) -> Hom(P_j, n') coords."""
-    return hom_postcompose(g, src.hom_space(j), tgt.hom_space(j))
+    return Matrix(g.p, src.hom_space(j).postcompose(g, tgt.hom_space(j)))
 
 
 def ext_map(g: ModuleMap, m: FdModule, j: int) -> Matrix:
@@ -432,7 +405,7 @@ def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
     if h_top.dim == 0 or h_bot.dim == 0:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
     p, k, pj, dp = m.p, h_top.dim, e_mid.res.proj(j), e_mid.res.proj(j + 1).dim
-    reps = e_right.hom_space(j).from_coords(h_top.sq.basis_representatives()).reshape(k, ses.right.dim, pj.dim)
+    reps = e_right.hom_space(j).to_ambient(h_top.sq.basis_representatives())  # (k, dim right, dim P_j)
     lifted = hom_solve(pj, ses.middle, ses.g.matrix, reps)  # every class lifted through g in one call
     # the boundaries P_{j+1} -> middle land in im f; f is injective, so one
     # solve with the k boundaries side by side gives each its unique preimage
@@ -440,7 +413,11 @@ def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
     pulled = ses.f_solver.solve(boundaries.transpose(1, 0, 2).reshape(ses.middle.dim, k * dp))
     if pulled is None:
         raise RuntimeError("ext connecting map: pullback through injection failed")
-    coords = e_left.hom_space(j + 1).coords(pulled.reshape(ses.left.dim, k, dp).transpose(1, 0, 2).reshape(k, -1))
+    hom, maps = e_left.hom_space(j + 1), pulled.reshape(ses.left.dim, k, dp).swapaxes(0, 1)
+    coords = hom.coords(maps.reshape(k, -1))
+    # generator coordinates read only the generators' images: the maps must be the A-linear ones they fix
+    if not np.array_equal(hom.to_ambient(coords), maps):
+        raise RuntimeError("ext connecting map: pullback is not A-linear")
     return Matrix(m.p, h_bot.class_of(coords).T)
 
 

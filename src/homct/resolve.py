@@ -29,8 +29,8 @@ from .algmod import (
     direct_sum,
     dual_module,
     free_module,
+    hom_coords,
     hom_over_algebra,
-    hom_precompose,
     is_isomorphic,
     radical_submodule,
     regular_module,
@@ -536,11 +536,11 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
         hdims[i] = ker.dim - im.dim
         # Hom(T, A) at cohomological position i: Hom(T_i, A) with maps by
         # precomposition; exactness there compares Hom(T_{i-1}) -> Hom(T_i) -> Hom(T_{i+1})
-        hom_mid = hom_over_algebra(tcx.space(i), reg)
-        hom_prev = hom_over_algebra(tcx.space(i - 1), reg)
-        hom_next = hom_over_algebra(tcx.space(i + 1), reg)
-        mat_next = hom_precompose(d_in, hom_mid, hom_next)
-        mat_prev = hom_precompose(d_out, hom_prev, hom_mid)
+        hom_mid = hom_coords(tcx.space(i), reg)
+        hom_prev = hom_coords(tcx.space(i - 1), reg)
+        hom_next = hom_coords(tcx.space(i + 1), reg)
+        mat_next = Matrix(a.p, hom_mid.precompose(d_in, hom_next))
+        mat_prev = Matrix(a.p, hom_prev.precompose(d_out, hom_mid))
         ker_h = kernel_basis(mat_next)
         im_h = image_basis(mat_prev)
         hhom[i] = ker_h.dim - im_h.dim

@@ -34,7 +34,7 @@ from homct.algmod import (
     validate_algebra,
     validate_module,
 )
-from homct.algmod import _power_elt, _radical_chain, hom_postcompose, hom_precompose
+from homct.algmod import FreeHomCoords, SubHomCoords, _power_elt, _radical_chain, hom_coords
 from homct.exactla import Matrix, Subspace, kernel_basis, kron, mulmod
 from homct.fixtures import (
     algebra_a1,
@@ -922,6 +922,12 @@ def test_free_hom_matches_kronecker_kernel(name, side, b, kind, r):
     m, n = free_module(a, side, b), _hom_target(a, side, kind, r)
     hom = hom_over_algebra(m, n)
     assert hom == kronecker_hom(m, n) and hom.dim == b * n.dim
+    # generator coordinates: to_ambient lands in the Hom subspace, and coords reads them back
+    coords = hom_coords(m, n)
+    c = np.random.default_rng(r).integers(0, a.p, size=(3, coords.dim))
+    maps = coords.to_ambient(c).reshape(3, n.dim * m.dim)
+    assert isinstance(coords, FreeHomCoords) and coords.dim == hom.dim
+    assert hom.contains(maps) and np.array_equal(coords.coords(maps), c)
 
 
 def _ext_delta_cases():
@@ -933,14 +939,25 @@ def _ext_delta_cases():
     return cases
 
 
+def induced_on_hom_spaces(f, dom, cod):
+    """Matrix of f, acting on row-major maps, restricted to Hom spaces dom -> cod: each
+    basis map of dom through to_ambient, its image read back by cod.coords."""
+    maps = dom.to_ambient(np.eye(dom.dim, dtype=np.int64)).reshape(dom.dim, f.cols)
+    return Matrix(f.p, cod.coords(f.apply(maps)).reshape(dom.dim, cod.dim).T)
+
+
 def test_hom_precompose_matches_kronecker_induction_on_ext_deltas():
+    free = set()
     for ec, depth in _ext_delta_cases():
         for j in range(depth + 1):
             d = ec.res.differential(j + 1)
+            dom, cod = ec.hom_space(j), ec.hom_space(j + 1)
+            free.add(type(dom))
             amb = kron(Matrix.identity(d.p, ec.n.dim), d.matrix.transpose())
-            want = induced_on_subspaces(amb, ec.hom_space(j), ec.hom_space(j + 1))
-            assert hom_precompose(d, ec.hom_space(j), ec.hom_space(j + 1)) == want
+            want = induced_on_hom_spaces(amb, dom, cod)
+            assert Matrix(d.p, dom.precompose(d, cod)) == want
             assert ec.delta(j) == want
+    assert free == {FreeHomCoords, SubHomCoords}
 
 
 def test_hom_postcompose_matches_kronecker_induction_on_second_argument():
@@ -954,9 +971,10 @@ def test_hom_postcompose_matches_kronecker_induction_on_second_argument():
         e_left, e_mid, e_right = (ext_chain(m, x, 4) for x in (ses.left, ses.middle, ses.right))
         for j in range(4):
             for g, src, tgt in ((ses.f, e_left, e_mid), (ses.g, e_mid, e_right)):
+                dom, cod = src.hom_space(j), tgt.hom_space(j)
                 amb = kron(g.matrix, Matrix.identity(g.p, src.res.proj(j).dim))
-                want = induced_on_subspaces(amb, src.hom_space(j), tgt.hom_space(j))
-                assert hom_postcompose(g, src.hom_space(j), tgt.hom_space(j)) == want
+                want = induced_on_hom_spaces(amb, dom, cod)
+                assert Matrix(g.p, dom.postcompose(g, cod)) == want
                 assert second_arg_ext_matrix(g, src, tgt, j) == want
 
 
@@ -964,12 +982,12 @@ def test_hom_compose_rejects_a_codomain_that_misses_the_image():
     # the coords check is the check that f(dom) lies in cod
     a1 = algebra_a1()
     reg, k = regular_module(a1), simple_k(a1)
-    hom = hom_over_algebra(reg, reg)  # both maps 1 -> 1 and 1 -> x
+    hom = SubHomCoords(reg, reg)  # both maps 1 -> 1 and 1 -> x
     top = ModuleMap(reg, k, Matrix(2, [[1, 0]]))
     with pytest.raises(ValueError, match="not in subspace"):
-        hom_postcompose(top, hom, Subspace.zero(2, 2))
+        hom.postcompose(top, Subspace.zero(2, 2))
     with pytest.raises(ValueError, match="not in subspace"):
-        hom_precompose(ModuleMap.identity(reg), hom, Subspace(2, 4, [[1, 0, 0, 1]]))
+        hom.precompose(ModuleMap.identity(reg), Subspace(2, 4, [[1, 0, 0, 1]]))
 
 
 def test_free_hom_memory_is_a_few_outputs():

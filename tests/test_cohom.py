@@ -7,12 +7,12 @@ import numpy as np
 from homct import cohom
 from homct.algmod import (
     Algebra,
+    FreeHomCoords,
     ModuleMap,
+    _free_block_entries,
     _free_map_matrix,
     direct_sum,
     free_module,
-    hom_postcompose,
-    hom_precompose,
     regular_module,
     simple_modules,
     stable_hom,
@@ -27,7 +27,7 @@ from homct.cohom import (
     mu_stage_check,
     pcomp_ext,
 )
-from homct.derived import _entry_action_matrix, _free_block_entries, ext, ext_chain
+from homct.derived import ext, ext_chain
 from homct.exactla import Matrix, Subspace, image_basis, kernel_basis
 from homct.fixtures import (
     algebra_a1,
@@ -148,7 +148,7 @@ T2_PCOMP = {
 
 
 def test_pcomp_t2_non_free_dims_pinned():
-    # non-local: the projectives are sums of indecomposables, so Hom goes through _SubHomCoords
+    # non-local: the projectives are sums of indecomposables, so Hom goes through SubHomCoords
     mods = _t2_modules()
     for (a, b, i), (dims, verdict) in T2_PCOMP.items():
         rep = pcomp_ext(mods[a], mods[b], i, 3)
@@ -157,11 +157,20 @@ def test_pcomp_t2_non_free_dims_pinned():
 
 # --- segment systems against the stacked reference ------------------------------------
 
+def _basis_images(coords, tgt, images):
+    """tgt coordinates of the images (dim, rows, cols) of the basis maps of a Hom subspace, one column each."""
+    return tgt.coords(images.reshape(coords.dim, images.shape[1] * images.shape[2])).reshape(coords.dim, tgt.dim).T
+
+
+def _basis_maps(coords):
+    return coords.sub.basis.a.reshape(coords.dim, coords.qmod.dim, coords.pmod.dim)
+
+
 def _ref_post(coords, g, tgt):
     """The matrix of f -> g o f: kron(I_b, g) on a free P, else through the Hom subspace."""
-    if isinstance(coords, cohom._FreeHomCoords):
+    if isinstance(coords, FreeHomCoords):
         return np.kron(np.eye(coords.b, dtype=np.int64), g.matrix.a)
-    return hom_postcompose(g, coords.sub, tgt).a
+    return _basis_images(coords, tgt, g.matrix.a @ _basis_maps(coords) % coords.p)
 
 
 
@@ -173,7 +182,7 @@ def test_free_postcompose_writes_kron_in_any_layout():
     q2 = direct_sum([q, simple_k(a, "left")])
     g = ModuleMap(q, q2, Matrix(3, np.random.default_rng(5).integers(0, 3, size=(q2.dim, q.dim))), check=False)
     for b in range(5):
-        coords = cohom._FreeHomCoords(free_module(a, "left", b), q)
+        coords = FreeHomCoords(free_module(a, "left", b), q)
         want = np.kron(np.eye(b, dtype=np.int64), g.matrix.a)
         out = np.zeros_like(want)
         coords.postcompose(g, None, out)
@@ -183,10 +192,14 @@ def test_free_postcompose_writes_kron_in_any_layout():
         assert np.array_equal(wide[1:-2, 2:].T, want) and wide.sum() == want.sum()
 
 def _ref_pre(coords, d, tgt):
-    """The matrix of f -> f o d."""
-    if isinstance(coords, cohom._FreeHomCoords):
-        return _entry_action_matrix(_free_block_entries(d).transpose(1, 0, 2), coords.qmod).a
-    return hom_precompose(d, coords.sub, tgt).a
+    """The matrix of f -> f o d: on a free P the action of every entry of d, zero or not, stacked."""
+    if isinstance(coords, FreeHomCoords):
+        entries = _free_block_entries(d).transpose(1, 0, 2)
+        rows, cols, da = entries.shape
+        dq = coords.qmod.dim
+        acts = coords.qmod.action_of(entries.reshape(rows * cols, da)).reshape(rows, cols, dq, dq)
+        return acts.swapaxes(1, 2).reshape(rows * dq, cols * dq)
+    return _basis_images(coords, tgt, _basis_maps(coords) @ d.matrix.a % coords.p)
 
 
 def _stacked_cocycles(st):
@@ -283,7 +296,7 @@ def _ref_segment(st, cls):
     for t in range(st.lo, st.hi + 1):
         c = st.coords[t]
         x = vec[st.offsets[t]: st.offsets[t] + c.dim]
-        if isinstance(c, cohom._FreeHomCoords):
+        if isinstance(c, FreeHomCoords):
             comps.append(_free_map_matrix(c.qmod, x.reshape(c.b, c.dq).T))
         else:
             comps.append(c.sub.from_coords(x).reshape(c.qmod.dim, c.pmod.dim))

@@ -12,6 +12,8 @@ from homct.algmod import (
     Algebra,
     FdModule,
     ModuleMap,
+    _free_block_entries,
+    _write_entry_actions,
     direct_sum,
     quotient_module,
     socle,
@@ -26,10 +28,8 @@ from homct.algmod import (
     tensor_over_algebra,
 )
 from homct.derived import (
+    ExtChain,
     ShortExactSeq,
-    _entry_action_matrix,
-    _free_block_entries,
-    _write_entry_actions,
     connecting_ext,
     connecting_tor,
     ext,
@@ -337,14 +337,15 @@ def test_entry_action_matrix_acts_only_on_nonzero_entries(p):
         units[rng.random((rows, cols)) < 0.5] = unit
         for entries in (dense, sparse, np.zeros_like(dense), units):
             want = _entry_action_matrix_reference(entries, n)
-            assert _entry_action_matrix(entries, n) == want
+            assert np.array_equal(_write_entry_actions(entries, n), want.a)
             # written in place into a transposed block of a larger zero array
             wide = np.zeros((cols * n.dim + 2, rows * n.dim), dtype=np.int64)
             _write_entry_actions(entries, n, wide[1:-1].T)
             assert np.array_equal(wide[1:-1].T, want.a) and wide.sum() == want.a.sum()
     # the blocks of a resolution differential
     d = min_proj_resolution(simple_k(a, "right"), 2).differential(2)
-    assert _entry_action_matrix(_free_block_entries(d), n) == _entry_action_matrix_reference(_free_block_entries(d), n)
+    entries = _free_block_entries(d)
+    assert np.array_equal(_write_entry_actions(entries, n), _entry_action_matrix_reference(entries, n).a)
 
 
 # --- tensor spaces as block operators ---------------------------------------
@@ -475,8 +476,48 @@ def _digest(mat: Matrix) -> str:
     return f"{a.shape[0]}x{a.shape[1]}:" + hashlib.sha1(a.tobytes()).hexdigest()[:12]
 
 
+class _SubspaceExtChain(ExtChain):
+    """Hom_A(P, n) with every cochain space in the RREF basis of hom_over_algebra and
+    each differential read one basis map at a time: the coordinates the pins below
+    were recorded in, kept as the reference."""
+
+    def hom_space(self, j):
+        if j not in self._hom:
+            self._hom[j] = hom_over_algebra(self.res.proj(j), self.n)
+        return self._hom[j]
+
+    def delta(self, j):
+        if j not in self._delta:
+            d, dom, cod = self.res.differential(j + 1), self.hom_space(j), self.hom_space(j + 1)
+            maps = dom.basis.a.reshape(dom.dim, self.n.dim, d.matrix.rows)
+            images = [cod.coords((Matrix(d.p, f) @ d.matrix).a.reshape(-1)) for f in maps]
+            self._delta[j] = Matrix(d.p, np.array(images, dtype=np.int64).reshape(dom.dim, cod.dim).T)
+        return self._delta[j]
+
+
+def _class_basis_change(ec: ExtChain, ref: _SubspaceExtChain, j: int) -> Matrix:
+    """H^j classes from ec's coordinates to ref's: class, representative, the cocycle as
+    a map (to_ambient), its coordinates in ref's Hom space, then ref's class."""
+    h = ec.cohomology(j)
+    if h.dim == 0:
+        return Matrix.zeros(ec.n.p, ref.cohomology(j).dim, 0)
+    maps = ec.hom_space(j).to_ambient(h.sq.basis_representatives()).reshape(h.dim, -1)
+    return Matrix(ec.n.p, ref.cohomology(j).class_of(ref.hom_space(j).coords(maps)).T)
+
+
+def _in_recorded_coordinates(delta: Matrix, ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
+    """delta: Ext^j(m, X'') -> Ext^{j+1}(m, X') conjugated into the reference chains' class coordinates."""
+    left, right = (ext_chain(m, x, j + 2) for x in (ses.left, ses.right))
+    ref_left, ref_right = _SubspaceExtChain(left.res, ses.left), _SubspaceExtChain(right.res, ses.right)
+    to_bottom = _class_basis_change(left, ref_left, j + 1)
+    to_top = _class_basis_change(right, ref_right, j)
+    from_top = solve_matrix(to_top, Matrix.identity(m.p, to_top.rows))
+    return to_bottom @ delta @ from_top
+
+
 # the connecting matrices delta_0..delta_3, recorded with the Kronecker-system
-# implementation (one hom_solve per class, pullback through kron(f, I))
+# implementation (one hom_solve per class, pullback through kron(f, I)) in the
+# class coordinates of _SubspaceExtChain
 _EXT_CONNECTING = {
     "a1-socle": ["1x1:3da89ee273be"] * 4,
     "a1-cosyzygy": ["1x1:3da89ee273be"] * 4,
@@ -509,8 +550,28 @@ def test_ext_long_exact_sequence():
             assert image_basis(f_j) == kernel_basis(g_j), (name, j, "middle")
             assert image_basis(g_j) == kernel_basis(delta), (name, j, "right")
             prev = delta
-            digests.append(_digest(delta))
+            digests.append(_digest(_in_recorded_coordinates(delta, ses, m, j)))
         assert digests == _EXT_CONNECTING[name], name
+
+
+def test_connecting_ext_rejects_a_pullback_that_is_not_a_linear():
+    # generator coordinates read only the generators' images, so a pullback that
+    # is wrong elsewhere must be caught before its classes are read
+    a2 = algebra_a2()
+    *_, incl, proj = min_inj_resolution(simple_k(a2, "left"), 2).cosyzygy_ses(1)
+    ses = ShortExactSeq(incl, proj)
+    solve = ses.f_solver.solve
+
+    class Skewed:
+        def solve(self, rhs):
+            out = solve(rhs)
+            out[0, 1] ^= 1  # column 1 of P_1 = A^2 is a_1 . generator 0, not a generator image
+            return out
+
+    assert connecting_ext(ses, simple_k(a2), 0).a.shape == (2, 2)
+    ses.__dict__["f_solver"] = Skewed()
+    with pytest.raises(RuntimeError, match="not A-linear"):
+        connecting_ext(ses, simple_k(a2), 0)
 
 
 # --- functoriality in the second argument -----------------------------------

@@ -49,3 +49,12 @@ def test_duality_ext_a2_report_hash():
     rep = stable_homology_via_duality(simple_k(a2, "right"), simple_k(a2, "left"), 0, 3, w=2,
                                       realization="ext")
     assert report_hash(rep.to_dict()) == "c83424e084be50ff18c98bcdd04775983936dac72b5c01c8ec2d3ac01dde7d79"
+
+
+def test_duality_ext_a2_depth5_report_hash():
+    # the pin above stops at K = 3; at K = 5 the Ext cochains out of the large
+    # free modules of the resolution carry the run, in generator coordinates
+    a2 = algebra_a2()
+    rep = stable_homology_via_duality(simple_k(a2, "right"), simple_k(a2, "left"), 0, 5, w=2,
+                                      realization="ext")
+    assert report_hash(rep.to_dict()) == "4879b63695dfc37fafb6b76448226b2052d471d2edfb6871bfcde36ac5859bcb"

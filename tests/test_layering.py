@@ -18,7 +18,10 @@ one ``hom_solve``, and a transition converts them back with one ``class_of``.
 A solve eliminates m beside the identity, whatever the width of its
 right-hand side; a cosyzygy sequence's f and g are eliminated once across all
 towers of a compare, and a connecting map in Tor over free projectives builds
-no part of the middle chain.
+no part of the middle chain.  Hom out of a projective has one coordinate type,
+``algmod.hom_coords``, and the free-map entry form lives in ``algmod``: the Hom
+subspace is built only there and in ``hom_solve``'s non-free path, no module
+imports a private name from ``derived``, and ``derived`` calls no np.kron.
 """
 
 import ast
@@ -196,6 +199,30 @@ def test_one_chain_layer():
     assert _src_calls({"tensor_over_algebra"}) == [
         ("cli.py", "run_corpus", "tensor_over_algebra"),
         ("derived.py", "TensorChain.component", "tensor_over_algebra")]
+
+
+def test_one_hom_coordinate_type():
+    assert {(module, scope) for module, scope, _ in _src_calls({"hom_over_algebra"})
+            if module != "algmod.py"} == {("resolve.py", "hom_solve")}
+    private = [f"{p.name}:{node.lineno} {alias.name}"
+               for p in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+               if isinstance(node, ast.ImportFrom) and node.module == "derived"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+    path = SRC / "derived.py"
+    assert [name for _, name in _numpy_copies(ast.parse(path.read_text(), filename=str(path)))
+            if name == "np.kron"] == []
+
+
+def test_every_exported_name_exists():
+    import importlib
+
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert len(modules) >= 8
+    for name in modules:
+        module = importlib.import_module(f"homct.{name}")
+        assert [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)] == [], name
 
 
 def test_checker_finds_calls_by_scope():
