@@ -1030,10 +1030,24 @@ class FreeHomCoords:
         return _free_map_matrix(self.qmod, gens).reshape(self.dq, k, self.pmod.dim).swapaxes(0, 1)
 
     def coords(self, rows: np.ndarray) -> np.ndarray:
-        """Coordinates of one row-major map (dim N * dim P) or of a block of them."""
-        maps = rows.reshape(rows.shape[:-1] + (self.dq, self.pmod.dim))
-        gens = _generator_images(maps, self.pmod.algebra)  # (..., dim N, b)
-        return gens.swapaxes(-1, -2).reshape(rows.shape[:-1] + (self.dim,))
+        """Coordinates of one row-major map (dim N * dim P) or of a block of them.
+
+        The generator images are read off any number r of rows, so a map from
+        P into any space, such as the row space of ``solve``'s post, gives its
+        r * b coordinates, generator by generator."""
+        lead, dp = rows.shape[:-1], self.pmod.dim
+        r = rows.shape[-1] // dp if dp else 0
+        gens = _generator_images(rows.reshape(lead + (r, dp)), self.pmod.algebra)  # (..., r, b)
+        return gens.swapaxes(-1, -2).reshape(lead + (r * self.b,))
+
+    def solve(self, post: Matrix, maps: np.ndarray) -> np.ndarray | None:
+        """Coordinates (k, dim) of the g with post o g = maps[c], for a stack (k, post.rows, dim P),
+        or None when some system has no solution.  A map out of A^b is fixed by its generator
+        images, so one solve against post takes every generator image of every map as a column."""
+        k = len(maps)
+        gens = self.coords(maps.reshape(k, post.rows * self.pmod.dim)).reshape(k * self.b, post.rows)
+        sol = solve_matrix(post, Matrix(self.p, gens.T))
+        return None if sol is None else sol.a.T.reshape(k, self.dim)
 
     def postcompose(self, g: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
         """The matrix of f -> g o f, kron(I_b, g): one copy of g per generator."""
@@ -1065,6 +1079,15 @@ class SubHomCoords:
     def _maps(self) -> np.ndarray:
         """The basis maps (dim, dim N, dim M)."""
         return self.sub.basis.a.reshape(self.dim, self.qmod.dim, self.pmod.dim)
+
+    def solve(self, post: Matrix, maps: np.ndarray) -> np.ndarray | None:
+        """Coordinates (k, dim) of the g with post o g = maps[c], for a stack (k, post.rows, dim M),
+        or None when some system has no solution: one solve whose columns are post o (basis map h)
+        and whose right-hand sides are the k maps."""
+        k, flat = len(maps), post.rows * self.pmod.dim
+        posted = mulmod(post.a, self._maps(), self.p)  # (dim, post.rows, dim M)
+        sol = solve_matrix(Matrix(self.p, posted.reshape(self.dim, flat).T), Matrix(self.p, maps.reshape(k, flat).T))
+        return None if sol is None else sol.a.T
 
     def _images(self, images: np.ndarray, tgt, out: np.ndarray | None) -> np.ndarray:
         """Write the tgt coordinates of the images (dim, ...) of the basis maps, one column each."""

@@ -13,10 +13,13 @@ mismatch error, since the two routes are theorems of each other.
 
 Squares between chain-map segments commute up to the sign (-1)^i:
     d_Q phi_t = (-1)^i phi_{t-1} d_P.
-Homotopies are normalized by solving degree by degree with free variables
-pinned to zero.  A stage's class plumbing takes a block of classes, one per
+Every lift is ``resolve.lift_chain_map``, which solves degree by degree with
+free variables pinned to zero: ``mu_backward`` lifts a syzygy-level map,
+``SegmentStage.extend_segment`` continues a segment one degree, and a
+Benson-Carlson transition lifts through the covers and restricts to the
+next syzygies.  A stage's class plumbing takes a block of classes, one per
 row, and returns one stack of k maps per window degree, so a transition is
-one call: one ``hom_solve`` lifts every class, one ``class_of`` reads them back.
+one call: one lift of every class, one ``class_of`` reading them back.
 Hom spaces out of the projectives are ``algmod.hom_coords`` spaces, the type
 of ``derived``'s Ext cochains, so a segment class and an Ext class read the
 same generator coordinates on a free resolution.
@@ -55,7 +58,7 @@ from .exactla import (
     rref,
     solve_matrix,
 )
-from .resolve import Resolution, hom_solve, min_proj_resolution, syzygy_map
+from .resolve import Resolution, lift_chain_map, min_proj_resolution
 
 __all__ = [
     "StableMapClass",
@@ -105,12 +108,17 @@ def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     maps: dict[int, Matrix] = {}
     for k in range(k_min, K):
         src, tgt = stages[k - k_min], stages[k + 1 - k_min]
-        src_m, src_n = res_m.syzygy(k), res_n.syzygy(k - i)
-        images = []  # Omega(f) for the representative f of each class, flattened
-        for vec in src.basis_representatives():
-            f = ModuleMap(src_m, src_n, Matrix(m.p, vec.reshape(src_n.dim, src_m.dim)), check=False)
-            images.append(syzygy_map(f, 1).matrix.a.reshape(-1))
-        images = np.array(images, dtype=np.int64).reshape(src.dim, tgt.ambient_dim)
+        # Omega(f) for the representative f of every class at once: lift through
+        # the covers, then restrict phi_k: P_k -> Q_{k-i} to the next syzygies
+        reps = src.basis_representatives().reshape(src.dim, res_n.syzygy(k - i).dim, res_m.syzygy(k).dim)
+        phi = lift_chain_map(reps, k, i, k, res_m, res_n)[0]
+        incl_n = res_n.syzygy_incl(k + 1 - i).matrix
+        rows = mulmod(phi, res_m.syzygy_incl(k + 1).matrix.a, m.p)  # (classes, dim Q_{k-i}, dim Omega_{k+1} M)
+        cols = rows.shape[2]
+        sol = solve_matrix(incl_n, Matrix(m.p, rows.transpose(1, 0, 2).reshape(incl_n.rows, src.dim * cols)))
+        if sol is None:
+            raise RuntimeError("bc cotower: lift does not restrict to syzygies")
+        images = sol.a.reshape(incl_n.cols, src.dim, cols).swapaxes(0, 1).reshape(src.dim, tgt.ambient_dim)
         maps[k] = Matrix(m.p, tgt.class_of(images).T)
     return Tower(i, k_min, stages, maps, "benson-carlson")
 
@@ -238,15 +246,10 @@ class SegmentStage:
         return self.sq.class_of(vec)
 
     def extend_segment(self, comps: list[np.ndarray]) -> list[np.ndarray]:
-        """Extend a block of segments one degree upward (projectivity; exists by row exactness)."""
+        """Extend a block of segments one degree upward: one more degree of their lift
+        (projectivity; it exists by row exactness)."""
         t = self.lo + len(comps)
-        self.res_m.extend(t)
-        self.res_n.extend(t - self.i)
-        rhs = mulmod(comps[-1], self.res_m.differential(t).matrix.a, self.p)
-        if self.i % 2:  # -rhs, kept in [0, p)
-            np.subtract(self.p, rhs, out=rhs, where=rhs != 0)
-        d_q = self.res_n.differential(t - self.i)
-        return comps + [hom_solve(self.res_m.proj(t), self.res_n.proj(t - self.i), d_q.matrix, rhs)]
+        return lift_chain_map(comps, t, self.i, t, self.res_m, self.res_n)
 
     def theta_ext_class(self, cls: np.ndarray):
         """The stage isomorphism onto Ext^{k+i}(M, Omega_k N) class coordinates, for a block of classes."""
@@ -358,19 +361,9 @@ def mu_backward(f: ModuleMap, k: int, i: int, hi: int,
     """Lift a syzygy-level map to a chain-map segment on [k, hi] (projectivity)."""
     if k - i < 0:
         raise ValueError("source stage needs k - i >= 0")
-    res_m.extend(hi + 1)
-    res_n.extend(hi - i + 1)
-    pi_m = res_m.cover_map(k)
-    pi_n = res_n.cover_map(k - i)
-    phi_k = hom_solve(res_m.proj(k), res_n.proj(k - i), pi_n.matrix, f.matrix @ pi_m.matrix)
-    comps = [phi_k]
-    sign = 1 if i % 2 == 0 else -1
-    for t in range(k + 1, hi + 1):
-        d_p = res_m.differential(t)
-        d_q = res_n.differential(t - i)
-        rhs = (comps[-1].matrix @ d_p.matrix).scale(sign)
-        comps.append(hom_solve(res_m.proj(t), res_n.proj(t - i), d_q.matrix, rhs))
-    return StableMapClass(i, k, hi, comps)
+    comps = lift_chain_map(f.matrix.a[None], k, i, hi, res_m, res_n)
+    return StableMapClass(i, k, hi, [ModuleMap(res_m.proj(t), res_n.proj(t - i), Matrix(f.p, phi[0]), check=False)
+                                     for t, phi in enumerate(comps, k)])
 
 
 @dataclass

@@ -112,24 +112,27 @@ class HomologySpace:
 class ShortExactSeq:
     """0 -> left -> middle -> right -> 0 of same-side modules (exactness checked unless check=False).
 
-    The snake operators are built on first use and kept: f and g are each
-    eliminated once (``Solver``), however many connecting maps read them.
+    f and g are each eliminated once (``Solver``), on first use or by the
+    check, and kept with the snake operators, however many connecting maps
+    read them.  The check reads the solvers' ranks: f is injective iff its
+    rank is dim left, g is surjective iff its rank is dim right, and then
+    im f = ker g iff g f = 0 and dim left + dim right = dim middle.
     """
 
     def __init__(self, f: ModuleMap, g: ModuleMap, check: bool = True):
         if f.target is not g.source and f.target.fingerprint() != g.source.fingerprint():
             raise ValueError("maps do not share the middle module")
-        if check and not f.is_injective():
-            raise ValueError("first map is not injective")
-        if check and not g.is_surjective():
-            raise ValueError("second map is not surjective")
-        if check and f.image() != g.kernel():
-            raise ValueError("image != kernel at the middle")
         self.f = f
         self.g = g
         self.left = f.source
         self.middle = f.target
         self.right = g.target
+        if check and self.f_solver.rank != self.left.dim:
+            raise ValueError("first map is not injective")
+        if check and self.g_solver.rank != self.right.dim:
+            raise ValueError("second map is not surjective")
+        if check and (self.left.dim + self.right.dim != self.middle.dim or not (g.matrix @ f.matrix).is_zero()):
+            raise ValueError("image != kernel at the middle")
 
     @functools.cached_property
     def f_solver(self) -> Solver:

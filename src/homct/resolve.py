@@ -10,6 +10,12 @@ Complete resolutions are built only along the two certifiable routes:
   * certified periodic tail: extend the periodic pattern downward.
 Failure to construct is reported as non-certification, never as a
 non-existence claim.
+
+Comparison lifts have one home, ``lift_chain_map``: a stack of maps between
+syzygies is lifted through the covers and then degree by degree, with the
+sign (-1)^i of a degree -i chain map, one ``hom_solve`` per degree for the
+whole stack.  ``hom_solve`` takes and returns stacks only, and solves in the
+coordinates of ``algmod.hom_coords``.
 """
 
 from __future__ import annotations
@@ -23,14 +29,11 @@ from .algmod import (
     Algebra,
     FdModule,
     ModuleMap,
-    _free_map_matrix,
-    _generator_images,
     act,
     direct_sum,
     dual_module,
     free_module,
     hom_coords,
-    hom_over_algebra,
     is_isomorphic,
     radical_submodule,
     regular_module,
@@ -64,7 +67,7 @@ __all__ = [
     "is_injective",
     "complete_resolution",
     "check_total_acyclicity_window",
-    "lift_module_map",
+    "lift_chain_map",
     "syzygy_map",
     "hom_solve",
 ]
@@ -123,9 +126,10 @@ def projective_cover(m: FdModule) -> tuple[FdModule, ModuleMap, Subspace]:
     # generator s has simple type gens[s] // top_dim, and the surjection sends
     # it to its lift v_s: on A it is the orbit [a_u . v_s]_u, on A e_t that
     # orbit restricted along A e_t -> A
-    orbits = np.hsplit(_free_map_matrix(m, lifts[gens].T), top_dim)
+    free = free_module(a, m.side, top_dim)
+    orbits = np.hsplit(hom_coords(free, m).to_ambient(lifts[gens].reshape(1, -1))[0], top_dim)
     if len(idems) == 1:
-        proj = free_module(a, m.side, top_dim)
+        proj = free
     else:
         reg = regular_module(a, m.side)
         pairs = [submodule(reg, [idems[j // top_dim]]) for j in gens]
@@ -528,21 +532,17 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
     hhom: dict[int, int] = {}
     a = tcx.module.algebra
     reg = regular_module(a, tcx.module.side)
+    # Hom(T, A) at cohomological position i is Hom(T_i, A), with maps by precomposition;
+    # each space and each coboundary Hom(T_{j-1}, A) -> Hom(T_j, A) is built once
+    homs = {j: hom_coords(tcx.space(j), reg) for j in range(-window - 1, window + 2)}
+    cobound = {j: Matrix(a.p, homs[j - 1].precompose(tcx.differential(j), homs[j]))
+               for j in range(-window, window + 2)}
     for i in degrees:
-        d_in = tcx.differential(i + 1)
-        d_out = tcx.differential(i)
-        ker = kernel_basis(d_out.matrix)
-        im = d_in.image()
+        ker, im = kernel_basis(tcx.differential(i).matrix), tcx.differential(i + 1).image()
         hdims[i] = ker.dim - im.dim
-        # Hom(T, A) at cohomological position i: Hom(T_i, A) with maps by
-        # precomposition; exactness there compares Hom(T_{i-1}) -> Hom(T_i) -> Hom(T_{i+1})
-        hom_mid = hom_coords(tcx.space(i), reg)
-        hom_prev = hom_coords(tcx.space(i - 1), reg)
-        hom_next = hom_coords(tcx.space(i + 1), reg)
-        mat_next = Matrix(a.p, hom_mid.precompose(d_in, hom_next))
-        mat_prev = Matrix(a.p, hom_prev.precompose(d_out, hom_mid))
-        ker_h = kernel_basis(mat_next)
-        im_h = image_basis(mat_prev)
+        # exactness at Hom(T_i, A) compares Hom(T_{i-1}) -> Hom(T_i) -> Hom(T_{i+1})
+        ker_h = kernel_basis(cobound[i + 1])
+        im_h = image_basis(cobound[i])
         hhom[i] = ker_h.dim - im_h.dim
         if not ker_h.contains_subspace(im_h):
             hhom[i] = -1  # exactness violated structurally
@@ -552,60 +552,49 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
 # -- comparison lifts -----------------------------------------------------------
 
 
-def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs):
-    """Find g in Hom_A(source, target) with post @ g = rhs (deterministic).
+def hom_solve(source: FdModule, target: FdModule, post: Matrix, rhs: np.ndarray) -> np.ndarray:
+    """The maps g in Hom_A(source, target) with post @ g = rhs[c], for a stack of right-hand sides.
 
-    rhs is one Matrix, answered by a ModuleMap, or a (k, post.rows, dim source)
-    stack of right-hand sides, answered by the (k, dim target, dim source)
-    stack of their maps: a block of right-hand sides is one call.  For a free
-    source every g is fixed by its generator images, and the k systems are
-    solved side by side on them; otherwise one solve in Hom-subspace
-    coordinates takes the k right-hand sides as columns.  Free variables are
+    rhs is (k, post.rows, dim source), and the answer the (k, dim target, dim
+    source) stack of the maps (deterministic).  The whole stack is one solve
+    in the coordinates of ``hom_coords(source, target)``: generator images for
+    a free source, the Hom-subspace basis otherwise.  Free variables are
     pinned to zero, so each map is the one its own solve gives, and each is
     A-linear by construction.
     """
-    p = post.p
-    stack = reduced(rhs.a[None] if isinstance(rhs, Matrix) else rhs, p)
-    k = len(stack)
-    if source.free_rank is not None:
-        gens = _generator_images(stack, source.algebra)  # (k, rows, b): column r is rhs[c](gen_r)
-        sol = solve_matrix(post, Matrix(p, gens.transpose(1, 0, 2).reshape(post.rows, k * source.free_rank)))
-        if sol is None:
-            raise RuntimeError("hom_solve: no A-linear solution")
-        maps = _free_map_matrix(target, sol.a).reshape(target.dim, k, source.dim).transpose(1, 0, 2)
-        # post must be A-linear for the generator solve to determine g
-        if (mulmod(post.a, maps, p) != stack).any():
-            raise RuntimeError("hom_solve: free-path solve failed (post not A-linear?)")
-    else:
-        hom = hom_over_algebra(source, target)
-        # column h is post o (basis map h), flattened row-major; one rhs column per map
-        posted = mulmod(post.a, hom.basis.a.reshape(hom.dim, target.dim, source.dim), p)
-        sys = Matrix(p, posted.reshape(hom.dim, post.rows * source.dim).T)
-        sol = solve_matrix(sys, Matrix(p, stack.reshape(k, post.rows * source.dim).T))
-        if sol is None:
-            raise RuntimeError("hom_solve: no A-linear solution")
-        maps = hom.from_coords(sol.a.T).reshape(k, target.dim, source.dim)
-    if isinstance(rhs, Matrix):
-        return ModuleMap(source, target, Matrix(p, maps[0]), check=False)
+    stack = reduced(rhs, post.p)
+    hom = hom_coords(source, target)
+    coords = hom.solve(post, stack)
+    maps = None if coords is None else hom.to_ambient(coords)
+    # post must be A-linear for the solve in Hom coordinates to give post @ g = rhs
+    if maps is None or (mulmod(post.a, maps, post.p) != stack).any():
+        raise RuntimeError("hom_solve: no A-linear solution")
     return maps
 
 
-def lift_module_map(f: ModuleMap, res_src: Resolution, res_tgt: Resolution, depth: int) -> list[ModuleMap]:
-    """Chain map [phi_0..phi_depth] between resolutions lifting f (projectivity)."""
-    res_src.extend(depth)
-    res_tgt.extend(depth)
-    phis: list[ModuleMap] = []
-    eps_s = res_src.cover_map(0)
-    eps_t = res_tgt.cover_map(0)
-    phi0 = hom_solve(res_src.proj(0), res_tgt.proj(0), eps_t.matrix, f.matrix @ eps_s.matrix)
-    phis.append(phi0)
-    for j in range(1, depth + 1):
-        dj_s = res_src.differential(j)
-        dj_t = res_tgt.differential(j)
-        rhs = phis[j - 1].matrix @ dj_s.matrix
-        phi = hom_solve(res_src.proj(j), res_tgt.proj(j), dj_t.matrix, rhs)
-        phis.append(phi)
-    return phis
+def lift_chain_map(f, k: int, i: int, hi: int, res_m: Resolution, res_n: Resolution) -> list[np.ndarray]:
+    """Components phi_t: P_t -> Q_{t-i}, t in [k, hi], of the chain-map lifts of a stack of maps.
+
+    P and Q are the resolutions res_m of M and res_n of N.  f is a stack
+    (s, dim Omega_{k-i} N, dim Omega_k M) of maps Omega_k M -> Omega_{k-i} N,
+    lifted first through the covers, pi_{k-i} phi_k = f pi_k; or it is a
+    segment to continue, the list of its component stacks in the degrees
+    below k.  Each further degree solves d_Q phi_t = (-1)^i phi_{t-1} d_P.
+    Every degree is one ``hom_solve`` for the whole stack.  Returns the
+    segment's components, if any, followed by those of degrees k..hi.
+    """
+    p = res_m.module.p
+    comps = list(f) if isinstance(f, list) else []
+    for t in range(k, hi + 1):
+        if comps:
+            rhs = mulmod(comps[-1], res_m.differential(t).matrix.a, p)
+            if i % 2:  # -rhs, kept in [0, p)
+                np.subtract(p, rhs, out=rhs, where=rhs != 0)
+            post = res_n.differential(t - i).matrix
+        else:
+            rhs, post = mulmod(f, res_m.cover_map(k).matrix.a, p), res_n.cover_map(k - i).matrix
+        comps.append(hom_solve(res_m.proj(t), res_n.proj(t - i), post, rhs))
+    return comps
 
 
 def syzygy_map(f: ModuleMap, k: int) -> ModuleMap:
@@ -614,10 +603,8 @@ def syzygy_map(f: ModuleMap, k: int) -> ModuleMap:
         return f
     res_s = min_proj_resolution(f.source, k)
     res_t = min_proj_resolution(f.target, k)
-    phis = lift_module_map(f, res_s, res_t, k - 1)
-    incl_s = res_s.syzygy_incl(k)
-    incl_t = res_t.syzygy_incl(k)
-    mat = solve_matrix(incl_t.matrix, phis[k - 1].matrix @ incl_s.matrix)
+    phi = lift_chain_map(f.matrix.a[None], 0, 0, k - 1, res_s, res_t)[-1][0]
+    mat = solve_matrix(res_t.syzygy_incl(k).matrix, Matrix(f.p, mulmod(phi, res_s.syzygy_incl(k).matrix.a, f.p)))
     if mat is None:
         raise RuntimeError("syzygy_map: lift does not restrict to syzygies")
     return ModuleMap(res_s.syzygy(k), res_t.syzygy(k), mat, check=False)

@@ -72,8 +72,9 @@ class DoubleWindow:
         self.n_max = n_max
         self.res = min_proj_resolution(m, m_max + 1)
         self.inj = min_inj_resolution(n, n_max + 2)
-        # column n is the memoized chain P tensor_A I^n, kept here because
-        # inj.space builds a fresh module, with a fresh fingerprint, per call
+        # column n is the memoized chain P tensor_A I^n, kept here so that a
+        # component read skips tensor_chain's memo lock and its
+        # min_proj_resolution call
         self._cols: dict[int, TensorChain] = {}
         self._horiz: dict[tuple[int, int], Matrix] = {}
 

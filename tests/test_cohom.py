@@ -311,9 +311,9 @@ def _ref_transition(st, st_next):
     for cls in np.eye(st.dim, dtype=np.int64):
         comps = _ref_segment(st, cls)
         rhs = (Matrix(p, comps[-1]) @ st.res_m.differential(t).matrix).scale(1 if i % 2 == 0 else -1)
-        f_t = hom_solve(st.res_m.proj(t), st.res_n.proj(t - i), st.res_n.differential(t - i).matrix, rhs)
+        f_t = hom_solve(st.res_m.proj(t), st.res_n.proj(t - i), st.res_n.differential(t - i).matrix, rhs.a[None])[0]
         vec = np.zeros(st_next.total, dtype=np.int64)
-        for t_next, f in zip(range(st_next.lo, st_next.hi + 1), comps[1:] + [f_t.matrix.a]):
+        for t_next, f in zip(range(st_next.lo, st_next.hi + 1), comps[1:] + [f_t]):
             vec[st_next.offsets[t_next]: st_next.offsets[t_next] + st_next.coords[t_next].dim] = (
                 st_next.coords[t_next].coords(f.reshape(-1)))
         cols.append(st_next.sq.class_of(vec))

@@ -11,23 +11,29 @@ no np.kron, np.hstack or np.vstack copy, and a subspace's coordinate maps never
 build its dense basis.  The chain layer is ``derived``: tensor
 differentials, second-argument maps and the tensor chains themselves are
 built there and nowhere else.  The elimination counts of one resolution
-stage, one homology space and one tower limit are pinned, so a change that
-eliminates a matrix twice fails here.  So are the block calls: a transition of
-the segments route and a connecting map in Ext lift all their classes with
-one ``hom_solve``, and a transition converts them back with one ``class_of``.
-A solve eliminates m beside the identity, whatever the width of its
-right-hand side; a cosyzygy sequence's f and g are eliminated once across all
-towers of a compare, and a connecting map in Tor over free projectives builds
-no part of the middle chain.  Hom out of a projective has one coordinate type,
-``algmod.hom_coords``, and the free-map entry form lives in ``algmod``: the Hom
-subspace is built only there and in ``hom_solve``'s non-free path, no module
-imports a private name from ``derived``, and ``derived`` calls no np.kron.
+stage, one homology space, one tower limit and one checked short exact
+sequence are pinned, so a change that eliminates a matrix twice fails here;
+so are the Hom spaces of a total-acyclicity check.  So are the block calls: a
+transition of the segments route or of the Benson-Carlson cotower and a
+connecting map in Ext lift all their classes with one ``hom_solve``, and a
+segments transition converts them back with one ``class_of``.  Every
+comparison lift is ``resolve.lift_chain_map``, the one caller of
+``hom_solve`` besides the Ext connecting map and the one place that signs a
+lift, and ``hom_solve`` takes stacks only.  A solve eliminates m beside the
+identity, whatever the width of its right-hand side; a cosyzygy sequence's f
+and g are eliminated once across all towers of a compare, and a connecting
+map in Tor over free projectives builds no part of the middle chain.  Hom out
+of a projective has one coordinate type, ``algmod.hom_coords``, and the
+free-map entry form lives in ``algmod``: the Hom subspace is built only
+there, ``resolve`` imports no private name from ``algmod``, no module imports
+a private name from ``derived``, and ``derived`` calls no np.kron.
 """
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import homct
 from homct import derived, exactla, resolve
@@ -201,18 +207,38 @@ def test_one_chain_layer():
         ("derived.py", "TensorChain.component", "tensor_over_algebra")]
 
 
+def _private_imports(source: str) -> list[str]:
+    """``file:line name`` of every ``_``-private name imported from the module ``source``."""
+    return [f"{p.name}:{node.lineno} {alias.name}"
+            for p in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+            if isinstance(node, ast.ImportFrom) and node.module == source
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_one_hom_coordinate_type():
-    assert {(module, scope) for module, scope, _ in _src_calls({"hom_over_algebra"})
-            if module != "algmod.py"} == {("resolve.py", "hom_solve")}
-    private = [f"{p.name}:{node.lineno} {alias.name}"
-               for p in SRC.glob("*.py")
-               for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
-               if isinstance(node, ast.ImportFrom) and node.module == "derived"
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+    assert {module for module, _, _ in _src_calls({"hom_over_algebra"})} == {"algmod.py"}
+    assert _private_imports("derived") == []
+    assert [hit for hit in _private_imports("algmod") if hit.startswith("resolve.py:")] == []
     path = SRC / "derived.py"
     assert [name for _, name in _numpy_copies(ast.parse(path.read_text(), filename=str(path)))
             if name == "np.kron"] == []
+
+
+def test_one_lift(monkeypatch):
+    # the degree-by-degree lift and its sign (-1)^i live in lift_chain_map; the
+    # other subtractions are the segment systems' own signs
+    assert _src_calls({"hom_solve"}) == [
+        ("derived.py", "connecting_ext", "hom_solve"), ("resolve.py", "lift_chain_map", "hom_solve")]
+    assert _src_calls({"subtract", "scale"}) == [
+        ("cohom.py", "SegmentStage._coboundaries", "subtract"), ("cohom.py", "SegmentStage._cocycles", "subtract"),
+        ("resolve.py", "lift_chain_map", "subtract")]
+    # stacks only: a (1, rows, cols) stack is answered by a stack, a Matrix is not read
+    pi = resolve.min_proj_resolution(simple_k(algebra_a2()), 1).cover_map(0)
+    lifted = resolve.hom_solve(pi.source, pi.source, pi.matrix, pi.matrix.a[None])
+    assert lifted.shape == (1, 3, 3) and np.array_equal(exactla.mulmod(pi.matrix.a, lifted, 2), pi.matrix.a[None])
+    with pytest.raises(TypeError):
+        resolve.hom_solve(pi.source, pi.source, pi.matrix, pi.matrix)
 
 
 def test_every_exported_name_exists():
@@ -311,6 +337,39 @@ def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
     assert len(shapes) == 6
 
 
+def test_short_exact_seq_eliminates_f_and_g_once(monkeypatch):
+    # the exactness check reads the ranks of the solvers that the connecting maps use
+    res = resolve.min_proj_resolution(simple_k(algebra_a2()), 2)
+    incl, cover = res.syzygy_incl(2), res.cover_map(1)
+    shapes = _count_eliminations(monkeypatch)
+    ses = derived.ShortExactSeq(incl, cover)
+    assert ses.f_solver.rank == 4 and ses.g_solver.rank == 2
+    assert shapes == [(6, 10), (2, 8)]
+
+
+def test_acyclicity_window_builds_each_hom_space_once(monkeypatch):
+    # window 3 reads Hom(T_j, A) for j = -4..4; T_j is free for j >= 0 and D(A)^b below,
+    # whose four Hom spaces are eliminated
+    from homct import algmod
+
+    tcx = resolve.complete_resolution(simple_k(algebra_a4(), "right"), 3)
+    coords, subspaces = [], []
+    hom_coords, hom_over_algebra = resolve.hom_coords, algmod.hom_over_algebra
+
+    def spy_coords(m, n):
+        coords.append(m.dim)
+        return hom_coords(m, n)
+
+    def spy_subspace(m, n):
+        subspaces.append(m.dim)
+        return hom_over_algebra(m, n)
+
+    monkeypatch.setattr(resolve, "hom_coords", spy_coords)
+    monkeypatch.setattr(algmod, "hom_over_algebra", spy_subspace)
+    assert resolve.check_total_acyclicity_window(tcx, 3).ok
+    assert len(coords) == 9 and len(subspaces) == 4
+
+
 # -- block calls: one solve and one class conversion per transition -------------------
 
 
@@ -320,7 +379,7 @@ def test_pcomp_transition_is_one_block_call(monkeypatch):
     from homct import cohom
 
     solves, stage_sqs, converted = [], [], []
-    hom_solve, init, class_of = cohom.hom_solve, cohom.SegmentStage.__init__, exactla.Subquotient.class_of
+    hom_solve, init, class_of = resolve.hom_solve, cohom.SegmentStage.__init__, exactla.Subquotient.class_of
 
     def spy_solve(source, target, post, rhs):
         solves.append(len(rhs))
@@ -335,12 +394,30 @@ def test_pcomp_transition_is_one_block_call(monkeypatch):
             converted.append(len(v))
         return class_of(self, v)
 
-    monkeypatch.setattr(cohom, "hom_solve", spy_solve)
+    monkeypatch.setattr(resolve, "hom_solve", spy_solve)
     monkeypatch.setattr(cohom.SegmentStage, "__init__", spy_init)
     monkeypatch.setattr(exactla.Subquotient, "class_of", spy_class_of)
     k = simple_k(algebra_a2())
     assert cohom.pcomp_ext(k, k, 0, 3).dims == [1, 4, 16, 64]
     assert solves == converted == [1, 4, 16]
+
+
+def test_bc_transition_is_one_block_call(monkeypatch):
+    # A2 stages have dims 1, 4, 16, 64: each transition lifts the representatives
+    # of all its classes through the covers with one hom_solve
+    from homct import cohom
+
+    solves = []
+    hom_solve = resolve.hom_solve
+
+    def spy_solve(source, target, post, rhs):
+        solves.append(len(rhs))
+        return hom_solve(source, target, post, rhs)
+
+    monkeypatch.setattr(resolve, "hom_solve", spy_solve)
+    k = simple_k(algebra_a2())
+    assert cohom.bc_cotower(k, k, 0, 3).dims() == [1, 4, 16, 64]
+    assert solves == [1, 4, 16]
 
 
 def test_connecting_ext_on_non_free_projective_is_one_solve(monkeypatch):

@@ -45,7 +45,7 @@ from homct.resolve import (
     is_injective,
     is_projective,
     is_self_injective,
-    lift_module_map,
+    lift_chain_map,
     min_inj_resolution,
     min_proj_resolution,
     projective_cover,
@@ -450,12 +450,12 @@ def test_lift_module_map_commutes():
     f = hom_map_from_vec(m, k, hom.basis.a[0])
     res_m = min_proj_resolution(m, 3)
     res_k = min_proj_resolution(k, 3)
-    phis = lift_module_map(f, res_m, res_k, 3)
+    phis = [Matrix(m.p, phi[0]) for phi in lift_chain_map(f.matrix.a[None], 0, 0, 3, res_m, res_k)]
     eps_m, eps_k = res_m.cover_map(0), res_k.cover_map(0)
-    assert (eps_k.matrix @ phis[0].matrix) == (f.matrix @ eps_m.matrix)
+    assert (eps_k.matrix @ phis[0]) == (f.matrix @ eps_m.matrix)
     for j in range(1, 4):
-        lhs = res_k.differential(j).matrix @ phis[j].matrix
-        rhs = phis[j - 1].matrix @ res_m.differential(j).matrix
+        lhs = res_k.differential(j).matrix @ phis[j]
+        rhs = phis[j - 1] @ res_m.differential(j).matrix
         assert lhs == rhs
 
 
@@ -511,7 +511,7 @@ def test_stacked_hom_solve_equals_single_solves():
         target, post = pi.source, pi.matrix
         free_kinds.append(source.free_rank is not None)
         stacked = resolve.hom_solve(source, target, post, rhs)
-        singles = [resolve.hom_solve(source, target, post, Matrix(post.p, r)).matrix.a for r in rhs]
+        singles = [resolve.hom_solve(source, target, post, r[None])[0] for r in rhs]
         assert np.array_equal(stacked, singles)
         assert np.array_equal(stacked, [_hom_solve_reference(source, target, post, Matrix(post.p, r)) for r in rhs])
         assert np.array_equal(mulmod(post.a, stacked, post.p), rhs)
@@ -532,7 +532,121 @@ def test_inconsistent_rhs_raises_on_both_paths():
         with pytest.raises(RuntimeError, match="hom_solve"):
             resolve.hom_solve(source, target, post, bad)
         with pytest.raises(RuntimeError, match="hom_solve"):
-            resolve.hom_solve(source, target, post, Matrix(post.p, bad[2]))
+            resolve.hom_solve(source, target, post, bad[2:3])
+
+
+# The per-class lifts that lift_chain_map merged, kept as its reference: one map
+# per solve (_hom_solve_reference), as lift_module_map, mu_backward and
+# syzygy_map computed them before the merge.
+
+def _lift_module_map_reference(f, res_src, res_tgt, depth):
+    """The chain map [phi_0..phi_depth] between resolutions lifting f, as lift_module_map computed it."""
+    eps_s, eps_t = res_src.cover_map(0), res_tgt.cover_map(0)
+    phis = [Matrix(f.p, _hom_solve_reference(res_src.proj(0), res_tgt.proj(0), eps_t.matrix, f.matrix @ eps_s.matrix))]
+    for j in range(1, depth + 1):
+        rhs = phis[j - 1] @ res_src.differential(j).matrix
+        post = res_tgt.differential(j).matrix
+        phis.append(Matrix(f.p, _hom_solve_reference(res_src.proj(j), res_tgt.proj(j), post, rhs)))
+    return phis
+
+
+def _mu_backward_reference(f, k, i, hi, res_m, res_n):
+    """The segment phi_k..phi_hi lifting f: Omega_k M -> Omega_{k-i} N, as mu_backward computed it."""
+    pi_m, pi_n = res_m.cover_map(k), res_n.cover_map(k - i)
+    comps = [Matrix(f.p, _hom_solve_reference(res_m.proj(k), res_n.proj(k - i), pi_n.matrix, f.matrix @ pi_m.matrix))]
+    sign = 1 if i % 2 == 0 else -1
+    for t in range(k + 1, hi + 1):
+        rhs = (comps[-1] @ res_m.differential(t).matrix).scale(sign)
+        post = res_n.differential(t - i).matrix
+        comps.append(Matrix(f.p, _hom_solve_reference(res_m.proj(t), res_n.proj(t - i), post, rhs)))
+    return comps
+
+
+def _syzygy_map_reference(f, k):
+    """Omega_k(f), as syzygy_map computed it through _lift_module_map_reference."""
+    res_s, res_t = min_proj_resolution(f.source, k), min_proj_resolution(f.target, k)
+    phis = _lift_module_map_reference(f, res_s, res_t, k - 1)
+    mat = solve_matrix(res_t.syzygy_incl(k).matrix, phis[k - 1] @ res_s.syzygy_incl(k).matrix)
+    assert mat is not None
+    return mat.a
+
+
+def _maps_between(m, n, seed):
+    """A stack of maps m -> n: the zero map, the Hom basis and two random combinations of it."""
+    from homct.algmod import hom_over_algebra
+
+    hom = hom_over_algebra(m, n)
+    coords = np.vstack([np.zeros((1, hom.dim), dtype=np.int64), np.eye(hom.dim, dtype=np.int64),
+                        np.random.default_rng(seed).integers(0, m.p, size=(2, hom.dim))])
+    return hom.from_coords(coords).reshape(len(coords), n.dim, m.dim)
+
+
+def _lift_cases():
+    """(M, N, k, i, hi): A1 and A2 at p = 2, A4 at p = 3, and T_2(F_3), whose projectives are
+    sums of non-free indecomposables and vanish from degree 2 on; i even and odd."""
+    s0, s1 = _t2_left_simples()
+    t2 = direct_sum([s0, s1])
+    cases = [(t2, t2, 0, 0, 2), (t2, t2, 1, 0, 2), (t2, t2, 1, 1, 2), (t2, direct_sum([s1, s1]), 1, 1, 2)]
+    for a, params in ((algebra_a1(), [(1, 0, 3), (2, 1, 4)]),
+                      (algebra_a2(), [(1, 0, 3), (2, 1, 3)]),
+                      (algebra_a4(), [(1, 0, 3), (2, 1, 4), (3, 2, 4), (1, 1, 3)])):
+        cases += [(simple_k(a), simple_k(a), k, i, hi) for k, i, hi in params]
+    return cases
+
+
+def test_lift_chain_map_matches_per_class_reference():
+    from homct.cohom import mu_backward
+
+    nonzero, non_free, odd = 0, 0, 0
+    for m, n, k, i, hi in _lift_cases():
+        res_m, res_n = min_proj_resolution(m, hi + 1), min_proj_resolution(n, hi - i + 1)
+        src, tgt = res_m.syzygy(k), res_n.syzygy(k - i)
+        maps = _maps_between(src, tgt, k + i)
+        want = [[c.a for c in _mu_backward_reference(ModuleMap(src, tgt, Matrix(m.p, f), check=False),
+                                                     k, i, hi, res_m, res_n)] for f in maps]
+        for rows in ([], [0], [len(maps) - 1], list(range(len(maps)))):  # no map, the zero map, one map, many
+            got = lift_chain_map(maps[rows], k, i, hi, res_m, res_n)
+            assert len(got) == hi - k + 1
+            for t, comp in enumerate(got):
+                shape = (len(rows), res_n.proj(k + t - i).dim, res_m.proj(k + t).dim)
+                assert comp.shape == shape
+                assert np.array_equal(comp, np.array([want[r][t] for r in rows], dtype=np.int64).reshape(shape))
+        for f, w in zip(maps, want):
+            seg = mu_backward(ModuleMap(src, tgt, Matrix(m.p, f), check=False), k, i, hi, res_m, res_n)
+            assert [c.matrix.a.tolist() for c in seg.comps] == [c.tolist() for c in w]
+        # a segment continued one degree is one more degree of its lift
+        assert all(np.array_equal(x, y) for x, y in zip(
+            lift_chain_map(lift_chain_map(maps, k, i, hi - 1, res_m, res_n), hi, i, hi, res_m, res_n),
+            lift_chain_map(maps, k, i, hi, res_m, res_n)))
+        nonzero += any(c.any() for w in want for c in w)
+        non_free += res_m.proj(k).free_rank is None
+        odd += i % 2 == 1 and m.p != 2 and any(c.any() for w in want for c in w[1:])
+    assert nonzero >= 8 and non_free >= 3 and odd >= 2
+
+
+def test_syzygy_map_and_bc_transitions_match_per_class_reference():
+    from homct.cohom import bc_cotower
+
+    s0, s1 = _t2_left_simples()
+    for m, n in ((simple_k(algebra_a4()), direct_sum([simple_k(algebra_a4())] * 2)),
+                 (direct_sum([s0, s1]), direct_sum([s0, s1, s0]))):
+        for f in _maps_between(m, n, 5)[1:]:
+            f = ModuleMap(m, n, Matrix(m.p, f), check=False)
+            for k in (1, 2):
+                assert np.array_equal(resolve.syzygy_map(f, k).matrix.a, _syzygy_map_reference(f, k))
+    for a, i, K in ((algebra_a1(), 0, 3), (algebra_a2(), 0, 2), (algebra_a2(), 1, 3), (algebra_a4(), 1, 3),
+                    (algebra_a4(), 2, 4)):
+        k_ = simple_k(a)
+        t = bc_cotower(k_, k_, i, K)
+        res = min_proj_resolution(k_, K + 2)
+        for k, g in t.maps.items():
+            src, tgt = t.stages[k - t.k_min], t.stages[k + 1 - t.k_min]
+            sm, sn = res.syzygy(k), res.syzygy(k - i)
+            cols = [tgt.class_of(_syzygy_map_reference(ModuleMap(sm, sn, Matrix(a.p, v.reshape(sn.dim, sm.dim)),
+                                                                 check=False), 1).reshape(-1))
+                    for v in src.basis_representatives()]
+            want = np.array(cols, dtype=np.int64).reshape(src.dim, tgt.dim).T
+            assert np.array_equal(g.a, want), (a.p, i, k)
 
 
 # --- the process memo -------------------------------------------------------------
