@@ -7,7 +7,12 @@ Hom_A(P, n).  Both read (co)homology by one rule, ``_homology``.  The
 functoriality in the second argument is three functions: ``tensor_map``
 (id_{P_i} tensor g between memoized chains), ``tor_map`` and ``ext_map``
 (Tor_i(m, g) and Ext^j(m, g) in class coordinates).  Other modules build no
-tensor differential and no second-argument map of their own.
+tensor differential and no second-argument map of their own.  A differential
+d tensor id_n between free components is zero exactly when every algebra entry
+of d annihilates n.  Over a local algebra with rad^2 = 0, such as A2, the
+entries of a minimal resolution lie in rad A and every cosyzygy is semisimple,
+so every cosyzygy-tower stage is such a chain.  The zero is read off the
+entries, never built for homology, and the cycles are the whole component.
 
 Homology spaces always carry cycle representatives (through Subquotient), so
 connecting maps and tower transition maps are computed on witnesses and then
@@ -29,8 +34,11 @@ d_i = sum_u D_u a_u with D_u the coefficient matrices of its entries, so T_f
 applied to the boundary of the lift of a cycle y of P_i tensor N'' is
 sum_u (D_u tensor V_u) y.  Its rows below rank f must vanish (the boundary
 lies in im f), and its top rows are the preimage under id tensor f: the
-middle chain P tensor N is never built.  On a non-free P the map is two
-solves through the middle chain, one per map.
+middle chain P tensor N is never built.  When the classes of P_i tensor N''
+are unit vectors (zero differentials on both sides), the map is
+sum_u D_u tensor scatter(V_u) itself, written block by block from the entries
+of d_i with no representative block.  On a non-free P the map is two solves
+through the middle chain, one per map.
 """
 
 from __future__ import annotations
@@ -153,16 +161,18 @@ class ShortExactSeq:
         return mulmod(self.f_solver.transform, act(self.middle, self.g_solver.section()), self.f.p)
 
 
-def _homology(i: int, dim: int, out, into) -> HomologySpace:
+def _homology(i: int, p: int, dim: int, out, into) -> HomologySpace:
     """ker(out()) / im(into()) in degree i, where the space has dimension dim.
 
-    A zero space needs no map: then neither is called.  into None stands for
-    the zero map into degree i.
+    A zero space needs no map: then neither is called.  A map that returns None
+    is zero: its kernel is the whole space, its image is zero, and neither is
+    eliminated (the canonical RREFs are those the eliminations would give).
     """
     if dim == 0:
         return HomologySpace(i, None)
-    z = kernel_basis(out())
-    b = Subspace.zero(z.p, dim) if into is None else image_basis(into())
+    d_out, d_in = out(), into()
+    z = Subspace.full(p, dim) if d_out is None else kernel_basis(d_out)
+    b = Subspace.zero(p, dim) if d_in is None else image_basis(d_in)
     return HomologySpace(i, Subquotient(z, b))
 
 
@@ -175,7 +185,8 @@ class TensorChain:
         self.res = res
         self.n = n
         self._components: dict[int, TensorSpace | None] = {}
-        self._diffs: dict[int, Matrix] = {}
+        self._diffs: dict[int, Matrix | None] = {}  # None: zero, never built for homology
+        self._zero_diffs: dict[int, Matrix] = {}  # zero differentials that a reader asked for
         self._homology: dict[int, HomologySpace] = {}
 
     def _space(self, j: int) -> FdModule | None:
@@ -192,23 +203,33 @@ class TensorChain:
         c = self.component(j)
         return 0 if c is None else c.dim
 
-    def differential(self, j: int) -> Matrix:
-        """Component map degree j -> j-1 (zero matrix at the boundary)."""
+    def _nonzero_differential(self, j: int) -> Matrix | None:
+        """d_j tensor id_n, or None when it is zero: at the boundary, or when
+        ``_tensor_is_zero`` reads it off d_j's entries, so no zero matrix is built."""
         if j not in self._diffs:
             src = self.component(j)
             tgt = self.component(j - 1)
             if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
-                self._diffs[j] = Matrix.zeros(self.n.p, 0 if tgt is None else tgt.dim,
-                                              0 if src is None else src.dim)
+                self._diffs[j] = None
             else:
                 d = self.res.differential(j)
-                self._diffs[j] = first_arg_tensor_matrix(d, src, tgt, self.n)
+                self._diffs[j] = None if _tensor_is_zero(d, self.n) else first_arg_tensor_matrix(d, src, tgt, self.n)
         return self._diffs[j]
+
+    def differential(self, j: int) -> Matrix:
+        """Component map degree j -> j-1, built once.  A zero one is built only here, for
+        readers that need the matrix; homology never asks for it."""
+        d = self._nonzero_differential(j)
+        if d is not None:
+            return d
+        if j not in self._zero_diffs:
+            self._zero_diffs[j] = Matrix.zeros(self.n.p, self.dim(j - 1), self.dim(j))
+        return self._zero_diffs[j]
 
     def homology(self, i: int) -> HomologySpace:
         if i not in self._homology:
-            self._homology[i] = _homology(i, self.dim(i), lambda: self.differential(i),
-                                          lambda: self.differential(i + 1))
+            self._homology[i] = _homology(i, self.n.p, self.dim(i), lambda: self._nonzero_differential(i),
+                                          lambda: self._nonzero_differential(i + 1))
         return self._homology[i]
 
 
@@ -224,6 +245,30 @@ class TateChain(TensorChain):
 
     # an entry of its own, which the tracer times apart from TensorChain's
     homology = TensorChain.homology
+
+
+def _distinct_entries(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, distinct, which) for an entry array (b_tgt, b_src, dim A): the positions of
+    the nonzero entries, the distinct nonzero entries as algebra elements, and the index into
+    ``distinct`` of the entry at each position."""
+    rows, cols = np.nonzero(entries.any(axis=2))
+    distinct, which = np.unique(entries[rows, cols], axis=0, return_inverse=True)
+    return rows, cols, distinct, which.reshape(-1)
+
+
+def _tensor_is_zero(d: ModuleMap, n: FdModule) -> bool:
+    """Is d tensor id_n zero?  Decided from d's algebra entries between free modules, False otherwise.
+
+    Block (r, s) of d tensor id_n is the action on n of the entry (r, s), so the map is zero
+    iff every distinct nonzero entry annihilates n: one product of those entries with n's
+    actions.  Testing the basis elements an entry uses would not do, as over a group
+    algebra the entries are sums such as g - 1, which annihilate the trivial module while g
+    and 1 do not.
+    """
+    if d.source.free_rank is None or d.target.free_rank is None:
+        return False
+    distinct = _distinct_entries(_free_block_entries(d))[2]
+    return not distinct.size or not n.base.action_of(distinct).any()
 
 
 def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
@@ -302,8 +347,8 @@ class ExtChain:
     def cohomology(self, i: int) -> HomologySpace:
         """H^i in Hom-space coordinates (ambient = hom_space(i) coords)."""
         if i not in self._cohomology:
-            self._cohomology[i] = _homology(i, self.dim(i), lambda: self.delta(i),
-                                            (lambda: self.delta(i - 1)) if i >= 1 else None)
+            self._cohomology[i] = _homology(i, self.n.p, self.dim(i), lambda: self.delta(i),
+                                            lambda: self.delta(i - 1) if i >= 1 else None)
         return self._cohomology[i]
 
 
@@ -360,6 +405,32 @@ def _snake_by_operators(ses: ShortExactSeq, d: ModuleMap, reps: np.ndarray) -> n
     return pulled.reshape(ses.left.dim, b_lo, k).transpose(1, 0, 2).reshape(b_lo * ses.left.dim, k)
 
 
+def _snake_on_units(ses: ShortExactSeq, d: ModuleMap) -> np.ndarray:
+    """``_snake_by_operators`` when the representatives are every unit vector of P_i tensor right,
+    as they are when that chain's differentials are zero: the matrix sum_u D_u tensor W_u,
+    W_u = scatter(V_u), written from d's entries with no identity block.
+
+    Its (r, s) block is the entry e_rs acting through the operators, scatter(e_rs . V): one
+    product of the distinct nonzero entries with V.  The unit columns are independent, so the
+    boundaries all lie in im f iff every distinct entry's rows below rank f vanish, which is
+    the check on the sum that ``_snake_by_operators`` makes.
+    """
+    p, entries = ses.f.p, _free_block_entries(d)  # (b_{i-1}, b_i, dim A)
+    (b_lo, b_hi, dim_a), r, left = entries.shape, ses.right.dim, ses.left.dim
+    if ses.g_solver.rank != r:  # some unit vector does not lift through g
+        raise RuntimeError("connecting map: lift through the surjection failed")
+    rows, cols, distinct, which = _distinct_entries(entries)
+    v = ses.snake_operators  # (dim A, dim middle, r)
+    sums = mulmod(distinct, v.reshape(dim_a, -1), p).reshape(len(distinct), v.shape[1], r)
+    pulled = ses.f_solver.scatter(sums.transpose(1, 0, 2).reshape(v.shape[1], -1))
+    if pulled is None:
+        raise RuntimeError("connecting map: boundary did not come from the kernel")
+    blocks = pulled.reshape(left, len(distinct), r).transpose(1, 0, 2)  # scatter(e . V) per distinct e
+    out = np.zeros((b_lo * left, b_hi * r), dtype=np.int64)
+    out.reshape(b_lo, left, b_hi, r)[rows, :, cols, :] = blocks[which]
+    return out
+
+
 def _snake_by_solves(ses: ShortExactSeq, m: FdModule, i: int, reps: np.ndarray) -> np.ndarray:
     """The same preimages on a non-free P_i or P_{i-1}: one solve per map through the middle chain."""
     p, depth = m.p, i + 1
@@ -386,12 +457,14 @@ def connecting_tor(ses: ShortExactSeq, m: FdModule, i: int) -> Matrix:
     h_bot = tensor_chain(m, ses.left, i + 1).homology(i - 1)
     if h_top.dim == 0 or h_bot.dim == 0:
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    # batch the snake over all class representatives, one per column
-    reps, res = h_top.sq.basis_representatives().T, c_right.res
-    if res.proj(i).free_rank is None or res.proj(i - 1).free_rank is None:
-        pulled = _snake_by_solves(ses, m, i, reps)
+    res = c_right.res
+    free = res.proj(i).free_rank is not None and res.proj(i - 1).free_rank is not None
+    if free and h_top.sq.unit_classes:
+        pulled = _snake_on_units(ses, res.differential(i))
     else:
-        pulled = _snake_by_operators(ses, res.differential(i), reps)
+        # batch the snake over all class representatives, one per column
+        reps = h_top.sq.basis_representatives().T
+        pulled = _snake_by_operators(ses, res.differential(i), reps) if free else _snake_by_solves(ses, m, i, reps)
     return Matrix(m.p, h_bot.class_of(pulled.T).T)
 
 

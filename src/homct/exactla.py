@@ -543,6 +543,13 @@ def _row_major(v, p: int) -> np.ndarray:
     return reduced(np.asarray(v, dtype=np.int64, order="C"), p)
 
 
+def _checked_block(w: np.ndarray, n: int) -> np.ndarray:
+    """w, once it is checked to be one vector of F_p^n or a block of row vectors."""
+    if w.ndim not in (1, 2) or w.shape[-1] != n:
+        raise ValueError("vector/ambient dimension mismatch")
+    return w
+
+
 def _free_cols(n: int, pivots) -> np.ndarray:
     """The columns of F_p^n that are not pivots, ascending."""
     return np.delete(np.arange(n), list(pivots))
@@ -625,9 +632,7 @@ class Subspace:
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, c . block, w at the free columns) for w = v mod p and c = w at the pivots: w lies in
         the subspace, with coordinates c, iff the last two agree."""
-        w = _row_major(v, self.p)
-        if w.ndim not in (1, 2) or w.shape[-1] != self.ambient_dim:
-            raise ValueError("vector/ambient dimension mismatch")
+        w = _checked_block(_row_major(v, self.p), self.ambient_dim)
         c = np.take(w, self.pivots, axis=-1)
         return c, mulmod(c, self.block, self.p), np.take(w, self.free, axis=-1)
 
@@ -842,7 +847,7 @@ class Subquotient:
     compose strictly.
     """
 
-    __slots__ = ("p", "ambient_dim", "z", "b", "_b_in_z", "_comp")
+    __slots__ = ("p", "ambient_dim", "z", "b", "_b_in_z", "_comp", "unit_classes")
 
     def __init__(self, z: Subspace, b: Subspace):
         if z.p != b.p or z.ambient_dim != b.ambient_dim:
@@ -859,13 +864,19 @@ class Subquotient:
         piv = np.searchsorted(z.pivots, b.pivots)
         self._comp = _free_cols(z.dim, piv)
         self._b_in_z = Subspace._from_rref(z.p, z.dim, piv.tolist(), b_in_z[:, self._comp])
+        # Z everything and B zero: a class is its vector, and the class basis is the unit vectors
+        self.unit_classes = z.dim == self.ambient_dim and b.dim == 0
 
     @property
     def dim(self) -> int:
         return self.z.dim - self.b.dim
 
     def class_of(self, v: np.ndarray) -> np.ndarray:
-        """Class coordinates of an ambient vector or row block; requires v in Z."""
+        """Class coordinates of an ambient vector or row block; requires v in Z.
+
+        With unit classes that is v mod p itself (v when its entries lie in [0, p))."""
+        if self.unit_classes:
+            return _checked_block(reduced(v, self.p), self.ambient_dim)
         return self._b_in_z.reduce(self.z.coords(v))[..., self._comp]
 
     def representative(self, cls: np.ndarray) -> np.ndarray:

@@ -29,6 +29,9 @@ from homct.algmod import (
 )
 from homct.derived import (
     ExtChain,
+    _snake_by_operators,
+    _tensor_is_zero,
+    first_arg_tensor_matrix,
     ShortExactSeq,
     connecting_ext,
     connecting_tor,
@@ -44,7 +47,16 @@ from homct.derived import (
     second_arg_ext_matrix,
     second_arg_tensor_matrix,
 )
-from homct.exactla import Matrix, Subspace, image_basis, kernel_basis, quotient_projection, rref, solve_matrix
+from homct.exactla import (
+    Matrix,
+    Subquotient,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    quotient_projection,
+    rref,
+    solve_matrix,
+)
 from homct.fixtures import (
     a3_mod_x,
     a3_mod_y,
@@ -53,6 +65,8 @@ from homct.fixtures import (
     algebra_a3,
     algebra_a4,
     fixture_algebras,
+    group_algebra_c3_f3,
+    klein_four_table,
     simple_k,
 )
 from homct.resolve import complete_resolution, min_inj_resolution, min_proj_resolution
@@ -420,6 +434,99 @@ def test_tensor_operators_match_dense_reference(name, kind, r, n_kind, k, seed):
     for v, c in zip(rows, coords):  # single vectors
         assert np.array_equal(t.project(v), proj.apply(v))
         assert np.array_equal(t.lift(c), sec.apply(c))
+
+
+# --- zero stage differentials -----------------------------------------------
+
+def _dense_differential(chain, j):
+    """d_j tensor id_n as the general path builds it, zero or not."""
+    src, tgt = chain.component(j), chain.component(j - 1)
+    if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
+        return Matrix.zeros(chain.n.p, chain.dim(j - 1), chain.dim(j))
+    return first_arg_tensor_matrix(chain.res.differential(j), src, tgt, chain.n)
+
+
+def _homology_reference(chain, i):
+    """H_i as the general path computes it: the dense differentials, one kernel and one
+    image elimination; None for a zero space."""
+    if chain.dim(i) == 0:
+        return None
+    return Subquotient(kernel_basis(_dense_differential(chain, i)), image_basis(_dense_differential(chain, i + 1)))
+
+
+def _class_of_reference(sq, v):
+    """Class coordinates by Z-coordinates reduced modulo B, for every subquotient."""
+    return sq._b_in_z.reduce(sq.z.coords(v))[..., sq._comp]
+
+
+def _connecting_by_operators_reference(ses, m, i):
+    """connecting_tor on free projectives by the general path: the reference homology at both
+    ends and ``_snake_by_operators`` on the dense class representatives (unit vectors when
+    Z is everything and B is zero)."""
+    top = _homology_reference(tensor_chain(m, ses.right, i + 1), i)
+    bot = _homology_reference(tensor_chain(m, ses.left, i + 1), i - 1)
+    if top is None or bot is None:
+        return Matrix.zeros(m.p, 0 if bot is None else bot.dim, 0 if top is None else top.dim)
+    res = min_proj_resolution(m, i + 1)
+    pulled = _snake_by_operators(ses, res.differential(i), top.basis_representatives().T)
+    return Matrix(m.p, _class_of_reference(bot, pulled.T).T)
+
+
+def _stage_cases():
+    """(ses, m, degrees): A2's cosyzygy sequences for stages k <= 4 at degrees k + i, i = -1..1,
+    and over F_2[C_2 x C_2] and F_3[C_3] the cosyzygy sequences of k and 0 -> Omega k -> P_0 -> k -> 0."""
+    a2 = algebra_a2()
+    inj = min_inj_resolution(simple_k(a2, "left"), 5)
+    cases = [(ShortExactSeq(*inj.cosyzygy_ses(k)[3:]), simple_k(a2, "right"), [k - 1, k, k + 1])
+             for k in range(1, 5)]
+    for a in (make_group_algebra(klein_four_table(), 2), group_algebra_c3_f3()):
+        k_l, k_r = simple_k(a, "left"), simple_k(a, "right")
+        inj, res = min_inj_resolution(k_l, 3), min_proj_resolution(k_l, 1)
+        cases += [(ShortExactSeq(*inj.cosyzygy_ses(k)[3:]), k_r, [1, 2, 3]) for k in (1, 2)]
+        cases.append((ShortExactSeq(res.syzygy_incl(1), res.cover_map(0)), k_r, [1, 2, 3]))
+    return cases
+
+
+def test_zero_stage_differentials_match_the_dense_path():
+    # Tor classes and connecting maps read off the entries (no zero differential built,
+    # unit classes read as indices) against the dense general path, on A2 and on group
+    # algebras, whose zero differentials have entries such as g - 1
+    snakes = []
+    for ses, m, degrees in _stage_cases():
+        for i in (j for j in degrees if j >= 1):
+            for x in (ses.left, ses.right):
+                chain = tensor_chain(m, x, i + 1)
+                for j in (i - 1, i):
+                    got, want = tor(m, x, j).sq, _homology_reference(chain, j)
+                    if want is None:
+                        assert got is None
+                        continue
+                    assert (got.z, got.b) == (want.z, want.b)
+                    v = want.z.from_coords(np.random.default_rng(j).integers(0, m.p, size=(3, want.z.dim)))
+                    assert np.array_equal(got.class_of(v), _class_of_reference(want, v))
+            snakes.append(tor(m, ses.right, i).dim > 0 and tor(m, ses.right, i).sq.unit_classes)
+            assert connecting_tor(ses, m, i) == _connecting_by_operators_reference(ses, m, i)
+    assert (len(snakes), sum(snakes)) == (29, 20)  # both the unit and the general snake ran
+
+
+def test_zero_test_reads_the_entries_as_algebra_elements():
+    # the entry test against the dense d tensor id_n: zero over k for A2 and the group
+    # algebras, nonzero on the non-semisimple Omega^1 k over F_3[C_3 x C_3] and on A3's
+    # cyclic modules.  A group algebra's entries are sums such as g - 1: the basis
+    # elements they use act on k as nonzero, so no test by basis elements would do
+    c3c3 = make_group_algebra(C3XC3_TABLE, 3)
+    groups = [make_group_algebra(klein_four_table(), 2), group_algebra_c3_f3()]
+    cases = [(algebra_a2(), simple_k(algebra_a2()), True)] + [(a, simple_k(a), True) for a in groups]
+    cases += [(c3c3, min_inj_resolution(simple_k(c3c3), 2).cosyzygy(1), False),
+              (algebra_a3(), a3_mod_x(), False), (algebra_a3(), a3_mod_y(), False)]
+    for a, n, zero in cases:
+        chain = tensor_chain(simple_k(a, "right"), n, 3)
+        for j in (1, 2, 3):
+            d = chain.res.differential(j)
+            assert _tensor_is_zero(d, n) == _dense_differential(chain, j).is_zero() == zero
+            if a in groups:
+                used = np.flatnonzero(_free_block_entries(d).any(axis=(0, 1)))
+                assert n.action_of(np.eye(a.dim, dtype=np.int64)[used]).any()
 
 
 # --- long exact sequence ----------------------------------------------------

@@ -4,10 +4,14 @@ Reports are a contract: any change to arithmetic, notes, provenance or report
 layout moves these hashes, and such a change must say so.
 """
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import homct
 from homct.cli import ComputeRequest, run_compute
 from homct.cohom import bc_ext
 from homct.fixtures import algebra_a1, algebra_a2, simple_k
@@ -21,6 +25,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     ("a1", -4, 4, 5, 3, "71126ff33c0ada73b741688641c7aaa4d3fdb8a4e2c861bf62571afd07f93880"),
     ("a4", -3, 3, 5, 3, "79a8e22e4dc1baa5ab22ed5a37b9f707839b06c0b329caa911f2868c7bc37f0c"),
     ("a2", -1, 1, 3, 2, "ae930100b5f4df4ef56fa5588c73bb27577faa36f2918e579e7ee757c18d99ec"),
+    # A2 past the README's depth: tower stages of dimension 2048 at degrees +-1
+    ("a2", -1, 1, 5, 2, "56fc350ea700bffce7857311d70e5d9005c50ecc804429f77fe99ca4426a8b00"),
 ])
 def test_readme_compare_report_hash(name, lo, hi, depth, window, expected):
     def fx(suffix):
@@ -30,6 +36,26 @@ def test_readme_compare_report_hash(name, lo, hi, depth, window, expected):
     report = run_compute(req)
     assert report["failures"] == []
     assert report["hash"] == expected
+
+
+def test_a2_cli_default_depth_under_3gb(tmp_path):
+    # the CLI default --depth 6 on A2: tower stages reach dimension 8192 at degrees +-1.
+    # The child caps its own address space at 3 000 000 KiB, so a run that builds the
+    # stages' zero differentials or unit-vector class bases densely exits 6
+    out = tmp_path / "report.json"
+    args = ["compare", "--algebra", os.path.join(FIXTURES, "a2.json"),
+            "--module-m", os.path.join(FIXTURES, "a2_k_right.json"),
+            "--module-n", os.path.join(FIXTURES, "a2_k_left.json"),
+            "--degrees=-1..1", "--depth", "6", "--window", "2", "--out", str(out)]
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, 3_000_000 * 1024))\n"
+            "from homct.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(homct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["hash"] == "10dea6267bf49a78d735c6a7ed3638d09c74ef1534fc7e490a1501c09b4c9cd8"
 
 
 def test_bc_ext_a2_report_hash():

@@ -13,6 +13,7 @@ differentials, second-argument maps and the tensor chains themselves are
 built there and nowhere else.  The elimination counts of one resolution
 stage, one homology space, one tower limit and one checked short exact
 sequence are pinned, so a change that eliminates a matrix twice fails here;
+a homology space over zero differentials eliminates nothing;
 so are the Hom spaces of a total-acyclicity check.  So are the block calls: a
 transition of the segments route or of the Benson-Carlson cotower and a
 connecting map in Ext lift all their classes with one ``hom_solve``, and a
@@ -37,7 +38,7 @@ import pytest
 
 import homct
 from homct import derived, exactla, resolve
-from homct.fixtures import algebra_a2, algebra_a4, simple_k
+from homct.fixtures import a3_mod_x, algebra_a2, algebra_a3, algebra_a4, simple_k
 
 FORBIDDEN = {"einsum", "tensordot", "dot", "matmul", "inner"}
 SRC = Path(homct.__file__).parent
@@ -195,9 +196,9 @@ def _src_calls(names: set[str]) -> list[tuple[str, str, str]]:
 
 
 def test_one_chain_layer():
-    # every tensor differential comes from TensorChain.differential
+    # every tensor differential comes from the chain, which first asks whether it is zero
     assert _src_calls({"first_arg_tensor_matrix"}) == [
-        ("derived.py", "TensorChain.differential", "first_arg_tensor_matrix")]
+        ("derived.py", "TensorChain._nonzero_differential", "first_arg_tensor_matrix")]
     # maps in the second argument are built inside derived only
     second = _src_calls({"second_arg_tensor_matrix", "second_arg_ext_matrix"})
     assert second and {module for module, _, _ in second} == {"derived.py"}
@@ -300,13 +301,26 @@ def test_extend_does_not_build_the_next_syzygy(monkeypatch):
 
 def test_one_tensor_homology_eliminates_two_matrices(monkeypatch):
     # cycles (one-pass kernel) and boundaries; the boundaries' cycle
-    # coordinates are an RREF already
+    # coordinates are an RREF already.  Over A3 the entry y of d_2 and d_3
+    # acts on A3/(x) as nonzero, so both differentials are built
+    a3 = algebra_a3()
+    res = resolve.Resolution(simple_k(a3, "right")).extend(3)
+    chain = derived.TensorChain(res, a3_mod_x("left"))
+    shapes = _count_eliminations(monkeypatch)
+    assert chain.homology(2).dim == 1
+    assert len(shapes) == 2
+
+
+def test_tensor_homology_over_zero_differentials_eliminates_nothing(monkeypatch):
+    # over A2 every entry of a minimal differential lies in rad A, which kills k:
+    # d_2 and d_3 tensor k are zero, known from their entries, so Z is the whole
+    # component and B is zero with no elimination and no matrix built
     a2 = algebra_a2()
     res = resolve.Resolution(simple_k(a2, "right")).extend(3)
     chain = derived.TensorChain(res, simple_k(a2, "left"))
     shapes = _count_eliminations(monkeypatch)
-    assert chain.homology(2).dim == 4
-    assert len(shapes) == 2
+    assert chain.homology(2).dim == 4 and chain.homology(2).sq.unit_classes
+    assert len(shapes) == 0 and chain._diffs == {2: None, 3: None}
 
 
 def test_one_tate_homology_eliminates_two_matrices(monkeypatch):
@@ -493,8 +507,9 @@ def test_compare_eliminates_each_cosyzygy_sequence_once(tmp_path, monkeypatch):
 
 def test_connecting_tor_builds_no_middle_chain(monkeypatch):
     # on free P the snake reads the sequence's operators: the middle chain's
-    # components and differentials are never built
-    monkeypatch.setattr(resolve, "_memo", {})
+    # components and differentials are never built.  Over A4, P tensor Omega^1 k
+    # has nonzero differentials, which the snake's class spaces read; over A2
+    # every chain's differentials are zero, so no tensor differential is built
     built = []
     first_arg = derived.first_arg_tensor_matrix
 
@@ -503,10 +518,13 @@ def test_connecting_tor_builds_no_middle_chain(monkeypatch):
         return first_arg(d, src, tgt, n)
 
     monkeypatch.setattr(derived, "first_arg_tensor_matrix", spy)
-    a2 = algebra_a2()
-    k_r = simple_k(a2, "right")
-    *_, incl, proj = resolve.min_inj_resolution(simple_k(a2, "left"), 3).cosyzygy_ses(2)
-    ses = derived.ShortExactSeq(incl, proj)
-    assert [derived.connecting_tor(ses, k_r, i).a.shape for i in (1, 2, 3)] == [(2, 8), (4, 16), (8, 32)]
-    assert built and ses.middle.fingerprint() not in built
-    assert ("tensor", k_r.fingerprint(), ses.middle.fingerprint()) not in resolve._memo
+    for a, k, shapes, builds in ((algebra_a4(), 1, [(1, 1), (1, 1), (1, 1)], True),
+                                 (algebra_a2(), 2, [(2, 8), (4, 16), (8, 32)], False)):
+        monkeypatch.setattr(resolve, "_memo", {})
+        built.clear()
+        k_r = simple_k(a, "right")
+        *_, incl, proj = resolve.min_inj_resolution(simple_k(a, "left"), 3).cosyzygy_ses(k)
+        ses = derived.ShortExactSeq(incl, proj)
+        assert [derived.connecting_tor(ses, k_r, i).a.shape for i in (1, 2, 3)] == shapes
+        assert bool(built) == builds and ses.middle.fingerprint() not in built
+        assert ("tensor", k_r.fingerprint(), ses.middle.fingerprint()) not in resolve._memo
