@@ -19,6 +19,7 @@ right ideal, so rad * M and soc M are read from their actions alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Sequence
@@ -764,6 +765,13 @@ class ModuleMap:
     def p(self):
         return self.matrix.p
 
+    @functools.cached_property
+    def distinct_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, distinct, which) of a map between free modules, read once per map: the
+        positions of its nonzero algebra entries, the distinct ones, and the index into
+        ``distinct`` of the entry at each position."""
+        return _distinct_entries(_free_block_entries(self))
+
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         if other.target is not self.source and other.target.fingerprint() != self.source.fingerprint():
             raise ValueError("composition mismatch")
@@ -846,6 +854,15 @@ def _free_block_entries(d: ModuleMap) -> np.ndarray:
     a = d.source.algebra
     gens = _generator_images(d.matrix.a, a)  # (b_tgt * dim A, b_src)
     return gens.reshape(d.target.free_rank, a.dim, d.source.free_rank).transpose(0, 2, 1)
+
+
+def _distinct_entries(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, distinct, which) for an entry array (b_tgt, b_src, dim A): the positions of
+    the nonzero entries, the distinct nonzero entries as algebra elements, and the index into
+    ``distinct`` of the entry at each position."""
+    rows, cols = np.nonzero(entries.any(axis=2))
+    distinct, which = np.unique(entries[rows, cols], axis=0, return_inverse=True)
+    return rows, cols, distinct, which.reshape(-1)
 
 
 def _write_entry_actions(entries: np.ndarray, n: FdModule, out: np.ndarray | None = None) -> np.ndarray:

@@ -39,6 +39,7 @@ from .resolve import (
     CompleteResolution,
     complete_resolution,
     detect_periodicity,
+    end_degree,
     min_proj_resolution,
 )
 from .schemas import (
@@ -156,6 +157,7 @@ def run_compute(req: ComputeRequest) -> dict:
                                                       realization="ext")
                     entry["stable"] = {"route": "duality", "verdict": rep.verdict,
                                        "limit_dim": rep.limit_dim, "stage_dims": rep.dims}
+        end_degree()  # degree i's chain homology is read by no other degree
 
     agreement = None
     if req.theory == "compare":

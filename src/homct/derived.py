@@ -3,10 +3,13 @@
 This module is the chain layer of the package.  One chain type,
 ``TensorChain``, is P tensor_A n over a projective resolution P or, as
 ``TateChain``, over the window of a complete resolution; ``ExtChain`` is
-Hom_A(P, n).  Both read (co)homology by one rule, ``_homology``.  The
-functoriality in the second argument is three functions: ``tensor_map``
-(id_{P_i} tensor g between memoized chains), ``tor_map`` and ``ext_map``
-(Tor_i(m, g) and Ext^j(m, g) in class coordinates).  Other modules build no
+Hom_A(P, n).  Both read (co)homology by one rule, ``_homology``, and keep
+their data by one lifetime rule (``_Chain``): a homology space lives until
+the end of the degree of the request that made it (``resolve.end_degree``),
+and a nonzero differential until the homology on both of its sides is
+known.  The functoriality in the second argument is three functions:
+``tensor_map`` (id_{P_i} tensor g between memoized chains), ``tor_map`` and
+``ext_map`` (Tor_i(m, g) and Ext^j(m, g) in class coordinates).  Other modules build no
 tensor differential and no second-argument map of their own.  A differential
 d tensor id_n between free components is zero exactly when every algebra entry
 of d annihilates n.  Over a local algebra with rad^2 = 0, such as A2, the
@@ -72,7 +75,7 @@ from .exactla import (
     mulmod,
     solve_matrix,
 )
-from .resolve import CompleteResolution, Resolution, _memoized, hom_solve, min_proj_resolution
+from .resolve import CompleteResolution, Resolution, _degree_scoped, _memoized, hom_solve, min_proj_resolution
 
 __all__ = [
     "HomologySpace",
@@ -176,18 +179,69 @@ def _homology(i: int, p: int, dim: int, out, into) -> HomologySpace:
     return HomologySpace(i, Subquotient(z, b))
 
 
-class TensorChain:
+_UNBUILT = object()
+
+
+class _Chain:
+    """The lifetime rule of the chain types: differentials and homology spaces, memoized.
+
+    A differential joins two degrees (``_sides``).  A nonzero one is freed once the
+    homology on both of its sides is known, as no homology reads it again; a later
+    reader gets it rebuilt (``_differential``), and not kept.  A zero one is kept as
+    None, which costs nothing.  A homology space is registered with the memo layer,
+    which drops it when the degree of the request that made it ends
+    (``resolve.end_degree``); the degrees known stay, so a differential between
+    two degrees of the request is freed when the later of them is read.  Every
+    reader returns the value it built or found and never reads a dict twice.
+    """
+
+    def __init__(self, res, n: FdModule):
+        self.res = res
+        self.n = n
+        self._diffs: dict[int, Matrix | None] = {}  # None: zero, never built for homology
+        self._homology: dict[int, HomologySpace] = {}
+        self._known: set[int] = set()  # degrees whose homology has been made
+
+    def _sides(self, j: int) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def _build(self, j: int) -> Matrix | None:
+        raise NotImplementedError
+
+    def _differential(self, j: int) -> Matrix | None:
+        d = self._diffs.get(j, _UNBUILT)
+        if d is _UNBUILT:
+            d = self._build(j)
+            if d is None or not self._known.issuperset(self._sides(j)):
+                self._diffs[j] = d
+        return d
+
+    def _read(self, i: int, out: int, into: int | None) -> HomologySpace:
+        """ker d_out / im d_into in degree i, made once while it lives."""
+        h = self._homology.get(i)
+        if h is None:
+            h = self._homology[i] = _homology(i, self.n.p, self.dim(i), lambda: self._differential(out),
+                                              lambda: None if into is None else self._differential(into))
+            self._known.add(i)
+            for j in (out, into):
+                if j is not None and self._known.issuperset(self._sides(j)) and self._diffs.get(j) is not None:
+                    self._diffs.pop(j, None)
+            _degree_scoped(self, i)
+        return h
+
+    def drop_homology(self, i: int) -> None:
+        self._homology.pop(i, None)
+
+
+class TensorChain(_Chain):
     """The chain complex P tensor_A n for a fixed resolution P of m (right)."""
 
     def __init__(self, res: Resolution | CompleteResolution, n: FdModule):
         if res.module.side != "right" or n.side != "left":
             raise ValueError("tensor chain needs a right-module resolution and a left module")
-        self.res = res
-        self.n = n
+        super().__init__(res, n)
         self._components: dict[int, TensorSpace | None] = {}
-        self._diffs: dict[int, Matrix | None] = {}  # None: zero, never built for homology
         self._zero_diffs: dict[int, Matrix] = {}  # zero differentials that a reader asked for
-        self._homology: dict[int, HomologySpace] = {}
 
     def _space(self, j: int) -> FdModule | None:
         """The projective in degree j; None below degree 0."""
@@ -203,34 +257,30 @@ class TensorChain:
         c = self.component(j)
         return 0 if c is None else c.dim
 
-    def _nonzero_differential(self, j: int) -> Matrix | None:
+    def _sides(self, j: int) -> tuple[int, int]:
+        return j, j - 1
+
+    def _build(self, j: int) -> Matrix | None:
         """d_j tensor id_n, or None when it is zero: at the boundary, or when
         ``_tensor_is_zero`` reads it off d_j's entries, so no zero matrix is built."""
-        if j not in self._diffs:
-            src = self.component(j)
-            tgt = self.component(j - 1)
-            if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
-                self._diffs[j] = None
-            else:
-                d = self.res.differential(j)
-                self._diffs[j] = None if _tensor_is_zero(d, self.n) else first_arg_tensor_matrix(d, src, tgt, self.n)
-        return self._diffs[j]
+        src, tgt = self.component(j), self.component(j - 1)
+        if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
+            return None
+        d = self.res.differential(j)
+        return None if _tensor_is_zero(d, self.n) else first_arg_tensor_matrix(d, src, tgt, self.n)
 
     def differential(self, j: int) -> Matrix:
-        """Component map degree j -> j-1, built once.  A zero one is built only here, for
-        readers that need the matrix; homology never asks for it."""
-        d = self._nonzero_differential(j)
-        if d is not None:
-            return d
-        if j not in self._zero_diffs:
-            self._zero_diffs[j] = Matrix.zeros(self.n.p, self.dim(j - 1), self.dim(j))
-        return self._zero_diffs[j]
+        """Component map degree j -> j-1.  A zero one is built only here, once, for readers
+        that need the matrix; homology never asks for it."""
+        d = self._differential(j)
+        if d is None:
+            d = self._zero_diffs.get(j)
+            if d is None:
+                d = self._zero_diffs[j] = Matrix.zeros(self.n.p, self.dim(j - 1), self.dim(j))
+        return d
 
     def homology(self, i: int) -> HomologySpace:
-        if i not in self._homology:
-            self._homology[i] = _homology(i, self.n.p, self.dim(i), lambda: self._nonzero_differential(i),
-                                          lambda: self._nonzero_differential(i + 1))
-        return self._homology[i]
+        return self._read(i, i, i + 1)
 
 
 class TateChain(TensorChain):
@@ -247,27 +297,18 @@ class TateChain(TensorChain):
     homology = TensorChain.homology
 
 
-def _distinct_entries(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, distinct, which) for an entry array (b_tgt, b_src, dim A): the positions of
-    the nonzero entries, the distinct nonzero entries as algebra elements, and the index into
-    ``distinct`` of the entry at each position."""
-    rows, cols = np.nonzero(entries.any(axis=2))
-    distinct, which = np.unique(entries[rows, cols], axis=0, return_inverse=True)
-    return rows, cols, distinct, which.reshape(-1)
-
-
 def _tensor_is_zero(d: ModuleMap, n: FdModule) -> bool:
     """Is d tensor id_n zero?  Decided from d's algebra entries between free modules, False otherwise.
 
     Block (r, s) of d tensor id_n is the action on n of the entry (r, s), so the map is zero
-    iff every distinct nonzero entry annihilates n: one product of those entries with n's
-    actions.  Testing the basis elements an entry uses would not do, as over a group
-    algebra the entries are sums such as g - 1, which annihilate the trivial module while g
-    and 1 do not.
+    iff every distinct nonzero entry annihilates n: one product of those entries, which d
+    keeps, with n's actions.  Testing the basis elements an entry uses would not do, as
+    over a group algebra the entries are sums such as g - 1, which annihilate the trivial
+    module while g and 1 do not.
     """
     if d.source.free_rank is None or d.target.free_rank is None:
         return False
-    distinct = _distinct_entries(_free_block_entries(d))[2]
+    distinct = d.distinct_entries[2]
     return not distinct.size or not n.base.action_of(distinct).any()
 
 
@@ -316,17 +357,14 @@ def tor_map(g: ModuleMap, m: FdModule, i: int) -> Matrix:
     return hb.sq.induced_from(ha.sq, tensor_map(g, m, i))
 
 
-class ExtChain:
+class ExtChain(_Chain):
     """The cochain complex Hom_A(P, n) for a fixed resolution P of m."""
 
     def __init__(self, res: Resolution, n: FdModule):
         if res.module.side != n.side:
             raise ValueError("ext chain needs same-side modules")
-        self.res = res
-        self.n = n
+        super().__init__(res, n)
         self._hom: dict[int, FreeHomCoords | SubHomCoords] = {}
-        self._delta: dict[int, Matrix] = {}
-        self._cohomology: dict[int, HomologySpace] = {}
 
     def hom_space(self, j: int) -> FreeHomCoords | SubHomCoords:
         """Hom_A(P_j, n) with its coordinates, N^b when P_j = A^b (``algmod.hom_coords``)."""
@@ -337,19 +375,20 @@ class ExtChain:
     def dim(self, j: int) -> int:
         return 0 if j < 0 else self.hom_space(j).dim
 
+    def _sides(self, j: int) -> tuple[int, int]:
+        return j, j + 1
+
+    def _build(self, j: int) -> Matrix:
+        d, tgt = self.res.differential(j + 1), self.hom_space(j + 1)
+        return Matrix(self.n.p, self.hom_space(j).precompose(d, tgt))
+
     def delta(self, j: int) -> Matrix:
         """Cochain map position j -> j+1: f -> f o d_{j+1}, in Hom coordinates."""
-        if j not in self._delta:
-            d, tgt = self.res.differential(j + 1), self.hom_space(j + 1)
-            self._delta[j] = Matrix(self.n.p, self.hom_space(j).precompose(d, tgt))
-        return self._delta[j]
+        return self._differential(j)
 
     def cohomology(self, i: int) -> HomologySpace:
         """H^i in Hom-space coordinates (ambient = hom_space(i) coords)."""
-        if i not in self._cohomology:
-            self._cohomology[i] = _homology(i, self.n.p, self.dim(i), lambda: self.delta(i),
-                                            lambda: self.delta(i - 1) if i >= 1 else None)
-        return self._cohomology[i]
+        return self._read(i, i, i - 1 if i >= 1 else None)
 
 
 def ext_chain(m: FdModule, n: FdModule, depth: int) -> ExtChain:
@@ -415,11 +454,11 @@ def _snake_on_units(ses: ShortExactSeq, d: ModuleMap) -> np.ndarray:
     boundaries all lie in im f iff every distinct entry's rows below rank f vanish, which is
     the check on the sum that ``_snake_by_operators`` makes.
     """
-    p, entries = ses.f.p, _free_block_entries(d)  # (b_{i-1}, b_i, dim A)
-    (b_lo, b_hi, dim_a), r, left = entries.shape, ses.right.dim, ses.left.dim
+    p, b_lo, b_hi, dim_a = ses.f.p, d.target.free_rank, d.source.free_rank, d.source.algebra.dim
+    r, left = ses.right.dim, ses.left.dim
     if ses.g_solver.rank != r:  # some unit vector does not lift through g
         raise RuntimeError("connecting map: lift through the surjection failed")
-    rows, cols, distinct, which = _distinct_entries(entries)
+    rows, cols, distinct, which = d.distinct_entries
     v = ses.snake_operators  # (dim A, dim middle, r)
     sums = mulmod(distinct, v.reshape(dim_a, -1), p).reshape(len(distinct), v.shape[1], r)
     pulled = ses.f_solver.scatter(sums.transpose(1, 0, 2).reshape(v.shape[1], -1))

@@ -11,6 +11,12 @@ Complete resolutions are built only along the two certifiable routes:
 Failure to construct is reported as non-certification, never as a
 non-existence claim.
 
+The memo (``_memo``) lives for the process and holds resolutions, injective
+resolutions, checked cosyzygy sequences with their snake operators, and the
+chains of ``derived``.  Chain homology is scoped to one degree of a request:
+a chain registers each homology space it makes (``_degree_scoped``), and
+``end_degree`` drops the spaces this thread made since its last call.
+
 Comparison lifts have one home, ``lift_chain_map``: a stack of maps between
 syzygies is lifted through the covers and then degree by degree, with the
 sign (-1)^i of a degree -i chain map, one ``hom_solve`` per degree for the
@@ -21,6 +27,7 @@ coordinates of ``algmod.hom_coords``.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,28 +77,58 @@ __all__ = [
     "lift_chain_map",
     "syzygy_map",
     "hom_solve",
+    "end_degree",
 ]
 
 # The one process-wide memo of homological data, keyed by content fingerprints:
 # ("res", m) projective and ("inj", n) injective resolutions, ("tensor"|"ext", m, n)
 # chains in derived, ("cosyzygy_ses", n, k) checked sequences with their snake
 # operators in completion, and ("self_injective", algebra) verdicts.  Library
-# callers may share it across threads.
+# callers may share it across threads: a reader returns the value it built or
+# found and never reads a dict a second time, as another thread's end_degree
+# may drop a homology space in between.
 _memo: dict[tuple, object] = {}
 _memo_lock = threading.Lock()
+# per thread: chain -> the degrees of the homology spaces it made since the last end_degree
+_made = threading.local()
 
 
 def _memoized(key: tuple, build):
     """The memo entry under key, made by build() on first request.
 
     build runs under the non-reentrant memo lock, so it must not itself
-    request a memo entry.
+    request a memo entry or extend a resolution.
     """
     with _memo_lock:
         value = _memo.get(key)
         if value is None:
             value = _memo[key] = build()
         return value
+
+
+def _degree_scoped(chain, i: int) -> None:
+    """Record that chain made its degree-i homology space in this thread's current degree."""
+    made = getattr(_made, "chains", None)
+    if made is None:
+        made = _made.chains = weakref.WeakKeyDictionary()
+    made.setdefault(chain, set()).add(i)
+
+
+def end_degree() -> None:
+    """End a degree of this thread's request: every chain drops the homology spaces
+    it made in this thread since the last call.
+
+    A cosyzygy-tower stage Tor_{k+i}(M, Omega^k N), like the Tate and Ext spaces
+    of a request's degree i, is read by degree i alone, so nothing is made twice.
+    The chains, the differentials that a later degree reads, and every other
+    memo entry stay.
+    """
+    made = getattr(_made, "chains", None)
+    if made:
+        for chain, degrees in list(made.items()):
+            for i in degrees:
+                chain.drop_homology(i)
+        made.clear()
 
 
 # -- covers and envelopes ---------------------------------------------------
@@ -184,6 +221,7 @@ class _Stage:
     cover_map: ModuleMap  # P_k ->> Omega_k
     ker: Subspace  # ker of the cover map, Omega_{k+1} inside P_k
     _kernel: tuple[FdModule, ModuleMap] | None = field(default=None, init=False, repr=False)
+    _differential: ModuleMap | None = field(default=None, init=False, repr=False)  # d_k, once read
 
     def kernel(self) -> tuple[FdModule, ModuleMap]:
         """Omega_{k+1} with its inclusion into P_k, induced from ker on first request."""
@@ -197,7 +235,9 @@ class Resolution:
 
     Stage k holds P_k, its cover map and ker pi_k.  The module Omega_{k+1} is
     induced on ker pi_k only when stage k + 1, syzygy(k + 1) or
-    syzygy_incl(k + 1) reads it, and then once per stage.
+    syzygy_incl(k + 1) reads it, and then once per stage; so is the
+    differential d_k.  Stages are appended under the memo lock, so threads
+    that share the resolution extend it once.
     """
 
     def __init__(self, m: FdModule):
@@ -205,9 +245,11 @@ class Resolution:
         self._stages: list[_Stage] = []
 
     def extend(self, depth: int) -> "Resolution":
-        while len(self._stages) <= depth:
-            omega = self._stages[-1].kernel()[0] if self._stages else self.module
-            self._stages.append(_Stage(*projective_cover(omega)))
+        if len(self._stages) <= depth:
+            with _memo_lock:
+                while len(self._stages) <= depth:
+                    omega = self._stages[-1].kernel()[0] if self._stages else self.module
+                    self._stages.append(_Stage(*projective_cover(omega)))
         return self
 
     @property
@@ -248,13 +290,15 @@ class Resolution:
         return self._stage(k - 1).kernel()[1]
 
     def differential(self, k: int) -> ModuleMap:
-        """d_k: P_k -> P_{k-1} (k >= 1), composite of cover and inclusion."""
+        """d_k: P_k -> P_{k-1} (k >= 1), composite of cover and inclusion, built once per stage."""
         if k < 1:
             raise ValueError("differential needs k >= 1")
-        self.extend(k)
-        incl = self.syzygy_incl(k)
-        pi = self.cover_map(k)
-        return ModuleMap(self.proj(k), self.proj(k - 1), incl.matrix @ pi.matrix, check=False)
+        stage = self._stage(k)
+        d = stage._differential
+        if d is None:
+            d = stage._differential = ModuleMap(stage.proj, self.proj(k - 1),
+                                                self.syzygy_incl(k).matrix @ stage.cover_map.matrix, check=False)
+        return d
 
     def to_dict(self, depth: int) -> dict:
         self.extend(depth)
@@ -268,11 +312,8 @@ class Resolution:
 
 
 def min_proj_resolution(m: FdModule, depth: int) -> Resolution:
-    """Memoized minimal projective resolution of m, extended to depth under the lock."""
-    res = _memoized(("res", m.fingerprint()), lambda: Resolution(m))
-    with _memo_lock:
-        res.extend(depth)
-    return res
+    """Memoized minimal projective resolution of m, extended to depth."""
+    return _memoized(("res", m.fingerprint()), lambda: Resolution(m)).extend(depth)
 
 
 class InjResolution:
@@ -294,8 +335,7 @@ class InjResolution:
         return value
 
     def extend(self, depth: int) -> "InjResolution":
-        with _memo_lock:
-            self._dual_res.extend(depth)
+        self._dual_res.extend(depth)
         return self
 
     def space(self, j: int) -> FdModule:

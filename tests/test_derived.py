@@ -29,6 +29,7 @@ from homct.algmod import (
 )
 from homct.derived import (
     ExtChain,
+    TensorChain,
     _snake_by_operators,
     _tensor_is_zero,
     first_arg_tensor_matrix,
@@ -69,7 +70,7 @@ from homct.fixtures import (
     klein_four_table,
     simple_k,
 )
-from homct.resolve import complete_resolution, min_inj_resolution, min_proj_resolution
+from homct.resolve import Resolution, complete_resolution, end_degree, min_inj_resolution, min_proj_resolution
 from homct.schemas import parse_module_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -593,13 +594,11 @@ class _SubspaceExtChain(ExtChain):
             self._hom[j] = hom_over_algebra(self.res.proj(j), self.n)
         return self._hom[j]
 
-    def delta(self, j):
-        if j not in self._delta:
-            d, dom, cod = self.res.differential(j + 1), self.hom_space(j), self.hom_space(j + 1)
-            maps = dom.basis.a.reshape(dom.dim, self.n.dim, d.matrix.rows)
-            images = [cod.coords((Matrix(d.p, f) @ d.matrix).a.reshape(-1)) for f in maps]
-            self._delta[j] = Matrix(d.p, np.array(images, dtype=np.int64).reshape(dom.dim, cod.dim).T)
-        return self._delta[j]
+    def _build(self, j):
+        d, dom, cod = self.res.differential(j + 1), self.hom_space(j), self.hom_space(j + 1)
+        maps = dom.basis.a.reshape(dom.dim, self.n.dim, d.matrix.rows)
+        images = [cod.coords((Matrix(d.p, f) @ d.matrix).a.reshape(-1)) for f in maps]
+        return Matrix(d.p, np.array(images, dtype=np.int64).reshape(dom.dim, cod.dim).T)
 
 
 def _class_basis_change(ec: ExtChain, ref: _SubspaceExtChain, j: int) -> Matrix:
@@ -777,3 +776,42 @@ def test_tate_chain_shared_per_complete_resolution():
     assert tate_chain(t1, k_l) is tate_chain(t1, k_l)
     assert tate_chain(t1, k_l) is not tate_chain(t2, k_l)
     assert tate_tor(t1, k_l, 1).dim == tate_tor(t2, k_l, 1).dim == 1
+
+
+def test_chains_free_a_differential_once_both_its_homologies_are_known():
+    # P tensor A3/(x) over A3, whose d_2 and d_3 are nonzero, and Hom(P, k) over A2:
+    # H_2 reads d_3 as its boundaries and keeps it for H_3, which frees it; a
+    # reader then gets it rebuilt, equal to the first build and not kept again
+    a3, a2 = algebra_a3(), algebra_a2()
+    tensor = TensorChain(Resolution(simple_k(a3, "right")).extend(4), a3_mod_x("left"))
+    cochains = ExtChain(Resolution(simple_k(a2)).extend(4), simple_k(a2))
+    for chain, lo, hi, read, j in ((tensor, 2, 3, tensor.homology, 3), (cochains, 1, 2, cochains.cohomology, 1)):
+        read(lo)
+        kept = chain._diffs[j].a.copy()
+        read(hi)
+        assert j not in chain._diffs
+        rebuilt = chain.differential(j) if chain is tensor else chain.delta(j)
+        assert np.array_equal(rebuilt.a, kept) and j not in chain._diffs
+
+
+def test_end_degree_drops_the_homology_made_since_the_last_call():
+    a3 = algebra_a3()
+    chain = TensorChain(Resolution(simple_k(a3, "right")).extend(4), a3_mod_x("left"))
+    end_degree()
+    h = chain.homology(2)
+    assert chain.homology(2) is h
+    end_degree()
+    assert chain._homology == {} and 2 in chain._known
+    again = chain.homology(2)
+    assert again is not h and again.dim == h.dim == 1 and again.sq.z == h.sq.z and again.sq.b == h.sq.b
+
+
+def test_a_reader_returns_the_space_it_made_when_a_degree_end_drops_it(monkeypatch):
+    # another request's degree end may drop a space right after it is stored: the
+    # reader still returns the space it made, never a second read of the dict
+    import homct.derived as derived_module
+
+    monkeypatch.setattr(derived_module, "_degree_scoped", lambda chain, i: chain.drop_homology(i))
+    a3 = algebra_a3()
+    chain = TensorChain(Resolution(simple_k(a3, "right")).extend(4), a3_mod_x("left"))
+    assert chain.homology(2).dim == 1 and chain._homology == {}

@@ -14,7 +14,10 @@ built there and nowhere else.  The elimination counts of one resolution
 stage, one homology space, one tower limit and one checked short exact
 sequence are pinned, so a change that eliminates a matrix twice fails here;
 a homology space over zero differentials eliminates nothing;
-so are the Hom spaces of a total-acyclicity check.  So are the block calls: a
+so are the Hom spaces of a total-acyclicity check.  A resolution builds each
+stage differential once and reads its distinct entries once; a compare makes
+each homology space and each tensor differential once, although a space lives
+only for its degree and a differential until both its homologies are known.  So are the block calls: a
 transition of the segments route or of the Benson-Carlson cotower and a
 connecting map in Ext lift all their classes with one ``hom_solve``, and a
 segments transition converts them back with one ``class_of``.  Every
@@ -198,7 +201,7 @@ def _src_calls(names: set[str]) -> list[tuple[str, str, str]]:
 def test_one_chain_layer():
     # every tensor differential comes from the chain, which first asks whether it is zero
     assert _src_calls({"first_arg_tensor_matrix"}) == [
-        ("derived.py", "TensorChain._nonzero_differential", "first_arg_tensor_matrix")]
+        ("derived.py", "TensorChain._build", "first_arg_tensor_matrix")]
     # maps in the second argument are built inside derived only
     second = _src_calls({"second_arg_tensor_matrix", "second_arg_ext_matrix"})
     assert second and {module for module, _, _ in second} == {"derived.py"}
@@ -471,13 +474,23 @@ def test_solve_matrix_eliminates_m_beside_the_identity(monkeypatch):
     assert shapes == [(5, 8)] * 4
 
 
+def _c3c3_compare(tmp_path, degrees: str, depth: int):
+    """Run ``compare`` over F_3[C_3 x C_3] with k on both sides; return the algebra."""
+    from test_golden import write_c3c3_inputs
+
+    from homct import cli, schemas
+
+    args = write_c3c3_inputs(tmp_path)
+    code = cli.main(["compare", *args, f"--degrees={degrees}", "--depth", str(depth),
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    return schemas.parse_algebra_file(args[1])
+
+
 def test_compare_eliminates_each_cosyzygy_sequence_once(tmp_path, monkeypatch):
     # compare over F_3[C_3 x C_3] runs towers in degrees -1, 0, 1 over the
     # cosyzygy sequences k = 1..4; each f and each g is eliminated once in all
-    import json
-
-    from homct import cli, completion, schemas
-    from homct.algmod import make_group_algebra
+    from homct import completion
 
     monkeypatch.setattr(resolve, "_memo", {})
     solved = []
@@ -490,15 +503,7 @@ def test_compare_eliminates_each_cosyzygy_sequence_once(tmp_path, monkeypatch):
             super().__init__(m)
 
     monkeypatch.setattr(derived, "Solver", Spy)
-    a = make_group_algebra([[3 * ((g // 3 + h // 3) % 3) + (g + h) % 3 for h in range(9)] for g in range(9)], 3)
-    (tmp_path / "c3c3.json").write_text(json.dumps(schemas.algebra_to_json(a)))
-    args = []
-    for side, flag in (("right", "--module-m"), ("left", "--module-n")):
-        (tmp_path / f"k_{side}.json").write_text(json.dumps(schemas.module_to_json(simple_k(a, side), "c3c3.json")))
-        args += [flag, str(tmp_path / f"k_{side}.json")]
-    code = cli.main(["compare", "--algebra", str(tmp_path / "c3c3.json"), *args, "--degrees=-1..1", "--depth", "3",
-                     "--out", str(tmp_path / "report.json")])
-    assert code == 0
+    a = _c3c3_compare(tmp_path, "-1..1", 3)
     inj = completion.min_inj_resolution(simple_k(a, "left"), 4)
     for k in range(1, 5):
         *_, incl, proj = inj.cosyzygy_ses(k)
@@ -528,3 +533,80 @@ def test_connecting_tor_builds_no_middle_chain(monkeypatch):
         assert [derived.connecting_tor(ses, k_r, i).a.shape for i in (1, 2, 3)] == shapes
         assert bool(built) == builds and ses.middle.fingerprint() not in built
         assert ("tensor", k_r.fingerprint(), ses.middle.fingerprint()) not in resolve._memo
+
+
+# -- lifetimes: stage differentials built once, chain data freed once read -------------
+
+
+def test_compare_builds_each_stage_differential_once(tmp_path, monkeypatch):
+    # compare over F_3[C_3 x C_3] at degrees -3..3 and depth 6 reads the resolutions'
+    # differentials 110 times over 16 stages: one map per stage, and the distinct
+    # algebra entries of each map that the zero test reads are found once, 10 in all
+    from homct import algmod
+
+    monkeypatch.setattr(resolve, "_memo", {})
+    read, distinct = [], []
+    differential, distinct_entries = resolve.Resolution.differential, algmod._distinct_entries
+
+    def spy_differential(self, k):
+        read.append(differential(self, k))
+        return read[-1]
+
+    def spy_distinct(entries):
+        distinct.append(entries.shape)
+        return distinct_entries(entries)
+
+    monkeypatch.setattr(resolve.Resolution, "differential", spy_differential)
+    monkeypatch.setattr(algmod, "_distinct_entries", spy_distinct)
+    _c3c3_compare(tmp_path, "-3..3", 6)
+    assert len(read) == 110 and len({id(d) for d in read}) == 16
+    assert len(distinct) == 10
+
+
+def test_compare_frees_chain_data_once_read(tmp_path, monkeypatch):
+    # the same run makes 56 homology spaces and builds 55 tensor differentials, as
+    # when nothing was freed: no degree reads another degree's homology, and no
+    # differential is read after both its homologies are known.  Every degree end
+    # leaves no homology space on any chain, and a freed differential is rebuilt
+    # bit for bit when a reader asks for it
+    from homct import cli
+
+    monkeypatch.setattr(resolve, "_memo", {})
+    made, chains, first, ends = [], {}, {}, []
+    homology, build, scoped, end_degree = derived._homology, derived.TensorChain._build, derived._degree_scoped, cli.end_degree
+
+    def spy_homology(*args):
+        made.append(args[0])
+        return homology(*args)
+
+    def spy_build(self, j):
+        d = build(self, j)
+        if d is not None:
+            first.setdefault((id(self), j), d.a.copy())
+        return d
+
+    def spy_scoped(chain, i):
+        chains[id(chain)] = chain
+        scoped(chain, i)
+
+    def spy_end():
+        held = sum(len(c._homology) for c in chains.values())
+        end_degree()
+        ends.append((held, sum(len(c._homology) for c in chains.values())))
+
+    monkeypatch.setattr(derived, "_homology", spy_homology)
+    monkeypatch.setattr(derived.TensorChain, "_build", spy_build)
+    monkeypatch.setattr(derived, "_degree_scoped", spy_scoped)
+    monkeypatch.setattr(cli, "end_degree", spy_end)
+    _c3c3_compare(tmp_path, "-3..3", 6)
+    assert len(made) == 56 and len(first) == 55
+    assert len(ends) == 7 and all(held > 0 and left == 0 for held, left in ends)
+    freed = 0
+    for chain in chains.values():
+        for j, d in chain._diffs.items():
+            assert d is None or not chain._known.issuperset(chain._sides(j))
+        for (key, j), d in first.items():
+            if key == id(chain) and j not in chain._diffs:
+                freed += 1
+                assert np.array_equal(chain.differential(j).a, d) and j not in chain._diffs
+    assert freed > 0
