@@ -10,10 +10,11 @@ action matrices.
 
 The supported algebra class is the split basic case: algebras whose
 semisimple quotient is a product of copies of F_p.  There the radical is
-computed by the characteristic-p chain of p-power trace forms, at levels
-0..floor(log_p dim A), and certified after the fact; simple modules are
-one-dimensional, and primitive orthogonal idempotents are lifted by p-th
-powering.  Lifts of a basis of rad/rad^2 generate rad as a left and as a
+the two-sided ideal generated by the commutators and the x^p - x, certified
+by its nilpotency, which also decides the class; simple modules are
+one-dimensional, their characters and the primitive idempotents of A/rad
+come from Cantor-Zassenhaus splits of 1, and the idempotents are lifted by
+p-th powering.  Lifts of a basis of rad/rad^2 generate rad as a left and as a
 right ideal, so rad * M and soc M are read from their actions alone.
 """
 
@@ -78,10 +79,6 @@ __all__ = [
 
 class UnsupportedAlgebraError(ValueError):
     """Algebra outside the split basic class (semisimple quotient != F_p^s)."""
-
-
-class RadicalError(RuntimeError):
-    """The iterated trace-form radical procedure failed to certify."""
 
 
 @dataclass
@@ -173,9 +170,10 @@ class Algebra:
         return opp
 
     def radical(self) -> Subspace:
+        """rad A, certified by ``_radical_certified``; rad^2 is kept beside it."""
         rad = self._cache.get("radical")
         if rad is None:
-            rad = _radical_certified(self)
+            rad, self._cache["radical_squared"] = _radical_certified(self)
             self._cache["radical"] = rad
         return rad
 
@@ -188,9 +186,7 @@ class Algebra:
         gens = self._cache.get("radical_generators")
         if gens is None:
             rad = self.radical()
-            r = rad.basis.a
-            rad2 = Subspace(self.p, self.dim, self.mul(r[:, None], r))  # spanned by the products r s
-            gens = Subquotient(rad, rad2).basis_representatives()
+            gens = Subquotient(rad, self._cache["radical_squared"]).basis_representatives()
             self._cache["radical_generators"] = gens
         return gens
 
@@ -218,38 +214,22 @@ class Algebra:
             self._cache["generating_basis"] = gens
         return gens
 
-    def semisimple_quotient(self) -> tuple["Algebra", list[int]]:
-        """Quotient by the radical, on canonical complement coordinates.
+    def semisimple_quotient(self) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]:
+        """A/rad = F_p^s on the canonical complement coordinates of rad.
 
-        Returns (quotient algebra, complement column indices).
+        Returns (complement column indices, a (character, primitive idempotent)
+        pair per factor, both on those coordinates, sorted by character).
         """
         cached = self._cache.get("ssq")
         if cached is None:
             rad = self.radical()
-            cached = (_quotient_algebra(self, rad), rad.complement_cols())
+            cached = (rad.complement_cols(), _quotient_idempotents(_quotient_algebra(self, rad)))
             self._cache["ssq"] = cached
         return cached
 
     def assert_supported(self) -> None:
-        """Raise UnsupportedAlgebraError unless A/rad is a product of F_p's."""
-        if self._cache.get("supported"):
-            return
-        q, _ = self.semisimple_quotient()
-        # commutative?
-        if not np.array_equal(q.structure, np.swapaxes(q.structure, 0, 1)):
-            raise UnsupportedAlgebraError(
-                "unsupported algebra class: semisimple quotient is not commutative"
-            )
-        # Frobenius fixes every element (x^p = x) iff every factor is F_p; it is
-        # additive on the commutative quotient, so the basis elements suffice.
-        # Row j of the block is e_j, raised to the p-th power by squaring.
-        basis = np.eye(q.dim, dtype=np.int64)
-        if not np.array_equal(_power_elt(q, basis, self.p), basis):
-            raise UnsupportedAlgebraError(
-                "unsupported algebra class: semisimple quotient has a factor "
-                "larger than F_p"
-            )
-        self._cache["supported"] = True
+        """Raise UnsupportedAlgebraError unless A/rad is a product of F_p's: ``radical`` certifies it."""
+        self.radical()
 
     def primitive_idempotents(self) -> list[np.ndarray]:
         """Complete set of orthogonal primitive idempotents (split basic case)."""
@@ -263,9 +243,8 @@ class Algebra:
         """The simple characters A -> F_p, as row vectors on A."""
         chars = self._cache.get("characters")
         if chars is None:
-            self.assert_supported()
-            q, _ = self.semisimple_quotient()
-            qchars = np.array(_quotient_characters(q), dtype=np.int64)
+            _, split = self.semisimple_quotient()
+            qchars = np.array([chi for chi, _ in split], dtype=np.int64)
             chars = list(mulmod(qchars, quotient_projection(self.radical()).a, self.p))
             self._cache["characters"] = chars
         return chars
@@ -300,61 +279,41 @@ def radical(a: Algebra) -> Subspace:
     return a.radical()
 
 
-# -- radical computation -------------------------------------------------
+# -- radical: the ideal certificate ------------------------------------------
 
 
-def _radical_chain(a: Algebra) -> Subspace:
-    """Friedl-Ronyai chain of p-power trace forms over the prime field.
+def _products(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The products x_k y_l of the rows of two blocks, as rows: the stack L_x applied to y."""
+    prods = mulmod(a.left_mult_matrix(x), y.T, a.p)  # slice k, column l: x_k y_l
+    return prods.transpose(0, 2, 1).reshape(-1, a.dim)
 
-    Level j reads Tr(L_{xy}^(p^j)) / p^j mod p from powers mod q = p^(j+1), a
-    ring map; levels j <= floor(log_p dim A) suffice, so q <= max(p, dim A^2).
+
+def _radical_certified(a: Algebra) -> tuple[Subspace, Subspace]:
+    """(rad, rad^2) of a split basic algebra; UnsupportedAlgebraError for any other.
+
+    I is the two-sided ideal generated by the commutators e_i e_j - e_j e_i
+    and the e_i^p - e_i.  A/I is commutative and its Frobenius, additive there,
+    fixes a basis, so A/I is reduced and rad <= I.  In a split basic A both
+    kinds vanish in A/rad = F_p^s, so I <= rad.  Hence I = rad exactly when I
+    is nilpotent, and A is then split basic.
     """
     p, n = a.p, a.dim
-    current = Subspace.full(p, n)
-    level = 0
-    pj = 1
-    while current.dim:
-        basis = current.basis.a
-        # entry (y, x) of the form is Tr(L_{xy}^(p^level)) / p^level
-        prods = a.mul(basis[None, :, :], basis[:, None, :]).reshape(-1, n)
-        q = pj * p
-        traces = np.trace(matpow(a.left_mult_matrix(prods), pj, q), axis1=-2, axis2=-1) % q
-        if (traces % pj).any():
-            raise RadicalError(
-                f"radical computation failed: trace not divisible at level {level}"
-            )
-        form = Matrix(p, (traces // pj % p).reshape(current.dim, current.dim))
-        ker = kernel_basis(form)  # in current-basis coordinates
-        current = Subspace(p, n, current.from_coords(ker.basis.a))
-        if q > n:
-            break
-        level += 1
-        pj *= p
-    return current
-
-
-def _radical_certified(a: Algebra) -> Subspace:
-    rad = _radical_chain(a)
-    p, n = a.p, a.dim
+    basis = np.eye(n, dtype=np.int64)
+    commutators = (a.structure - a.structure.transpose(1, 0, 2)).reshape(n * n, n)
+    gens = Subspace(p, n, np.vstack([commutators, _power_elt(a, basis, p) - basis]))
+    left = Subspace(p, n, _products(a, basis, gens.basis.a))  # A I_0, a left ideal
+    rad = Subspace(p, n, _products(a, left.basis.a, basis))  # A I_0 A
     r = rad.basis.a
-    # two-sided ideal: e_i r and r e_i for every basis element e_i, as row blocks
-    basis = np.eye(n, dtype=np.int64)[:, None, :]
-    left, right = a.mul(basis, r), a.mul(r, basis)
-    if not rad.contains(left.reshape(-1, n)) or not rad.contains(right.reshape(-1, n)):
-        raise RadicalError("radical computation failed: not a two-sided ideal")
-    # nilpotent: rad^(j+1) is spanned by the products r s, r in rad, s in rad^j
-    power = rad
-    for _ in range(n + 1):
-        if power.dim == 0:
-            break
-        prods = a.mul(r[:, None, :], power.basis.a)
-        power = Subspace(p, n, prods.reshape(rad.dim * power.dim, n))
-    if power.dim != 0:
-        raise RadicalError("radical computation failed: ideal not nilpotent")
-    # semisimple quotient: rerunning the chain on A/rad must give zero
-    if _radical_chain(_quotient_algebra(a, rad)).dim != 0:
-        raise RadicalError("radical computation failed: quotient not semisimple")
-    return rad
+    rad2 = Subspace(p, n, _products(a, r, r))
+    prev, power = rad, rad2
+    while power.dim:  # I^(j+1) = I I^j shrinks until it is 0 or stops shrinking
+        if power.dim == prev.dim:
+            raise UnsupportedAlgebraError(
+                "unsupported algebra class: the ideal of commutators and x^p - x is not "
+                "nilpotent, so the semisimple quotient is not a product of copies of F_p"
+            )
+        prev, power = power, Subspace(p, n, _products(a, r, power.basis.a))
+    return rad, rad2
 
 
 def _quotient_algebra(a: Algebra, rad: Subspace) -> Algebra:
@@ -369,60 +328,49 @@ def _quotient_algebra(a: Algebra, rad: Subspace) -> Algebra:
     return Algebra(a.p, struct, proj.apply(a.unit), check=False)
 
 
-def _quotient_characters(q: Algebra) -> list[np.ndarray]:
-    """Characters of a commutative split semisimple algebra, by eigen-refinement."""
+def _quotient_idempotents(q: Algebra) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(character, primitive idempotent) of q = F_p^s, one pair per factor, sorted by character.
+
+    Cantor-Zassenhaus splits, with no scan of F_p: y = ((x + a) f)^((p-1)/2)
+    is 1 or -1 on the factors of an idempotent f where x + a is a nonzero
+    square or a non-square, and 0 where x + a is 0, so f splits into
+    (y^2 + y)/2, (y^2 - y)/2 and f - y^2 (into xf and f - xf at p = 2).  The
+    shifts a = 0, 1, 2, ... run over every basis element x in turn; a = -chi(x)
+    parts two characters that differ at x, so the s factors part before a = p.
+    """
     p, s = q.p, q.dim
-    blocks = [Subspace.full(p, s)]
-    for j in range(s):
-        lm = Matrix(p, q.structure[j].T)  # x -> e_j x
-        refined = []
-        for blk in blocks:
-            if blk.dim == 1:
-                refined.append(blk)
-                continue
-            for lam in range(p):
-                shifted = Matrix(p, lm.a - lam * np.eye(s, dtype=np.int64))
-                eig = kernel_basis(shifted).intersect(blk)
-                if eig.dim:
-                    refined.append(eig)
-        blocks = refined
-    if sum(b.dim for b in blocks) != s or any(b.dim != 1 for b in blocks):
-        raise UnsupportedAlgebraError(
-            "unsupported algebra class: simultaneous eigen-decomposition failed"
-        )
-    chars = []
-    for blk in blocks:
-        v = blk.basis.a[0]
-        lead = int(np.nonzero(v)[0][0])
-        w = q.mul(np.eye(s, dtype=np.int64), v)  # row j is e_j v
-        lam = w[:, lead] * pow(int(v[lead]), p - 2, p) % p
-        if not np.array_equal(w, np.outer(lam, v) % p):
-            raise UnsupportedAlgebraError("unsupported algebra class: not split")
-        chars.append(lam)
-    chars.sort(key=lambda r: tuple(int(x) for x in r))
-    return chars
+    basis = np.eye(s, dtype=np.int64)
+    shifts = ((x + a * q.unit) % p for a in range(p) for x in basis)
+    parts = q.unit[None]
+    while len(parts) < s:
+        v = q.mul(next(shifts), parts)  # (x + a) f, one row per part f
+        if p == 2:
+            pieces = [v, parts - v]
+        else:
+            y = _power_elt(q, v, (p - 1) // 2)
+            y2, half = q.mul(y, y), (p + 1) // 2
+            pieces = [reduced(y2 + y, p) * half, reduced(y2 - y, p) * half, parts - y2]
+        parts = reduced(np.vstack(pieces), p)
+        parts = parts[parts.any(axis=1)]
+    split = []
+    for f in parts:
+        lead = int(np.flatnonzero(f)[0])
+        w = q.mul(basis, f)  # row j is e_j f = chi(e_j) f
+        split.append((w[:, lead] * pow(int(f[lead]), p - 2, p) % p, f))
+    split.sort(key=lambda pair: tuple(int(x) for x in pair[0]))
+    return split
 
 
 def _lift_idempotents(a: Algebra) -> list[np.ndarray]:
     """Orthogonal primitive idempotents lifting those of A/rad (p-power trick)."""
-    a.assert_supported()
-    rad = a.radical()
-    q, comp = a.semisimple_quotient()
-    chars = _quotient_characters(q)
-    s = q.dim
-    # primitive idempotents of q: solve chi_i(e_j) system
-    cmat = Matrix(a.p, np.array(chars, dtype=np.int64))
-    sols = solve_matrix(cmat, Matrix.identity(a.p, s))
-    if sols is None:
-        raise UnsupportedAlgebraError("unsupported algebra class: characters degenerate")
-    qidem = [sols.a[:, i] for i in range(s)]
+    comp, split = a.semisimple_quotient()
     # a p-power pk > dim A, so that rad^pk = 0
     pk = a.p
     while pk <= a.dim:
         pk *= a.p
     lifted: list[np.ndarray] = []
     total = np.zeros(a.dim, dtype=np.int64)
-    for ebar in qidem:
+    for _, ebar in split:
         # any preimage, squeezed into the corner (1 - sum e_t) A (1 - sum e_t)
         pre = np.zeros(a.dim, dtype=np.int64)
         pre[comp] = ebar

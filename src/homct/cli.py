@@ -5,11 +5,12 @@ everything except timing.  Certification failures (for example Tate homology
 over an algebra where no complete resolution certifies) are recorded in the
 report and do not fail the run; invariant violations and internal mismatches
 set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
-report, 2 invalid input file or request, 3 unsupported algebra class, 4
-radical certification failure, 5 internal construction failure (a
-``RuntimeError``, such as a connecting map, projective cover or Hom solve
-with no solution), 6 out of memory, naming the innermost homct function the
-error passed through; codes 2-6 print ``error: ...`` to stderr.
+report, 2 invalid input file or request, 3 unsupported algebra class (the
+radical certificate fails: the ideal of commutators and x^p - x is not
+nilpotent), 5 internal construction failure (a ``RuntimeError``, such as a
+connecting map, projective cover or Hom solve with no solution), 6 out of
+memory, naming the innermost homct function the error passed through; 4 is
+retired and not reused.  Codes 2, 3, 5 and 6 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .algmod import (
-    RadicalError,
     UnsupportedAlgebraError,
     dual_module,
     regular_module,
@@ -416,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RadicalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

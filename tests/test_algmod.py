@@ -34,8 +34,15 @@ from homct.algmod import (
     validate_algebra,
     validate_module,
 )
-from homct.algmod import FreeHomCoords, SubHomCoords, _power_elt, _radical_chain, hom_coords
-from homct.exactla import Matrix, Subspace, kernel_basis, kron, mulmod
+from homct.algmod import (
+    FreeHomCoords,
+    SubHomCoords,
+    UnsupportedAlgebraError,
+    _power_elt,
+    _quotient_algebra,
+    hom_coords,
+)
+from homct.exactla import Matrix, Subspace, kernel_basis, kron, matpow, mulmod
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -638,7 +645,72 @@ def test_frobenius_check_at_largest_prime():
     assert len(a.characters()) == 1
 
 
-# --- the radical chain against the integer reference ---------------------------
+# --- the radical certificate against the trace chain ---------------------------
+
+def _radical_chain(a):
+    """Friedl-Ronyai chain of p-power trace forms over the prime field: the
+    radical of any algebra, the reference for the ideal certificate.
+
+    Level j reads Tr(L_{xy}^(p^j)) / p^j mod p from powers mod q = p^(j+1), a
+    ring map; levels j <= floor(log_p dim A) suffice, so q <= max(p, dim A^2).
+    """
+    p, n = a.p, a.dim
+    current, pj = Subspace.full(p, n), 1
+    while current.dim:
+        basis = current.basis.a
+        # entry (y, x) of the form is Tr(L_{xy}^(p^level)) / p^level
+        prods = a.mul(basis[None, :, :], basis[:, None, :]).reshape(-1, n)
+        q = pj * p
+        traces = np.trace(matpow(a.left_mult_matrix(prods), pj, q), axis1=-2, axis2=-1) % q
+        assert not (traces % pj).any()
+        form = Matrix(p, (traces // pj % p).reshape(current.dim, current.dim))
+        current = Subspace(p, n, current.from_coords(kernel_basis(form).basis.a))
+        if q > n:
+            break
+        pj *= p
+    return current
+
+
+def _supported_by_chain(a):
+    """The class check before the certificate: A/rad, with rad from the chain,
+    is commutative and x^p = x on its basis."""
+    q = _quotient_algebra(a, _radical_chain(a))
+    basis = np.eye(q.dim, dtype=np.int64)
+    return (np.array_equal(q.structure, q.structure.swapaxes(0, 1))
+            and np.array_equal(_power_elt(q, basis, q.p), basis))
+
+
+def _scan_characters(q):
+    """Characters of a commutative split semisimple algebra by eigen-refinement,
+    trying every lambda in F_p: the reference for the Cantor-Zassenhaus splits."""
+    p, s = q.p, q.dim
+    blocks = [Subspace.full(p, s)]
+    for j in range(s):
+        lm = Matrix(p, q.structure[j].T)  # x -> e_j x
+        refined = []
+        for blk in blocks:
+            if blk.dim == 1:
+                refined.append(blk)
+                continue
+            for lam in range(p):
+                eig = kernel_basis(Matrix(p, lm.a - lam * np.eye(s, dtype=np.int64))).intersect(blk)
+                if eig.dim:
+                    refined.append(eig)
+        blocks = refined
+    assert all(b.dim == 1 for b in blocks) and len(blocks) == s
+    chars = []
+    for blk in blocks:
+        v = blk.basis.a[0]
+        lead = int(np.nonzero(v)[0][0])
+        w = q.mul(np.eye(s, dtype=np.int64), v)  # row j is e_j v
+        lam = w[:, lead] * pow(int(v[lead]), p - 2, p) % p
+        assert np.array_equal(w, np.outer(lam, v) % p)
+        chars.append(lam)
+    chars.sort(key=lambda r: tuple(int(x) for x in r))
+    return chars
+
+
+# --- the trace chain against the integer reference -----------------------------
 
 def _int_matrix_power_trace(m, e):
     """trace(M^e) over Z for an integer matrix, exact (Python ints)."""
@@ -763,20 +835,75 @@ def test_radical_chain_matches_integer_reference(a):
     assert _radical_chain(a) == _reference_radical_chain(a)
 
 
+def _check_certificate(a):
+    """radical() is the chain's radical where the chain's class check accepted A, and raises where it rejected A."""
+    supported = _supported_by_chain(a)
+    if supported:
+        assert a.radical() == _radical_chain(a)
+    else:
+        with pytest.raises(UnsupportedAlgebraError, match="^unsupported algebra class: .* not nilpotent"):
+            a.radical()
+    return supported
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_algebras())
+def test_radical_certificate_matches_the_chain(a):
+    _check_certificate(a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_radical_certificate_matches_the_chain_on_group_algebras(p):
+    verdicts = {name: _check_certificate(make_group_algebra(table, p)) for name, table in GROUP_TABLES.items()}
+    assert verdicts["C2"] and not verdicts["C3" if p != 3 else "C4"]
+
+
 @pytest.mark.parametrize("a, rad_dim", [
     (algebra_a2(), 2),  # n = 3, p = 2: the reference also runs the level p^2 = 4
-    (make_group_algebra(cyclic_group_table(3), 3037000493), 0),  # level 0 only, q = p
-    (make_group_algebra(cyclic_group_table(3), 2), 0),  # F_2 x F_4: not split, radical 0
+    (make_group_algebra(cyclic_group_table(3), 3037000493), None),  # F_p x F_p^2 (p = 2 mod 3)
+    (make_group_algebra(cyclic_group_table(3), 2), None),  # F_2 x F_4: not split
 ], ids=["a2", "c3_at_3037000493", "f2_c3"])
 def test_radical_chain_pinned_cases(a, rad_dim):
-    rad = _radical_chain(a)
-    assert rad.dim == rad_dim and rad == _reference_radical_chain(a)
+    if rad_dim is None:  # semisimple, with a factor larger than F_p: the chain gives 0, the certificate refuses
+        assert _radical_chain(a).dim == 0 == _reference_radical_chain(a).dim
+        with pytest.raises(UnsupportedAlgebraError, match="^unsupported algebra class: .* not nilpotent"):
+            a.radical()
+        return
+    rad = a.radical()
+    assert rad.dim == rad_dim and rad == _radical_chain(a) == _reference_radical_chain(a)
 
 
 def test_radical_chain_of_c2x4_is_the_augmentation_ideal():
-    # levels 0..4 at q up to 32; the reference would take over a second here
-    aug = np.eye(16, dtype=np.int64)[1:] - np.eye(16, dtype=np.int64)[0]
-    assert _radical_chain(_c2x4()) == Subspace(2, 16, aug)
+    for r in (4, 5, 6):
+        a = make_group_algebra(_c2_power_table(r), 2)
+        eye = np.eye(a.dim, dtype=np.int64)
+        aug = Subspace(2, a.dim, eye[1:] - eye[0])  # span{g - 1}
+        assert a.radical() == aug
+        assert r > 4 or _radical_chain(a) == aug  # the chain runs levels 0..4, q up to 32
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+def test_quotient_split_matches_the_scan(a):
+    if not _supported_by_chain(a):
+        return
+    ref = _scan_characters(_quotient_algebra(a, a.radical()))
+    _, split = a.semisimple_quotient()
+    assert [chi.tolist() for chi, _ in split] == [chi.tolist() for chi in ref]
+    # f_i is the idempotent of A/rad with chi_j(f_i) = delta_ij
+    idems = np.array([f for _, f in split])
+    assert np.array_equal(mulmod(np.array(ref), idems.T, a.p), np.eye(len(ref), dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_characters_at_the_largest_primes(p):
+    # a scan of F_p would take days here
+    for n in (2, 3):
+        a = _triangular(n, p)
+        diag = [np.array([int(i == j == k) for i in range(n) for j in range(i, n)]) for k in range(n)]
+        assert sorted(map(tuple, a.characters())) == sorted(map(tuple, diag))
+        idems = a.primitive_idempotents()
+        assert np.array_equal(sum(idems) % p, a.unit) and len(idems) == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -849,6 +976,7 @@ def test_radical_generators_generate_rad_on_both_sides(a, count):
     rad, gens = a.radical(), a.radical_generators()
     r = rad.basis.a
     rad2 = Subspace(a.p, a.dim, a.mul(r[:, None], r))
+    assert a._cache["radical_squared"] == rad2  # the certificate's first power, read, not recomputed
     assert gens.shape == (count, a.dim) and count == rad.dim - rad2.dim
     assert Subspace(a.p, a.dim, gens).add(rad2) == rad
     basis = np.eye(a.dim, dtype=np.int64)

@@ -1,5 +1,6 @@
 """Tests for file parsing, the compute/compare/corpus commands and determinism."""
 
+import itertools
 import json
 import os
 
@@ -8,7 +9,6 @@ import pytest
 from homct import algmod, cli, completion, resolve
 from homct.algmod import make_group_algebra
 from homct.cli import ComputeRequest, main, run_compute, run_corpus
-from homct.exactla import Subspace
 from homct.fixtures import cyclic_group_table
 from homct.schemas import (
     SchemaError,
@@ -334,16 +334,16 @@ def test_main_unsupported_algebra_exit_code(tmp_path, capsys):
     assert err.startswith("error: unsupported algebra class")
 
 
-def test_main_radical_error_exit_code(tmp_path, capsys, monkeypatch):
-    with open(fx("a1.json")) as fh:
-        args = _write_k_inputs(tmp_path, json.load(fh), [1, 0])
-    # a chain that returns all of A cannot be certified: A is not nilpotent
-    monkeypatch.setattr(algmod, "_radical_chain", lambda a: Subspace.full(a.p, a.dim))
-    monkeypatch.setattr(resolve, "_memo", {})
+def test_main_non_split_algebra_exit_code(tmp_path, capsys):
+    # F_2[S_3] has a simple module of dimension 2: the ideal of commutators and
+    # x^2 - x is not nilpotent, so the radical certificate refuses the algebra
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(g[h[i]] for i in range(3))) for h in perms] for g in perms]
+    args = _write_k_inputs(tmp_path, algebra_to_json(make_group_algebra(table, 2)), [1] * 6)
     code = main(["compute", *args, "--theory", "tor", "--degrees", "0..1"])
-    assert code == 4
+    assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: radical computation failed: ideal not nilpotent")
+    assert err.startswith("error: unsupported algebra class: ") and "Traceback" not in err
 
 
 def test_csv_format(tmp_path):

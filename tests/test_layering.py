@@ -30,7 +30,9 @@ map in Tor over free projectives builds no part of the middle chain.  Hom out
 of a projective has one coordinate type, ``algmod.hom_coords``, and the
 free-map entry form lives in ``algmod``: the Hom subspace is built only
 there, ``resolve`` imports no private name from ``algmod``, no module imports
-a private name from ``derived``, and ``derived`` calls no np.kron.
+a private name from ``derived``, and ``derived`` calls no np.kron.  The
+radical certificate raises only the basis to the p-th power, one stack of
+dim A multiplication matrices, and ``_power_elt`` is the one caller of matpow.
 """
 
 import ast
@@ -40,7 +42,8 @@ import numpy as np
 import pytest
 
 import homct
-from homct import derived, exactla, resolve
+from homct import algmod, derived, exactla, resolve
+from homct.algmod import make_group_algebra
 from homct.fixtures import a3_mod_x, algebra_a2, algebra_a3, algebra_a4, simple_k
 
 FORBIDDEN = {"einsum", "tensordot", "dot", "matmul", "inner"}
@@ -209,6 +212,22 @@ def test_one_chain_layer():
     assert _src_calls({"tensor_over_algebra"}) == [
         ("cli.py", "run_corpus", "tensor_over_algebra"),
         ("derived.py", "TensorChain.component", "tensor_over_algebra")]
+
+
+def test_radical_certificate_powers_only_the_basis(monkeypatch):
+    # one stack of dim A multiplication matrices raised to the p-th power: the
+    # trace chain raised a stack of dim A^2 of them at each level
+    assert _src_calls({"matpow"}) == [("algmod.py", "_power_elt", "matpow")]
+    powered = []
+
+    def spy(x, e, q, _fn=algmod.matpow):
+        powered.append((x.shape, e))
+        return _fn(x, e, q)
+
+    monkeypatch.setattr(algmod, "matpow", spy)
+    a = make_group_algebra([[i ^ j for j in range(32)] for i in range(32)], 2)  # F_2[(C_2)^5]
+    assert a.radical().dim == 31
+    assert powered == [((32, 32, 32), 2)]
 
 
 def _private_imports(source: str) -> list[str]:
