@@ -254,13 +254,14 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     """Check associativity on all basis triples and the two-sided unit."""
     violations = []
     n, p, c = a.dim, a.p, a.structure
-    # (e_i e_j) e_k = sum_t c[i,j,t] c[t,k]; e_i (e_j e_k) = sum_t c[j,k,t] c[i,t]
-    lhs = mulmod(c.reshape(n * n, n), c.reshape(n, n * n), p).reshape(n, n, n, n)
-    rhs = mulmod(c.reshape(n * n, n), c.swapaxes(0, 1).reshape(n, n * n), p)
-    bad = np.argwhere(lhs != rhs.reshape(n, n, n, n).transpose(2, 0, 1, 3))
-    if bad.size:
-        i, j, k = (int(x) for x in bad[0, :3])
-        violations.append(f"associativity fails at triple ({i},{j},{k})")
+    # one i at a time, dim A^3 entries: (e_i e_j) e_k = sum_t c[i,j,t] c[t,k]; e_i (e_j e_k) = sum_t c[j,k,t] c[i,t]
+    for i in range(n):
+        lhs = mulmod(c[i], c.reshape(n, n * n), p)
+        bad = lhs.reshape(n * n, n) != mulmod(c.reshape(n * n, n), c[i], p)
+        if bad.any():
+            j, k = divmod(int(bad.argmax()) // n, n)  # the first failing (j, k, s) in row-major order
+            violations.append(f"associativity fails at triple ({i},{j},{k})")
+            break
     basis = np.eye(n, dtype=np.int64)
     left = (a.mul(a.unit, basis) != basis).any(axis=1)
     right = (a.mul(basis, a.unit) != basis).any(axis=1)

@@ -14,12 +14,14 @@ mismatch error, since the two routes are theorems of each other.
 Squares between chain-map segments commute up to the sign (-1)^i:
     d_Q phi_t = (-1)^i phi_{t-1} d_P.
 Every lift is ``resolve.lift_chain_map``, which solves degree by degree with
-free variables pinned to zero: ``mu_backward`` lifts a syzygy-level map,
-``SegmentStage.extend_segment`` continues a segment one degree, and a
-Benson-Carlson transition lifts through the covers and restricts to the
-next syzygies.  A stage's class plumbing takes a block of classes, one per
-row, and returns one stack of k maps per window degree, so a transition is
-one call: one lift of every class, one ``class_of`` reading them back.
+free variables pinned to zero: ``mu_stage_check`` lifts the stable-Hom
+classes of a stage, ``SegmentStage.extend_segment`` continues a segment one
+degree, and a Benson-Carlson transition lifts through the covers and
+restricts to the next syzygies.  A stage's class plumbing takes a block of
+classes, one per row, and returns one stack of k maps per window degree, so a
+transition is one call: one lift of every class, one ``class_of`` reading
+them back.  So is mu: ``mu_forward`` descends a stack of degree-k components
+to the syzygies with one cover section and one stable-Hom space.
 Hom spaces out of the projectives are ``algmod.hom_coords`` spaces, the type
 of ``derived``'s Ext cochains, so a segment class and an Ext class read the
 same generator coordinates on a free resolution.
@@ -34,7 +36,6 @@ import numpy as np
 from .algmod import (
     FdModule,
     FreeHomCoords,
-    ModuleMap,
     SubHomCoords,
     dual_module,
     hom_coords,
@@ -61,12 +62,10 @@ from .exactla import (
 from .resolve import Resolution, lift_chain_map, min_proj_resolution
 
 __all__ = [
-    "StableMapClass",
     "SegmentStage",
     "bc_ext",
     "pcomp_ext",
     "mu_forward",
-    "mu_backward",
     "mu_stage_check",
     "duality_bridge_check",
     "cotower_limit",
@@ -124,25 +123,6 @@ def bc_cotower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
 
 
 # -- chain-map segments (truncated Hom route) -----------------------------------
-
-
-@dataclass
-class StableMapClass:
-    """Degree -i chain-map segment phi_t: P_t -> Q_{t-i}, t in [lo, hi].
-
-    Squares commute up to the sign (-1)^i in degrees >= lo + 1; nothing is
-    required at the bottom edge (the truncated complex has no differential
-    out of its lowest degree).
-    """
-
-    i: int
-    lo: int
-    hi: int
-    comps: list[ModuleMap]
-    homotopy_normalized: bool = False
-
-    def component(self, t: int) -> ModuleMap:
-        return self.comps[t - self.lo]
 
 
 def _rows(maps: np.ndarray) -> np.ndarray:
@@ -328,42 +308,34 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
 # -- the mu comparison ---------------------------------------------------------
 
 
-def mu_forward(seg: StableMapClass, k: int, res_m: Resolution, res_n: Resolution):
-    """Induced stable-Hom class f~: Omega_k M -> Omega_{k-i} N from a segment.
-
-    Requires lo <= k <= hi; the induced map on cokernels is well defined
-    modulo maps factoring through a projective.
-    """
-    i = seg.i
-    if not (seg.lo <= k <= seg.hi):
-        raise ValueError("k outside the segment window")
-    if k - i < 0:
-        raise ValueError("target syzygy index negative")
-    f = seg.component(k)
-    pi_m = res_m.cover_map(k)
-    pi_n = res_n.cover_map(k - i)
-    omega_m = res_m.syzygy(k)
-    omega_n = res_n.syzygy(k - i)
-    sec = solve_matrix(pi_m.matrix, Matrix.identity(seg.comps[0].p, omega_m.dim))
+def _descend(f: np.ndarray, k: int, i: int, res_m: Resolution, res_n: Resolution) -> np.ndarray:
+    """The maps f~: Omega_k M -> Omega_{k-i} N with pi_n f = f~ pi_m, one flat row per map of the stack f."""
+    p = res_m.module.p
+    pi_m, pi_n = res_m.cover_map(k).matrix, res_n.cover_map(k - i).matrix
+    sec = solve_matrix(pi_m, Matrix.identity(p, pi_m.rows))
     if sec is None:
         raise RuntimeError("cover has no linear section")
-    cand = pi_n.matrix @ f.matrix @ sec
-    ftilde = ModuleMap(omega_m, omega_n, cand, check=True)
+    pf = mulmod(pi_n.a, f, p)  # (s, dim Omega_{k-i} N, dim P_k)
+    cand = mulmod(pf, sec.a, p)
     # well-defined: the candidate must be independent of the section
-    if not (pi_n.matrix @ f.matrix == ftilde.matrix @ pi_m.matrix):
+    if not np.array_equal(mulmod(cand, pi_m.a, p), pf):
         raise RuntimeError("segment does not descend to the cokernels")
-    sq = stable_hom(omega_m, omega_n)
-    return sq, sq.class_of(ftilde.matrix.a.reshape(-1))
+    return cand.reshape(len(f), cand.shape[1] * cand.shape[2])
 
 
-def mu_backward(f: ModuleMap, k: int, i: int, hi: int,
-                res_m: Resolution, res_n: Resolution) -> StableMapClass:
-    """Lift a syzygy-level map to a chain-map segment on [k, hi] (projectivity)."""
-    if k - i < 0:
-        raise ValueError("source stage needs k - i >= 0")
-    comps = lift_chain_map(f.matrix.a[None], k, i, hi, res_m, res_n)
-    return StableMapClass(i, k, hi, [ModuleMap(res_m.proj(t), res_n.proj(t - i), Matrix(f.p, phi[0]), check=False)
-                                     for t, phi in enumerate(comps, k)])
+def mu_forward(f: np.ndarray, k: int, i: int, res_m: Resolution, res_n: Resolution):
+    """Induced stable-Hom classes f~: Omega_k M -> Omega_{k-i} N of a block of segments.
+
+    f is the stack (s, dim Q_{k-i}, dim P_k) of the segments' degree-k
+    components; each induced map on cokernels is well defined modulo maps
+    factoring through a projective.  Returns uHom(Omega_k M, Omega_{k-i} N)
+    and the class block (s, dim).
+    """
+    cand = _descend(f, k, i, res_m, res_n)
+    sq = stable_hom(res_m.syzygy(k), res_n.syzygy(k - i))
+    if not sq.z.contains(cand):
+        raise ValueError("induced map does not commute with the action")
+    return sq, sq.class_of(cand)
 
 
 @dataclass
@@ -381,42 +353,28 @@ class MuStageReport:
 def mu_stage_check(m: FdModule, n: FdModule, i: int, K: int) -> MuStageReport:
     """Stage-level mu: pcomp stage k matches the stable-Hom stage k+i.
 
-    Checks dim equality, injectivity of mu_forward on the class basis, and
-    exactness of the backward-forward round trip.
+    Per stage, one forward map of the class basis (dims equal, injective by its
+    rank) and one lift of every stable-Hom class representative, whose forward
+    map must be the identity (the round trip is exact).
     """
     res_m = min_proj_resolution(m, K + i + SEGMENT_BUFFER + 2)
     res_n = min_proj_resolution(n, K + 2)
     pairs = []
-    dims_equal = True
-    injective = True
-    roundtrip = True
+    dims_equal = injective = roundtrip = True
     for k in range(max(0, -i), K + 1):
         st = SegmentStage(res_m, res_n, i, k)
-        target_sq = stable_hom(res_m.syzygy(k + i), res_n.syzygy(k))
         pairs.append((k, k + i))
-        if st.dim != target_sq.dim:
+        sq, fwd = mu_forward(st.segment_from_class(np.eye(st.dim, dtype=np.int64))[0], st.lo, i, res_m, res_n)
+        if st.dim != sq.dim:
             dims_equal = False
             continue
-        comps = st.segment_from_class(np.eye(st.dim, dtype=np.int64))
-        cols = []
-        for c in range(st.dim):
-            seg = StableMapClass(i, st.lo, st.hi, [
-                ModuleMap(res_m.proj(t), res_n.proj(t - i), Matrix(m.p, f[c]), check=False)
-                for t, f in zip(range(st.lo, st.hi + 1), comps)])
-            _, out = mu_forward(seg, st.lo, res_m, res_n)
-            cols.append(out)
-        if st.dim:
-            mat = Matrix(m.p, np.array(cols, dtype=np.int64).T.reshape(target_sq.dim, st.dim))
-            if rref(mat)[2] != st.dim:
-                injective = False
-        for cls, vec in zip(np.eye(target_sq.dim, dtype=np.int64), target_sq.basis_representatives()):
-            f = ModuleMap(res_m.syzygy(k + i), res_n.syzygy(k),
-                          Matrix(m.p, vec.reshape(res_n.syzygy(k).dim, res_m.syzygy(k + i).dim)),
-                          check=False)
-            seg = mu_backward(f, st.lo, i, st.hi, res_m, res_n)
-            _, back = mu_forward(seg, st.lo, res_m, res_n)
-            if not np.array_equal(back, cls):
-                roundtrip = False
+        if st.dim and rref(Matrix(m.p, fwd))[2] != st.dim:
+            injective = False
+        reps = sq.basis_representatives().reshape(sq.dim, res_n.syzygy(k).dim, res_m.syzygy(st.lo).dim)
+        lifted = lift_chain_map(reps, st.lo, i, st.hi, res_m, res_n)[0]
+        back = sq.class_of(_descend(lifted, st.lo, i, res_m, res_n))
+        if not np.array_equal(back, np.eye(sq.dim, dtype=np.int64)):
+            roundtrip = False
     return MuStageReport(pairs, dims_equal, injective, roundtrip)
 
 

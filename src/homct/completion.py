@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algmod import FdModule, ModuleMap, dual_map
-from .derived import HomologySpace, ShortExactSeq, connecting_tor, tate_tor, tor, tor_map
+from .derived import ShortExactSeq, connecting_tor, tate_tor, tor, tor_map
 from .exactla import Matrix, Subquotient, Subspace, image_basis, rref
 from .resolve import (
     CompleteResolution,
@@ -35,7 +35,6 @@ from .resolve import (
 __all__ = [
     "Tower",
     "StabilizationReport",
-    "SatelliteStage",
     "cosyzygy_tower",
     "satellite_tower",
     "right_satellite",
@@ -149,48 +148,27 @@ def cosyzygy_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
     return Tower(i, k_min, stages, maps, "cosyzygy")
 
 
-class SatelliteStage:
-    """S^k T_{k+i}(N) as a cokernel of homology class spaces.
-
-    Ambient coordinates are the class coordinates of Tor_{k+i}(m, Omega^k n);
-    the quotient is by the image of Tor_{k+i}(m, I^{k-1}), and by nothing at k = 0.
-    """
-
-    def __init__(self, p: int, base: HomologySpace, killed: Subspace):
-        self.p = p
-        self.base = base
-        full = Subspace.full(p, base.dim)
-        self.sq = Subquotient(full, killed)
-
-    @property
-    def dim(self) -> int:
-        return self.sq.dim
-
-    def class_of(self, base_class: np.ndarray) -> np.ndarray:
-        return self.sq.class_of(base_class)
-
-    def representative(self, cls: np.ndarray) -> np.ndarray:
-        """A class-coordinate vector of the underlying Tor space."""
-        return self.sq.representative(cls)
-
-
-def right_satellite(m: FdModule, j: int, n_steps: int, n: FdModule) -> SatelliteStage:
+def right_satellite(m: FdModule, j: int, n_steps: int, n: FdModule) -> Subquotient:
     """S^{n_steps} Tor_j(m, -) evaluated at n.
 
-    The value is the cokernel of Tor_j(m, I^{n_steps-1}) -> Tor_j(m, Omega^{n_steps} n);
-    at n_steps = 0 nothing is killed, which gives the classes of Tor_j(m, n).
+    The value is the cokernel of Tor_j(m, I^{n_steps-1}) -> Tor_j(m, Omega^{n_steps} n),
+    a subquotient of the class coordinates of Tor_j(m, Omega^{n_steps} n): all of
+    them modulo the image.  At n_steps = 0 nothing is killed, which gives the
+    classes of Tor_j(m, n).
     """
     if n_steps < 0:
         raise ValueError("satellite steps must be nonnegative")
     if n_steps == 0:
         base = tor(m, n, j)
-        return SatelliteStage(m.p, base, Subspace.zero(m.p, base.dim))
-    inj = min_inj_resolution(n, n_steps + 1)
-    omega = inj.cosyzygy(n_steps)
-    base = tor(m, omega, j)
-    if base.dim == 0 or tor(m, inj.space(n_steps - 1), j).dim == 0:
-        return SatelliteStage(m.p, base, Subspace.zero(m.p, base.dim))
-    return SatelliteStage(m.p, base, image_basis(tor_map(inj.cosyzygy_proj(n_steps), m, j)))
+        killed = Subspace.zero(m.p, base.dim)
+    else:
+        inj = min_inj_resolution(n, n_steps + 1)
+        base = tor(m, inj.cosyzygy(n_steps), j)
+        if base.dim == 0 or tor(m, inj.space(n_steps - 1), j).dim == 0:
+            killed = Subspace.zero(m.p, base.dim)
+        else:
+            killed = image_basis(tor_map(inj.cosyzygy_proj(n_steps), m, j))
+    return Subquotient(Subspace.full(m.p, base.dim), killed)
 
 
 def satellite_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
@@ -207,7 +185,7 @@ def satellite_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
         src = stages[k - k_min]
         tgt = stages[k - 1 - k_min]
         # class coords in V_{k-1}, projected onto the satellite cokernel
-        images = cos.maps[k].apply(src.sq.basis_representatives())
+        images = cos.maps[k].apply(src.basis_representatives())
         maps[k] = Matrix(m.p, tgt.class_of(images).T)
     return Tower(i, k_min, stages, maps, "satellite")
 
@@ -253,7 +231,7 @@ def _interleaving(m: FdModule, n: FdModule, i: int, K: int, cos: Tower) -> Inter
         sat = right_satellite(m, k + i, k, n)
         delta = cos.maps[k]
         tgt_dim = cos.stage_dim(k - 1)
-        phi = Matrix(m.p, delta.apply(sat.sq.basis_representatives()).T)
+        phi = Matrix(m.p, delta.apply(sat.basis_representatives()).T)
         rank_phi = rref(phi)[2]
         phi_inj[k] = rank_phi == sat.dim
         img_ok[k] = image_basis(phi) == image_basis(delta)

@@ -412,7 +412,7 @@ def test_criterion_11_cohomology_routes():
         for i in (0, 1):
             assert mu_stage_check(kmod, kmod, i, 2).ok
             mu_checks += 1
-    assert mu_stage_check(simple_k(a2, "left"), simple_k(a2, "left"), 0, 2).ok
+    assert mu_stage_check(simple_k(a2, "left"), simple_k(a2, "left"), 0, 3).ok
     mu_checks += 1
     _passline(11, f"bc/pcomp stage dims agree ({stage_checks} stages); mu round-trips exact "
                   f"({mu_checks} windows); no internal route mismatches")

@@ -630,6 +630,57 @@ def test_validate_algebra_reports_first_failure(name, flips, bad_unit, seed):
     assert rep.violations == _first_violations(a) and rep.ok == (not rep.violations)
 
 
+def _dense_validation_reference(a):
+    """The validation messages of the dense check, both dim A^4 associativity arrays at once."""
+    violations = []
+    n, p, c = a.dim, a.p, a.structure
+    lhs = mulmod(c.reshape(n * n, n), c.reshape(n, n * n), p).reshape(n, n, n, n)
+    rhs = mulmod(c.reshape(n * n, n), c.swapaxes(0, 1).reshape(n, n * n), p)
+    bad = np.argwhere(lhs != rhs.reshape(n, n, n, n).transpose(2, 0, 1, 3))
+    if bad.size:
+        i, j, k = (int(x) for x in bad[0, :3])
+        violations.append(f"associativity fails at triple ({i},{j},{k})")
+    basis = np.eye(n, dtype=np.int64)
+    left = (a.mul(a.unit, basis) != basis).any(axis=1)
+    right = (a.mul(basis, a.unit) != basis).any(axis=1)
+    bad = np.flatnonzero(left | right)
+    if bad.size:
+        j = int(bad[0])
+        violations.append(f"unit fails on the {'left' if left[j] else 'right'} at basis element {j}")
+    return violations
+
+
+def test_validate_algebra_matches_dense_check_on_every_perturbed_constant():
+    # every structure constant of A2, F_2[C_2 x C_2] and F_3[C_3] moved to every other value
+    triples = set()
+    for base in (algebra_a2(), make_group_algebra(klein_four_table(), 2), group_algebra_c3_f3()):
+        n, p = base.dim, base.p
+        for pos in itertools.product(range(n), repeat=3):
+            for v in range(p):
+                if v == base.structure[pos]:
+                    continue
+                c = np.array(base.structure)
+                c[pos] = v
+                a = Algebra(p, c, base.unit, check=False)
+                rep = validate_algebra(a)
+                assert rep.violations == _dense_validation_reference(a) and rep.ok == (not rep.violations)
+                triples.update(msg for msg in rep.violations if msg.startswith("associativity"))
+    # first failures at 18 distinct triples, some past i = 0
+    assert len(triples) >= 15 and "associativity fails at triple (2,0,0)" in triples
+
+
+def test_validate_algebra_memory_peak():
+    # F_2[(C_2)^6]: the two dense 64^4 associativity arrays peaked at 386 MiB
+    a = make_group_algebra(np.bitwise_xor.outer(np.arange(64), np.arange(64)), 2)
+    tracemalloc.start()
+    try:
+        rep = validate_algebra(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak < 32 * 2**20
+
+
 def test_validate_module_locates_first_structure_violation():
     a1 = algebra_a1()
     x = Matrix(2, [[0, 0], [1, 0]])

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from homct import cohom
 from homct.algmod import (
@@ -22,13 +23,12 @@ from homct.cohom import (
     bc_cotower,
     bc_ext,
     duality_bridge_check,
-    mu_backward,
     mu_forward,
     mu_stage_check,
     pcomp_ext,
 )
 from homct.derived import ext, ext_chain
-from homct.exactla import Matrix, Subspace, image_basis, kernel_basis
+from homct.exactla import Matrix, Subspace, image_basis, kernel_basis, rref, solve_matrix
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -36,7 +36,7 @@ from homct.fixtures import (
     algebra_a4,
     simple_k,
 )
-from homct.resolve import hom_solve, min_proj_resolution
+from homct.resolve import hom_solve, lift_chain_map, min_proj_resolution
 
 
 # --- Benson-Carlson cotower -----------------------------------------------------
@@ -374,7 +374,7 @@ def test_mu_stage_check_a1():
 def test_mu_stage_check_a2_small():
     a2 = algebra_a2()
     k = simple_k(a2)
-    rep = mu_stage_check(k, k, 0, 2)
+    rep = mu_stage_check(k, k, 0, 3)
     assert rep.ok
 
 
@@ -389,17 +389,15 @@ def test_mu_zero_and_identity():
     a1 = algebra_a1()
     k = simple_k(a1)
     res = min_proj_resolution(k, 5)
-    # zero syzygy map lifts to the zero class and returns to zero
+    # the zero and the identity syzygy maps, lifted as one stack and read back as one block
     omega2 = res.syzygy(2)
-    zero = ModuleMap.zero(omega2, omega2)
-    seg = mu_backward(zero, 2, 0, 4, res, res)
-    sq, cls = mu_forward(seg, 2, res, res)
-    assert not cls.any()
-    # identity on a syzygy: forward of the lifted identity is the identity class
-    ident = ModuleMap.identity(omega2)
-    seg = mu_backward(ident, 2, 0, 4, res, res)
-    sq, cls = mu_forward(seg, 2, res, res)
-    assert np.array_equal(cls, sq.class_of(ident.matrix.a.reshape(-1)))
+    maps = np.stack([np.zeros((omega2.dim, omega2.dim), dtype=np.int64), np.eye(omega2.dim, dtype=np.int64)])
+    seg = lift_chain_map(maps, 2, 0, 4, res, res)
+    sq, cls = mu_forward(seg[0], 2, 0, res, res)
+    assert cls.shape == (2, sq.dim) == (2, 1)
+    # zero lifts to the zero class; the lifted identity is the identity class
+    assert not cls[0].any()
+    assert np.array_equal(cls[1], sq.class_of(maps[1].reshape(-1)))
 
 
 def test_mu_roundtrip_generator_a1():
@@ -410,12 +408,81 @@ def test_mu_roundtrip_generator_a1():
     sq = stable_hom(omega2, omega2)
     assert sq.dim == 1
     gen_vec = sq.representative(np.array([1], dtype=np.int64))
-    f = ModuleMap(omega2, omega2, Matrix(2, gen_vec.reshape(omega2.dim, omega2.dim)), check=False)
-    seg = mu_backward(f, 2, 0, 5, res, res)
+    seg = lift_chain_map(gen_vec.reshape(1, omega2.dim, omega2.dim), 2, 0, 5, res, res)
     # all components of the lifted segment are nonzero (the x-shift chain map)
-    assert all(not c.matrix.is_zero() for c in seg.comps)
-    sq2, back = mu_forward(seg, 2, res, res)
-    assert np.array_equal(back, sq.class_of(f.matrix.a.reshape(-1)))
+    assert all(c.any() for c in seg)
+    sq2, back = mu_forward(seg[0], 2, 0, res, res)
+    assert np.array_equal(back, sq.class_of(gen_vec)[None])
+
+
+# The per-class forward map that mu_forward stacked, kept as its reference.
+
+def _mu_forward_reference(f, k, i, res_m, res_n):
+    """Induced stable-Hom class of one degree-k component f: P_k -> Q_{k-i}, as mu_forward computed it."""
+    p = res_m.module.p
+    pi_m = res_m.cover_map(k)
+    pi_n = res_n.cover_map(k - i)
+    omega_m = res_m.syzygy(k)
+    omega_n = res_n.syzygy(k - i)
+    sec = solve_matrix(pi_m.matrix, Matrix.identity(p, omega_m.dim))
+    if sec is None:
+        raise RuntimeError("cover has no linear section")
+    cand = pi_n.matrix @ Matrix(p, f) @ sec
+    ftilde = ModuleMap(omega_m, omega_n, cand, check=True)
+    # well-defined: the candidate must be independent of the section
+    if not (pi_n.matrix @ Matrix(p, f) == ftilde.matrix @ pi_m.matrix):
+        raise RuntimeError("segment does not descend to the cokernels")
+    sq = stable_hom(omega_m, omega_n)
+    return sq, sq.class_of(ftilde.matrix.a.reshape(-1))
+
+
+def _mu_cases():
+    """(m, n, i, K): A1 at i = 0, 1, A2, A3, A4 at odd i (the sign), and T_2(F_3) simples,
+    whose projectives are not free and whose stages are zero (empty blocks)."""
+    a1, a2, a3, a4 = (simple_k(a) for a in (algebra_a1(), algebra_a2(), algebra_a3(), algebra_a4()))
+    mods = _t2_modules()
+    return [(a1, a1, 0, 3), (a1, a1, 1, 3), (a2, a2, 0, 3), (a3, a3, 1, 2), (a4, a4, 1, 2),
+            (mods["s0"], mods["s1"], 0, 3), (mods["s0"], mods["s0"], 1, 3)]
+
+
+def test_mu_forward_matches_per_class_reference():
+    classes, non_free = 0, 0
+    for m, n, i, K in _mu_cases():
+        res_m = min_proj_resolution(m, K + i + cohom.SEGMENT_BUFFER + 2)
+        res_n = min_proj_resolution(n, K + 2)
+        for k in range(max(0, -i), K + 1):
+            st = SegmentStage(res_m, res_n, i, k)
+            comps = st.segment_from_class(np.eye(st.dim, dtype=np.int64))[0]
+            sq, got = mu_forward(comps, st.lo, i, res_m, res_n)
+            assert got.shape == (st.dim, sq.dim)
+            # the stacked forward map, column by column against the per-class one
+            for f, row in zip(comps, got):
+                ref_sq, want = _mu_forward_reference(f, st.lo, i, res_m, res_n)
+                assert ref_sq.dim == sq.dim and np.array_equal(row, want)
+            assert st.dim == sq.dim and (not st.dim or rref(Matrix(m.p, got))[2] == st.dim)
+            # every stable-Hom class lifted as one stack comes back as itself
+            reps = sq.basis_representatives().reshape(sq.dim, res_n.syzygy(k).dim, res_m.syzygy(st.lo).dim)
+            lifted = lift_chain_map(reps, st.lo, i, st.hi, res_m, res_n)[0]
+            _, back = mu_forward(lifted, st.lo, i, res_m, res_n)
+            assert np.array_equal(back, np.eye(sq.dim, dtype=np.int64))
+            assert all(np.array_equal(_mu_forward_reference(f, st.lo, i, res_m, res_n)[1], row)
+                       for f, row in zip(lifted, back))
+            classes += st.dim
+            non_free += res_m.proj(st.lo).free_rank is None
+        assert mu_stage_check(m, n, i, K).ok
+    assert classes >= 100 and non_free >= 3
+
+
+def test_mu_forward_rejects_a_non_chain_component():
+    # a component that does not carry ker pi_m into ker pi_n has no induced map
+    k = simple_k(algebra_a2())
+    res = min_proj_resolution(k, 4)
+    f = np.random.default_rng(0).integers(0, 2, size=(3, res.proj(1).dim, res.proj(1).dim))
+    with pytest.raises(RuntimeError, match="descend"):
+        mu_forward(f, 1, 0, res, res)
+    # an empty block has an empty class block
+    sq, cls = mu_forward(f[:0], 1, 0, res, res)
+    assert cls.shape == (0, sq.dim)
 
 
 def test_bc_cotower_functorial_in_second_argument():

@@ -20,7 +20,8 @@ each homology space and each tensor differential once, although a space lives
 only for its degree and a differential until both its homologies are known.  So are the block calls: a
 transition of the segments route or of the Benson-Carlson cotower and a
 connecting map in Ext lift all their classes with one ``hom_solve``, and a
-segments transition converts them back with one ``class_of``.  Every
+segments transition converts them back with one ``class_of``; a stage of mu
+builds one stable-Hom space and lifts all its classes with one call.  Every
 comparison lift is ``resolve.lift_chain_map``, the one caller of
 ``hom_solve`` besides the Ext connecting map and the one place that signs a
 lift, and ``hom_solve`` takes stacks only.  A solve eliminates m beside the
@@ -454,6 +455,29 @@ def test_bc_transition_is_one_block_call(monkeypatch):
     k = simple_k(algebra_a2())
     assert cohom.bc_cotower(k, k, 0, 3).dims() == [1, 4, 16, 64]
     assert solves == [1, 4, 16]
+
+
+def test_mu_stage_is_one_block_call(monkeypatch):
+    # A2 stages have dims 1, 4, 16, 64: each stage of mu builds one stable-Hom
+    # space and lifts the representatives of all its classes with one call
+    from homct import cohom
+
+    calls = []
+    stable_hom, lift_chain_map = cohom.stable_hom, cohom.lift_chain_map
+
+    def spy_stable_hom(m, n):
+        calls.append("stable_hom")
+        return stable_hom(m, n)
+
+    def spy_lift(maps, *args):
+        calls.append(("lift", len(maps)))
+        return lift_chain_map(maps, *args)
+
+    monkeypatch.setattr(cohom, "stable_hom", spy_stable_hom)
+    monkeypatch.setattr(cohom, "lift_chain_map", spy_lift)
+    k = simple_k(algebra_a2())
+    assert cohom.mu_stage_check(k, k, 0, 3).ok
+    assert calls == [x for dim in (1, 4, 16, 64) for x in ("stable_hom", ("lift", dim))]
 
 
 def test_connecting_ext_on_non_free_projective_is_one_solve(monkeypatch):

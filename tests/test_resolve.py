@@ -595,8 +595,6 @@ def _lift_cases():
 
 
 def test_lift_chain_map_matches_per_class_reference():
-    from homct.cohom import mu_backward
-
     nonzero, non_free, odd = 0, 0, 0
     for m, n, k, i, hi in _lift_cases():
         res_m, res_n = min_proj_resolution(m, hi + 1), min_proj_resolution(n, hi - i + 1)
@@ -611,9 +609,6 @@ def test_lift_chain_map_matches_per_class_reference():
                 shape = (len(rows), res_n.proj(k + t - i).dim, res_m.proj(k + t).dim)
                 assert comp.shape == shape
                 assert np.array_equal(comp, np.array([want[r][t] for r in rows], dtype=np.int64).reshape(shape))
-        for f, w in zip(maps, want):
-            seg = mu_backward(ModuleMap(src, tgt, Matrix(m.p, f), check=False), k, i, hi, res_m, res_n)
-            assert [c.matrix.a.tolist() for c in seg.comps] == [c.tolist() for c in w]
         # a segment continued one degree is one more degree of its lift
         assert all(np.array_equal(x, y) for x, y in zip(
             lift_chain_map(lift_chain_map(maps, k, i, hi - 1, res_m, res_n), hi, i, hi, res_m, res_n),
