@@ -30,6 +30,7 @@ import numpy as np
 
 from .exactla import (
     Matrix,
+    SparseMatrix,
     Subquotient,
     Subspace,
     image_basis,
@@ -624,16 +625,28 @@ class _BlockActions(Sequence):
         return Matrix(self.base.p, _block_diagonal(self.base._action[u].a, self.b))
 
 
-def _block_diagonal(g: np.ndarray, b: int, out: np.ndarray | None = None) -> np.ndarray:
-    """kron(I_b, g) for each matrix g (r, c) of a stack (..., r, c), written through one view of
-    the diagonal blocks of the zero array ``out`` (any strided view) or of a new one: (..., b r, b c)."""
-    r, c = g.shape[-2:]
-    if out is None:
-        out = np.zeros(g.shape[:-2] + (b * r, b * c), dtype=np.int64)
-    *lead, s0, s1 = out.strides
-    diagonal = np.lib.stride_tricks.as_strided(out, out.shape[:-2] + (b, r, c), (*lead, r * s0 + c * s1, s0, s1))
-    diagonal[...] = g[..., None, :, :]
-    return out
+def _block_diagonal(g: np.ndarray, b: int) -> np.ndarray:
+    """kron(I_b, g) for each matrix g (r, c) of a stack (..., r, c): (..., b r, b c)."""
+    lead, (r, c) = g.shape[:-2], g.shape[-2:]
+    out = np.zeros(lead + (b, r, b, c), dtype=np.int64)
+    for j in range(b):
+        out[..., j, :, j, :] = g
+    return out.reshape(lead + (b * r, b * c))
+
+
+def _tiled(p: int, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+           copies: int, row_step: int, col_step: int) -> SparseMatrix:
+    """The entries (rows, cols, vals) repeated ``copies`` times, copy j shifted by j row_step rows
+    and j col_step columns: the entry form of a block-diagonal matrix."""
+    j = np.arange(copies)[:, None]
+    return SparseMatrix(p, shape, (rows + j * row_step).ravel(), (cols + j * col_step).ravel(),
+                        np.tile(vals, copies))
+
+
+def _nonzeros(p: int, a: np.ndarray) -> SparseMatrix:
+    """The entry form of a dense matrix with entries in [0, p)."""
+    rows, cols = np.nonzero(a)
+    return SparseMatrix(p, a.shape, rows, cols, a[rows, cols])
 
 
 def act(m: FdModule, x, elements=None, dual: bool = False) -> np.ndarray:
@@ -814,22 +827,17 @@ def _distinct_entries(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, cols, distinct, which.reshape(-1)
 
 
-def _write_entry_actions(entries: np.ndarray, n: FdModule, out: np.ndarray | None = None) -> np.ndarray:
+def _entry_actions(entries: np.ndarray, n: FdModule) -> SparseMatrix:
     """The block matrix whose (r, s) block is the action on n of the algebra element
-    entries[r, s], written to the zero array ``out`` or to a new one.  Only the nonzero
-    entries act; ``out`` may be any strided view, such as a transposed block of a larger
-    system.  For n = N^c each block is c copies of the action on N, written on its diagonal."""
+    entries[r, s], by its nonzero entries: only the nonzero entries act.  For n = N^c
+    each block is c copies of the action on N, on its diagonal."""
     rows, cols, _ = entries.shape
-    if out is None:
-        out = np.zeros((rows * n.dim, cols * n.dim), dtype=np.int64)
-    dn, c, e, (s0, s1) = n.dim, n.copies, n.base.dim, out.strides
-    # copy j of block (r, s): rows r * dn + j * e + x, columns s * dn + j * e + y
-    blocks = np.lib.stride_tricks.as_strided(
-        out, (rows, c, e, cols, e), (dn * s0, e * (s0 + s1), s0, dn * s1, s1))
+    dn, e = n.dim, n.base.dim
     r, s = np.nonzero(entries.any(axis=2))
-    if r.size:
-        blocks[r, :, :, s, :] = n.base.action_of(entries[r, s])[:, None]
-    return out
+    acts = n.base.action_of(entries[r, s])
+    q, x, y = np.nonzero(acts)
+    # copy j of block (r, s): rows r * dn + j * e + x, columns s * dn + j * e + y
+    return _tiled(n.p, (rows * dn, cols * dn), r[q] * dn + x, s[q] * dn + y, acts[q, x, y], n.copies, e, e)
 
 
 def simple_modules(a: Algebra, side: str = "left") -> list[FdModule]:
@@ -976,8 +984,7 @@ class FreeHomCoords:
 
     Coordinate r * dim N + v is component v of the image of generator r, so
     no basis of maps in the (dim N * dim A^b)-dimensional matrix space is built.
-    Maps between Hom spaces are written to ``out``, a zero array of shape
-    (dim tgt, dim self) that may be any strided view, or to a new one.
+    Maps between Hom spaces, (dim tgt, dim self), come by their nonzero entries.
     """
 
     def __init__(self, pmod: FdModule, qmod: FdModule):
@@ -1015,20 +1022,22 @@ class FreeHomCoords:
         sol = solve_matrix(post, Matrix(self.p, gens.T))
         return None if sol is None else sol.a.T.reshape(k, self.dim)
 
-    def postcompose(self, g: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
-        """The matrix of f -> g o f, kron(I_b, g): one copy of g per generator."""
-        return _block_diagonal(g.matrix.a, self.b, out)
+    def postcompose(self, g: ModuleMap, tgt) -> SparseMatrix:
+        """The matrix of f -> g o f, kron(I_b, g): the nonzeros of g, one copy per generator."""
+        a = g.matrix.a
+        (r, c), (x, y) = a.shape, np.nonzero(a)
+        return _tiled(self.p, (self.b * r, self.b * c), x, y, a[x, y], self.b, r, c)
 
-    def precompose(self, d: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+    def precompose(self, d: ModuleMap, tgt) -> SparseMatrix:
         """The matrix of f -> f o d into tgt = Hom(source of d, N): the entry actions of d, transposed."""
-        return _write_entry_actions(_free_block_entries(d).transpose(1, 0, 2), self.qmod, out)  # d: A^c -> A^b
+        return _entry_actions(_free_block_entries(d).transpose(1, 0, 2), self.qmod)  # d: A^c -> A^b
 
 
 class SubHomCoords:
     """Hom_A(M, N) in the coordinates of its RREF basis from ``hom_over_algebra``.
 
     The maps between Hom spaces read ``tgt.coords``, which for this type checks
-    that each image lies in tgt.
+    that each image lies in tgt, and keep the nonzeros.
     """
 
     def __init__(self, pmod: FdModule, qmod: FdModule):
@@ -1055,21 +1064,19 @@ class SubHomCoords:
         sol = solve_matrix(Matrix(self.p, posted.reshape(self.dim, flat).T), Matrix(self.p, maps.reshape(k, flat).T))
         return None if sol is None else sol.a.T
 
-    def _images(self, images: np.ndarray, tgt, out: np.ndarray | None) -> np.ndarray:
-        """Write the tgt coordinates of the images (dim, ...) of the basis maps, one column each."""
-        if out is None:
-            out = np.zeros((tgt.dim, self.dim), dtype=np.int64)
-        if self.dim:
-            out[...] = tgt.coords(images.reshape(self.dim, -1)).T
-        return out
+    def _images(self, images: np.ndarray, tgt) -> SparseMatrix:
+        """The tgt coordinates of the images (dim, ...) of the basis maps, one column each."""
+        if not self.dim:
+            return SparseMatrix(self.p, (tgt.dim, 0), [], [], [])
+        return _nonzeros(self.p, tgt.coords(images.reshape(self.dim, -1)).T)
 
-    def postcompose(self, g: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+    def postcompose(self, g: ModuleMap, tgt) -> SparseMatrix:
         """The matrix of f -> g o f into tgt = Hom(M, target of g)."""
-        return self._images(mulmod(g.matrix.a, self._maps(), self.p), tgt, out)
+        return self._images(mulmod(g.matrix.a, self._maps(), self.p), tgt)
 
-    def precompose(self, d: ModuleMap, tgt, out: np.ndarray | None = None) -> np.ndarray:
+    def precompose(self, d: ModuleMap, tgt) -> SparseMatrix:
         """The matrix of f -> f o d into tgt = Hom(source of d, N)."""
-        return self._images(mulmod(self._maps(), d.matrix.a, self.p), tgt, out)
+        return self._images(mulmod(self._maps(), d.matrix.a, self.p), tgt)
 
 
 def hom_coords(m: FdModule, n: FdModule) -> FreeHomCoords | SubHomCoords:

@@ -52,6 +52,7 @@ from .derived import (
 )
 from .exactla import (
     Matrix,
+    SparseMatrix,
     Subquotient,
     Subspace,
     kernel_basis,
@@ -130,12 +131,25 @@ def _rows(maps: np.ndarray) -> np.ndarray:
     return maps.reshape(len(maps), maps.shape[1] * maps.shape[2])
 
 
+def _placed(block: SparseMatrix, row: int, col: int, negate: bool = False, transpose: bool = False):
+    """The entries of a block of a segment system, (block or its transpose) at (row, col), negated
+    as p - v."""
+    rows, cols = (block.cols, block.rows) if transpose else (block.rows, block.cols)
+    return rows + row, cols + col, block.p - block.vals if negate else block.vals
+
+
+def _system(p: int, shape: tuple[int, int], blocks: list) -> SparseMatrix:
+    """One sparse matrix from the _placed entries of its blocks."""
+    return SparseMatrix(p, shape, *(np.concatenate(x) for x in zip(*blocks)))
+
+
 class SegmentStage:
     """H^i Hom(P, Q>=k) on the window [k+i, k+i+SEGMENT_BUFFER], as a subquotient.
 
     Class coordinates live in stacked Hom coordinates per window degree, one
-    ``algmod.hom_coords`` space each (generator images Q^b when P_t = A^b),
-    whose precompose and postcompose write the segment systems in place.
+    ``algmod.hom_coords`` space each (generator images Q^b when P_t = A^b).
+    Each segment system is one ``SparseMatrix``: the entries of its precompose
+    and postcompose blocks, offset by window degree.
     """
 
     def __init__(self, res_m: Resolution, res_n: Resolution, i: int, k: int):
@@ -180,35 +194,27 @@ class SegmentStage:
 
     def _cocycles(self) -> Subspace:
         """Z: the kernel of the squares d_Q phi_t - (-1)^i phi_{t-1} d_P, one row per condition."""
-        window = range(self.lo + 1, self.hi + 1)
-        a = np.zeros((sum(self.coords_down[t].dim for t in window), self.total), dtype=np.int64)
-        r = 0
-        for t in window:
+        blocks, r = [], 0
+        for t in range(self.lo + 1, self.hi + 1):
             tgt = self.coords_down[t]
-            rows = a[r: r + tgt.dim]
-            self.coords[t].postcompose(self.res_n.differential(t - self.i), tgt, self._at(rows, t))
-            pre = self._at(rows, t - 1)
-            self.coords[t - 1].precompose(self.res_m.differential(t), tgt, pre)
-            if self.i % 2 == 0:  # -pre, kept in [0, p)
-                np.subtract(self.p, pre, out=pre, where=pre != 0)
+            post = self.coords[t].postcompose(self.res_n.differential(t - self.i), tgt)
+            pre = self.coords[t - 1].precompose(self.res_m.differential(t), tgt)
+            blocks += [_placed(post, r, self.offsets[t]), _placed(pre, r, self.offsets[t - 1], self.i % 2 == 0)]
             r += tgt.dim
-        return kernel_basis(Matrix(self.p, a))
+        return _system(self.p, (r, self.total), blocks).kernel()
 
     def _coboundaries(self) -> Subspace:
         """B: the coboundaries of the generators of Hom(P_t, Q_{t-i+1}), one per row."""
-        a = np.zeros((sum(src.dim for src in self.coords_up.values()), self.total), dtype=np.int64)
-        r = 0
+        blocks, r = [], 0
         for t, src in sorted(self.coords_up.items()):
-            gens = a[r: r + src.dim]
             if t >= self.lo:
-                src.postcompose(self.res_n.differential(t - self.i + 1), self.coords[t], self._at(gens, t).T)
+                post = src.postcompose(self.res_n.differential(t - self.i + 1), self.coords[t])
+                blocks.append(_placed(post, r, self.offsets[t], transpose=True))
             if t < self.hi:
-                pre = self._at(gens, t + 1).T
-                src.precompose(self.res_m.differential(t + 1), self.coords[t + 1], pre)
-                if self.i % 2:
-                    np.subtract(self.p, pre, out=pre, where=pre != 0)
+                pre = src.precompose(self.res_m.differential(t + 1), self.coords[t + 1])
+                blocks.append(_placed(pre, r, self.offsets[t + 1], self.i % 2 == 1, transpose=True))
             r += src.dim
-        return Subspace(self.p, self.total, a)
+        return _system(self.p, (r, self.total), blocks).row_space()
 
     # -- segment <-> class plumbing, a block of classes (k, dim) per call ----------
     # A block of k segments is one stack (k, dim Q_{t-i}, dim P_t) per window degree t.

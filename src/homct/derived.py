@@ -58,8 +58,8 @@ from .algmod import (
     SubHomCoords,
     TensorSpace,
     _block_diagonal,
+    _entry_actions,
     _free_block_entries,
-    _write_entry_actions,
     act,
     hom_coords,
     tensor_over_algebra,
@@ -315,7 +315,7 @@ def _tensor_is_zero(d: ModuleMap, n: FdModule) -> bool:
 def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
     """Matrix of d tensor id_n between tensor components."""
     if d.source.free_rank is not None and d.target.free_rank is not None:
-        return Matrix(n.p, _write_entry_actions(_free_block_entries(d), n))
+        return _entry_actions(_free_block_entries(d), n).to_matrix()
     full = kron(d.matrix, Matrix.identity(n.p, n.dim))
     return Matrix(n.p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 
@@ -380,7 +380,7 @@ class ExtChain(_Chain):
 
     def _build(self, j: int) -> Matrix:
         d, tgt = self.res.differential(j + 1), self.hom_space(j + 1)
-        return Matrix(self.n.p, self.hom_space(j).precompose(d, tgt))
+        return self.hom_space(j).precompose(d, tgt).to_matrix()
 
     def delta(self, j: int) -> Matrix:
         """Cochain map position j -> j+1: f -> f o d_{j+1}, in Hom coordinates."""
@@ -407,7 +407,7 @@ def ext(m: FdModule, n: FdModule, i: int) -> HomologySpace:
 
 def second_arg_ext_matrix(g: ModuleMap, src: ExtChain, tgt: ExtChain, j: int) -> Matrix:
     """Matrix of postcomposition with g: Hom(P_j, n) -> Hom(P_j, n') coords."""
-    return Matrix(g.p, src.hom_space(j).postcompose(g, tgt.hom_space(j)))
+    return src.hom_space(j).postcompose(g, tgt.hom_space(j)).to_matrix()
 
 
 def ext_map(g: ModuleMap, m: FdModule, j: int) -> Matrix:

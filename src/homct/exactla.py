@@ -11,6 +11,8 @@ representative) take one vector or a block of row vectors.  w has coordinates
 c = w at the pivots, where c . basis equals c by construction, so w lies in the
 subspace iff c . block equals w at the free columns: checks multiply by the
 block only, and the dense basis is built only for callers that need rows.
+A ``SparseMatrix`` holds a mostly-zero system by its nonzero entries and
+eliminates only its core of nonzero rows and columns.
 
 A kernel basis is one elimination, of m with its columns reversed: in m's
 column order each pivot row is then zero right of its pivot column, so the
@@ -65,6 +67,7 @@ __all__ = [
     "Matrix",
     "Subspace",
     "Subquotient",
+    "SparseMatrix",
     "rref",
     "kernel_basis",
     "image_basis",
@@ -722,6 +725,75 @@ def image_basis(m: Matrix) -> Subspace:
     return Subspace(m.p, m.rows, m.a.T)
 
 
+class SparseMatrix:
+    """A matrix over F_p by its entry triples (rows, cols, vals): distinct positions, values in [1, p).
+
+    Both eliminations run on the core, the nonzero rows x nonzero columns as
+    a dense array, through ``kernel_basis`` and ``Subspace``, and embed the
+    result (the first step of structured Gaussian elimination,
+    LaMacchia-Odlyzko 1990): row operations keep zero rows and columns zero,
+    so the answer is the same canonical Subspace as on the dense matrix.
+    """
+
+    __slots__ = ("p", "shape", "rows", "cols", "vals")
+
+    def __init__(self, p: int, shape: tuple[int, int], rows, cols, vals):
+        rows, cols = (np.asarray(x, dtype=np.intp).reshape(-1) for x in (rows, cols))
+        vals = np.asarray(vals, dtype=np.int64).reshape(-1)
+        if not rows.size == cols.size == vals.size:
+            raise ValueError("entry triples of unequal lengths")
+        if rows.size and not (0 <= rows.min() and rows.max() < shape[0] and 0 <= cols.min() and cols.max() < shape[1]):
+            raise ValueError(f"entry position outside the shape {shape}")
+        if rows.size and not (1 <= vals.min() and vals.max() < p):
+            raise ValueError(f"entry values must lie in [1, {p})")
+        flat = np.sort(rows * shape[1] + cols)
+        if (flat[1:] == flat[:-1]).any():
+            raise ValueError("repeated entry position")
+        self.p, self.shape, self.rows, self.cols, self.vals = p, tuple(shape), rows, cols, vals
+
+    def to_matrix(self) -> Matrix:
+        a = np.zeros(self.shape, dtype=np.int64)
+        a[self.rows, self.cols] = self.vals
+        return Matrix(self.p, a)
+
+    def _core(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the nonzero columns, ascending; the dense core, the nonzero rows at those columns)."""
+        rows, at_row = np.unique(self.rows, return_inverse=True)
+        cols, at_col = np.unique(self.cols, return_inverse=True)
+        core = np.zeros((rows.size, cols.size), dtype=np.int64)
+        core[at_row, at_col] = self.vals
+        return cols, core
+
+    def kernel(self) -> Subspace:
+        """{v : m v = 0}: the core's kernel, plus a unit pivot at each zero column.
+
+        The unit rows are zero at the core's columns and the core's kernel rows
+        are zero at the zero columns, so together, in pivot order, they are
+        the canonical RREF; its free columns are the core kernel's."""
+        n = self.shape[1]
+        cols, core = self._core()
+        m = Matrix(self.p, core)
+        del core
+        k = kernel_basis(m)
+        pivots = np.concatenate([_free_cols(n, cols), cols[list(k.pivots)]])
+        block = np.zeros((pivots.size, k.block.shape[1]), dtype=np.int64)
+        block[pivots.size - k.dim:] = k.block
+        order = np.argsort(pivots)
+        return Subspace._from_rref(self.p, n, pivots[order].tolist(), block[order])
+
+    def row_space(self) -> Subspace:
+        """The row space: the core's, zero at the zero columns, which are free."""
+        n = self.shape[1]
+        cols, core = self._core()
+        s = Subspace(self.p, cols.size, core)
+        del core
+        pivots = cols[list(s.pivots)]
+        free = _free_cols(n, pivots)
+        block = np.zeros((s.dim, free.size), dtype=np.int64)
+        block[:, np.searchsorted(free, cols[s.free])] = s.block
+        return Subspace._from_rref(self.p, n, pivots.tolist(), block)
+
+
 class Solver:
     """m eliminated once, for solving m X = rhs against any number of right-hand sides.
 
@@ -852,18 +924,25 @@ class Subquotient:
     def __init__(self, z: Subspace, b: Subspace):
         if z.p != b.p or z.ambient_dim != b.ambient_dim:
             raise ValueError("Z/B ambient mismatch")
-        try:
-            b_in_z = z.coords(b._rows())  # raises unless every row of B lies in Z
-        except ValueError:
-            raise ValueError("B is not contained in Z") from None
+        # B <= Z puts B's pivots among Z's, at positions piv.  A row of B's RREF then has
+        # Z-coordinates 1 at its own piv, 0 at the others, and x, B's block at Z's other
+        # pivots, at comp: an RREF already.  It lies in Z iff its block at Z's free columns
+        # is Z.block[piv] + x . Z.block[comp] (see the module docstring).
+        zp = np.asarray(z.pivots, dtype=np.intp)
+        piv = np.searchsorted(zp, np.asarray(b.pivots, dtype=np.intp))
+        if piv.size and (piv[-1] >= z.dim or not np.array_equal(zp[piv], b.pivots)):
+            raise ValueError("B is not contained in Z")
+        comp = _free_cols(z.dim, piv)
+        x = b.block[:, np.searchsorted(b.free, zp[comp])]
+        spanned = _reduce(mulmod(x, z.block[comp], z.p) + z.block[piv], z.p)
+        if not np.array_equal(spanned, b.block[:, np.searchsorted(b.free, z.free)]):
+            raise ValueError("B is not contained in Z")
         self.p = z.p
         self.ambient_dim = z.ambient_dim
         self.z = z
         self.b = b
-        # B's RREF rows lead at pivots of Z, so their Z-coordinates are an RREF already
-        piv = np.searchsorted(z.pivots, b.pivots)
-        self._comp = _free_cols(z.dim, piv)
-        self._b_in_z = Subspace._from_rref(z.p, z.dim, piv.tolist(), b_in_z[:, self._comp])
+        self._comp = comp
+        self._b_in_z = Subspace._from_rref(z.p, z.dim, piv.tolist(), x)
         # Z everything and B zero: a class is its vector, and the class basis is the unit vectors
         self.unit_classes = z.dim == self.ambient_dim and b.dim == 0
 

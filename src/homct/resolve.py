@@ -575,7 +575,7 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
     # Hom(T, A) at cohomological position i is Hom(T_i, A), with maps by precomposition;
     # each space and each coboundary Hom(T_{j-1}, A) -> Hom(T_j, A) is built once
     homs = {j: hom_coords(tcx.space(j), reg) for j in range(-window - 1, window + 2)}
-    cobound = {j: Matrix(a.p, homs[j - 1].precompose(tcx.differential(j), homs[j]))
+    cobound = {j: homs[j - 1].precompose(tcx.differential(j), homs[j]).to_matrix()
                for j in range(-window, window + 2)}
     for i in degrees:
         ker, im = kernel_basis(tcx.differential(i).matrix), tcx.differential(i + 1).image()

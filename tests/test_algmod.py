@@ -1134,7 +1134,7 @@ def test_hom_precompose_matches_kronecker_induction_on_ext_deltas():
             free.add(type(dom))
             amb = kron(Matrix.identity(d.p, ec.n.dim), d.matrix.transpose())
             want = induced_on_hom_spaces(amb, dom, cod)
-            assert Matrix(d.p, dom.precompose(d, cod)) == want
+            assert dom.precompose(d, cod).to_matrix() == want
             assert ec.delta(j) == want
     assert free == {FreeHomCoords, SubHomCoords}
 
@@ -1153,7 +1153,7 @@ def test_hom_postcompose_matches_kronecker_induction_on_second_argument():
                 dom, cod = src.hom_space(j), tgt.hom_space(j)
                 amb = kron(g.matrix, Matrix.identity(g.p, src.res.proj(j).dim))
                 want = induced_on_hom_spaces(amb, dom, cod)
-                assert Matrix(g.p, dom.postcompose(g, cod)) == want
+                assert dom.postcompose(g, cod).to_matrix() == want
                 assert second_arg_ext_matrix(g, src, tgt, j) == want
 
 

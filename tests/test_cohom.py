@@ -28,7 +28,7 @@ from homct.cohom import (
     pcomp_ext,
 )
 from homct.derived import ext, ext_chain
-from homct.exactla import Matrix, Subspace, image_basis, kernel_basis, rref, solve_matrix
+from homct.exactla import Matrix, SparseMatrix, Subspace, image_basis, kernel_basis, rref, solve_matrix
 from homct.fixtures import (
     algebra_a1,
     algebra_a2,
@@ -174,22 +174,30 @@ def _ref_post(coords, g, tgt):
 
 
 
-def test_free_postcompose_writes_kron_in_any_layout():
-    # one strided write of the diagonal blocks; the coboundary system passes a
-    # transposed view into a wider array, which must be written in place
+def test_free_compose_entries_match_reference():
+    # postcompose: the nonzeros of g tiled over the generators; precompose: the
+    # nonzeros of each nonzero entry's action, tiled over the copies of N
     a = algebra_a4()
+    rng = np.random.default_rng(5)
     q = regular_module(a, "left")
     q2 = direct_sum([q, simple_k(a, "left")])
-    g = ModuleMap(q, q2, Matrix(3, np.random.default_rng(5).integers(0, 3, size=(q2.dim, q.dim))), check=False)
+    g = ModuleMap(q, q2, Matrix(3, rng.integers(0, 3, size=(q2.dim, q.dim)) * (rng.random((q2.dim, q.dim)) < 0.3)),
+                  check=False)
     for b in range(5):
         coords = FreeHomCoords(free_module(a, "left", b), q)
-        want = np.kron(np.eye(b, dtype=np.int64), g.matrix.a)
-        out = np.zeros_like(want)
-        coords.postcompose(g, None, out)
-        assert np.array_equal(out, want)
-        wide = np.zeros((want.shape[1] + 3, want.shape[0] + 2), dtype=np.int64)
-        coords.postcompose(g, None, wide[1:-2, 2:].T)
-        assert np.array_equal(wide[1:-2, 2:].T, want) and wide.sum() == want.sum()
+        post = coords.postcompose(g, None)
+        assert post.shape == (b * q2.dim, b * q.dim) and post.vals.size == b * np.count_nonzero(g.matrix.a)
+        assert np.array_equal(post.to_matrix().a, _ref_post(coords, g, None))
+        for n in (q, free_module(a, "left", 2), q2):
+            coords = FreeHomCoords(free_module(a, "left", b), n)
+            for c in (0, 1, 3):
+                gens = rng.integers(0, 3, size=(b * a.dim, c)) * (rng.random((b * a.dim, c)) < 0.4)
+                d = ModuleMap(free_module(a, "left", c), free_module(a, "left", b),
+                              Matrix(3, _free_map_matrix(free_module(a, "left", b), gens)), check=False)
+                pre = coords.precompose(d, None)
+                want = _ref_pre(coords, d, None)
+                assert pre.shape == want.shape and pre.vals.size == np.count_nonzero(want)
+                assert np.array_equal(pre.to_matrix().a, want), (b, n.dim, c)
 
 def _ref_pre(coords, d, tgt):
     """The matrix of f -> f o d: on a free P the action of every entry of d, zero or not, stacked."""
@@ -246,21 +254,20 @@ def _segment_cases():
 
 
 def test_segment_systems_match_stacked_reference(monkeypatch):
+    # each system is one sparse matrix: its kernel is Z, its row space B
     systems = {}
+    kernel, row_space = SparseMatrix.kernel, SparseMatrix.row_space
 
-    def spy_kernel(m, _fn=kernel_basis):
-        systems["z"] = m.a.copy()
-        return _fn(m)
+    def spy_kernel(self):
+        systems["z"] = self.to_matrix().a
+        return kernel(self)
 
-    class SpySubspace(Subspace):
-        __slots__ = ()
+    def spy_row_space(self):
+        systems["b"] = self.to_matrix().a
+        return row_space(self)
 
-        def __init__(self, p, ambient_dim, basis_rows=None):
-            systems["b"] = np.array(basis_rows)
-            super().__init__(p, ambient_dim, basis_rows)
-
-    monkeypatch.setattr(cohom, "kernel_basis", spy_kernel)
-    monkeypatch.setattr(cohom, "Subspace", SpySubspace)
+    monkeypatch.setattr(SparseMatrix, "kernel", spy_kernel)
+    monkeypatch.setattr(SparseMatrix, "row_space", spy_row_space)
     rng = np.random.default_rng(0)
     for m, n, i, k in _segment_cases():
         p = m.p
@@ -268,9 +275,8 @@ def test_segment_systems_match_stacked_reference(monkeypatch):
         systems.clear()
         st = SegmentStage(res_m, res_n, i, k)
         cocycles, coboundaries = _stacked_cocycles(st), _stacked_coboundaries(st)
-        # built in place, entries already in [0, p), generators of B as rows
-        if st.total:
-            assert np.array_equal(systems["z"], cocycles)
+        # generators of B as rows
+        assert np.array_equal(systems["z"], cocycles)
         assert np.array_equal(systems["b"], coboundaries.T)
         z = kernel_basis(Matrix(p, cocycles)) if st.total else Subspace.zero(p, 0)
         b = image_basis(Matrix(p, coboundaries))
@@ -359,6 +365,32 @@ def test_segments_memory_peak():
     finally:
         tracemalloc.stop()
     assert rep.dims == [1, 4, 16, 64] and peak <= 50 * 2**20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_segment_stage_memory_peak():
+    # A2 stage 3: its systems are 384 x 960 and 2016 x 960 with one nonzero per
+    # nonzero row; only their cores, 256 x 320 and 672 x 640, are dense (10 MiB
+    # peak; the dense systems and B's rows multiplied through Z peaked at 33 MiB)
+    k = simple_k(algebra_a2())
+    res = min_proj_resolution(k, 6).extend(6)
+    st, peak = _traced_peak(lambda: SegmentStage(res, res, 0, 3))
+    assert st.dim == 64 and peak <= 16 * 2**20
+
+
+def test_pcomp_depth_4_memory_peak():
+    # 148 MiB; with dense segment systems it was 525 MiB
+    k = simple_k(algebra_a2())
+    rep, peak = _traced_peak(lambda: pcomp_ext(k, k, 0, 4))
+    assert rep.dims == [1, 4, 16, 64, 256] and peak <= 256 * 2**20
 
 
 # --- mu -----------------------------------------------------------------------------

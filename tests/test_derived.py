@@ -1,6 +1,7 @@
 """Tests for Tor, Ext, connecting maps, LES exactness and Tate homology."""
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ from homct.algmod import (
     FdModule,
     ModuleMap,
     _free_block_entries,
-    _write_entry_actions,
+    _entry_actions,
     direct_sum,
     quotient_module,
     socle,
@@ -350,17 +351,17 @@ def test_entry_action_matrix_acts_only_on_nonzero_entries(p):
         sparse = dense * (rng.random((rows, cols, 1)) < 0.3)
         units = np.zeros((rows, cols, a.dim), dtype=np.int64)
         units[rng.random((rows, cols)) < 0.5] = unit
-        for entries in (dense, sparse, np.zeros_like(dense), units):
-            want = _entry_action_matrix_reference(entries, n)
-            assert np.array_equal(_write_entry_actions(entries, n), want.a)
-            # written in place into a transposed block of a larger zero array
-            wide = np.zeros((cols * n.dim + 2, rows * n.dim), dtype=np.int64)
-            _write_entry_actions(entries, n, wide[1:-1].T)
-            assert np.array_equal(wide[1:-1].T, want.a) and wide.sum() == want.a.sum()
+        # N^3 is kept as three copies of N: each action's nonzeros are tiled over them
+        for entries, m in itertools.product((dense, sparse, np.zeros_like(dense), units), (n, free_module(a, "left", 3))):
+            want = _entry_action_matrix_reference(entries, m)
+            got = _entry_actions(entries, m)
+            # the nonzeros of the nonzero entries' actions, and nothing else
+            assert got.vals.size == np.count_nonzero(want.a)
+            assert got.to_matrix() == want
     # the blocks of a resolution differential
     d = min_proj_resolution(simple_k(a, "right"), 2).differential(2)
     entries = _free_block_entries(d)
-    assert np.array_equal(_write_entry_actions(entries, n), _entry_action_matrix_reference(entries, n).a)
+    assert _entry_actions(entries, n).to_matrix() == _entry_action_matrix_reference(entries, n)
 
 
 # --- tensor spaces as block operators ---------------------------------------

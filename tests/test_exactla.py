@@ -15,6 +15,7 @@ from homct.exactla import (
     MAX_MODULUS,
     Matrix,
     Solver,
+    SparseMatrix,
     Subquotient,
     Subspace,
     _UPDATE_ENTRIES,
@@ -1035,3 +1036,110 @@ def test_coords_multiplies_by_the_non_pivot_block_only(monkeypatch):
     monkeypatch.setattr(exactla, "mulmod", spy)
     assert np.array_equal(s.coords(members), np.arange(10).reshape(2, 5) % 5)
     assert shapes == [(5, 1)]
+
+
+# --- the sparse form: eliminations of the core -----------------------------------
+
+SPARSE_PRIMES = [2, 3, 2**31 - 1]
+
+
+def _sparse_of(p, a, rng):
+    """The entry form of the dense a, its entries in a random order."""
+    rows, cols = np.nonzero(a)
+    order = rng.permutation(rows.size)
+    return SparseMatrix(p, a.shape, rows[order], cols[order], a[rows[order], cols[order]])
+
+
+def _bit_identical(s, ref):
+    return (s == ref and np.array_equal(s.free, ref.free)
+            and s.block.dtype == ref.block.dtype and s.block.shape == ref.block.shape)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_eliminations_match_dense(p, seed):
+    # kernel() and row_space() eliminate only the nonzero rows x nonzero columns
+    rng = np.random.default_rng(seed)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 4), (7, 9), (20, 13), (13, 20), (90, 80)]
+    for (rows, cols), density in itertools.product(shapes, (0.0, 0.03, 0.15, 0.6)):
+        a = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+        a[rng.random(rows) < 0.3] = 0  # zero rows
+        a[:, rng.random(cols) < 0.3] = 0  # zero columns
+        sparse = _sparse_of(p, a, rng)
+        assert sparse.to_matrix() == Matrix(p, a)
+        m = sparse.to_matrix()
+        assert _bit_identical(sparse.kernel(), kernel_basis(m))
+        assert _bit_identical(sparse.row_space(), Subspace(p, cols, a))
+        # the same matrix with its entries in another order
+        again = _sparse_of(p, a, rng)
+        assert _bit_identical(again.kernel(), kernel_basis(m)) and again.row_space() == sparse.row_space()
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_sparse_all_zero_and_empty_shapes(p):
+    for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 5)):
+        zero = SparseMatrix(p, (rows, cols), [], [], [])
+        assert zero.to_matrix() == Matrix.zeros(p, rows, cols)
+        assert _bit_identical(zero.kernel(), Subspace.full(p, cols))
+        assert _bit_identical(zero.row_space(), Subspace.zero(p, cols))
+
+
+def test_sparse_rejects_malformed_entries():
+    with pytest.raises(ValueError, match="unequal"):
+        SparseMatrix(3, (2, 2), [0, 1], [0], [1, 1])
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix(3, (2, 2), [2], [0], [1])
+    with pytest.raises(ValueError, match=r"\[1, 3\)"):
+        SparseMatrix(3, (2, 2), [0], [0], [0])
+    with pytest.raises(ValueError, match=r"\[1, 3\)"):
+        SparseMatrix(3, (2, 2), [0], [0], [3])
+    with pytest.raises(ValueError, match="repeated"):
+        SparseMatrix(3, (2, 2), [1, 0, 1], [1, 0, 1], [1, 2, 2])
+
+
+# --- Subquotient: B in Z's coordinates from B's RREF -----------------------------
+
+def _ref_b_in_z(z, b):
+    """(piv, comp, block) as Subquotient first read them: Z-coordinates of B's dense rows."""
+    b_in_z = z.coords(b._rows())
+    piv = np.searchsorted(z.pivots, b.pivots)
+    comp = np.delete(np.arange(z.dim), piv)
+    return piv, comp, b_in_z[:, comp]
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+@pytest.mark.parametrize("seed", range(4))
+def test_subquotient_reads_b_in_z_from_its_rref(p, seed):
+    rng = np.random.default_rng(seed)
+    for n, zr, br in ((0, 0, 0), (1, 1, 0), (1, 1, 1), (6, 3, 2), (12, 8, 5), (30, 20, 12), (12, 12, 12), (40, 9, 3)):
+        z = Subspace(p, n, rng.integers(0, p, size=(zr, n)) * (rng.random((zr, n)) < 0.6))
+        b = Subspace(p, n, z.from_coords(rng.integers(0, p, size=(br, z.dim))))
+        sq = Subquotient(z, b)
+        piv, comp, block = _ref_b_in_z(z, b)
+        assert np.array_equal(sq._comp, comp) and sq._b_in_z.pivots == tuple(piv.tolist())
+        assert np.array_equal(sq._b_in_z.block, block) and sq._b_in_z.block.dtype == block.dtype
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_subquotient_rejects_both_containment_failures(p):
+    # a pivot of B outside Z's pivots, and B's pivots among Z's with a row of B outside Z
+    z = Subspace(p, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    for b_rows in ([[0, 0, 1, 0]], [[1, 0, 0, 0]], [[1, 0, 1, 0], [0, 1, 0, 0]]):
+        with pytest.raises(ValueError, match="B is not contained in Z"):
+            Subquotient(z, Subspace(p, 4, b_rows))
+    rng = np.random.default_rng(p % 1000)
+    modes = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        z = Subspace(p, n, rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n)))
+        rows = z.from_coords(rng.integers(0, p, size=(int(rng.integers(1, 4)), z.dim)))
+        rows[:, z.free] = (rows[:, z.free] + rng.integers(0, p, size=(len(rows), len(z.free)))
+                           * (rng.random((len(rows), len(z.free))) < 0.3)) % p
+        b = Subspace(p, n, rows)
+        if z.contains(b._rows()):
+            assert Subquotient(z, b).dim == z.dim - b.dim
+            continue
+        modes.add(set(b.pivots) <= set(z.pivots))
+        with pytest.raises(ValueError, match="B is not contained in Z"):
+            Subquotient(z, b)
+    assert modes == {False, True}
