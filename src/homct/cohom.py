@@ -43,11 +43,11 @@ from .algmod import (
 )
 from .completion import StabilizationReport, Tower, cosyzygy_tower, tower_limit
 from .derived import (
-    ShortExactSeq,
     connecting_ext,
     ext,
     ext_chain,
     ext_map,
+    syzygy_ses,
     tensor_chain,
 )
 from .exactla import (
@@ -303,8 +303,7 @@ def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, 
             raise RuntimeError("internal route mismatch: satellite != transition image")
         # Theta-naturality: delta_ext o Theta = (-1)^i Theta o transition.
         # The sign comes from d_Q f_{lo+1} = (-1)^i f_lo d_P at the seam.
-        ses = ShortExactSeq(incl, res_n.cover_map(k - 1))
-        delta = connecting_ext(ses, m, k + i - 1)
+        delta = connecting_ext(syzygy_ses(res_n.module, k), m, k + i - 1)
         sign = 1 if i % 2 == 0 else m.p - 1
         _, via_theta = st_prev.theta_ext_class(np.eye(st_prev.dim, dtype=np.int64))
         if not np.array_equal(delta.apply(via_theta), (sign * theta_moved) % m.p):
@@ -463,9 +462,7 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         if tor_tower.stage_dim(k) == 0 or tor_tower.stage_dim(k - 1) == 0:
             signs[k] = 1
             continue
-        omega_k = res_n.syzygy(k)
-        ses = ShortExactSeq(res_n.syzygy_incl(k), res_n.cover_map(k - 1))
-        delta_ext = connecting_ext(ses, m_op, k + i - 1)
+        delta_ext = connecting_ext(syzygy_ses(n_op, k), m_op, k + i - 1)
         delta_tor = tor_tower.maps[k]
         # <delta_tor z, c>_{k-1} vs <z, delta_ext c>_k
         lhs = pairings[k - 1].transpose() @ delta_tor  # indexed (c_{k-1}, z_k)

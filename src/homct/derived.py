@@ -11,11 +11,13 @@ known.  The functoriality in the second argument is three functions:
 ``tensor_map`` (id_{P_i} tensor g between memoized chains), ``tor_map`` and
 ``ext_map`` (Tor_i(m, g) and Ext^j(m, g) in class coordinates).  Other modules build no
 tensor differential and no second-argument map of their own.  A differential
-d tensor id_n between free components is zero exactly when every algebra entry
-of d annihilates n.  Over a local algebra with rad^2 = 0, such as A2, the
-entries of a minimal resolution lie in rad A and every cosyzygy is semisimple,
-so every cosyzygy-tower stage is such a chain.  The zero is read off the
-entries, never built for homology, and the cycles are the whole component.
+d tensor id_n between free components, and f -> f o d on Hom(-, n), is zero
+exactly when every algebra entry of d annihilates n (``_acts_as_zero``).  Over
+a local algebra with rad^2 = 0, such as A2, the entries of a minimal
+resolution lie in rad A and every cosyzygy and syzygy is semisimple, so every
+stage of a cosyzygy tower or of the duality route's Ext cotower is such a
+chain.  The zero is read off the entries, never built for homology, and the
+cycles are the whole component.
 
 Homology spaces always carry cycle representatives (through Subquotient), so
 connecting maps and tower transition maps are computed on witnesses and then
@@ -28,20 +30,28 @@ of the actions of d_{j+1}'s algebra entries on N and a second-argument map
 is kron(I_b, g); no basis of maps is built and no Kronecker system is solved.
 Out of a non-free P_j the cochains keep the RREF basis of the Hom subspace.
 
-Connecting maps in Tor are snake maps read off the short exact sequence
-0 -> N' -f-> N -g-> N'' -> 0.  The sequence eliminates f and g once each
-(``exactla.Solver``) and keeps, for every basis element u of A, the operator
-V_u = T_f . act_u(N) . S_g, where S_g is the section of g and T_f the
-transform with T_f f = rref(f).  On free P_i and P_{i-1}, a differential is
-d_i = sum_u D_u a_u with D_u the coefficient matrices of its entries, so T_f
-applied to the boundary of the lift of a cycle y of P_i tensor N'' is
-sum_u (D_u tensor V_u) y.  Its rows below rank f must vanish (the boundary
-lies in im f), and its top rows are the preimage under id tensor f: the
-middle chain P tensor N is never built.  When the classes of P_i tensor N''
-are unit vectors (zero differentials on both sides), the map is
-sum_u D_u tensor scatter(V_u) itself, written block by block from the entries
-of d_i with no representative block.  On a non-free P the map is two solves
-through the middle chain, one per map.
+Connecting maps in Tor and in Ext are one snake (``_connecting``) read off
+the short exact sequence 0 -> N' -f-> N -g-> N'' -> 0.  The sequence
+eliminates f and g once each (``exactla.Solver``) and keeps, for every basis
+element u of A, the operator V_u = T_f . act_u(N) . S_g, where S_g is the
+section of g and T_f the transform with T_f f = rref(f).  On free P_i and
+P_{i-1}, a differential is d_i = sum_u D_u a_u with D_u the coefficient
+matrices of its entries, so T_f applied to the boundary of the lift of a
+cycle y of P_i tensor N'' is sum_u (D_u tensor V_u) y.  Its rows below rank f
+must vanish (the boundary lies in im f), and its top rows are the preimage
+under id tensor f: the middle chain P tensor N is never built.  In Ext a
+cocycle of Hom(P_{i-1}, N'') = (N'')^b is its generator images y_s, and the
+lifted cocycle composed with d_i sends generator t of P_i to
+sum_s e_st . S_g y_s, so the Ext snake is the Tor snake over d_i's entries
+with rows and columns swapped, and its output is in generator coordinates of
+Hom(P_i, N') already; no map is lifted and no A-linearity is checked, as
+generator images fix the map.  When the top classes are unit vectors (zero
+differentials on both sides), the map is sum_u D_u tensor scatter(V_u)
+itself, written block by block from the entries of d_i with no
+representative block.  On a non-free P the map is two solves through the
+middle chain, the same for both functors: lift through id tensor g or
+Hom(P, g), apply the middle differential, pull back through id tensor f or
+Hom(P, f).
 """
 
 from __future__ import annotations
@@ -75,11 +85,12 @@ from .exactla import (
     mulmod,
     solve_matrix,
 )
-from .resolve import CompleteResolution, Resolution, _degree_scoped, _memoized, hom_solve, min_proj_resolution
+from .resolve import CompleteResolution, Resolution, _degree_scoped, _memoized, min_proj_resolution
 
 __all__ = [
     "HomologySpace",
     "ShortExactSeq",
+    "syzygy_ses",
     "TensorChain",
     "ExtChain",
     "tor",
@@ -164,6 +175,14 @@ class ShortExactSeq:
         return mulmod(self.f_solver.transform, act(self.middle, self.g_solver.section()), self.f.p)
 
 
+def syzygy_ses(n: FdModule, k: int) -> ShortExactSeq:
+    """0 -> Omega_k n -> P_{k-1} -> Omega_{k-1} n -> 0 from n's minimal resolution (k >= 1),
+    checked once per process; every reader shares its eliminations and snake operators."""
+    res = min_proj_resolution(n, k)
+    incl, cover = res.syzygy_incl(k), res.cover_map(k - 1)
+    return _memoized(("syzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, cover))
+
+
 def _homology(i: int, p: int, dim: int, out, into) -> HomologySpace:
     """ker(out()) / im(into()) in degree i, where the space has dimension dim.
 
@@ -199,6 +218,7 @@ class _Chain:
         self.res = res
         self.n = n
         self._diffs: dict[int, Matrix | None] = {}  # None: zero, never built for homology
+        self._zero_diffs: dict[int, Matrix] = {}  # zero differentials that a reader asked for
         self._homology: dict[int, HomologySpace] = {}
         self._known: set[int] = set()  # degrees whose homology has been made
 
@@ -214,6 +234,16 @@ class _Chain:
             d = self._build(j)
             if d is None or not self._known.issuperset(self._sides(j)):
                 self._diffs[j] = d
+        return d
+
+    def differential(self, j: int) -> Matrix:
+        """The differential out of degree j.  A zero one is built only here, once, for readers
+        that need the matrix; homology never asks for it."""
+        d = self._differential(j)
+        if d is None:
+            d = self._zero_diffs.get(j)
+            if d is None:
+                d = self._zero_diffs[j] = Matrix.zeros(self.n.p, self.dim(self._sides(j)[1]), self.dim(j))
         return d
 
     def _read(self, i: int, out: int, into: int | None) -> HomologySpace:
@@ -241,7 +271,6 @@ class TensorChain(_Chain):
             raise ValueError("tensor chain needs a right-module resolution and a left module")
         super().__init__(res, n)
         self._components: dict[int, TensorSpace | None] = {}
-        self._zero_diffs: dict[int, Matrix] = {}  # zero differentials that a reader asked for
 
     def _space(self, j: int) -> FdModule | None:
         """The projective in degree j; None below degree 0."""
@@ -262,22 +291,12 @@ class TensorChain(_Chain):
 
     def _build(self, j: int) -> Matrix | None:
         """d_j tensor id_n, or None when it is zero: at the boundary, or when
-        ``_tensor_is_zero`` reads it off d_j's entries, so no zero matrix is built."""
+        ``_acts_as_zero`` reads it off d_j's entries, so no zero matrix is built."""
         src, tgt = self.component(j), self.component(j - 1)
         if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
             return None
         d = self.res.differential(j)
-        return None if _tensor_is_zero(d, self.n) else first_arg_tensor_matrix(d, src, tgt, self.n)
-
-    def differential(self, j: int) -> Matrix:
-        """Component map degree j -> j-1.  A zero one is built only here, once, for readers
-        that need the matrix; homology never asks for it."""
-        d = self._differential(j)
-        if d is None:
-            d = self._zero_diffs.get(j)
-            if d is None:
-                d = self._zero_diffs[j] = Matrix.zeros(self.n.p, self.dim(j - 1), self.dim(j))
-        return d
+        return None if _acts_as_zero(d, self.n) else first_arg_tensor_matrix(d, src, tgt, self.n)
 
     def homology(self, i: int) -> HomologySpace:
         return self._read(i, i, i + 1)
@@ -297,14 +316,15 @@ class TateChain(TensorChain):
     homology = TensorChain.homology
 
 
-def _tensor_is_zero(d: ModuleMap, n: FdModule) -> bool:
-    """Is d tensor id_n zero?  Decided from d's algebra entries between free modules, False otherwise.
+def _acts_as_zero(d: ModuleMap, n: FdModule) -> bool:
+    """Are d tensor id_n and f -> f o d on Hom(-, n) zero?  Decided from d's algebra entries
+    between free modules, False otherwise.
 
-    Block (r, s) of d tensor id_n is the action on n of the entry (r, s), so the map is zero
-    iff every distinct nonzero entry annihilates n: one product of those entries, which d
-    keeps, with n's actions.  Testing the basis elements an entry uses would not do, as
-    over a group algebra the entries are sums such as g - 1, which annihilate the trivial
-    module while g and 1 do not.
+    Block (r, s) of d tensor id_n, and block (s, r) of f -> f o d, is the action on n of the
+    entry (r, s), so both maps are zero iff every distinct nonzero entry annihilates n: one
+    product of those entries, which d keeps, with n's actions.  Testing the basis elements an
+    entry uses would not do, as over a group algebra the entries are sums such as g - 1, which
+    annihilate the trivial module while g and 1 do not.
     """
     if d.source.free_rank is None or d.target.free_rank is None:
         return False
@@ -378,13 +398,10 @@ class ExtChain(_Chain):
     def _sides(self, j: int) -> tuple[int, int]:
         return j, j + 1
 
-    def _build(self, j: int) -> Matrix:
-        d, tgt = self.res.differential(j + 1), self.hom_space(j + 1)
-        return self.hom_space(j).precompose(d, tgt).to_matrix()
-
-    def delta(self, j: int) -> Matrix:
-        """Cochain map position j -> j+1: f -> f o d_{j+1}, in Hom coordinates."""
-        return self._differential(j)
+    def _build(self, j: int) -> Matrix | None:
+        """f -> f o d_{j+1} in Hom coordinates, or None when ``_acts_as_zero`` reads it off d_{j+1}'s entries."""
+        d = self.res.differential(j + 1)
+        return None if _acts_as_zero(d, self.n) else self.hom_space(j).precompose(d, self.hom_space(j + 1)).to_matrix()
 
     def cohomology(self, i: int) -> HomologySpace:
         """H^i in Hom-space coordinates (ambient = hom_space(i) coords)."""
@@ -419,15 +436,20 @@ def ext_map(g: ModuleMap, m: FdModule, j: int) -> Matrix:
     return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(g, src, tgt, j))
 
 
-def _snake_by_operators(ses: ShortExactSeq, d: ModuleMap, reps: np.ndarray) -> np.ndarray:
+def _snake_by_operators(ses: ShortExactSeq, d: ModuleMap, reps: np.ndarray, transposed: bool) -> np.ndarray:
     """Preimages under id tensor f of the boundaries of the lifts of reps, on free P_i and P_{i-1}.
 
     d: P_i -> P_{i-1} is sum_u D_u a_u with D_u the coefficient matrices of
     its entries, so T_f applied to the boundary of a lifted y is
     sum_u (D_u tensor V_u) y: no vector of P tensor middle is formed.  reps
     holds one representative per column, generator-major (b_i * dim right, k).
+    transposed reads d's entries with rows and columns swapped: the Ext snake,
+    whose reps and preimages are generator images, of Hom(P_{i-1}, right) and
+    Hom(P_i, left).
     """
     p, entries = ses.f.p, _free_block_entries(d)  # (b_{i-1}, b_i, dim A)
+    if transposed:
+        entries = entries.transpose(1, 0, 2)
     (b_lo, b_hi, _), r, k = entries.shape, ses.right.dim, reps.shape[1]
     y = reps.reshape(b_hi, r, k)
     if not ses.g_solver.consistent(y):
@@ -444,10 +466,11 @@ def _snake_by_operators(ses: ShortExactSeq, d: ModuleMap, reps: np.ndarray) -> n
     return pulled.reshape(ses.left.dim, b_lo, k).transpose(1, 0, 2).reshape(b_lo * ses.left.dim, k)
 
 
-def _snake_on_units(ses: ShortExactSeq, d: ModuleMap) -> np.ndarray:
-    """``_snake_by_operators`` when the representatives are every unit vector of P_i tensor right,
-    as they are when that chain's differentials are zero: the matrix sum_u D_u tensor W_u,
-    W_u = scatter(V_u), written from d's entries with no identity block.
+def _snake_on_units(ses: ShortExactSeq, d: ModuleMap, transposed: bool) -> np.ndarray:
+    """``_snake_by_operators`` when the representatives are every unit vector of P_i tensor right
+    (or of Hom(P_{i-1}, right), transposed), as they are when that chain's differentials are
+    zero: the matrix sum_u D_u tensor W_u, W_u = scatter(V_u), written from d's entries with no
+    identity block.
 
     Its (r, s) block is the entry e_rs acting through the operators, scatter(e_rs . V): one
     product of the distinct nonzero entries with V.  The unit columns are independent, so the
@@ -459,6 +482,8 @@ def _snake_on_units(ses: ShortExactSeq, d: ModuleMap) -> np.ndarray:
     if ses.g_solver.rank != r:  # some unit vector does not lift through g
         raise RuntimeError("connecting map: lift through the surjection failed")
     rows, cols, distinct, which = d.distinct_entries
+    if transposed:
+        rows, cols, b_lo, b_hi = cols, rows, b_hi, b_lo
     v = ses.snake_operators  # (dim A, dim middle, r)
     sums = mulmod(distinct, v.reshape(dim_a, -1), p).reshape(len(distinct), v.shape[1], r)
     pulled = ses.f_solver.scatter(sums.transpose(1, 0, 2).reshape(v.shape[1], -1))
@@ -470,70 +495,55 @@ def _snake_on_units(ses: ShortExactSeq, d: ModuleMap) -> np.ndarray:
     return out
 
 
-def _snake_by_solves(ses: ShortExactSeq, m: FdModule, i: int, reps: np.ndarray) -> np.ndarray:
-    """The same preimages on a non-free P_i or P_{i-1}: one solve per map through the middle chain."""
-    p, depth = m.p, i + 1
-    c_left, c_mid, c_right = (tensor_chain(m, x, depth) for x in (ses.left, ses.middle, ses.right))
-    res = c_mid.res
-    lifted = solve_matrix(second_arg_tensor_matrix(ses.g, c_mid.component(i), c_right.component(i), res.proj(i)),
-                          Matrix(p, reps))
+def _snake_by_solves(g: Matrix, d_mid: Matrix, f: Matrix, reps: np.ndarray) -> np.ndarray:
+    """The same preimages on a non-free P: lift reps through g, apply the middle differential,
+    pull back through f, one solve per map."""
+    lifted = solve_matrix(g, Matrix(g.p, reps))
     if lifted is None:
         raise RuntimeError("connecting map: lift through the surjection failed")
-    boundaries = c_mid.differential(i) @ lifted
-    pulled = solve_matrix(second_arg_tensor_matrix(ses.f, c_left.component(i - 1), c_mid.component(i - 1),
-                                                   res.proj(i - 1)), boundaries)
+    pulled = solve_matrix(f, d_mid @ lifted)
     if pulled is None:
         raise RuntimeError("connecting map: boundary did not come from the kernel")
     return pulled.a
+
+
+def _connecting(ses: ShortExactSeq, m: FdModule, h_top: HomologySpace, h_bot: HomologySpace,
+                res: Resolution, i: int, transposed: bool, solves) -> Matrix:
+    """The snake map h_top -> h_bot across d_i of m's resolution, in class coordinates; a zero
+    matrix when either side is zero.  On free P_i and P_{i-1} it reads the snake operators over
+    d_i's entries, transposed for Ext; otherwise solves() gives the maps (g, d_mid, f) of the
+    two solves."""
+    if h_top.dim == 0 or h_bot.dim == 0:
+        return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
+    d = res.differential(i)
+    if d.source.free_rank is None or d.target.free_rank is None:
+        pulled = _snake_by_solves(*solves(), h_top.sq.basis_representatives().T)
+    elif h_top.sq.unit_classes:
+        pulled = _snake_on_units(ses, d, transposed)
+    else:
+        # batch the snake over all class representatives, one per column
+        pulled = _snake_by_operators(ses, d, h_top.sq.basis_representatives().T, transposed)
+    return Matrix(m.p, h_bot.class_of(pulled.T).T)
 
 
 def connecting_tor(ses: ShortExactSeq, m: FdModule, i: int) -> Matrix:
     """Snake map Tor_i(m, N'') -> Tor_{i-1}(m, N') in class coordinates."""
     if i < 1:
         raise ValueError("connecting map needs i >= 1")
-    c_right = tensor_chain(m, ses.right, i + 1)
-    h_top = c_right.homology(i)
-    h_bot = tensor_chain(m, ses.left, i + 1).homology(i - 1)
-    if h_top.dim == 0 or h_bot.dim == 0:
-        return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    res = c_right.res
-    free = res.proj(i).free_rank is not None and res.proj(i - 1).free_rank is not None
-    if free and h_top.sq.unit_classes:
-        pulled = _snake_on_units(ses, res.differential(i))
-    else:
-        # batch the snake over all class representatives, one per column
-        reps = h_top.sq.basis_representatives().T
-        pulled = _snake_by_operators(ses, res.differential(i), reps) if free else _snake_by_solves(ses, m, i, reps)
-    return Matrix(m.p, h_bot.class_of(pulled.T).T)
+    left, right = (tensor_chain(m, x, i + 1) for x in (ses.left, ses.right))
+    return _connecting(ses, m, right.homology(i), left.homology(i - 1), right.res, i, False,
+                       lambda: (tensor_map(ses.g, m, i), tensor_chain(m, ses.middle, i + 1).differential(i),
+                                tensor_map(ses.f, m, i - 1)))
 
 
 def connecting_ext(ses: ShortExactSeq, m: FdModule, j: int) -> Matrix:
     """Connecting map Ext^j(m, X'') -> Ext^{j+1}(m, X') in class coordinates."""
     if j < 0:
         raise ValueError("connecting map needs j >= 0")
-    depth = j + 2
-    e_left = ext_chain(m, ses.left, depth)
-    e_mid = ext_chain(m, ses.middle, depth)
-    e_right = ext_chain(m, ses.right, depth)
-    h_top = e_right.cohomology(j)
-    h_bot = e_left.cohomology(j + 1)
-    if h_top.dim == 0 or h_bot.dim == 0:
-        return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
-    p, k, pj, dp = m.p, h_top.dim, e_mid.res.proj(j), e_mid.res.proj(j + 1).dim
-    reps = e_right.hom_space(j).to_ambient(h_top.sq.basis_representatives())  # (k, dim right, dim P_j)
-    lifted = hom_solve(pj, ses.middle, ses.g.matrix, reps)  # every class lifted through g in one call
-    # the boundaries P_{j+1} -> middle land in im f; f is injective, so one
-    # solve with the k boundaries side by side gives each its unique preimage
-    boundaries = mulmod(lifted, e_mid.res.differential(j + 1).matrix.a, p)
-    pulled = ses.f_solver.solve(boundaries.transpose(1, 0, 2).reshape(ses.middle.dim, k * dp))
-    if pulled is None:
-        raise RuntimeError("ext connecting map: pullback through injection failed")
-    hom, maps = e_left.hom_space(j + 1), pulled.reshape(ses.left.dim, k, dp).swapaxes(0, 1)
-    coords = hom.coords(maps.reshape(k, -1))
-    # generator coordinates read only the generators' images: the maps must be the A-linear ones they fix
-    if not np.array_equal(hom.to_ambient(coords), maps):
-        raise RuntimeError("ext connecting map: pullback is not A-linear")
-    return Matrix(m.p, h_bot.class_of(coords).T)
+    left, middle, right = (ext_chain(m, x, j + 2) for x in (ses.left, ses.middle, ses.right))
+    return _connecting(ses, m, right.cohomology(j), left.cohomology(j + 1), right.res, j + 1, True,
+                       lambda: (second_arg_ext_matrix(ses.g, middle, right, j), middle.differential(j),
+                                second_arg_ext_matrix(ses.f, left, middle, j + 1)))
 
 
 @dataclass

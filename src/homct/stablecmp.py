@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algmod import FdModule, dual_module, regular_module, submodule
-from .derived import HomologySpace, ShortExactSeq, TensorChain, connecting_ext, ext, tensor_chain, tensor_map, tor
+from .derived import HomologySpace, TensorChain, connecting_ext, ext, syzygy_ses, tensor_chain, tensor_map, tor
 from .exactla import Matrix, image_basis, kernel_basis, rref, solve_matrix, vstack
 from .resolve import (
     detect_periodicity,
@@ -364,8 +364,7 @@ def stable_homology_via_duality(m: FdModule, n: FdModule, i: int, K: int, w: int
     stages = [ext(m_op, res.syzygy(k), k + i) for k in range(k_min, K + 1)]
     maps = {}
     for k in range(k_min, K):
-        ses = ShortExactSeq(res.syzygy_incl(k + 1), res.cover_map(k))
-        maps[k] = connecting_ext(ses, m_op, k + i)
+        maps[k] = connecting_ext(syzygy_ses(dn_op, k + 1), m_op, k + i)
     rep = cotower_limit(Tower(i, k_min, stages, maps, "stable-via-duality"), w)
     rep.provenance = "stable-via-duality"
     return rep

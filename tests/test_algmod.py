@@ -1135,7 +1135,7 @@ def test_hom_precompose_matches_kronecker_induction_on_ext_deltas():
             amb = kron(Matrix.identity(d.p, ec.n.dim), d.matrix.transpose())
             want = induced_on_hom_spaces(amb, dom, cod)
             assert dom.precompose(d, cod).to_matrix() == want
-            assert ec.delta(j) == want
+            assert ec.differential(j) == want
     assert free == {FreeHomCoords, SubHomCoords}
 
 

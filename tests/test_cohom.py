@@ -393,6 +393,16 @@ def test_pcomp_depth_4_memory_peak():
     assert rep.dims == [1, 4, 16, 64, 256] and peak <= 256 * 2**20
 
 
+def test_duality_ext_depth_6_memory_peak():
+    # 118 MiB; lifting every Ext class as a dense stack of maps through g peaked at 1023 MiB
+    from homct.stablecmp import stable_homology_via_duality
+
+    a2 = algebra_a2()
+    rep, peak = _traced_peak(lambda: stable_homology_via_duality(simple_k(a2, "right"), simple_k(a2, "left"), 0, 6,
+                                                                 w=2, realization="ext"))
+    assert rep.dims == [1, 4, 16, 64, 256, 1024, 4096] and peak <= 256 * 2**20
+
+
 # --- mu -----------------------------------------------------------------------------
 
 def test_mu_stage_check_a1():

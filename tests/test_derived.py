@@ -28,11 +28,12 @@ from homct.algmod import (
     simple_modules,
     tensor_over_algebra,
 )
+import homct.derived as derived
 from homct.derived import (
     ExtChain,
     TensorChain,
     _snake_by_operators,
-    _tensor_is_zero,
+    _acts_as_zero,
     first_arg_tensor_matrix,
     ShortExactSeq,
     connecting_ext,
@@ -55,6 +56,7 @@ from homct.exactla import (
     Subspace,
     image_basis,
     kernel_basis,
+    mulmod,
     quotient_projection,
     rref,
     solve_matrix,
@@ -71,7 +73,9 @@ from homct.fixtures import (
     klein_four_table,
     simple_k,
 )
-from homct.resolve import Resolution, complete_resolution, end_degree, min_inj_resolution, min_proj_resolution
+from homct.resolve import (
+    Resolution, complete_resolution, end_degree, hom_solve, min_inj_resolution, min_proj_resolution,
+)
 from homct.schemas import parse_module_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -470,7 +474,7 @@ def _connecting_by_operators_reference(ses, m, i):
     if top is None or bot is None:
         return Matrix.zeros(m.p, 0 if bot is None else bot.dim, 0 if top is None else top.dim)
     res = min_proj_resolution(m, i + 1)
-    pulled = _snake_by_operators(ses, res.differential(i), top.basis_representatives().T)
+    pulled = _snake_by_operators(ses, res.differential(i), top.basis_representatives().T, False)
     return Matrix(m.p, _class_of_reference(bot, pulled.T).T)
 
 
@@ -511,21 +515,30 @@ def test_zero_stage_differentials_match_the_dense_path():
     assert (len(snakes), sum(snakes)) == (29, 20)  # both the unit and the general snake ran
 
 
+def _dense_cochain_differential(chain, j):
+    """f -> f o d_{j+1} on Hom(P, n) as the general path builds it, zero or not."""
+    return chain.hom_space(j).precompose(chain.res.differential(j + 1), chain.hom_space(j + 1)).to_matrix()
+
+
 def test_zero_test_reads_the_entries_as_algebra_elements():
-    # the entry test against the dense d tensor id_n: zero over k for A2 and the group
-    # algebras, nonzero on the non-semisimple Omega^1 k over F_3[C_3 x C_3] and on A3's
-    # cyclic modules.  A group algebra's entries are sums such as g - 1: the basis
-    # elements they use act on k as nonzero, so no test by basis elements would do
+    # the entry test against the dense d tensor id_n and the dense cochain differential
+    # f -> f o d: zero over k for A2 and the group algebras, nonzero on the non-semisimple
+    # Omega^1 k over F_3[C_3 x C_3] and on A3's cyclic modules.  A group algebra's entries
+    # are sums such as g - 1: the basis elements they use act on k as nonzero, so no test
+    # by basis elements would do
     c3c3 = make_group_algebra(C3XC3_TABLE, 3)
     groups = [make_group_algebra(klein_four_table(), 2), group_algebra_c3_f3()]
     cases = [(algebra_a2(), simple_k(algebra_a2()), True)] + [(a, simple_k(a), True) for a in groups]
     cases += [(c3c3, min_inj_resolution(simple_k(c3c3), 2).cosyzygy(1), False),
               (algebra_a3(), a3_mod_x(), False), (algebra_a3(), a3_mod_y(), False)]
     for a, n, zero in cases:
-        chain = tensor_chain(simple_k(a, "right"), n, 3)
+        chain, cochain = tensor_chain(simple_k(a, "right"), n, 3), ext_chain(simple_k(a), n, 3)
         for j in (1, 2, 3):
             d = chain.res.differential(j)
-            assert _tensor_is_zero(d, n) == _dense_differential(chain, j).is_zero() == zero
+            assert _acts_as_zero(d, n) == _dense_differential(chain, j).is_zero() == zero
+            d = cochain.res.differential(j)
+            assert _acts_as_zero(d, n) == _dense_cochain_differential(cochain, j - 1).is_zero() == zero
+            assert (cochain._differential(j - 1) is None) == zero
             if a in groups:
                 used = np.flatnonzero(_free_block_entries(d).any(axis=(0, 1)))
                 assert n.action_of(np.eye(a.dim, dtype=np.int64)[used]).any()
@@ -661,24 +674,99 @@ def test_ext_long_exact_sequence():
         assert digests == _EXT_CONNECTING[name], name
 
 
-def test_connecting_ext_rejects_a_pullback_that_is_not_a_linear():
-    # generator coordinates read only the generators' images, so a pullback that
-    # is wrong elsewhere must be caught before its classes are read
-    a2 = algebra_a2()
+def _cohomology_reference(chain, j):
+    """H^j from the dense cochain differentials, one kernel and one image elimination; None for a zero space."""
+    if chain.dim(j) == 0:
+        return None
+    into = Subspace.zero(chain.n.p, chain.dim(j)) if j == 0 else image_basis(_dense_cochain_differential(chain, j - 1))
+    return Subquotient(kernel_basis(_dense_cochain_differential(chain, j)), into)
+
+
+def _connecting_ext_reference(ses, m, j):
+    """connecting_ext as it was before it read the snake operators: the classes lifted through g
+    as a dense stack of maps (hom_solve), multiplied by the dense d_{j+1}, pulled back through f
+    and read in generator coordinates once the maps are checked to be the A-linear ones."""
+    e_left, e_mid, e_right = (ext_chain(m, x, j + 2) for x in (ses.left, ses.middle, ses.right))
+    h_top, h_bot = _cohomology_reference(e_right, j), _cohomology_reference(e_left, j + 1)
+    if h_top is None or h_bot is None or h_top.dim == 0 or h_bot.dim == 0:
+        return Matrix.zeros(m.p, 0 if h_bot is None else h_bot.dim, 0 if h_top is None else h_top.dim)
+    k, pj, dp = h_top.dim, e_mid.res.proj(j), e_mid.res.proj(j + 1).dim
+    reps = e_right.hom_space(j).to_ambient(h_top.basis_representatives())  # (k, dim right, dim P_j)
+    lifted = hom_solve(pj, ses.middle, ses.g.matrix, reps)
+    boundaries = mulmod(lifted, e_mid.res.differential(j + 1).matrix.a, m.p)
+    pulled = ses.f_solver.solve(boundaries.transpose(1, 0, 2).reshape(ses.middle.dim, k * dp))
+    assert pulled is not None
+    hom, maps = e_left.hom_space(j + 1), pulled.reshape(ses.left.dim, k, dp).swapaxes(0, 1)
+    coords = hom.coords(maps.reshape(k, -1))
+    assert np.array_equal(hom.to_ambient(coords), maps)  # the pullbacks are A-linear
+    return Matrix(m.p, _class_of_reference(h_bot, coords).T)
+
+
+def _socle_plus_free_ses(a):
+    """0 -> soc A -> A + A -> A/soc A + A -> 0 over a local algebra with a simple socle: on the
+    free summand f -> f o d is nonzero, so the top Ext classes are not unit vectors."""
+    two = free_module(a, "left", 2)
+    soc = socle(regular_module(a))
+    sub = Subspace(a.p, two.dim, np.hstack([soc.basis.a, np.zeros_like(soc.basis.a)]))
+    return ShortExactSeq(submodule_from_subspace(two, sub)[1], quotient_module(two, sub)[1])
+
+
+def _t2_two_class_case():
+    """(ses, m): the syzygy sequence of a simple S over T_2(F_3), whose P_0 is not free, and m = S + S."""
+    s = simple_modules(triangular_f3(), "left")[0]
+    res = min_proj_resolution(s, 2)
+    return ShortExactSeq(res.syzygy_incl(1), res.cover_map(0)), direct_sum([s, s])
+
+
+def _spy_snakes(monkeypatch) -> list[str]:
+    """Record which snake each connecting map runs: units, operators or solves."""
+    ran = []
+    for fn_name, path in (("_snake_on_units", "units"), ("_snake_by_operators", "operators"),
+                          ("_snake_by_solves", "solves")):
+        def spy(*args, _fn=getattr(derived, fn_name), _path=path):
+            ran.append(_path)
+            return _fn(*args)
+
+        monkeypatch.setattr(derived, fn_name, spy)
+    return ran
+
+
+def test_connecting_ext_matches_the_lifted_hom_stack(monkeypatch):
+    # bit for bit against the dense lifted-stack reference on the LES cases (units and two
+    # solves), on free cases over A1, A3 and A4 whose top classes are not units (operators),
+    # and on T_2(F_3) with two classes over a non-free P_0 (two solves)
+    ran = _spy_snakes(monkeypatch)
+    cases = [(name, ses, m, range(4)) for name, ses, m in _ext_les_cases()]
+    cases += [(name, _socle_plus_free_ses(a), simple_k(a), range(4))
+              for name, a in (("a1", algebra_a1()), ("a3", algebra_a3()), ("a4", algebra_a4()))]
+    cases.append(("t2-sum", *_t2_two_class_case(), range(2)))
+    paths = {}
+    for name, ses, m, degrees in cases:
+        for j in degrees:
+            before = len(ran)
+            got = connecting_ext(ses, m, j)
+            assert got == _connecting_ext_reference(ses, m, j), (name, j)
+            for path in ran[before:]:
+                paths.setdefault(path, set()).add((name[:2], not got.is_zero()))
+    assert {(alg, True) for alg in ("a1", "a3", "a4")} <= paths["operators"]
+    assert ("a2", True) in paths["units"] and ("t2", True) in paths["solves"]
+
+
+def test_connecting_ext_rejects_a_boundary_outside_im_f(monkeypatch):
+    # with f replaced by zero, no nonzero boundary lies in im f: each path must say so
+    # before its classes are read
+    ran = _spy_snakes(monkeypatch)
+    a2, a3 = algebra_a2(), algebra_a3()
     *_, incl, proj = min_inj_resolution(simple_k(a2, "left"), 2).cosyzygy_ses(1)
-    ses = ShortExactSeq(incl, proj)
-    solve = ses.f_solver.solve
-
-    class Skewed:
-        def solve(self, rhs):
-            out = solve(rhs)
-            out[0, 1] ^= 1  # column 1 of P_1 = A^2 is a_1 . generator 0, not a generator image
-            return out
-
-    assert connecting_ext(ses, simple_k(a2), 0).a.shape == (2, 2)
-    ses.__dict__["f_solver"] = Skewed()
-    with pytest.raises(RuntimeError, match="not A-linear"):
-        connecting_ext(ses, simple_k(a2), 0)
+    t2_ses, t2_m = _t2_two_class_case()
+    for ses, m, j, path in ((ShortExactSeq(incl, proj), simple_k(a2), 0, "units"),
+                            (_socle_plus_free_ses(a3), simple_k(a3), 1, "operators"),
+                            (t2_ses, t2_m, 0, "solves")):
+        assert not connecting_ext(ses, m, j).is_zero() and ran[-1] == path
+        broken = ShortExactSeq(ModuleMap.zero(ses.left, ses.middle), ses.g, check=False)
+        with pytest.raises(RuntimeError, match="did not come from the kernel"):
+            connecting_ext(broken, m, j)
+        assert ran[-1] == path
 
 
 # --- functoriality in the second argument -----------------------------------
@@ -780,18 +868,18 @@ def test_tate_chain_shared_per_complete_resolution():
 
 
 def test_chains_free_a_differential_once_both_its_homologies_are_known():
-    # P tensor A3/(x) over A3, whose d_2 and d_3 are nonzero, and Hom(P, k) over A2:
-    # H_2 reads d_3 as its boundaries and keeps it for H_3, which frees it; a
-    # reader then gets it rebuilt, equal to the first build and not kept again
-    a3, a2 = algebra_a3(), algebra_a2()
+    # P tensor A3/(x) and Hom(P, A3/(x)) over A3, whose differentials d_j tensor id and
+    # f -> f o d_{j+1} are nonzero: H_2 reads d_3 as its boundaries and keeps it for H_3,
+    # which frees it; a reader then gets it rebuilt, equal to the first build and not kept again
+    a3 = algebra_a3()
     tensor = TensorChain(Resolution(simple_k(a3, "right")).extend(4), a3_mod_x("left"))
-    cochains = ExtChain(Resolution(simple_k(a2)).extend(4), simple_k(a2))
+    cochains = ExtChain(Resolution(simple_k(a3)).extend(4), a3_mod_x("left"))
     for chain, lo, hi, read, j in ((tensor, 2, 3, tensor.homology, 3), (cochains, 1, 2, cochains.cohomology, 1)):
         read(lo)
         kept = chain._diffs[j].a.copy()
         read(hi)
         assert j not in chain._diffs
-        rebuilt = chain.differential(j) if chain is tensor else chain.delta(j)
+        rebuilt = chain.differential(j)
         assert np.array_equal(rebuilt.a, kept) and j not in chain._diffs
 
 

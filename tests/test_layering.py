@@ -18,17 +18,18 @@ so are the Hom spaces of a total-acyclicity check.  A resolution builds each
 stage differential once and reads its distinct entries once; a compare makes
 each homology space and each tensor differential once, although a space lives
 only for its degree and a differential until both its homologies are known.  So are the block calls: a
-transition of the segments route or of the Benson-Carlson cotower and a
-connecting map in Ext lift all their classes with one ``hom_solve``, and a
-segments transition converts them back with one ``class_of``; a stage of mu
-builds one stable-Hom space and lifts all its classes with one call.  Every
-comparison lift is ``resolve.lift_chain_map``, the one caller of
-``hom_solve`` besides the Ext connecting map and the one place that signs a
-lift, and ``hom_solve`` takes stacks only.  A solve eliminates m beside the
-identity, whatever the width of its right-hand side; a cosyzygy sequence's f
-and g are eliminated once across all towers of a compare, and a connecting
-map in Tor over free projectives builds no part of the middle chain.  Hom out
-of a projective has one coordinate type, ``algmod.hom_coords``, and the
+transition of the segments route or of the Benson-Carlson cotower lifts all
+its classes with one ``hom_solve``, and a segments transition converts them
+back with one ``class_of``; a stage of mu builds one stable-Hom space and
+lifts all its classes with one call.  Every comparison lift is
+``resolve.lift_chain_map``, the one caller of ``hom_solve`` and the one place
+that signs a lift, and ``hom_solve`` takes stacks only.  A solve eliminates m
+beside the identity, whatever the width of its right-hand side; a cosyzygy
+or syzygy sequence's f and g are eliminated once across all towers of a
+compare; a connecting map in Tor or Ext over free projectives builds no part
+of the middle chain, and over a non-free projective it is two solves, through
+g and through f, for all its classes.  Hom out of a projective has one
+coordinate type, ``algmod.hom_coords``, and the
 free-map entry form lives in ``algmod``: the Hom subspace is built only
 there, ``resolve`` imports no private name from ``algmod``, no module imports
 a private name from ``derived``, and ``derived`` calls no np.kron.  The
@@ -252,8 +253,7 @@ def test_one_hom_coordinate_type():
 def test_one_lift(monkeypatch):
     # the degree-by-degree lift and its sign (-1)^i live in lift_chain_map; the
     # segment systems negate their entry values as p - v (cohom._placed), no subtraction
-    assert _src_calls({"hom_solve"}) == [
-        ("derived.py", "connecting_ext", "hom_solve"), ("resolve.py", "lift_chain_map", "hom_solve")]
+    assert _src_calls({"hom_solve"}) == [("resolve.py", "lift_chain_map", "hom_solve")]
     assert _src_calls({"subtract", "scale"}) == [("resolve.py", "lift_chain_map", "subtract")]
     # stacks only: a (1, rows, cols) stack is answered by a stack, a Matrix is not read
     pi = resolve.min_proj_resolution(simple_k(algebra_a2()), 1).cover_map(0)
@@ -478,9 +478,10 @@ def test_mu_stage_is_one_block_call(monkeypatch):
     assert calls == [x for dim in (1, 4, 16, 64) for x in ("stable_hom", ("lift", dim))]
 
 
-def test_connecting_ext_on_non_free_projective_is_one_solve(monkeypatch):
+def test_connecting_ext_on_non_free_projective_is_two_solves(monkeypatch):
     # T_2(F_3), upper triangular 2 x 2 matrices: P_0 covers a simple and is not
-    # free; m = S + S gives the connecting map of the syzygy sequence two classes
+    # free; m = S + S gives the connecting map of the syzygy sequence two classes,
+    # lifted through g and pulled back through f with one solve each
     from homct.algmod import Algebra, direct_sum, simple_modules
 
     struct = np.zeros((3, 3, 3), dtype=np.int64)
@@ -492,15 +493,15 @@ def test_connecting_ext_on_non_free_projective_is_one_solve(monkeypatch):
     res = resolve.min_proj_resolution(s, 2)
     ses = derived.ShortExactSeq(res.syzygy_incl(1), res.cover_map(0))
     solves = []
-    hom_solve = derived.hom_solve
+    solve_matrix = derived.solve_matrix
 
-    def spy_solve(source, target, post, rhs):
-        solves.append(len(rhs))
-        return hom_solve(source, target, post, rhs)
+    def spy_solve(m, rhs):
+        solves.append(rhs.cols)
+        return solve_matrix(m, rhs)
 
-    monkeypatch.setattr(derived, "hom_solve", spy_solve)
+    monkeypatch.setattr(derived, "solve_matrix", spy_solve)
     delta = derived.connecting_ext(ses, m, 0)
-    assert delta.a.tolist() == [[1, 0], [0, 1]] and solves == [2]
+    assert delta.a.tolist() == [[1, 0], [0, 1]] and solves == [2, 2]
 
 
 # -- snake maps: each sequence's f and g eliminated once, no middle chain --------------
@@ -549,6 +550,34 @@ def test_compare_eliminates_each_cosyzygy_sequence_once(tmp_path, monkeypatch):
     for k in range(1, 5):
         *_, incl, proj = inj.cosyzygy_ses(k)
         assert [sum(x is y.matrix for x in solved) for y in (incl, proj)] == [1, 1], k
+
+
+def test_compare_eliminates_each_syzygy_sequence_once(monkeypatch):
+    # A2 compare at degrees -1..1 runs the duality route's Ext cotowers over the
+    # syzygy sequences of D k, k = 1..4, nine times in all across the three
+    # degrees; each f and each g is eliminated once
+    from homct import cli, schemas
+    from homct.algmod import dual_module
+
+    monkeypatch.setattr(resolve, "_memo", {})
+    solved = []
+
+    class Spy(exactla.Solver):
+        __slots__ = ()
+
+        def __init__(self, m):
+            solved.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(derived, "Solver", Spy)
+    fx = Path(__file__).resolve().parent.parent / "fixtures"
+    req = cli.ComputeRequest(str(fx / "a2.json"), str(fx / "a2_k_right.json"), str(fx / "a2_k_left.json"),
+                             "compare", -1, 1, 3, 2, 0)
+    assert cli.run_compute(req)["failures"] == []
+    dn_op = dual_module(schemas.parse_module_file(str(fx / "a2_k_left.json"))).as_left_over_opposite()
+    res = resolve.min_proj_resolution(dn_op, 5)
+    for k in range(1, 5):
+        assert [sum(x is y.matrix for x in solved) for y in (res.syzygy_incl(k), res.cover_map(k - 1))] == [1, 1], k
 
 
 def test_connecting_tor_builds_no_middle_chain(monkeypatch):
