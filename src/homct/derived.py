@@ -17,7 +17,10 @@ a local algebra with rad^2 = 0, such as A2, the entries of a minimal
 resolution lie in rad A and every cosyzygy and syzygy is semisimple, so every
 stage of a cosyzygy tower or of the duality route's Ext cotower is such a
 chain.  The zero is read off the entries, never built for homology, and the
-cycles are the whole component.
+cycles are the whole component.  A nonzero differential is held as entry
+triples (``exactla.SparseMatrix``), as ``algmod._entry_actions`` and the Hom
+precompositions write it, and homology eliminates only its core of nonzero
+rows and columns; no dense copy is kept.
 
 Homology spaces always carry cycle representatives (through Subquotient), so
 connecting maps and tower transition maps are computed on witnesses and then
@@ -70,6 +73,7 @@ from .algmod import (
     _block_diagonal,
     _entry_actions,
     _free_block_entries,
+    _nonzeros,
     act,
     hom_coords,
     tensor_over_algebra,
@@ -77,6 +81,7 @@ from .algmod import (
 from .exactla import (
     Matrix,
     Solver,
+    SparseMatrix,
     Subquotient,
     Subspace,
     image_basis,
@@ -189,12 +194,15 @@ def _homology(i: int, p: int, dim: int, out, into) -> HomologySpace:
     A zero space needs no map: then neither is called.  A map that returns None
     is zero: its kernel is the whole space, its image is zero, and neither is
     eliminated (the canonical RREFs are those the eliminations would give).
+    A nonzero map is a ``SparseMatrix``; Z is eliminated from its core before
+    B's core is built, so at most one dense core is alive at a time.
     """
     if dim == 0:
         return HomologySpace(i, None)
-    d_out, d_in = out(), into()
-    z = Subspace.full(p, dim) if d_out is None else kernel_basis(d_out)
-    b = Subspace.zero(p, dim) if d_in is None else image_basis(d_in)
+    d_out = out()
+    z = Subspace.full(p, dim) if d_out is None else d_out.kernel()
+    d_in = into()
+    b = Subspace.zero(p, dim) if d_in is None else d_in.transpose().row_space()
     return HomologySpace(i, Subquotient(z, b))
 
 
@@ -204,7 +212,8 @@ _UNBUILT = object()
 class _Chain:
     """The lifetime rule of the chain types: differentials and homology spaces, memoized.
 
-    A differential joins two degrees (``_sides``).  A nonzero one is freed once the
+    A differential joins two degrees (``_sides``).  A nonzero one is held as entry
+    triples, a ``SparseMatrix`` whose core homology eliminates, and is freed once the
     homology on both of its sides is known, as no homology reads it again; a later
     reader gets it rebuilt (``_differential``), and not kept.  A zero one is kept as
     None, which costs nothing.  A homology space is registered with the memo layer,
@@ -217,18 +226,17 @@ class _Chain:
     def __init__(self, res, n: FdModule):
         self.res = res
         self.n = n
-        self._diffs: dict[int, Matrix | None] = {}  # None: zero, never built for homology
-        self._zero_diffs: dict[int, Matrix] = {}  # zero differentials that a reader asked for
+        self._diffs: dict[int, SparseMatrix | None] = {}  # None: zero, never built for homology
         self._homology: dict[int, HomologySpace] = {}
         self._known: set[int] = set()  # degrees whose homology has been made
 
     def _sides(self, j: int) -> tuple[int, int]:
         raise NotImplementedError
 
-    def _build(self, j: int) -> Matrix | None:
+    def _build(self, j: int) -> SparseMatrix | None:
         raise NotImplementedError
 
-    def _differential(self, j: int) -> Matrix | None:
+    def _differential(self, j: int) -> SparseMatrix | None:
         d = self._diffs.get(j, _UNBUILT)
         if d is _UNBUILT:
             d = self._build(j)
@@ -237,14 +245,10 @@ class _Chain:
         return d
 
     def differential(self, j: int) -> Matrix:
-        """The differential out of degree j.  A zero one is built only here, once, for readers
-        that need the matrix; homology never asks for it."""
+        """The differential out of degree j as a dense matrix, for readers that need one; it is
+        made on each call and not kept.  Homology never asks for it."""
         d = self._differential(j)
-        if d is None:
-            d = self._zero_diffs.get(j)
-            if d is None:
-                d = self._zero_diffs[j] = Matrix.zeros(self.n.p, self.dim(self._sides(j)[1]), self.dim(j))
-        return d
+        return Matrix.zeros(self.n.p, self.dim(self._sides(j)[1]), self.dim(j)) if d is None else d.to_matrix()
 
     def _read(self, i: int, out: int, into: int | None) -> HomologySpace:
         """ker d_out / im d_into in degree i, made once while it lives."""
@@ -289,7 +293,7 @@ class TensorChain(_Chain):
     def _sides(self, j: int) -> tuple[int, int]:
         return j, j - 1
 
-    def _build(self, j: int) -> Matrix | None:
+    def _build(self, j: int) -> SparseMatrix | None:
         """d_j tensor id_n, or None when it is zero: at the boundary, or when
         ``_acts_as_zero`` reads it off d_j's entries, so no zero matrix is built."""
         src, tgt = self.component(j), self.component(j - 1)
@@ -332,12 +336,12 @@ def _acts_as_zero(d: ModuleMap, n: FdModule) -> bool:
     return not distinct.size or not n.base.action_of(distinct).any()
 
 
-def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> Matrix:
-    """Matrix of d tensor id_n between tensor components."""
+def first_arg_tensor_matrix(d: ModuleMap, src: TensorSpace, tgt: TensorSpace, n: FdModule) -> SparseMatrix:
+    """d tensor id_n between tensor components, by its nonzero entries."""
     if d.source.free_rank is not None and d.target.free_rank is not None:
-        return _entry_actions(_free_block_entries(d), n).to_matrix()
+        return _entry_actions(_free_block_entries(d), n)
     full = kron(d.matrix, Matrix.identity(n.p, n.dim))
-    return Matrix(n.p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
+    return _nonzeros(n.p, tgt.project(full.apply(src.lift(np.eye(src.dim, dtype=np.int64)))).T)
 
 
 def second_arg_tensor_matrix(g: ModuleMap, src: TensorSpace, tgt: TensorSpace, pmod: FdModule) -> Matrix:
@@ -398,10 +402,10 @@ class ExtChain(_Chain):
     def _sides(self, j: int) -> tuple[int, int]:
         return j, j + 1
 
-    def _build(self, j: int) -> Matrix | None:
+    def _build(self, j: int) -> SparseMatrix | None:
         """f -> f o d_{j+1} in Hom coordinates, or None when ``_acts_as_zero`` reads it off d_{j+1}'s entries."""
         d = self.res.differential(j + 1)
-        return None if _acts_as_zero(d, self.n) else self.hom_space(j).precompose(d, self.hom_space(j + 1)).to_matrix()
+        return None if _acts_as_zero(d, self.n) else self.hom_space(j).precompose(d, self.hom_space(j + 1))
 
     def cohomology(self, i: int) -> HomologySpace:
         """H^i in Hom-space coordinates (ambient = hom_space(i) coords)."""

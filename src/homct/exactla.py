@@ -12,7 +12,10 @@ c = w at the pivots, where c . basis equals c by construction, so w lies in the
 subspace iff c . block equals w at the free columns: checks multiply by the
 block only, and the dense basis is built only for callers that need rows.
 A ``SparseMatrix`` holds a mostly-zero system by its nonzero entries and
-eliminates only its core of nonzero rows and columns.
+eliminates only its core of nonzero rows and columns.  Homology eliminates
+every nonzero chain differential in this form: Z as its kernel, and B as the
+row space of its transpose (``SparseMatrix.transpose``, which swaps the
+entry indices and copies nothing).
 
 A kernel basis is one elimination, of m with its columns reversed: in m's
 column order each pivot row is then zero right of its pivot column, so the
@@ -756,13 +759,23 @@ class SparseMatrix:
         a[self.rows, self.cols] = self.vals
         return Matrix(self.p, a)
 
+    def transpose(self) -> "SparseMatrix":
+        """The transpose: the same entries with rows and columns swapped, not checked again."""
+        t = SparseMatrix.__new__(SparseMatrix)
+        t.p, t.shape, t.rows, t.cols, t.vals = self.p, self.shape[::-1], self.cols, self.rows, self.vals
+        return t
+
     def _core(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the nonzero columns, ascending; the dense core, the nonzero rows at those columns)."""
-        rows, at_row = np.unique(self.rows, return_inverse=True)
-        cols, at_col = np.unique(self.cols, return_inverse=True)
-        core = np.zeros((rows.size, cols.size), dtype=np.int64)
-        core[at_row, at_col] = self.vals
-        return cols, core
+        """(the nonzero columns, ascending; the dense core, the nonzero rows at those columns).
+
+        A row's place in the core is the number of nonzero rows up to it, read off a presence
+        mask, and likewise a column's, so no index is sorted."""
+        row_mask, col_mask = (np.zeros(size, dtype=bool) for size in self.shape)
+        row_mask[self.rows] = True
+        col_mask[self.cols] = True
+        core = np.zeros((np.count_nonzero(row_mask), np.count_nonzero(col_mask)), dtype=np.int64)
+        core[np.cumsum(row_mask)[self.rows] - 1, np.cumsum(col_mask)[self.cols] - 1] = self.vals
+        return np.flatnonzero(col_mask), core
 
     def kernel(self) -> Subspace:
         """{v : m v = 0}: the core's kernel, plus a unit pivot at each zero column.

@@ -51,7 +51,6 @@ from .algmod import (
 from .exactla import (
     Matrix,
     Subspace,
-    image_basis,
     kernel_basis,
     mulmod,
     reduced,
@@ -576,14 +575,13 @@ def check_total_acyclicity_window(tcx: CompleteResolution, window: int) -> Acycl
     # Hom(T, A) at cohomological position i is Hom(T_i, A), with maps by precomposition;
     # each space and each coboundary Hom(T_{j-1}, A) -> Hom(T_j, A) is built once
     homs = {j: hom_coords(tcx.space(j), reg) for j in range(-window - 1, window + 2)}
-    cobound = {j: homs[j - 1].precompose(tcx.differential(j), homs[j]).to_matrix()
-               for j in range(-window, window + 2)}
+    cobound = {j: homs[j - 1].precompose(tcx.differential(j), homs[j]) for j in range(-window, window + 2)}
     for i in degrees:
         ker, im = kernel_basis(tcx.differential(i).matrix), tcx.differential(i + 1).image()
         hdims[i] = ker.dim - im.dim
         # exactness at Hom(T_i, A) compares Hom(T_{i-1}) -> Hom(T_i) -> Hom(T_{i+1})
-        ker_h = kernel_basis(cobound[i + 1])
-        im_h = image_basis(cobound[i])
+        ker_h = cobound[i + 1].kernel()
+        im_h = cobound[i].transpose().row_space()
         hhom[i] = ker_h.dim - im_h.dim
         if not ker_h.contains_subspace(im_h):
             hhom[i] = -1  # exactness violated structurally

@@ -1075,6 +1075,41 @@ def test_sparse_eliminations_match_dense(p, seed):
         assert _bit_identical(again.kernel(), kernel_basis(m)) and again.row_space() == sparse.row_space()
 
 
+def _core_reference(sparse):
+    """The core as it was first built: nonzero rows and columns located by two sorts."""
+    rows, at_row = np.unique(sparse.rows, return_inverse=True)
+    cols, at_col = np.unique(sparse.cols, return_inverse=True)
+    core = np.zeros((rows.size, cols.size), dtype=np.int64)
+    core[at_row, at_col] = sparse.vals
+    return cols, core
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_transpose_matches_dense(p, seed):
+    # homology reads B as transpose().row_space(): the dense image_basis, bit for bit; the
+    # transpose shares the entry arrays, and both cores are the ones two sorts give
+    rng = np.random.default_rng(100 + seed)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 4), (7, 9), (20, 13), (13, 20), (90, 80)]
+    for (rows, cols), density in itertools.product(shapes, (0.0, 0.03, 0.15, 0.6)):
+        a = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+        a[rng.random(rows) < 0.3] = 0  # zero rows
+        a[:, rng.random(cols) < 0.3] = 0  # zero columns
+        sparse = _sparse_of(p, a, rng)
+        t, m = sparse.transpose(), sparse.to_matrix()
+        assert t.shape == (cols, rows) and t.to_matrix() == m.transpose()
+        assert t.rows is sparse.cols and t.cols is sparse.rows and t.vals is sparse.vals
+        assert _bit_identical(t.row_space(), image_basis(m))
+        assert _bit_identical(t.kernel(), kernel_basis(m.transpose()))
+        assert _bit_identical(sparse.kernel(), kernel_basis(m))
+        assert _bit_identical(t.transpose().row_space(), image_basis(m.transpose()))
+        for x in (sparse, t):
+            cols_got, core = x._core()
+            cols_ref, core_ref = _core_reference(x)
+            assert np.array_equal(cols_got, cols_ref) and np.array_equal(core, core_ref)
+            assert core.dtype == core_ref.dtype and cols_got.dtype == cols_ref.dtype
+
+
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
 def test_sparse_all_zero_and_empty_shapes(p):
     for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 5)):
@@ -1082,6 +1117,8 @@ def test_sparse_all_zero_and_empty_shapes(p):
         assert zero.to_matrix() == Matrix.zeros(p, rows, cols)
         assert _bit_identical(zero.kernel(), Subspace.full(p, cols))
         assert _bit_identical(zero.row_space(), Subspace.zero(p, cols))
+        assert _bit_identical(zero.transpose().row_space(), image_basis(zero.to_matrix()))
+        assert _bit_identical(zero.transpose().kernel(), Subspace.full(p, rows))
 
 
 def test_sparse_rejects_malformed_entries():

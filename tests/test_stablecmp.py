@@ -130,9 +130,10 @@ def test_double_window_columns_are_the_memoized_tensor_chains():
     dw = build_double_window(m, n, 3, 3)
     for c in range(4):
         chain = tensor_chain(m, dw.inj.space(c), 4)
+        assert dw._column(c) is chain
         for r in range(4):
             assert dw.component(r, c) is chain.component(r)
-            assert dw.vert(r, c) is chain.differential(r)
+            assert dw.vert(r, c) == chain.differential(r)
 
 
 # --- compression --------------------------------------------------------------------
