@@ -12,10 +12,13 @@ c = w at the pivots, where c . basis equals c by construction, so w lies in the
 subspace iff c . block equals w at the free columns: checks multiply by the
 block only, and the dense basis is built only for callers that need rows.
 A ``SparseMatrix`` holds a mostly-zero system by its nonzero entries and
-eliminates only its core of nonzero rows and columns.  Homology eliminates
-every nonzero chain differential in this form: Z as its kernel, and B as the
-row space of its transpose (``SparseMatrix.transpose``, which swaps the
-entry indices and copies nothing).
+eliminates it by the connected components of its row-column entry graph:
+each distinct block that several components repeat once, and the other
+components together as one dense core of their rows and columns (all of it
+when its entries are enough to connect the graph).  Homology
+eliminates every nonzero chain differential in this form: Z as its kernel,
+and B as the row space of its transpose (``SparseMatrix.transpose``, which
+swaps the entry indices and copies nothing).
 
 A kernel basis is one elimination, of m with its columns reversed: in m's
 column order each pivot row is then zero right of its pivot column, so the
@@ -728,14 +731,95 @@ def image_basis(m: Matrix) -> Subspace:
     return Subspace(m.p, m.rows, m.a.T)
 
 
+def _components(ri: np.ndarray, ci: np.ndarray, nr: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the graph whose edges are the entries (ri[e], ci[e]) between
+    nr rows and nc columns, each of which has an entry: the label of each column and of each
+    row, the smallest column of its component.
+
+    Label propagation with pointer jumping (Shiloach-Vishkin).  Each label is a column of the
+    same component, no larger than the column it labels, and at the start of a round a root
+    (labelled by itself).  A round gives each row the smallest label among its columns; if
+    some row sees two labels, each root lowers itself to the smallest row label it meets,
+    and every column then jumps to its root.  When every row sees one label, each component
+    has one: its smallest column, which can only be labelled by itself."""
+    lab, at = np.arange(nc), ci
+    while True:
+        row = np.full(nr, nc)
+        np.minimum.at(row, ri, at)
+        seen = row[ri]
+        if (seen == at).all():
+            return lab, row
+        np.minimum.at(lab, at, seen)
+        while True:
+            up = lab[lab]
+            if (up == lab).all():
+                break
+            lab = up
+        at = lab[ci]
+
+
+def _ranks(ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the place of each item among the items with its id, in ascending order; the items
+    sorted by id, ascending within each), for ids in [0, counts.size) with these counts."""
+    order = np.argsort(ids, kind="stable")
+    rank = np.empty(ids.size, dtype=np.intp)
+    rank[order] = np.arange(ids.size) - (np.cumsum(counts) - counts)[ids[order]]
+    return rank, order
+
+
+def _repeated_blocks(ri: np.ndarray, ci: np.ndarray, vals: np.ndarray, col_lab: np.ndarray,
+                     row_lab: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The dense blocks that several components of the entry graph share, each to be
+    eliminated once: (cols, block) pairs as ``SparseMatrix._parts`` gives them, with core
+    columns for matrix columns; and the mask of the core columns of every other component.
+
+    A component's block has its rows and columns in ascending order.  Equal blocks have as
+    many entries, so only components whose number of entries another one has are written
+    as dense blocks, and compared with the others of their shape."""
+    lone = np.ones(col_lab.size, dtype=bool)
+    ids = np.cumsum(col_lab == np.arange(col_lab.size)) - 1  # a component's id: its smallest column's rank
+    col_id, row_id = ids[col_lab], ids[row_lab]
+    e_id = row_id[ri]
+    size = np.bincount(e_id)
+    twin = np.bincount(size)[size] > 1  # another component has as many entries
+    parts = []
+    if twin.any():
+        shape = np.stack([np.bincount(row_id), np.bincount(col_id)])
+        (r_at, _), (c_at, c_order) = _ranks(row_id, shape[0]), _ranks(col_id, shape[1])
+        c_start, slot = np.cumsum(shape[1]) - shape[1], np.empty(size.size, dtype=np.intp)
+        for r, c in sorted(set(zip(*shape[:, twin].tolist()))):
+            of = twin & (shape[0] == r) & (shape[1] == c)
+            at, e = np.flatnonzero(of), np.flatnonzero(of[e_id])
+            slot[at] = np.arange(at.size)
+            dense = np.zeros((at.size, r * c), dtype=np.int64)
+            dense[slot[e_id[e]], r_at[ri[e]] * c + c_at[ci[e]]] = vals[e]
+            blocks, which = np.unique(dense, axis=0, return_inverse=True)
+            which = which.reshape(-1)
+            for d in np.flatnonzero(np.bincount(which) > 1):
+                cols = c_order[c_start[at[which == d], None] + np.arange(c)]
+                parts.append((cols, blocks[d].reshape(r, c)))
+                lone[cols] = False
+    return parts, lone
+
+
 class SparseMatrix:
     """A matrix over F_p by its entry triples (rows, cols, vals): distinct positions, values in [1, p).
 
-    Both eliminations run on the core, the nonzero rows x nonzero columns as
-    a dense array, through ``kernel_basis`` and ``Subspace``, and embed the
-    result (the first step of structured Gaussian elimination,
-    LaMacchia-Odlyzko 1990): row operations keep zero rows and columns zero,
-    so the answer is the same canonical Subspace as on the dense matrix.
+    Both eliminations split the matrix into the connected components of its
+    row-column entry graph, which sit on disjoint rows and columns, and read
+    each component as a dense block, its rows and columns in ascending order.
+    A block that several components share is eliminated once; every other
+    component goes into one dense core of their rows and columns (with one
+    component, the nonzero rows x nonzero columns).  The components are
+    looked for only when the entries are too few to connect the nonzero rows
+    and columns; otherwise the matrix is one core.  Each elimination runs
+    through ``kernel_basis`` or ``Subspace``.  Row operations keep zero rows
+    and columns zero, and on disjoint columns the kernel and the row space
+    are the direct sums of the blocks' ones, whose canonical RREFs, placed at
+    the blocks' columns and sorted by pivot, are the canonical RREF of the
+    sum.  So the answer is the same canonical Subspace as on the dense matrix
+    (structured Gaussian elimination, LaMacchia-Odlyzko 1990, takes the same
+    first step).
     """
 
     __slots__ = ("p", "shape", "rows", "cols", "vals")
@@ -765,46 +849,75 @@ class SparseMatrix:
         t.p, t.shape, t.rows, t.cols, t.vals = self.p, self.shape[::-1], self.cols, self.rows, self.vals
         return t
 
-    def _core(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the nonzero columns, ascending; the dense core, the nonzero rows at those columns).
+    def _parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The matrix as dense blocks on disjoint columns: (cols, block) pairs, where each row
+        of the g x c array cols holds ascending columns of the matrix, and the r x c block
+        sits at each of them, on rows of its own.  The zero columns are in no pair.
 
-        A row's place in the core is the number of nonzero rows up to it, read off a presence
-        mask, and likewise a column's, so no index is sorted."""
+        A row's or a column's place in the core is the number of nonzero rows (columns) up to
+        it, read off a presence mask, so no index is sorted.  The components are looked for
+        only when there are fewer entries than nonzero rows and columns, less one: too few
+        edges to connect the entry graph, which then has two components or more.  With as
+        many the graph may be connected, and the matrix is one core."""
+        if not self.rows.size:
+            return []
         row_mask, col_mask = (np.zeros(size, dtype=bool) for size in self.shape)
         row_mask[self.rows] = True
         col_mask[self.cols] = True
-        core = np.zeros((np.count_nonzero(row_mask), np.count_nonzero(col_mask)), dtype=np.int64)
-        core[np.cumsum(row_mask)[self.rows] - 1, np.cumsum(col_mask)[self.cols] - 1] = self.vals
-        return np.flatnonzero(col_mask), core
+        ri, ci, vals = np.cumsum(row_mask)[self.rows] - 1, np.cumsum(col_mask)[self.cols] - 1, self.vals
+        cols, nr = np.flatnonzero(col_mask), np.count_nonzero(row_mask)
+        parts = []
+        if ri.size < nr + cols.size - 1:
+            parts, lone = _repeated_blocks(ri, ci, vals, *_components(ri, ci, nr, cols.size))
+            parts = [(cols[at], block) for at, block in parts]
+        if parts:  # the core is the other components
+            keep, in_r = lone[ci], np.zeros(nr, dtype=bool)
+            in_r[ri[keep]] = True
+            ri, ci, vals, cols = np.cumsum(in_r)[ri[keep]] - 1, np.cumsum(lone)[ci[keep]] - 1, vals[keep], cols[lone]
+        if ri.size:
+            core = np.zeros((ri.max() + 1, cols.size), dtype=np.int64)
+            core[ri, ci] = vals
+            parts.append((cols[None], core))
+        return parts
+
+    def _eliminate(self, kernel: bool) -> Subspace:
+        """The kernel or the row space from those of the _parts' blocks, each eliminated once.
+
+        A block's canonical RREF, its pivots and non-pivot block placed at each of its
+        column sets, is a set of rows of the answer's: the zero columns are the answer's
+        other pivots (unit rows of the kernel) or free columns (of the row space)."""
+        n, parts = self.shape[1], self._parts()
+        is_piv, done = np.full(n, kernel), []
+        is_piv[self.cols] = False  # the zero columns: unit pivots of the kernel, free in the row space
+        while parts:  # popped, so that no block outlives its elimination
+            cols, block = parts.pop()
+            if kernel:
+                block = Matrix(self.p, block)  # a copy, which frees the block before its elimination
+                s = kernel_basis(block)
+            else:
+                s = Subspace(self.p, block.shape[1], block)
+            del block
+            done.append((cols[:, list(s.pivots)], cols[:, s.free], s.block))
+            is_piv[done[-1][0]] = True
+        pivots, free = np.flatnonzero(is_piv), np.flatnonzero(~is_piv)
+        out = np.zeros((pivots.size, free.size), dtype=np.int64)
+        for at_piv, at_free, block in done:
+            rows, cols = np.searchsorted(pivots, at_piv), np.searchsorted(free, at_free)
+            if len(rows) == 1 and cols.size == free.size:  # every free column: whole rows
+                out[rows[0]] = block
+            elif len(rows) == 1 and rows.size == pivots.size:  # every pivot: whole columns
+                out[:, cols[0]] = block
+            else:  # entry by entry, at each copy's rows and columns
+                out[rows[:, :, None], cols[:, None, :]] = block
+        return Subspace._from_rref(self.p, n, pivots.tolist(), out)
 
     def kernel(self) -> Subspace:
-        """{v : m v = 0}: the core's kernel, plus a unit pivot at each zero column.
-
-        The unit rows are zero at the core's columns and the core's kernel rows
-        are zero at the zero columns, so together, in pivot order, they are
-        the canonical RREF; its free columns are the core kernel's."""
-        n = self.shape[1]
-        cols, core = self._core()
-        m = Matrix(self.p, core)
-        del core
-        k = kernel_basis(m)
-        pivots = np.concatenate([_free_cols(n, cols), cols[list(k.pivots)]])
-        block = np.zeros((pivots.size, k.block.shape[1]), dtype=np.int64)
-        block[pivots.size - k.dim:] = k.block
-        order = np.argsort(pivots)
-        return Subspace._from_rref(self.p, n, pivots[order].tolist(), block[order])
+        """{v : m v = 0}: the blocks' kernels, plus a unit pivot at each zero column."""
+        return self._eliminate(kernel=True)
 
     def row_space(self) -> Subspace:
-        """The row space: the core's, zero at the zero columns, which are free."""
-        n = self.shape[1]
-        cols, core = self._core()
-        s = Subspace(self.p, cols.size, core)
-        del core
-        pivots = cols[list(s.pivots)]
-        free = _free_cols(n, pivots)
-        block = np.zeros((s.dim, free.size), dtype=np.int64)
-        block[:, np.searchsorted(free, cols[s.free])] = s.block
-        return Subspace._from_rref(self.p, n, pivots.tolist(), block)
+        """The row space: the blocks' row spaces; the zero columns are free."""
+        return self._eliminate(kernel=False)
 
 
 class Solver:

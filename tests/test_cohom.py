@@ -377,9 +377,10 @@ def _traced_peak(fn):
 
 
 def test_segment_stage_memory_peak():
-    # A2 stage 3: its systems are 384 x 960 and 2016 x 960 with one nonzero per
-    # nonzero row; only their cores, 256 x 320 and 672 x 640, are dense (10 MiB
-    # peak; the dense systems and B's rows multiplied through Z peaked at 33 MiB)
+    # A2 stage 3: its systems are 384 x 960 and 2016 x 960, block diagonal; only
+    # their 5 distinct blocks are dense (6 MiB peak; their whole 256 x 320 and
+    # 672 x 640 cores peaked at 9 MiB, and the dense systems and B's rows
+    # multiplied through Z at 33 MiB)
     k = simple_k(algebra_a2())
     res = min_proj_resolution(k, 6).extend(6)
     st, peak = _traced_peak(lambda: SegmentStage(res, res, 0, 3))
@@ -387,10 +388,37 @@ def test_segment_stage_memory_peak():
 
 
 def test_pcomp_depth_4_memory_peak():
-    # 148 MiB; with dense segment systems it was 525 MiB
+    # 100 MiB; with each segment system's whole core eliminated at once it was 147 MiB, and
+    # with dense segment systems 525 MiB
     k = simple_k(algebra_a2())
     rep, peak = _traced_peak(lambda: pcomp_ext(k, k, 0, 4))
-    assert rep.dims == [1, 4, 16, 64, 256] and peak <= 256 * 2**20
+    assert rep.dims == [1, 4, 16, 64, 256] and peak <= 128 * 2**20
+
+
+def test_duality_segments_depth_5_under_2gb():
+    # A2 stable_homology_via_duality at K = 5: the last coboundary system has a
+    # 10752 x 10240 core (840 MiB as one dense array) made of repeated small blocks.  The
+    # child caps its own address space at 2 000 000 KiB; eliminating the whole core needed
+    # 2355 MiB there, and each distinct block once needs under 1 GiB
+    import os
+    import subprocess
+    import sys
+
+    import homct
+
+    cap = 2_000_000 * 1024
+    child = ("import resource\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+             "from homct.fixtures import algebra_a2, simple_k\n"
+             "from homct.stablecmp import stable_homology_via_duality\n"
+             "a2 = algebra_a2()\n"
+             "rep = stable_homology_via_duality(simple_k(a2, 'right'), simple_k(a2, 'left'), 0, 5)\n"
+             "print(rep.dims)\n")
+    src = os.path.dirname(os.path.dirname(homct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[1, 4, 16, 64, 256, 1024]"
 
 
 def test_duality_ext_depth_6_memory_peak():

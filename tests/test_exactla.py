@@ -1038,7 +1038,7 @@ def test_coords_multiplies_by_the_non_pivot_block_only(monkeypatch):
     assert shapes == [(5, 1)]
 
 
-# --- the sparse form: eliminations of the core -----------------------------------
+# --- the sparse form: eliminations by connected component -----------------------
 
 SPARSE_PRIMES = [2, 3, 2**31 - 1]
 
@@ -1084,11 +1084,37 @@ def _core_reference(sparse):
     return cols, core
 
 
+def _core_kernel_reference(sparse):
+    """kernel() before the split into components: the whole core's kernel, one elimination,
+    plus a unit pivot at each zero column."""
+    n = sparse.shape[1]
+    cols, core = _core_reference(sparse)
+    k = kernel_basis(Matrix(sparse.p, core))
+    pivots = np.concatenate([np.delete(np.arange(n), cols), cols[list(k.pivots)]])
+    block = np.zeros((pivots.size, k.block.shape[1]), dtype=np.int64)
+    block[pivots.size - k.dim:] = k.block
+    order = np.argsort(pivots)
+    return Subspace._from_rref(sparse.p, n, pivots[order].tolist(), block[order])
+
+
+def _core_row_space_reference(sparse):
+    """row_space() before the split into components: the whole core's row space, one
+    elimination, zero at the zero columns."""
+    n = sparse.shape[1]
+    cols, core = _core_reference(sparse)
+    s = Subspace(sparse.p, cols.size, core)
+    pivots = cols[list(s.pivots)]
+    free = np.delete(np.arange(n), pivots)
+    block = np.zeros((s.dim, free.size), dtype=np.int64)
+    block[:, np.searchsorted(free, cols[s.free])] = s.block
+    return Subspace._from_rref(sparse.p, n, pivots.tolist(), block)
+
+
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_transpose_matches_dense(p, seed):
     # homology reads B as transpose().row_space(): the dense image_basis, bit for bit; the
-    # transpose shares the entry arrays, and both cores are the ones two sorts give
+    # transpose shares the entry arrays, and both eliminate as the whole core did
     rng = np.random.default_rng(100 + seed)
     shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 4), (7, 9), (20, 13), (13, 20), (90, 80)]
     for (rows, cols), density in itertools.product(shapes, (0.0, 0.03, 0.15, 0.6)):
@@ -1104,10 +1130,89 @@ def test_sparse_transpose_matches_dense(p, seed):
         assert _bit_identical(sparse.kernel(), kernel_basis(m))
         assert _bit_identical(t.transpose().row_space(), image_basis(m.transpose()))
         for x in (sparse, t):
-            cols_got, core = x._core()
-            cols_ref, core_ref = _core_reference(x)
-            assert np.array_equal(cols_got, cols_ref) and np.array_equal(core, core_ref)
-            assert core.dtype == core_ref.dtype and cols_got.dtype == cols_ref.dtype
+            assert _bit_identical(x.kernel(), _core_kernel_reference(x))
+            assert _bit_identical(x.row_space(), _core_row_space_reference(x))
+
+
+def _block_system(p, blocks, zero_rows, zero_cols, rng, keep_order=False):
+    """The block-diagonal matrix of ``blocks`` with zero rows and columns added, in entry form
+    with its entries in a random order.  Its rows and columns are permuted at random, or, with
+    keep_order, interleaved at random, each block's in their own order, so that equal blocks
+    stay equal with their rows and columns in ascending order."""
+    rows = [b.shape[0] for b in blocks] + [1] * zero_rows
+    cols = [b.shape[1] for b in blocks] + [1] * zero_cols
+    a = np.zeros((sum(rows), sum(cols)), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        a[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    places = []
+    for sizes in (rows, cols):
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        places.append(np.argsort(rng.permutation(owner), kind="stable") if keep_order else rng.permutation(owner.size))
+    out = np.zeros_like(a)
+    out[np.ix_(*places)] = a
+    return _sparse_of(p, out, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SPARSE_PRIMES),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.booleans()),
+             max_size=5),  # blocks: rows, columns, copies, and a copy that differs in one value
+    st.integers(0, 3),  # zero rows
+    st.integers(0, 3),  # zero columns
+    st.booleans(),  # interleaved rather than permuted: equal blocks stay equal
+    st.sampled_from([0.3, 0.6]),  # density of a block: few entries leave the graph a forest
+    st.integers(0, 2**32 - 1),
+)
+def test_sparse_components_match_dense(p, specs, zero_rows, zero_cols, keep_order, density, seed):
+    # repeated blocks under random row and column permutations, blocks that differ only in
+    # values, zero rows and columns, the empty matrix and one component: each repeated block
+    # is eliminated once, and kernel() and row_space() are the dense ones bit for bit
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for r, c, copies, differ in specs:
+        b = rng.integers(1, p, size=(r, c)) * (rng.random((r, c)) < density)
+        b[rng.integers(r), rng.integers(c)] = rng.integers(1, p)  # every block has an entry
+        blocks += [b] * copies
+        if differ and p > 2:
+            other = b.copy()
+            i, j = np.argwhere(other)[rng.integers(np.count_nonzero(other))]
+            other[i, j] = other[i, j] % (p - 1) + 1  # the same places, another value
+            blocks.append(other)
+    sparse = _block_system(p, blocks, zero_rows, zero_cols, rng, keep_order)
+    m = sparse.to_matrix()
+    for x, dense in ((sparse, m), (sparse.transpose(), m.transpose())):
+        kernel, row_space = x.kernel(), x.row_space()
+        assert _bit_identical(kernel, kernel_basis(dense)) and _bit_identical(kernel, _core_kernel_reference(x))
+        assert _bit_identical(row_space, Subspace(p, dense.cols, dense.a))
+        assert _bit_identical(row_space, _core_row_space_reference(x))
+
+
+def test_sparse_eliminates_each_repeated_block_once(monkeypatch):
+    # 40 copies of a 2 x 3 block, 3 of a 1 x 1 block, and one lone block that has the
+    # 2 x 3 block's places but other values: the lone block is the whole core.  Three
+    # copies of a full 2 x 2 block have 12 entries on 6 rows and 6 columns, enough to
+    # connect them, so they are one 6 x 6 core
+    shapes = []
+
+    def counted(a, p, _fn=exactla._rref_array):
+        shapes.append(a.shape)
+        return _fn(a, p)
+
+    p, rng = 3, np.random.default_rng(5)
+    b, lone = np.array([[1, 0, 2], [0, 1, 1]]), np.array([[2, 0, 2], [0, 1, 1]])
+    cases = [([b] * 40 + [np.array([[2]])] * 3 + [lone], [(1, 1), (2, 3), (2, 3)]),
+             ([np.array([[1, 2], [2, 2]])] * 3, [(6, 6)])]
+    monkeypatch.setattr(exactla, "_rref_array", counted)
+    for blocks, eliminated in cases:
+        sparse = _block_system(p, blocks, 2, 2, rng, keep_order=True)
+        shapes.clear()
+        kernel, row_space = sparse.kernel(), sparse.row_space()
+        assert sorted(shapes) == sorted(eliminated * 2)
+        m = sparse.to_matrix()
+        assert _bit_identical(kernel, kernel_basis(m)) and _bit_identical(row_space, Subspace(p, m.cols, m.a))
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES)

@@ -13,7 +13,8 @@ differentials, second-argument maps and the tensor chains themselves are
 built there and nowhere else.  The elimination counts of one resolution
 stage, one homology space, one tower limit and one checked short exact
 sequence are pinned, so a change that eliminates a matrix twice fails here;
-a homology space over zero differentials eliminates nothing;
+a homology space over zero differentials eliminates nothing, and a segment
+system eliminates each distinct block of its components once;
 so are the Hom spaces of a total-acyclicity check.  A resolution builds each
 stage differential once and reads its distinct entries once; a compare makes
 each homology space and each tensor differential once, although a space lives
@@ -347,15 +348,19 @@ def test_tensor_homology_over_zero_differentials_eliminates_nothing(monkeypatch)
 def test_one_tate_homology_eliminates_two_matrices(monkeypatch):
     # the same rule on a complete resolution; its negative degrees are not
     # free, so their tensor components (one relation elimination each) are
-    # built before counting
+    # built before counting.  With A on the left d_{-1} and d_0 have entries
+    # and are eliminated once each; with k they have none, and an entry-free
+    # matrix needs no elimination
     a4 = algebra_a4()
     tcx = resolve.complete_resolution(simple_k(a4, "right"), 5)
-    chain = derived.TateChain(tcx, simple_k(a4, "left"))
-    for j in (-2, -1, 0):
-        chain.component(j)
-    shapes = _count_eliminations(monkeypatch)
-    assert chain.homology(-1).dim == 1
-    assert len(shapes) == 2
+    for n, dim, eliminated in ((algmod.regular_module(a4, "left"), 0, 2), (simple_k(a4, "left"), 1, 0)):
+        chain = derived.TateChain(tcx, n)
+        for j in (-2, -1, 0):
+            chain.component(j)
+        shapes = _count_eliminations(monkeypatch)
+        assert chain.homology(-1).dim == dim
+        assert len(shapes) == eliminated
+        monkeypatch.undo()
 
 
 def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
@@ -514,6 +519,57 @@ def test_solve_matrix_eliminates_m_beside_the_identity(monkeypatch):
     for width in (0, 1, 7, 40):
         exactla.solve_matrix(m, exactla.Matrix.zeros(3, 5, width))
     assert shapes == [(5, 8)] * 4
+
+
+def test_a2_segment_systems_eliminate_each_distinct_block_once(monkeypatch):
+    # A2 stage 3: the cocycle system is 384 x 960 with 192 components in 2 distinct blocks,
+    # the coboundary system 2016 x 960 with 352 components in 3 (256 of 1 x 1, 64 of 3 x 3
+    # and 32 of 7 x 6); each block is eliminated once and no core is left (one 256 x 320
+    # and one 672 x 640 core were eliminated whole)
+    from homct import cohom
+
+    k = simple_k(algebra_a2())
+    res = resolve.min_proj_resolution(k, 6).extend(6)
+    shapes, systems = _count_eliminations(monkeypatch), {}
+    for name in ("kernel", "row_space"):
+        def spy(self, _fn=getattr(exactla.SparseMatrix, name), _name=name):
+            start = len(shapes)
+            out = _fn(self)
+            systems[_name] = sorted(shapes[start:])
+            return out
+
+        monkeypatch.setattr(exactla.SparseMatrix, name, spy)
+    assert cohom.SegmentStage(res, res, 0, 3).dim == 64
+    assert systems == {"kernel": [(1, 1), (2, 3)], "row_space": [(1, 1), (3, 3), (7, 6)]}
+
+
+def test_pcomp_and_compare_leave_numpy_ma_unimported(tmp_path):
+    # np.unique with no optional output imports numpy.ma (numpy 2.4 calls np.ma.is_masked),
+    # about 10 ms and 1 MiB in every process; a fresh child that runs A2 pcomp at K = 3 and
+    # an F_3[C_3 x C_3] compare never imports it
+    import os
+    import subprocess
+    import sys
+
+    from test_golden import write_c3c3_inputs
+
+    args = ["compare", *write_c3c3_inputs(tmp_path), "--degrees=-3..3", "--depth", "6",
+            "--out", str(tmp_path / "report.json")]
+    child = ("import sys\n"
+             "from homct import cli\n"
+             "from homct.fixtures import algebra_a2, simple_k\n"
+             "from homct.stablecmp import stable_homology_via_duality\n"
+             "a2 = algebra_a2()\n"
+             "rep = stable_homology_via_duality(simple_k(a2, 'right'), simple_k(a2, 'left'), 0, 3)\n"
+             "assert rep.dims == [1, 4, 16, 64]\n"
+             "assert cli.main(sys.argv[1:]) == 0\n"
+             "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n")
+    src = os.path.dirname(os.path.dirname(homct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _c3c3_compare(tmp_path, degrees: str, depth: int):
