@@ -2,7 +2,13 @@
 
 Cotowers are ``completion.Tower`` objects read as direct systems: ``maps[k]``
 is the transition W_k -> W_{k+1}, and ``cotower_limit`` takes the colimit.
-Stage k of the completed-Ext cotower is H^i Hom(P, Q>=k), realized by chain
+``ext_cotower`` is the one builder of the completed-Ext cotower in its
+satellite form (Mislin): stage k is Ext^{k+i}(M, Omega_k N), a ``derived``
+subquotient, and the transition is the connecting map of
+0 -> Omega_{k+1} N -> Q_k -> Omega_k N -> 0, the Ext twin of
+``completion.cosyzygy_tower``.  The stable duality route takes its colimit,
+and the truncated-Hom route and the duality bridge check against it.
+The truncated-Hom route realizes stage k as H^i Hom(P, Q>=k), by chain
 map segments of degree -i on a finite window; it is isomorphic to
 Ext^{k+i}(M, Omega_k N) because the hard truncation Q>=k is a shifted
 projective resolution of the syzygy.  The left-satellite route computes
@@ -64,6 +70,7 @@ from .resolve import Resolution, lift_chain_map, min_proj_resolution
 
 __all__ = [
     "SegmentStage",
+    "ext_cotower",
     "bc_ext",
     "pcomp_ext",
     "mu_forward",
@@ -87,6 +94,16 @@ def cotower_limit(t: Tower, w: int) -> StabilizationReport:
     rep.provenance = t.provenance
     rep.notes.append("colimit computed on the dualized tower")
     return rep
+
+
+def ext_cotower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
+    """Cotower W_k = Ext^{k+i}(m, Omega_k n) for k = max(0,-i)..K; the transition
+    W_k -> W_{k+1} is the connecting map of 0 -> Omega_{k+1} n -> Q_k -> Omega_k n -> 0."""
+    k_min = max(0, -i)
+    res = min_proj_resolution(n, K + 2)
+    stages = [ext(m, res.syzygy(k), k + i) for k in range(k_min, K + 1)]
+    maps = {k: connecting_ext(syzygy_ses(n, k + 1), m, k + i) for k in range(k_min, K)}
+    return Tower(i, k_min, stages, maps, "ext-cotower")
 
 
 # -- Benson-Carlson cotower ---------------------------------------------------
@@ -237,14 +254,12 @@ class SegmentStage:
         t = self.lo + len(comps)
         return lift_chain_map(comps, t, self.i, t, self.res_m, self.res_n)
 
-    def theta_ext_class(self, cls: np.ndarray):
+    def theta_ext_class(self, cls: np.ndarray) -> np.ndarray:
         """The stage isomorphism onto Ext^{k+i}(M, Omega_k N) class coordinates, for a block of classes."""
         f = self.coords[self.lo].to_ambient(self._at(self.sq.representative(cls), self.lo))
         coc = mulmod(self.res_n.cover_map(self.k).matrix.a, f, self.p)  # (k, dim Omega_k N, dim P_lo)
         ec = ext_chain(self.res_m.module, self.res_n.syzygy(self.k), self.lo + 1)
-        h = ec.cohomology(self.lo)
-        coords = ec.hom_space(self.lo).coords(_rows(coc))
-        return h, h.class_of(coords)
+        return ec.cohomology(self.lo).class_of(ec.hom_space(self.lo).coords(_rows(coc)))
 
 
 def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> StabilizationReport:
@@ -252,7 +267,8 @@ def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> Stabiliza
 
     Raises an internal route-mismatch error when the two routes disagree on any
     stage: satellite stage = image of the transition, stage spaces isomorphic
-    to Ext of the syzygy, transitions conjugate to the connecting maps.
+    to Ext of the syzygy (the stages of ``ext_cotower``), transitions
+    conjugate to the connecting maps (its transitions).
     """
     if m.side != n.side:
         raise ValueError("pcomp needs same-side modules")
@@ -261,52 +277,44 @@ def pcomp_ext(m: FdModule, n: FdModule, i: int, K: int, w: int = 3) -> Stabiliza
         raise ValueError("no stages in range: increase K past -i")
     res_m = min_proj_resolution(m, K + i + SEGMENT_BUFFER + 2 if K + i >= 0 else 2)
     res_n = min_proj_resolution(n, K + 2)
-    stages: list[SegmentStage] = []
-    ext_classes = []
-    for k in range(k_min, K + 1):
-        st = SegmentStage(res_m, res_n, i, k)
-        h_ext = ext(m, res_n.syzygy(k), k + i)
-        if st.dim != h_ext.dim:
-            raise RuntimeError("internal route mismatch: truncated-Hom stage dim != Ext dim")
-        stages.append(st)
-        ext_classes.append(h_ext)
+    ext_t = ext_cotower(m, n, i, K)
+    stages = [SegmentStage(res_m, res_n, i, k) for k in range(k_min, K + 1)]
+    if [st.dim for st in stages] != ext_t.dims():
+        raise RuntimeError("internal route mismatch: truncated-Hom stage dim != Ext dim")
     maps: dict[int, Matrix] = {}
     for idx, k in enumerate(range(k_min, K)):
         st, st_next = stages[idx], stages[idx + 1]
         # every class of stage k at once: extend its segments a degree, then drop the bottom one
         comps = st.extend_segment(st.segment_from_class(np.eye(st.dim, dtype=np.int64)))
         maps[k] = Matrix(m.p, st_next.class_of_segment(comps[1:]).T)
-    _verify_satellite_route(m, res_n, i, k_min, K, stages, maps)
-    rep = cotower_limit(Tower(i, k_min, stages, maps, "pcomp-ext"), w)
-    rep.provenance = "pcomp-ext"
-    return rep
+    _verify_satellite_route(m, res_n, ext_t, stages, maps)
+    return cotower_limit(Tower(i, k_min, stages, maps, "pcomp-ext"), w)
 
 
-def _verify_satellite_route(m: FdModule, res_n: Resolution, i: int, k_min: int, K: int,
+def _verify_satellite_route(m: FdModule, res_n: Resolution, ext_t: Tower,
                             stages: list[SegmentStage], maps: dict[int, Matrix]) -> None:
-    """Check S_k Ext = im(transition) and the Theta-naturality squares."""
-    for idx, k in enumerate(range(k_min + 1, K + 1)):
-        st_prev = stages[idx]
-        st = stages[idx + 1]
+    """Check S_k Ext = im(transition) and the Theta-naturality squares against the Ext cotower."""
+    i, k_min = ext_t.i, ext_t.k_min
+    for k in range(k_min + 1, ext_t.k_max + 1):
+        st_prev, st = stages[k - 1 - k_min], stages[k - k_min]
         incl = res_n.syzygy_incl(k)
         # left satellite: kernel of Ext^{k+i}(m, Omega_k n) -> Ext^{k+i}(m, Q_{k-1})
-        h_om = ext(m, incl.source, k + i)
+        h_om = ext_t.stages[k - k_min]
         if h_om.dim == 0 or ext(m, incl.target, k + i).dim == 0:
             satellite = Subspace.full(m.p, h_om.dim)
         else:
             satellite = kernel_basis(ext_map(incl, m, k + i))
         # transition image, transported through Theta: the transition's columns, one per row
-        theta_moved = st.theta_ext_class(maps[k - 1].a.T)[1]
+        theta_moved = st.theta_ext_class(maps[k - 1].a.T)
         img = Subspace(m.p, h_om.dim, theta_moved)
         if img != satellite:
             # the image of the transition must equal the satellite subspace
             raise RuntimeError("internal route mismatch: satellite != transition image")
-        # Theta-naturality: delta_ext o Theta = (-1)^i Theta o transition.
-        # The sign comes from d_Q f_{lo+1} = (-1)^i f_lo d_P at the seam.
-        delta = connecting_ext(syzygy_ses(res_n.module, k), m, k + i - 1)
+        # Theta-naturality: delta_ext o Theta = (-1)^i Theta o transition, delta_ext the
+        # cotower's transition.  The sign comes from d_Q f_{lo+1} = (-1)^i f_lo d_P at the seam.
         sign = 1 if i % 2 == 0 else m.p - 1
-        _, via_theta = st_prev.theta_ext_class(np.eye(st_prev.dim, dtype=np.int64))
-        if not np.array_equal(delta.apply(via_theta), (sign * theta_moved) % m.p):
+        via_theta = st_prev.theta_ext_class(np.eye(st_prev.dim, dtype=np.int64))
+        if not np.array_equal(ext_t.maps[k - 1].apply(via_theta), (sign * theta_moved) % m.p):
             raise RuntimeError("internal route mismatch: connecting map square")
 
 
@@ -421,19 +429,12 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         raise ValueError("second argument must be a left module over the opposite algebra")
     dn = dual_module(n_op).as_left_over_opposite()  # left module over the base algebra
     k_min = max(0, -i)
-    tor_tower = cosyzygy_tower(m, dn, i, K)
+    tor_tower, ext_t = cosyzygy_tower(m, dn, i, K), ext_cotower(m_op, n_op, i, K)
     res_n = min_proj_resolution(n_op, K + 2)
-    dims_tor = tor_tower.dims()
-    dims_ext = []
-    ext_spaces = []
     pairings: dict[int, Matrix] = {}
     perfect = True
     for k in range(k_min, K + 1):
-        omega = res_n.syzygy(k)
-        h_ext = ext(m_op, omega, k + i)
-        ext_spaces.append(h_ext)
-        dims_ext.append(h_ext.dim)
-        h_tor = tor_tower.stages[k - k_min]
+        h_tor, h_ext = tor_tower.stages[k - k_min], ext_t.stages[k - k_min]
         if h_tor.dim != h_ext.dim:
             perfect = False
             continue
@@ -441,15 +442,16 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
             pairings[k] = Matrix.zeros(m.p, 0, 0)
             continue
         # pairing matrix on class bases: <z, c> = sum_{s,t} z[s, t] c[t, s]
+        omega = res_n.syzygy(k)
         dx = omega.dim
         chain = tensor_chain(m, dual_module(omega).as_left_over_opposite(), k + i + 1)
         comp = chain.component(k + i)
         ec = ext_chain(m_op, omega, k + i + 1)
         p_dim = chain.res.proj(k + i).dim
         # cycles in P tensor_k D(omega), flat pair index s * dx + t
-        z = comp.lift(h_tor.sq.basis_representatives())
+        z = comp.lift(h_tor.basis_representatives())
         # cocycles P -> omega, flat index t * p_dim + s; transposed to s * dx + t
-        c = ec.hom_space(k + i).to_ambient(ec.cohomology(k + i).sq.basis_representatives())
+        c = ec.hom_space(k + i).to_ambient(h_ext.basis_representatives())
         c = c.transpose(0, 2, 1).reshape(h_ext.dim, p_dim * dx)
         mat = Matrix(m.p, mulmod(z, c.T, m.p))
         pairings[k] = mat
@@ -462,11 +464,9 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         if tor_tower.stage_dim(k) == 0 or tor_tower.stage_dim(k - 1) == 0:
             signs[k] = 1
             continue
-        delta_ext = connecting_ext(syzygy_ses(n_op, k), m_op, k + i - 1)
-        delta_tor = tor_tower.maps[k]
         # <delta_tor z, c>_{k-1} vs <z, delta_ext c>_k
-        lhs = pairings[k - 1].transpose() @ delta_tor  # indexed (c_{k-1}, z_k)
-        rhs = delta_ext.transpose() @ pairings[k].transpose()
+        lhs = pairings[k - 1].transpose() @ tor_tower.maps[k]  # indexed (c_{k-1}, z_k)
+        rhs = ext_t.maps[k - 1].transpose() @ pairings[k].transpose()
         if lhs == rhs:
             signs[k] = 1
         elif lhs == -rhs:
@@ -474,6 +474,6 @@ def duality_bridge_check(m: FdModule, n_op: FdModule, i: int, K: int) -> Duality
         else:
             squares = False
             signs[k] = 0
-    rep = DualityBridgeReport(dims_tor, dims_ext, perfect, squares, signs)
+    rep = DualityBridgeReport(tor_tower.dims(), ext_t.dims(), perfect, squares, signs)
     rep.notes.append("minimal resolutions: acyclic complement J = 0 on the window")
     return rep

@@ -255,7 +255,8 @@ def tower_limit(t: Tower, w: int) -> StabilizationReport:
         raise ValueError("window must be >= 1")
     K = t.k_max
     dims = t.dims()
-    p = t.maps[t.k_min + 1].p if K > t.k_min else 2
+    # chain[k] ends with dim Im(V_K -> V_k), which is dim V_K itself at k = K; below K
+    # that image is kept, as limit_basis reads it
     chain: dict[int, list[int]] = {}
     eventual: dict[int, Subspace] = {}
     for idx, k in enumerate(range(t.k_min, K + 1)):
@@ -264,8 +265,10 @@ def tower_limit(t: Tower, w: int) -> StabilizationReport:
             if comp is not None:  # the last composite's rank is its image's dim, below
                 row.append(rref(comp)[2])
             comp = t.maps[khi] if comp is None else comp @ t.maps[khi]
-        eventual[k] = image_basis(comp) if comp is not None else Subspace.full(p, dims[idx])
-        chain[k] = row + ([eventual[k].dim] if comp is not None else [])
+        if comp is not None:
+            eventual[k] = image_basis(comp)
+            row.append(eventual[k].dim)
+        chain[k] = row
     report = StabilizationReport("", t.i, t.k_min, w, dims, chain, "Inconclusive")
     report.provenance = t.provenance
     n_stages = len(dims)
@@ -276,12 +279,12 @@ def tower_limit(t: Tower, w: int) -> StabilizationReport:
     last = dims[-w:]
     if len(set(last)) != 1:
         report.verdict = "NotStabilized"
-        report.lower_bound = max(eventual[k].dim for k in eventual)
+        report.lower_bound = max(row[-1] for row in chain.values())
         report.notes.append("stage dims still changing in the window")
         return report
     # windowed stable images E_k = Im(V_K -> V_k); E_K itself is edge data
     k0 = min(K - w + 1, K - 1)
-    e_dims = [eventual[k].dim for k in range(k0, K)]
+    e_dims = [chain[k][-1] for k in range(k0, K)]
     if len(set(e_dims)) > 1:
         report.verdict = "Inconclusive"
         report.notes.append("stable-image dims not constant across the window")

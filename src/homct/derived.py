@@ -22,11 +22,13 @@ triples (``exactla.SparseMatrix``), as ``algmod._entry_actions`` and the Hom
 precompositions write it, and homology eliminates only its core of nonzero
 rows and columns; no dense copy is kept.
 
-Homology spaces always carry cycle representatives (through Subquotient), so
-connecting maps and tower transition maps are computed on witnesses and then
-recorded as matrices in class coordinates.  Tor resolves its first argument
-only; sensitivity to the second argument enters through functorial maps and
-the towers in the completion module.  The Ext cochains Hom_A(P_j, N) are
+A homology space is an ``exactla.Subquotient`` Z/B of the chain component,
+so it carries cycle representatives: connecting maps and tower transition
+maps are computed on witnesses and then recorded as matrices in class
+coordinates.  A zero component, and Tor or Ext in a negative degree, give
+the zero subquotient of F_p^0, the one form of a zero space.  Tor resolves
+its first argument only; sensitivity to the second argument enters through
+functorial maps and the towers in the completion module.  The Ext cochains Hom_A(P_j, N) are
 ``algmod.hom_coords`` spaces: out of a free P_j = A^b a cochain is its b
 generator images, a vector of N^b, so the differential is the block matrix
 of the actions of d_{j+1}'s algebra entries on N and a second-argument map
@@ -34,8 +36,10 @@ is kron(I_b, g); no basis of maps is built and no Kronecker system is solved.
 Out of a non-free P_j the cochains keep the RREF basis of the Hom subspace.
 
 Connecting maps in Tor and in Ext are one snake (``_connecting``) read off
-the short exact sequence 0 -> N' -f-> N -g-> N'' -> 0.  The sequence
-eliminates f and g once each (``exactla.Solver``) and keeps, for every basis
+the short exact sequence 0 -> N' -f-> N -g-> N'' -> 0.  Their readers are
+the tower builders: ``completion.cosyzygy_tower`` (and ``les_check``) for
+Tor, ``cohom.ext_cotower`` for Ext.  The sequence eliminates f and g once
+each (``exactla.Solver``) and keeps, for every basis
 element u of A, the operator V_u = T_f . act_u(N) . S_g, where S_g is the
 section of g and T_f the transform with T_f f = rref(f).  On free P_i and
 P_{i-1}, a differential is d_i = sum_u D_u a_u with D_u the coefficient
@@ -93,7 +97,6 @@ from .exactla import (
 from .resolve import CompleteResolution, Resolution, _degree_scoped, _memoized, min_proj_resolution
 
 __all__ = [
-    "HomologySpace",
     "ShortExactSeq",
     "syzygy_ses",
     "TensorChain",
@@ -112,28 +115,6 @@ __all__ = [
     "second_arg_tensor_matrix",
     "second_arg_ext_matrix",
 ]
-
-
-@dataclass
-class HomologySpace:
-    """Homology in one degree with class coordinates and representatives."""
-
-    degree: int
-    sq: Subquotient | None  # None encodes a structurally zero space
-
-    @property
-    def dim(self) -> int:
-        return 0 if self.sq is None else self.sq.dim
-
-    def class_of(self, v: np.ndarray) -> np.ndarray:
-        if self.sq is None:
-            return np.zeros(np.shape(v)[:-1] + (0,), dtype=np.int64)
-        return self.sq.class_of(v)
-
-    def representative(self, cls: np.ndarray) -> np.ndarray:
-        if self.sq is None:
-            raise ValueError("zero homology space has no representatives")
-        return self.sq.representative(cls)
 
 
 class ShortExactSeq:
@@ -188,8 +169,13 @@ def syzygy_ses(n: FdModule, k: int) -> ShortExactSeq:
     return _memoized(("syzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, cover))
 
 
-def _homology(i: int, p: int, dim: int, out, into) -> HomologySpace:
-    """ker(out()) / im(into()) in degree i, where the space has dimension dim.
+def _zero(p: int) -> Subquotient:
+    """The zero space: the zero subquotient of F_p^0."""
+    return Subquotient(Subspace.zero(p, 0), Subspace.zero(p, 0))
+
+
+def _homology(p: int, dim: int, out, into) -> Subquotient:
+    """ker(out()) / im(into()) on a space of dimension dim.
 
     A zero space needs no map: then neither is called.  A map that returns None
     is zero: its kernel is the whole space, its image is zero, and neither is
@@ -198,12 +184,12 @@ def _homology(i: int, p: int, dim: int, out, into) -> HomologySpace:
     B's core is built, so at most one dense core is alive at a time.
     """
     if dim == 0:
-        return HomologySpace(i, None)
+        return _zero(p)
     d_out = out()
     z = Subspace.full(p, dim) if d_out is None else d_out.kernel()
     d_in = into()
     b = Subspace.zero(p, dim) if d_in is None else d_in.transpose().row_space()
-    return HomologySpace(i, Subquotient(z, b))
+    return Subquotient(z, b)
 
 
 _UNBUILT = object()
@@ -227,7 +213,7 @@ class _Chain:
         self.res = res
         self.n = n
         self._diffs: dict[int, SparseMatrix | None] = {}  # None: zero, never built for homology
-        self._homology: dict[int, HomologySpace] = {}
+        self._homology: dict[int, Subquotient] = {}
         self._known: set[int] = set()  # degrees whose homology has been made
 
     def _sides(self, j: int) -> tuple[int, int]:
@@ -250,11 +236,11 @@ class _Chain:
         d = self._differential(j)
         return Matrix.zeros(self.n.p, self.dim(self._sides(j)[1]), self.dim(j)) if d is None else d.to_matrix()
 
-    def _read(self, i: int, out: int, into: int | None) -> HomologySpace:
+    def _read(self, i: int, out: int, into: int | None) -> Subquotient:
         """ker d_out / im d_into in degree i, made once while it lives."""
         h = self._homology.get(i)
         if h is None:
-            h = self._homology[i] = _homology(i, self.n.p, self.dim(i), lambda: self._differential(out),
+            h = self._homology[i] = _homology(self.n.p, self.dim(i), lambda: self._differential(out),
                                               lambda: None if into is None else self._differential(into))
             self._known.add(i)
             for j in (out, into):
@@ -302,7 +288,7 @@ class TensorChain(_Chain):
         d = self.res.differential(j)
         return None if _acts_as_zero(d, self.n) else first_arg_tensor_matrix(d, src, tgt, self.n)
 
-    def homology(self, i: int) -> HomologySpace:
+    def homology(self, i: int) -> Subquotient:
         return self._read(i, i, i + 1)
 
 
@@ -359,10 +345,10 @@ def tensor_chain(m: FdModule, n: FdModule, depth: int) -> TensorChain:
     return _memoized(("tensor", m.fingerprint(), n.fingerprint()), lambda: TensorChain(res, n))
 
 
-def tor(m: FdModule, n: FdModule, i: int) -> HomologySpace:
+def tor(m: FdModule, n: FdModule, i: int) -> Subquotient:
     """Tor_i(m, n) = H_i(P tensor_A n); zero for i < 0 by convention."""
     if i < 0:
-        return HomologySpace(i, None)
+        return _zero(m.p)
     tc = tensor_chain(m, n, i + 1)
     return tc.homology(i)
 
@@ -378,7 +364,7 @@ def tor_map(g: ModuleMap, m: FdModule, i: int) -> Matrix:
     ha, hb = tor(m, g.source, i), tor(m, g.target, i)
     if ha.dim == 0 or hb.dim == 0:
         return Matrix.zeros(m.p, hb.dim, ha.dim)
-    return hb.sq.induced_from(ha.sq, tensor_map(g, m, i))
+    return hb.induced_from(ha, tensor_map(g, m, i))
 
 
 class ExtChain(_Chain):
@@ -407,7 +393,7 @@ class ExtChain(_Chain):
         d = self.res.differential(j + 1)
         return None if _acts_as_zero(d, self.n) else self.hom_space(j).precompose(d, self.hom_space(j + 1))
 
-    def cohomology(self, i: int) -> HomologySpace:
+    def cohomology(self, i: int) -> Subquotient:
         """H^i in Hom-space coordinates (ambient = hom_space(i) coords)."""
         return self._read(i, i, i - 1 if i >= 1 else None)
 
@@ -418,10 +404,10 @@ def ext_chain(m: FdModule, n: FdModule, depth: int) -> ExtChain:
     return _memoized(("ext", m.fingerprint(), n.fingerprint()), lambda: ExtChain(res, n))
 
 
-def ext(m: FdModule, n: FdModule, i: int) -> HomologySpace:
+def ext(m: FdModule, n: FdModule, i: int) -> Subquotient:
     """Ext^i(m, n) = H^i(Hom_A(P, n)); zero for i < 0."""
     if i < 0:
-        return HomologySpace(i, None)
+        return _zero(m.p)
     ec = ext_chain(m, n, i + 1)
     return ec.cohomology(i)
 
@@ -437,7 +423,7 @@ def ext_map(g: ModuleMap, m: FdModule, j: int) -> Matrix:
     if ha.dim == 0 or hb.dim == 0:
         return Matrix.zeros(m.p, hb.dim, ha.dim)
     src, tgt = ext_chain(m, g.source, j + 1), ext_chain(m, g.target, j + 1)
-    return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(g, src, tgt, j))
+    return hb.induced_from(ha, second_arg_ext_matrix(g, src, tgt, j))
 
 
 def _snake_by_operators(ses: ShortExactSeq, d: ModuleMap, reps: np.ndarray, transposed: bool) -> np.ndarray:
@@ -511,7 +497,7 @@ def _snake_by_solves(g: Matrix, d_mid: Matrix, f: Matrix, reps: np.ndarray) -> n
     return pulled.a
 
 
-def _connecting(ses: ShortExactSeq, m: FdModule, h_top: HomologySpace, h_bot: HomologySpace,
+def _connecting(ses: ShortExactSeq, m: FdModule, h_top: Subquotient, h_bot: Subquotient,
                 res: Resolution, i: int, transposed: bool, solves) -> Matrix:
     """The snake map h_top -> h_bot across d_i of m's resolution, in class coordinates; a zero
     matrix when either side is zero.  On free P_i and P_{i-1} it reads the snake operators over
@@ -521,12 +507,12 @@ def _connecting(ses: ShortExactSeq, m: FdModule, h_top: HomologySpace, h_bot: Ho
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
     d = res.differential(i)
     if d.source.free_rank is None or d.target.free_rank is None:
-        pulled = _snake_by_solves(*solves(), h_top.sq.basis_representatives().T)
-    elif h_top.sq.unit_classes:
+        pulled = _snake_by_solves(*solves(), h_top.basis_representatives().T)
+    elif h_top.unit_classes:
         pulled = _snake_on_units(ses, d, transposed)
     else:
         # batch the snake over all class representatives, one per column
-        pulled = _snake_by_operators(ses, d, h_top.sq.basis_representatives().T, transposed)
+        pulled = _snake_by_operators(ses, d, h_top.basis_representatives().T, transposed)
     return Matrix(m.p, h_bot.class_of(pulled.T).T)
 
 
@@ -593,6 +579,6 @@ def tate_chain(tcx: CompleteResolution, n: FdModule) -> TateChain:
     return tc
 
 
-def tate_tor(tcx: CompleteResolution, n: FdModule, i: int) -> HomologySpace:
+def tate_tor(tcx: CompleteResolution, n: FdModule, i: int) -> Subquotient:
     """Tate homology in degree i from a certified complete resolution."""
     return tate_chain(tcx, n).homology(i)

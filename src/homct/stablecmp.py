@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algmod import FdModule, dual_module, regular_module, submodule
-from .derived import HomologySpace, TensorChain, connecting_ext, ext, syzygy_ses, tensor_chain, tensor_map, tor
-from .exactla import Matrix, image_basis, kernel_basis, rref, solve_matrix, vstack
+from .derived import TensorChain, tensor_chain, tensor_map, tor
+from .exactla import Matrix, Subquotient, image_basis, kernel_basis, rref, solve_matrix, vstack
 from .resolve import (
     detect_periodicity,
     is_projective,
@@ -316,7 +316,7 @@ def _indecomposable_injectives(algebra) -> list[FdModule]:
 
 
 def stable_homology_via_vanishing(m: FdModule, n: FdModule, i: int,
-                                  cert: CopureCertificate) -> HomologySpace:
+                                  cert: CopureCertificate) -> Subquotient:
     """Stable homology as a shifted Tor under a copure-flat certificate.
 
     Returns Tor_{i+k}(m, Omega^k n) at k = max(0, bound - i); the answer is
@@ -339,33 +339,24 @@ def stable_homology_via_duality(m: FdModule, n: FdModule, i: int, K: int, w: int
 
     Stage spaces are k-duals of the completed-Ext cotower of (m, D n) over
     the opposite algebra.  realization "segments" runs the truncated-Hom
-    route with its internal two-route verification; "ext" runs the
-    Theta-conjugate cotower Ext^{k+i}(m, Omega_k D n) with connecting-map
-    transitions, which is cheaper on algebras with growing Betti numbers and
-    is verified equal to the segment route wherever both run.
+    route with its internal two-route verification; "ext" takes the colimit
+    of ``cohom.ext_cotower``, the Theta-conjugate cotower
+    Ext^{k+i}(m, Omega_k D n) with connecting-map transitions, which is
+    cheaper on algebras with growing Betti numbers and is verified equal to
+    the segment route wherever both run.
     """
     if m.side != "right" or n.side != "left":
         raise ValueError("duality route expects (right, left) modules")
+    from .cohom import cotower_limit, ext_cotower, pcomp_ext
+
     m_op = m.as_left_over_opposite()
     dn_op = dual_module(n).as_left_over_opposite()
     if realization == "segments":
-        from .cohom import pcomp_ext
-
         rep = pcomp_ext(m_op, dn_op, i, K, w)
-        rep.provenance = "stable-via-duality"
-        return rep
-    if realization != "ext":
+    elif realization == "ext":
+        rep = cotower_limit(ext_cotower(m_op, dn_op, i, K), w)
+    else:
         raise ValueError("realization must be 'segments' or 'ext'")
-    from .cohom import cotower_limit
-    from .completion import Tower
-
-    k_min = max(0, -i)
-    res = min_proj_resolution(dn_op, K + 2)
-    stages = [ext(m_op, res.syzygy(k), k + i) for k in range(k_min, K + 1)]
-    maps = {}
-    for k in range(k_min, K):
-        maps[k] = connecting_ext(syzygy_ses(dn_op, k + 1), m_op, k + i)
-    rep = cotower_limit(Tower(i, k_min, stages, maps, "stable-via-duality"), w)
     rep.provenance = "stable-via-duality"
     return rep
 
@@ -457,32 +448,27 @@ def family_from_limit(dw: DoubleWindow, i: int, tower, report, gen_index: int) -
     return CompatibleFamily(dw, i, tower.k_min, reps)
 
 
-def map_tau(fam: CompatibleFamily) -> tuple[HomologySpace, np.ndarray]:
+def map_tau(fam: CompatibleFamily) -> tuple[Subquotient, np.ndarray]:
     """The augmentation to Tor: send the family to its stage-0 class.
 
     Returns (Tor_i(m, n) space, class coordinates); for i < 0 the space is
-    structurally zero.
+    zero (``tor``'s convention).
     """
-    dw = fam.dw
-    i = fam.i
-    if i < 0:
-        return HomologySpace(i, None), np.zeros(0, dtype=np.int64)
+    h = tor(fam.dw.m, fam.dw.n, fam.i)
+    if fam.i < 0:
+        return h, np.zeros(0, dtype=np.int64)
     if 0 not in fam.reps:
         raise ValueError("family does not reach stage 0")
-    h = tor(dw.m, dw.n, i)
-    cls = to_tor_class(dw, 0, fam.reps[0])
-    return h, cls
+    return h, to_tor_class(fam.dw, 0, fam.reps[0])
 
 
-def map_eth(z: WindowElement) -> tuple[HomologySpace, np.ndarray]:
+def map_eth(z: WindowElement) -> tuple[Subquotient, np.ndarray]:
     """Connecting map: class of boundary(z) in Tor_i(m, n), i = deg z - 1."""
     dw = z.dw
     i = z.i - 1
     dz = z.boundary()
-    if i < 0:
-        return HomologySpace(i, None), np.zeros(0, dtype=np.int64)
     h = tor(dw.m, dw.n, i)
-    if dz.is_zero():
+    if i < 0 or dz.is_zero():
         return h, np.zeros(h.dim, dtype=np.int64)
     _, edge = compress_cycle(dw, dz, 0)
     cls = to_tor_class(dw, 0, edge)
@@ -540,7 +526,7 @@ def injectivity_probe(dw: DoubleWindow, i: int, K: int, w: int = 3) -> Injectivi
     rep = tower_limit(t, w)
     if not rep.stabilized or rep.limit_dim == 0:
         return InjectivityProbe(i, 0, 0, True)
-    h = tor(dw.m, dw.n, i) if i >= 0 else None
+    h = tor(dw.m, dw.n, i)
     cols = []
     fams = []
     for g in range(rep.limit_dim):
@@ -549,7 +535,7 @@ def injectivity_probe(dw: DoubleWindow, i: int, K: int, w: int = 3) -> Injectivi
         z = sigma_preimage(fam)
         _, cls = map_eth(z)
         cols.append(cls)
-    if h is None or h.dim == 0:
+    if h.dim == 0:
         return InjectivityProbe(i, rep.limit_dim, 0, True)
     mat = Matrix(dw.m.p, np.array(cols, dtype=np.int64).T.reshape(h.dim, len(cols)))
     eth_rank = rref(mat)[2]

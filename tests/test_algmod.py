@@ -61,6 +61,8 @@ from homct.derived import ShortExactSeq, ext_chain, second_arg_ext_matrix
 from homct.schemas import module_to_json
 from homct.resolve import min_inj_resolution, min_proj_resolution, projective_cover
 
+from algebras import triangular
+
 
 def right_mult_matrix(a, v):
     """Matrix of x -> x * v on column coordinates (a stack for a block of rows)."""
@@ -844,17 +846,6 @@ GROUP_TABLES = {
 }
 
 
-def _triangular(n, p):
-    """Upper triangular n x n matrices over F_p on the basis e_ij, i <= j."""
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    pos = {ij: t for t, ij in enumerate(idx)}
-    struct = np.zeros((len(idx),) * 3, dtype=np.int64)
-    for (i, j), (k, l) in itertools.product(idx, idx):
-        if j == k:
-            struct[pos[i, j], pos[k, l], pos[i, l]] = 1
-    return Algebra(p, struct, [int(i == j) for i, j in idx])
-
-
 def test_group_tables_have_their_orders():
     orders = {"C2xC2": 4, "C2xC4": 8, "C2^3": 8, "C3xC3": 9, "S3": 6, "D8": 8, "Q8": 8}
     for name, order in orders.items():
@@ -877,7 +868,7 @@ def small_algebras(draw):
         if ex > 1 and ey > 1 and draw(st.booleans()):
             rels.append((draw(st.integers(1, ex - 1)), draw(st.integers(1, ey - 1))))
         return make_monomial_quotient(2, rels, p)
-    return _triangular(draw(st.sampled_from([2, 3])), p)
+    return triangular(draw(st.sampled_from([2, 3])), p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -950,7 +941,7 @@ def test_quotient_split_matches_the_scan(a):
 def test_characters_at_the_largest_primes(p):
     # a scan of F_p would take days here
     for n in (2, 3):
-        a = _triangular(n, p)
+        a = triangular(n, p)
         diag = [np.array([int(i == j == k) for i in range(n) for j in range(i, n)]) for k in range(n)]
         assert sorted(map(tuple, a.characters())) == sorted(map(tuple, diag))
         idems = a.primitive_idempotents()
@@ -977,7 +968,7 @@ def _c2x4():
 def _fixture_modules():
     """Simple and regular modules of the fixtures, T_2(F_3) and (C_2)^4, and the A3 ideals."""
     mods = [a3_mod_ideal(v, side) for v in "xy" for side in ("left", "right")]
-    for a in [*fixture_algebras().values(), _triangular(2, 3), _c2x4()]:
+    for a in [*fixture_algebras().values(), triangular(2, 3), _c2x4()]:
         for side in ("left", "right"):
             mods += [*simple_modules(a, side), regular_module(a, side)]
     return mods
@@ -1020,7 +1011,7 @@ def test_submodule_from_subspace_rejects_unstable_span():
 
 @pytest.mark.parametrize("a, count", [
     (algebra_a1(), 1), (algebra_a4(), 1), (algebra_a2(), 2), (algebra_a3(), 2),
-    (_triangular(2, 3), 1), (_c2x4(), 4),
+    (triangular(2, 3), 1), (_c2x4(), 4),
     (make_group_algebra(cyclic_group_table(2), 3), 0),  # semisimple: no generators
 ], ids=["a1", "a4", "a2", "a3", "t2_f3", "c2x4", "f3_c2"])
 def test_radical_generators_generate_rad_on_both_sides(a, count):
@@ -1060,7 +1051,7 @@ def kronecker_hom(m, n):
     return kernel_basis(Matrix(p, np.vstack(conds)))
 
 
-_HOM_ALGEBRAS = {**fixture_algebras(), "t2": _triangular(2, 3), "c3": group_algebra_c3_f3()}
+_HOM_ALGEBRAS = {**fixture_algebras(), "t2": triangular(2, 3), "c3": group_algebra_c3_f3()}
 
 
 def _hom_target(a, side, kind, r):
@@ -1113,7 +1104,7 @@ def _ext_delta_cases():
     """(ExtChain, depth): A2 k with free P to depth 4, T_2(F_3) simples with non-free P."""
     k = simple_k(algebra_a2())
     cases = [(ext_chain(k, k, 5), 4)]
-    simples = simple_modules(_triangular(2, 3), "left")
+    simples = simple_modules(triangular(2, 3), "left")
     cases += [(ext_chain(m, n, 4), 3) for m in simples for n in simples]
     return cases
 
@@ -1140,7 +1131,7 @@ def test_hom_precompose_matches_kronecker_induction_on_ext_deltas():
 
 
 def test_hom_postcompose_matches_kronecker_induction_on_second_argument():
-    a2, t2 = algebra_a2(), _triangular(2, 3)
+    a2, t2 = algebra_a2(), triangular(2, 3)
     _, _, _, incl, proj = min_inj_resolution(simple_k(a2), 2).cosyzygy_ses(1)
     cases = [(ShortExactSeq(incl, proj), simple_k(a2))]
     for ni in range(2):
@@ -1196,7 +1187,7 @@ def _elementary_abelian_f2(r, seed=0):
 
 
 def _generator_test_algebras():
-    return {**fixture_algebras(), "t2f3": _triangular(2, 3), "c3f3": group_algebra_c3_f3(),
+    return {**fixture_algebras(), "t2f3": triangular(2, 3), "c3f3": group_algebra_c3_f3(),
             "c2x2": _elementary_abelian_f2(2, seed=5), "c2x3": _elementary_abelian_f2(3, seed=7)}
 
 
@@ -1301,7 +1292,7 @@ def _kronecker_dual(m):
     return FdModule(m.algebra, side, m.dim, [x.a.T for x in m.action], check=False)
 
 
-_BLOCK_ALGEBRAS = {**fixture_algebras(), "c2x3": _elementary_abelian_f2(3), "t2f3": _triangular(2, 3)}
+_BLOCK_ALGEBRAS = {**fixture_algebras(), "c2x3": _elementary_abelian_f2(3), "t2f3": triangular(2, 3)}
 
 
 def _stable_subspaces(ref):

@@ -7,12 +7,12 @@ import pytest
 
 from homct import cohom
 from homct.algmod import (
-    Algebra,
     FreeHomCoords,
     ModuleMap,
     _free_block_entries,
     _free_map_matrix,
     direct_sum,
+    dual_module,
     free_module,
     regular_module,
     simple_modules,
@@ -22,12 +22,15 @@ from homct.cohom import (
     SegmentStage,
     bc_cotower,
     bc_ext,
+    cotower_limit,
     duality_bridge_check,
+    ext_cotower,
     mu_forward,
     mu_stage_check,
     pcomp_ext,
 )
-from homct.derived import ext, ext_chain
+from homct.completion import Tower
+from homct.derived import connecting_ext, ext, ext_chain, syzygy_ses
 from homct.exactla import Matrix, SparseMatrix, Subspace, image_basis, kernel_basis, rref, solve_matrix
 from homct.fixtures import (
     algebra_a1,
@@ -37,6 +40,8 @@ from homct.fixtures import (
     simple_k,
 )
 from homct.resolve import hom_solve, lift_chain_map, min_proj_resolution
+
+from algebras import triangular
 
 
 # --- Benson-Carlson cotower -----------------------------------------------------
@@ -119,16 +124,8 @@ def test_pcomp_a4_odd_degree_signs():
         assert rep.stabilized and rep.limit_dim == 1
 
 
-def triangular_f3() -> Algebra:
-    """Upper triangular 2x2 matrices over F_3 (basis e11, e12, e22): two simples, unit e11 + e22."""
-    struct = np.zeros((3, 3, 3), dtype=np.int64)
-    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
-        struct[i, j, k] = 1
-    return Algebra(3, struct, [1, 0, 1])
-
-
 def _t2_modules():
-    t2 = triangular_f3()
+    t2 = triangular()
     return dict(zip(["s0", "s1", "reg"], [*simple_modules(t2, "left"), regular_module(t2, "left")]))
 
 
@@ -346,7 +343,7 @@ def test_block_transitions_match_per_class_reference():
         nonzero += bool(want.any())
         # Theta of a block of classes, row by row
         block = np.random.default_rng(k).integers(0, m.p, size=(3, st.dim))
-        _, theta = st.theta_ext_class(block)
+        theta = st.theta_ext_class(block)
         assert np.array_equal(theta.reshape(3, -1), [_ref_theta(st, c).reshape(-1) for c in block])
     assert nonzero >= 10
 
@@ -636,3 +633,47 @@ def test_duality_bridge_a4_signs():
         rep = duality_bridge_check(k_r, n_op, i, 3)
         assert rep.ok
         assert all(s in (1, -1) for s in rep.signs.values())
+
+
+# --- the one Ext cotower ------------------------------------------------------------
+
+
+def _ext_cotower_reference(m_op, dn_op, i, K):
+    """The Ext cotower as stable_homology_via_duality built it by hand before ext_cotower:
+    Ext^{k+i}(m, Omega_k D n) with the connecting maps of n's syzygy sequences as transitions."""
+    k_min = max(0, -i)
+    res = min_proj_resolution(dn_op, K + 2)
+    stages = [ext(m_op, res.syzygy(k), k + i) for k in range(k_min, K + 1)]
+    maps = {}
+    for k in range(k_min, K):
+        maps[k] = connecting_ext(syzygy_ses(dn_op, k + 1), m_op, k + i)
+    return Tower(i, k_min, stages, maps, "stable-via-duality")
+
+
+def _ext_cotower_cases():
+    """(k, k) over A1-A4 and every pair of simples over T_2(F_3), as (right m, left n)."""
+    cases = [(simple_k(a, "right"), simple_k(a, "left"))
+             for a in (algebra_a1(), algebra_a2(), algebra_a3(), algebra_a4())]
+    t2 = triangular()
+    return cases + [(m, n) for m in simple_modules(t2, "right") for n in simple_modules(t2, "left")]
+
+
+def test_ext_cotower_matches_the_hand_built_loop():
+    # stage dims, transition matrices and the colimit report of the one builder against
+    # the loop it replaced, and the duality route's "ext" realization reads the same report
+    from homct.stablecmp import stable_homology_via_duality
+
+    nonzero = 0
+    for m, n in _ext_cotower_cases():
+        m_op, dn_op = m.as_left_over_opposite(), dual_module(n).as_left_over_opposite()
+        for i in (-1, 0, 1):
+            for K in range(max(0, -i), 5):
+                got, want = ext_cotower(m_op, dn_op, i, K), _ext_cotower_reference(m_op, dn_op, i, K)
+                assert (got.i, got.k_min, got.dims()) == (want.i, want.k_min, want.dims())
+                assert sorted(got.maps) == sorted(want.maps) == list(range(got.k_min, K))
+                assert all(got.maps[k] == want.maps[k] for k in got.maps)
+                nonzero += sum(bool(g.a.any()) for g in got.maps.values())
+                for w in (1, 2):
+                    rep, ref = stable_homology_via_duality(m, n, i, K, w, realization="ext"), cotower_limit(want, w)
+                    assert rep.to_dict() == ref.to_dict() and rep.limit_basis == ref.limit_basis
+    assert nonzero >= 20

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homct import completion, derived, resolve
+from homct import completion, derived, exactla, resolve
 from homct.algmod import ModuleMap, dual_module, regular_module
 from homct.completion import (
     cosyzygy_map,
@@ -256,6 +256,19 @@ def test_tower_limit_a2_not_stabilized():
         assert all(row[j] >= row[j + 1] for j in range(len(row) - 1))
 
 
+def test_tower_limit_builds_no_subspace_for_the_last_stage(monkeypatch):
+    # the verdict reads only the last stage's dimension, so no subspace is made for it: a
+    # one-stage tower, which has no map to tell its field, makes none over a guessed p = 2
+    made = []
+    full = exactla.Subspace.full
+    monkeypatch.setattr(exactla.Subspace, "full", staticmethod(lambda p, n: made.append(p) or full(p, n)))
+    one = tower_limit(Tower(0, 0, [_Stage(2)], {}, "synthetic"), 1)
+    assert (one.image_chain, one.verdict, made) == ({0: [2]}, "Inconclusive", [])
+    rep = tower_limit(make_tower([1, 2, 3], lambda k, s, r: np.zeros((r, s), dtype=np.int64), p=3), 2)
+    assert (rep.verdict, rep.lower_bound, rep.image_chain) == ("NotStabilized", 3, {0: [1, 0, 0], 1: [2, 0], 2: [3]})
+    assert set(made) <= {3}
+
+
 def test_tower_limit_window_too_large_inconclusive():
     t = make_tower([1, 1], lambda k, s, r: np.eye(1, dtype=np.int64))
     assert tower_limit(t, 3).verdict == "Inconclusive"
@@ -420,7 +433,7 @@ def test_tower_functoriality_square():
             cs = tensor_chain(k_r, om_s, deg + 1)
             ct = tensor_chain(k_r, om_t, deg + 1)
             amb = second_arg_tensor_matrix(gmap, cs.component(deg), ct.component(deg), cs.res.proj(deg))
-            return ht.sq.induced_from(hs.sq, amb)
+            return ht.induced_from(hs, amb)
 
         top = induced(gk, inj_s.cosyzygy(k), inj_t.cosyzygy(k), k)
         bot = induced(gk1, inj_s.cosyzygy(k - 1), inj_t.cosyzygy(k - 1), k - 1)

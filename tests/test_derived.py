@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homct.algmod import (
-    Algebra,
     FdModule,
     ModuleMap,
     _free_block_entries,
@@ -82,6 +81,8 @@ from homct.resolve import (
 )
 from homct.schemas import parse_module_file
 
+from algebras import triangular
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 C3XC3_TABLE = [[3 * ((g // 3 + h // 3) % 3) + (g + h) % 3 for h in range(9)] for g in range(9)]
 
@@ -90,14 +91,6 @@ def swap_side(m: FdModule) -> FdModule:
     """Reinterpret a module over a commutative algebra on the other side."""
     other = "right" if m.side == "left" else "left"
     return FdModule(m.algebra, other, m.dim, m.action, check=True, free_rank=m.free_rank)
-
-
-def triangular_f3() -> Algebra:
-    """Upper triangular 2x2 matrices over F_3 (basis e11, e12, e22): two simples, unit e11 + e22."""
-    struct = np.zeros((3, 3, 3), dtype=np.int64)
-    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
-        struct[i, j, k] = 1
-    return Algebra(3, struct, [1, 0, 1])
 
 
 def socle_ses_a1():
@@ -247,7 +240,7 @@ def test_connecting_rank_on_a2_cosyzygy_ses():
     c_e = tensor_chain(k_r, e0, 3)
     c_o = tensor_chain(k_r, omega1, 3)
     amb = second_arg_tensor_matrix(proj, c_e.component(1), c_o.component(1), c_e.res.proj(1))
-    induced = c_o.homology(1).sq.induced_from(c_e.homology(1).sq, amb)
+    induced = c_o.homology(1).induced_from(c_e.homology(1), amb)
     assert rref(induced)[2] == 3
     assert rref(delta)[2] == 4 - 3 == 1
 
@@ -255,7 +248,7 @@ def test_connecting_rank_on_a2_cosyzygy_ses():
 def test_connecting_over_triangular_algebra():
     # right simples have non-free projective covers, so the maps id_P tensor g
     # go through the relation path of second_arg_tensor_matrix
-    a = triangular_f3()
+    a = triangular()
     expected = {(0, 0): [(0, 0), (0, 0)], (0, 1): [(0, 0), (0, 0)],
                 (1, 0): [[[1]], (0, 0)], (1, 1): [(0, 0), (0, 0)]}
     for (mi, ni), mats in expected.items():
@@ -274,7 +267,7 @@ def test_connecting_over_triangular_algebra():
 def _connecting_cases():
     """(SES, m) pairs: the fixture SESs over A1 and A2, and T_2(F_3), whose
     right simples have non-free projective covers."""
-    a1, a2, t2 = algebra_a1(), algebra_a2(), triangular_f3()
+    a1, a2, t2 = algebra_a1(), algebra_a2(), triangular()
     k = simple_k(a1)
     both = direct_sum([k, regular_module(a1, "left")])
     split = ShortExactSeq(ModuleMap(k, both, Matrix(2, [[1], [0], [0]])),
@@ -308,7 +301,7 @@ def _connecting_tor_reference(ses, m, i):
         return Matrix.zeros(m.p, h_bot.dim, h_top.dim)
     res = c_mid.res
     g_dense = second_arg_tensor_matrix(ses.g, c_mid.component(i), c_right.component(i), res.proj(i))
-    lifted = solve_matrix(g_dense, Matrix(m.p, h_top.sq.basis_representatives().T))
+    lifted = solve_matrix(g_dense, Matrix(m.p, h_top.basis_representatives().T))
     if lifted is None:
         return None
     f_dense = second_arg_tensor_matrix(ses.f, c_left.component(i - 1), c_mid.component(i - 1), res.proj(i - 1))
@@ -428,7 +421,7 @@ def _second_arg(a, kind):
 @example("a2", "free", 3, "zero", 2, 0)
 @example("a4", "free", 0, "simple", 1, 0)
 def test_tensor_operators_match_dense_reference(name, kind, r, n_kind, k, seed):
-    a = triangular_f3() if name == "t2" else fixture_algebras()[name]
+    a = triangular() if name == "t2" else fixture_algebras()[name]
     simples = simple_modules(a, "right")
     m = _first_arg(a, kind, r, simples[seed % len(simples)])
     n = _second_arg(a, n_kind)
@@ -507,14 +500,14 @@ def test_zero_stage_differentials_match_the_dense_path():
             for x in (ses.left, ses.right):
                 chain = tensor_chain(m, x, i + 1)
                 for j in (i - 1, i):
-                    got, want = tor(m, x, j).sq, _homology_reference(chain, j)
+                    got, want = tor(m, x, j), _homology_reference(chain, j)
                     if want is None:
-                        assert got is None
+                        assert (got.dim, got.ambient_dim) == (0, 0)
                         continue
                     assert (got.z, got.b) == (want.z, want.b)
                     v = want.z.from_coords(np.random.default_rng(j).integers(0, m.p, size=(3, want.z.dim)))
                     assert np.array_equal(got.class_of(v), _class_of_reference(want, v))
-            snakes.append(tor(m, ses.right, i).dim > 0 and tor(m, ses.right, i).sq.unit_classes)
+            snakes.append(tor(m, ses.right, i).dim > 0 and tor(m, ses.right, i).unit_classes)
             assert connecting_tor(ses, m, i) == _connecting_by_operators_reference(ses, m, i)
     assert (len(snakes), sum(snakes)) == (29, 20)  # both the unit and the general snake ran
 
@@ -577,7 +570,7 @@ def _entry_form_cases():
         rng = np.random.default_rng(a.dim)
         ns = [simple_k(a), regular_module(a, "left")] + [random_module(a, "left", 2, rng) for _ in range(2)]
         cases += [(simple_k(a, "right"), simple_k(a), n) for n in ns]
-    t2 = triangular_f3()
+    t2 = triangular()
     for m_r, m_l in zip(simple_modules(t2, "right"), simple_modules(t2, "left")):
         cases += [(m_r, m_l, n) for n in simple_modules(t2, "left") + [regular_module(t2, "left")]]
     c3c3 = make_group_algebra(C3XC3_TABLE, 3)
@@ -600,9 +593,9 @@ def test_chain_homology_from_entry_form_matches_dense():
                 if isinstance(chain._build(j), SparseMatrix):
                     built[read.__name__, chain.res.proj(j).free_rank is not None] += 1
             for i in range(4):
-                got = read(i).sq
+                got = read(i)
                 if chain.dim(i) == 0:
-                    assert got is None
+                    assert (got.dim, got.ambient_dim) == (0, 0)
                     continue
                 z = kernel_basis(dense(chain, i))
                 b = Subspace.zero(m_r.p, chain.dim(i)) if i + step < 0 else image_basis(dense(chain, i + step))
@@ -644,7 +637,7 @@ def test_les_socle_ses_a2():
 def _ext_les_cases():
     """(name, SES of left modules, m): the socle and cosyzygy SESs over A1 and A2,
     and the syzygy SESs 0 -> Omega S_n -> P(S_n) -> S_n -> 0 over T_2(F_3)."""
-    a1, a2, t2 = algebra_a1(), algebra_a2(), triangular_f3()
+    a1, a2, t2 = algebra_a1(), algebra_a2(), triangular()
     reg = regular_module(a2, "left")
     soc = socle(reg)
     cases = [("a1-socle", socle_ses_a1(), simple_k(a1)),
@@ -689,7 +682,7 @@ def _class_basis_change(ec: ExtChain, ref: _SubspaceExtChain, j: int) -> Matrix:
     h = ec.cohomology(j)
     if h.dim == 0:
         return Matrix.zeros(ec.n.p, ref.cohomology(j).dim, 0)
-    maps = ec.hom_space(j).to_ambient(h.sq.basis_representatives()).reshape(h.dim, -1)
+    maps = ec.hom_space(j).to_ambient(h.basis_representatives()).reshape(h.dim, -1)
     return Matrix(ec.n.p, ref.cohomology(j).class_of(ref.hom_space(j).coords(maps)).T)
 
 
@@ -727,7 +720,7 @@ def test_ext_long_exact_sequence():
             ha, hb = ca.cohomology(j), cb.cohomology(j)
             if ha.dim == 0 or hb.dim == 0:
                 return Matrix.zeros(m.p, hb.dim, ha.dim)
-            return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(gmap, ca, cb, j))
+            return hb.induced_from(ha, second_arg_ext_matrix(gmap, ca, cb, j))
 
         prev = Matrix.zeros(m.p, chains[0].cohomology(0).dim, 0)
         digests = []
@@ -781,7 +774,7 @@ def _socle_plus_free_ses(a):
 
 def _t2_two_class_case():
     """(ses, m): the syzygy sequence of a simple S over T_2(F_3), whose P_0 is not free, and m = S + S."""
-    s = simple_modules(triangular_f3(), "left")[0]
+    s = simple_modules(triangular(), "left")[0]
     res = min_proj_resolution(s, 2)
     return ShortExactSeq(res.syzygy_incl(1), res.cover_map(0)), direct_sum([s, s])
 
@@ -846,7 +839,7 @@ def _tor_map_reference(g: ModuleMap, m: FdModule, i: int) -> Matrix:
     if ha.dim == 0 or hb.dim == 0:
         return Matrix.zeros(m.p, hb.dim, ha.dim)
     amb = second_arg_tensor_matrix(g, ca.component(i), cb.component(i), ca.res.proj(i))
-    return hb.sq.induced_from(ha.sq, amb)
+    return hb.induced_from(ha, amb)
 
 
 def _ext_map_reference(g: ModuleMap, m: FdModule, j: int) -> Matrix:
@@ -855,7 +848,7 @@ def _ext_map_reference(g: ModuleMap, m: FdModule, j: int) -> Matrix:
     ha, hb = ca.cohomology(j), cb.cohomology(j)
     if ha.dim == 0 or hb.dim == 0:
         return Matrix.zeros(m.p, hb.dim, ha.dim)
-    return hb.sq.induced_from(ha.sq, second_arg_ext_matrix(g, ca, cb, j))
+    return hb.induced_from(ha, second_arg_ext_matrix(g, ca, cb, j))
 
 
 def test_tor_map_and_ext_map_match_the_hand_built_maps():
@@ -951,6 +944,18 @@ def test_chains_free_a_differential_once_both_its_homologies_are_known():
         assert np.array_equal(rebuilt.a, kept) and j not in chain._diffs
 
 
+
+def test_zero_spaces_are_zero_subquotients():
+    # Tor below degree 0 and a zero Ext are the zero subquotient of F_p^0, the one form of a
+    # zero space: the classes of an empty block are empty, and a map between them is 0 x 0
+    a1 = algebra_a1()
+    k_r, k_l = simple_k(a1, "right"), simple_k(a1, "left")
+    for h in (tor(k_r, k_l, -1), ext(k_l, k_l, -1)):
+        assert isinstance(h, Subquotient) and (h.p, h.dim, h.ambient_dim) == (2, 0, 0)
+        assert h.class_of(np.zeros((3, 0), dtype=np.int64)).shape == (3, 0)
+    g = ModuleMap.identity(k_l)
+    assert tor_map(g, k_r, -1).a.shape == (0, 0) and ext_map(g, k_l, -1).a.shape == (0, 0)
+
 def test_end_degree_drops_the_homology_made_since_the_last_call():
     a3 = algebra_a3()
     chain = TensorChain(Resolution(simple_k(a3, "right")).extend(4), a3_mod_x("left"))
@@ -960,7 +965,7 @@ def test_end_degree_drops_the_homology_made_since_the_last_call():
     end_degree()
     assert chain._homology == {} and 2 in chain._known
     again = chain.homology(2)
-    assert again is not h and again.dim == h.dim == 1 and again.sq.z == h.sq.z and again.sq.b == h.sq.b
+    assert again is not h and again.dim == h.dim == 1 and again.z == h.z and again.b == h.b
 
 
 def test_a_reader_returns_the_space_it_made_when_a_degree_end_drops_it(monkeypatch):

@@ -29,7 +29,12 @@ beside the identity, whatever the width of its right-hand side; a cosyzygy
 or syzygy sequence's f and g are eliminated once across all towers of a
 compare; a connecting map in Tor or Ext over free projectives builds no part
 of the middle chain, and over a non-free projective it is two solves, through
-g and through f, for all its classes.  Hom out of a projective has one
+g and through f, for all its classes.  Each tower has one builder:
+``completion.cosyzygy_tower`` and ``derived.les_check`` are the only readers of
+``connecting_tor``, and ``cohom.ext_cotower`` the only reader of
+``connecting_ext`` and ``syzygy_ses``.  A homology value is an
+``exactla.Subquotient``, with no wrapper type: no module defines or imports
+a ``HomologySpace``.  Hom out of a projective has one
 coordinate type, ``algmod.hom_coords``, and the
 free-map entry form lives in ``algmod``: the Hom subspace is built only
 there, ``resolve`` imports no private name from ``algmod``, no module imports
@@ -264,6 +269,31 @@ def test_one_lift(monkeypatch):
         resolve.hom_solve(pi.source, pi.source, pi.matrix, pi.matrix)
 
 
+def test_one_ext_cotower():
+    # the Ext cotower is built in one place, as the Tor tower is: every connecting map in
+    # Ext is a transition of cohom.ext_cotower, which checks its syzygy sequences
+    assert _src_calls({"connecting_ext", "syzygy_ses"}) == [
+        ("cohom.py", "ext_cotower", "connecting_ext"), ("cohom.py", "ext_cotower", "syzygy_ses")]
+    assert _src_calls({"connecting_tor"}) == [
+        ("completion.py", "cosyzygy_tower", "connecting_tor"), ("derived.py", "les_check", "connecting_tor")]
+
+
+def test_homology_is_a_plain_subquotient():
+    # homology values are the exactla.Subquotient itself: no module of the package defines,
+    # binds or imports a HomologySpace wrapper
+    named = []
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                named.append((p.name, node.name))
+            elif isinstance(node, ast.ImportFrom):
+                named += [(p.name, alias.asname or alias.name) for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                named.append((p.name, node.id))
+    assert named and [x for x in named if x[1] == "HomologySpace"] == []
+    assert not hasattr(derived, "HomologySpace")
+
+
 def test_every_exported_name_exists():
     import importlib
 
@@ -341,7 +371,7 @@ def test_tensor_homology_over_zero_differentials_eliminates_nothing(monkeypatch)
     res = resolve.Resolution(simple_k(a2, "right")).extend(3)
     chain = derived.TensorChain(res, simple_k(a2, "left"))
     shapes = _count_eliminations(monkeypatch)
-    assert chain.homology(2).dim == 4 and chain.homology(2).sq.unit_classes
+    assert chain.homology(2).dim == 4 and chain.homology(2).unit_classes
     assert len(shapes) == 0 and chain._diffs == {2: None, 3: None}
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from homct import resolve
 from homct.algmod import (
-    Algebra,
     FdModule,
     ModuleMap,
     _free_map_matrix,
@@ -52,6 +51,8 @@ from homct.resolve import (
 )
 from homct.schemas import parse_module_file
 
+from algebras import triangular
+
 
 def hom_map_from_vec(m, n, vec):
     """The map m -> n whose row-major matrix coordinates are vec."""
@@ -90,10 +91,7 @@ def test_cover_of_k2_over_a2():
 def test_covers_over_non_local_triangular_algebra():
     # upper triangular 2x2 over F_3: basis e11, e12, e22; two idempotents, so
     # covers are sums of the indecomposable projectives A e_t, not free modules
-    struct = np.zeros((3, 3, 3), dtype=np.int64)
-    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
-        struct[i, j, k] = 1
-    a = Algebra(3, struct, [1, 0, 1])
+    a = triangular()
     assert len(a.primitive_idempotents()) == 2 and a.radical().dim == 1
     # per simple: cover dim, cover matrix, resolution dims, differentials
     expected = {
@@ -152,14 +150,6 @@ def _greedy_cover(m):
     return summands, Matrix(a.p, np.hstack(orbits))
 
 
-def _triangular_f3():
-    """T_2(F_3), upper triangular 2x2 over F_3 on e11, e12, e22: two simples."""
-    struct = np.zeros((3, 3, 3), dtype=np.int64)
-    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
-        struct[i, j, k] = 1
-    return Algebra(3, struct, [1, 0, 1])
-
-
 # F_3[C_3 x C_3]: element 3i + j is (i, j)
 C3XC3_TABLE = [[3 * ((g // 3 + h // 3) % 3) + (g + h) % 3 for h in range(9)] for g in range(9)]
 
@@ -193,7 +183,7 @@ def _cover_inputs(a):
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4", "t2f3", "c3c3"])
 def test_cover_rank_profile_matches_greedy_reference(name):
-    a = {**fixture_algebras(), "t2f3": _triangular_f3(),
+    a = {**fixture_algebras(), "t2f3": triangular(),
          "c3c3": make_group_algebra(C3XC3_TABLE, 3)}[name]
     for m in _cover_inputs(a):
         proj, pi, ker = projective_cover(m)
@@ -479,10 +469,7 @@ def _hom_solve_reference(source, target, post, rhs):
 
 
 def _t2_left_simples():
-    struct = np.zeros((3, 3, 3), dtype=np.int64)
-    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
-        struct[i, j, k] = 1
-    return simple_modules(Algebra(3, struct, [1, 0, 1]), "left")
+    return simple_modules(triangular(), "left")
 
 
 def _lifting_problems():
@@ -715,16 +702,9 @@ class _EagerResolution:
         return self
 
 
-def _triangular_f3():
-    struct = np.zeros((3, 3, 3), dtype=np.int64)
-    for (i, j), c in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
-        struct[i, j, c] = 1
-    return Algebra(3, struct, [1, 0, 1])
-
-
 def _lazy_eager_modules():
     mods = [simple_k(a, side) for a in fixture_algebras().values() for side in ("left", "right")]
-    mods += [a3_mod_x("right"), *simple_modules(_triangular_f3(), "left"),
+    mods += [a3_mod_x("right"), *simple_modules(triangular(), "left"),
              simple_k(make_group_algebra([[i ^ j for j in range(4)] for i in range(4)], 2), "right")]
     return mods
 
