@@ -1,16 +1,18 @@
 """Command-line frontend: compute, compare, corpus, dump-resolution.
 
-Reports are deterministic for fixed inputs and seed; the embedded hash covers
-everything except timing.  Certification failures (for example Tate homology
-over an algebra where no complete resolution certifies) are recorded in the
-report and do not fail the run; invariant violations and internal mismatches
-set a nonzero exit code.  Exit codes: 0 success, 1 failures recorded in the
-report, 2 invalid input file or request, 3 unsupported algebra class (the
-radical certificate fails: the ideal of commutators and x^p - x is not
-nilpotent), 5 internal construction failure (a ``RuntimeError``, such as a
-connecting map, projective cover or Hom solve with no solution), 6 out of
-memory, naming the innermost homct function the error passed through; 4 is
-retired and not reused.  Codes 2, 3, 5 and 6 print ``error: ...`` to stderr.
+Reports are JSON, deterministic for fixed inputs and seed; the embedded hash
+covers everything except timing.  ``compute`` and ``compare`` can print their
+per-degree dims table as CSV instead (``--format csv``); ``corpus`` and
+``dump-resolution`` have no such table and print JSON only.  Certification
+failures (for example Tate homology over an algebra where no complete
+resolution certifies) are recorded in the report and do not fail the run;
+invariant violations and internal mismatches set a nonzero exit code.  Exit
+codes: 0 success, 1 failures recorded in the report, 2 invalid input file or
+request, 3 unsupported algebra class (the radical certificate fails: the
+ideal of commutators and x^p - x is not nilpotent), 5 internal construction
+failure (a ``RuntimeError``, such as a connecting map, projective cover or
+Hom solve with no solution), 6 out of memory, naming the innermost homct
+function the error passed through; 4 is retired and not reused.  Codes 2, 3, 5 and 6 print ``error: ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -291,7 +293,7 @@ def run_corpus(seed: int, count: int, max_dim: int, algebra_names: list[str]) ->
     return report
 
 
-def _write_report(report: dict, out: str | None, fmt: str) -> None:
+def _write_report(report: dict, out: str | None, fmt: str = "json") -> None:
     if fmt == "json":
         text = json.dumps(report, indent=1, sort_keys=True)
     else:
@@ -368,7 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     sp_corpus.add_argument("--max-dim", type=int, default=4)
     sp_corpus.add_argument("--algebras", default="a1,a2,a3,a4")
     sp_corpus.add_argument("--out")
-    sp_corpus.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp_dump = sub.add_parser("dump-resolution", help="minimal projective resolution dump")
     sp_dump.add_argument("--algebra", required=True)
@@ -376,7 +377,6 @@ def main(argv: list[str] | None = None) -> int:
     sp_dump.add_argument("--depth", type=int, default=6)
     sp_dump.add_argument("--seed", type=int, default=0)
     sp_dump.add_argument("--out")
-    sp_dump.add_argument("--format", choices=["json", "csv"], default="json")
 
     args = parser.parse_args(argv)
     try:
@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "corpus":
             names = [s.strip() for s in args.algebras.split(",") if s.strip()]
             report = run_corpus(args.seed, args.count, args.max_dim, names)
-            _write_report(report, args.out, args.format)
+            _write_report(report, args.out)
             return 0 if not report["failures"] else 1
         if args.command == "dump-resolution":
             if args.depth < 0:
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
                 "algebra": file_sha256(args.algebra),
                 "module_m": file_sha256(args.module_m),
             }
-            _write_report(dump, args.out, args.format)
+            _write_report(dump, args.out)
             return 0
     except (SchemaError, RequestError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,16 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algmod import FdModule, ModuleMap, dual_map
-from .derived import ShortExactSeq, connecting_tor, tate_tor, tor, tor_map
+from .derived import connecting_tor, cosyzygy_ses, tate_tor, tor, tor_map
 from .exactla import Matrix, Subquotient, Subspace, image_basis, rref
-from .resolve import (
-    CompleteResolution,
-    _memoized,
-    is_injective,
-    min_inj_resolution,
-    min_proj_resolution,
-    syzygy_map,
-)
+from .resolve import CompleteResolution, is_injective, min_inj_resolution, min_proj_resolution, syzygy_map
 
 __all__ = [
     "Tower",
@@ -135,16 +128,8 @@ def cosyzygy_tower(m: FdModule, n: FdModule, i: int, K: int) -> Tower:
         raise ValueError("K must be nonnegative")
     k_min = max(0, -i)
     inj = min_inj_resolution(n, K + 1)
-    stages = []
-    for k in range(k_min, K + 1):
-        stages.append(tor(m, inj.cosyzygy(k), k + i))
-    maps: dict[int, Matrix] = {}
-    for k in range(k_min + 1, K + 1):
-        _, _, _, incl, proj = inj.cosyzygy_ses(k)
-        # the SES depends only on (n, k): it is checked once per process, and
-        # every tower shares its snake operators
-        ses = _memoized(("cosyzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, proj))
-        maps[k] = connecting_tor(ses, m, k + i)
+    stages = [tor(m, inj.cosyzygy(k), k + i) for k in range(k_min, K + 1)]
+    maps = {k: connecting_tor(cosyzygy_ses(n, k), m, k + i) for k in range(k_min + 1, K + 1)}
     return Tower(i, k_min, stages, maps, "cosyzygy")
 
 
@@ -246,29 +231,34 @@ def _interleaving(m: FdModule, n: FdModule, i: int, K: int, cos: Tower) -> Inter
 def tower_limit(t: Tower, w: int) -> StabilizationReport:
     """Finite-window stabilization verdict with the image-chain table.
 
+    Row k of the image chain is dim V_k followed by dim Im(V_h -> V_k) for
+    h = k+1..K.  The images are pushed down one map at a time,
+    Im(V_h -> V_k) = f_{k+1}(Im(V_h -> V_{k+1})), so no composite is formed:
+    the whole stage V_{k+1} pushes to Im f_{k+1}, eliminated once per map.
     Stabilized requires equal dims over the last w stages together with
-    bijective transitions between the windowed stable images (the image of
-    the longest available composite); for towers whose dims are still moving
-    the verdict is NotStabilized and only a lower bound is reported.
+    bijective transitions between the windowed stable images Im(V_K -> V_k);
+    for towers whose dims are still moving the verdict is NotStabilized and
+    only a lower bound is reported.
     """
     if w < 1:
         raise ValueError("window must be >= 1")
     K = t.k_max
     dims = t.dims()
-    # chain[k] ends with dim Im(V_K -> V_k), which is dim V_K itself at k = K; below K
-    # that image is kept, as limit_basis reads it
-    chain: dict[int, list[int]] = {}
-    eventual: dict[int, Subspace] = {}
-    for idx, k in enumerate(range(t.k_min, K + 1)):
-        row, comp = [dims[idx]], None
-        for khi in range(k + 1, K + 1):
-            if comp is not None:  # the last composite's rank is its image's dim, below
-                row.append(rref(comp)[2])
-            comp = t.maps[khi] if comp is None else comp @ t.maps[khi]
-        if comp is not None:
-            eventual[k] = image_basis(comp)
-            row.append(eventual[k].dim)
-        chain[k] = row
+    chain: dict[int, list[int]] = {K: [dims[-1]]}
+    eventual: dict[int, Subspace] = {}  # Im(V_K -> V_k), which limit_basis reads
+    above: list[Subspace] = []  # Im(V_h -> V_{k+1}) for h = k+2..K
+    for k in range(K - 1, t.k_min - 1, -1):
+        f = t.maps[k + 1]
+        images = [image_basis(f)]
+        for j, s in enumerate(above):
+            # the images in one stage are nested, so an image of the dim of the one
+            # before it is that image, and pushes to the same subspace
+            same = s.dim == (above[j - 1].dim if j else f.cols)
+            images.append(images[-1] if same else Subspace(f.p, f.rows, f.apply(s.basis.a)))
+        chain[k] = [dims[k - t.k_min]] + [s.dim for s in images]
+        eventual[k] = images[-1]
+        above = images
+    chain = dict(sorted(chain.items()))
     report = StabilizationReport("", t.i, t.k_min, w, dims, chain, "Inconclusive")
     report.provenance = t.provenance
     n_stages = len(dims)
@@ -329,8 +319,8 @@ def dimension_shift_check(m: FdModule, n: FdModule, i: int, steps: int, K: int, 
     """Check Ctor_i(m, Omega^steps n) = Ctor_{i-steps}(m, n) through the towers.
 
     Stage k of the shifted tower matches stage k+steps of the base tower
-    (minimal resolutions make the reindexing literal); limit dims must agree
-    when both verdicts are Stabilized.
+    (minimal resolutions make the reindexing literal), and so do their
+    image-chain rows; limit dims must agree when both verdicts are Stabilized.
     """
     inj = min_inj_resolution(n, K + steps + 1)
     omega = inj.cosyzygy(steps)
@@ -343,16 +333,10 @@ def dimension_shift_check(m: FdModule, n: FdModule, i: int, steps: int, K: int, 
                                 (rep_shift.verdict, rep_base.verdict), False,
                                 "inconclusive: a side failed to stabilize")
     dims_ok = rep_shift.limit_dim == rep_base.limit_dim
-    # stage-wise reindexing: dims and transition ranks agree under k -> k+steps
-    stage_ok = True
-    for k in range(t_shift.k_min, t_shift.k_max + 1):
-        kk = k + steps
-        if t_base.k_min <= kk <= t_base.k_max:
-            if t_shift.stage_dim(k) != t_base.stage_dim(kk):
-                stage_ok = False
-            if k > t_shift.k_min and kk > t_base.k_min:
-                if rref(t_shift.maps[k])[2] != rref(t_base.maps[kk])[2]:
-                    stage_ok = False
+    # stage-wise reindexing: under k -> k+steps the image-chain rows agree, stage dim and
+    # the dims of the images of every later stage (the rows of both towers have equal lengths)
+    base = rep_base.image_chain
+    stage_ok = all(row == base[k + steps] for k, row in rep_shift.image_chain.items() if k + steps in base)
     ok = dims_ok and stage_ok
     return ShiftCheckReport(i, steps, rep_shift.dims, rep_base.dims,
                             ("Stabilized", "Stabilized"), ok,

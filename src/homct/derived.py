@@ -38,7 +38,8 @@ Out of a non-free P_j the cochains keep the RREF basis of the Hom subspace.
 Connecting maps in Tor and in Ext are one snake (``_connecting``) read off
 the short exact sequence 0 -> N' -f-> N -g-> N'' -> 0.  Their readers are
 the tower builders: ``completion.cosyzygy_tower`` (and ``les_check``) for
-Tor, ``cohom.ext_cotower`` for Ext.  The sequence eliminates f and g once
+Tor, ``cohom.ext_cotower`` for Ext, which take their checked sequences from
+``cosyzygy_ses`` and ``syzygy_ses``.  The sequence eliminates f and g once
 each (``exactla.Solver``) and keeps, for every basis
 element u of A, the operator V_u = T_f . act_u(N) . S_g, where S_g is the
 section of g and T_f the transform with T_f f = rref(f).  On free P_i and
@@ -94,11 +95,12 @@ from .exactla import (
     mulmod,
     solve_matrix,
 )
-from .resolve import CompleteResolution, Resolution, _degree_scoped, _memoized, min_proj_resolution
+from .resolve import CompleteResolution, Resolution, _degree_scoped, _memoized, min_inj_resolution, min_proj_resolution
 
 __all__ = [
     "ShortExactSeq",
     "syzygy_ses",
+    "cosyzygy_ses",
     "TensorChain",
     "ExtChain",
     "tor",
@@ -167,6 +169,14 @@ def syzygy_ses(n: FdModule, k: int) -> ShortExactSeq:
     res = min_proj_resolution(n, k)
     incl, cover = res.syzygy_incl(k), res.cover_map(k - 1)
     return _memoized(("syzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, cover))
+
+
+def cosyzygy_ses(n: FdModule, k: int) -> ShortExactSeq:
+    """0 -> Omega^{k-1} n -> I^{k-1} -> Omega^k n -> 0 from n's minimal injective resolution (k >= 1),
+    checked once per process; every reader shares its eliminations and snake operators."""
+    inj = min_inj_resolution(n, k)
+    incl, proj = inj.cosyzygy_incl(k - 1), inj.cosyzygy_proj(k)
+    return _memoized(("cosyzygy_ses", n.fingerprint(), k), lambda: ShortExactSeq(incl, proj))
 
 
 def _zero(p: int) -> Subquotient:

@@ -82,11 +82,11 @@ __all__ = [
 # The one process-wide memo of homological data, keyed by content fingerprints:
 # ("res", m) projective and ("inj", n) injective resolutions, ("tensor"|"ext", m, n)
 # chains in derived, ("cosyzygy_ses", n, k) and ("syzygy_ses", n, k) checked
-# sequences with their snake operators in completion and derived, and
-# ("self_injective", algebra) verdicts.  Library callers may share it across
-# threads: a reader returns the value it built or found and never reads a dict
-# a second time, as another thread's end_degree may drop a homology space in
-# between.
+# sequences with their snake operators (derived.cosyzygy_ses and
+# derived.syzygy_ses), and ("self_injective", algebra) verdicts.  Library
+# callers may share it across threads: a reader returns the value it built or
+# found and never reads a dict a second time, as another thread's end_degree
+# may drop a homology space in between.
 _memo: dict[tuple, object] = {}
 _memo_lock = threading.Lock()
 # per thread: chain -> the degrees of the homology spaces it made since the last end_degree

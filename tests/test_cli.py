@@ -359,6 +359,21 @@ def test_csv_format(tmp_path):
     assert any(line.startswith("0,tor,dim,1") for line in lines)
 
 
+def test_corpus_has_no_csv_format(capsys):
+    # the corpus report has no per-degree dims table, so CSV is not offered
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--seed", "1", "--count", "2", "--algebras", "a1", "--format", "csv"])
+    assert exc.value.code == 2 and "--format" in capsys.readouterr().err
+
+
+def test_dump_resolution_has_no_csv_format(capsys):
+    # neither has the resolution dump
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-resolution", "--algebra", fx("a1.json"), "--module-m", fx("a1_k_right.json"),
+              "--format", "csv"])
+    assert exc.value.code == 2 and "--format" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [["--degrees", "3..1"], ["--depth", "2", "--window", "3"],
                                  ["--degrees", "1..x"]])
 def test_main_invalid_request_exit_code(bad, capsys):

@@ -1,10 +1,14 @@
 """Tests for towers, satellites, stabilization and complete homology."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homct import completion, derived, exactla, resolve
-from homct.algmod import ModuleMap, dual_module, regular_module
+from homct import cohom, completion, derived, exactla, resolve
+from homct.algmod import ModuleMap, dual_module, regular_module, simple_modules
 from homct.completion import (
     cosyzygy_map,
     cosyzygy_tower,
@@ -19,16 +23,19 @@ from homct.completion import (
     Tower,
 )
 from homct.derived import second_arg_tensor_matrix, tensor_chain, tor
-from homct.exactla import Matrix, rref
+from homct.exactla import Matrix, image_basis, rref
 from homct.fixtures import (
     a3_mod_x,
     a3_mod_y,
     algebra_a1,
     algebra_a2,
+    algebra_a3,
     algebra_a4,
     simple_k,
 )
 from homct.resolve import complete_resolution, min_inj_resolution
+
+from algebras import triangular
 
 
 class _Stage:
@@ -117,20 +124,19 @@ def test_non_exact_pair_raises_after_a_genuine_ses_is_verified():
 
 def test_cosyzygy_tower_raises_on_a_non_exact_ses(monkeypatch):
     monkeypatch.setattr(resolve, "_memo", {})
-    real = completion.min_inj_resolution
+    real = derived.min_inj_resolution
 
     class Broken:  # the injective resolution of n, with a cokernel map that is not onto
         def __init__(self, n, depth):
             self.inj = real(n, depth)
 
-        def cosyzygy(self, k):
-            return self.inj.cosyzygy(k)
+        def __getattr__(self, name):
+            return getattr(self.inj, name)
 
-        def cosyzygy_ses(self, k):
-            om_prev, mid, om_next, incl, _ = self.inj.cosyzygy_ses(k)
-            return om_prev, mid, om_next, incl, ModuleMap.zero(mid, om_next)
+        def cosyzygy_proj(self, k):
+            return ModuleMap.zero(self.inj.space(k - 1), self.inj.cosyzygy(k))
 
-    monkeypatch.setattr(completion, "min_inj_resolution", Broken)
+    monkeypatch.setattr(derived, "min_inj_resolution", Broken)
     a2 = algebra_a2()
     k_l = simple_k(a2, "left")
     with pytest.raises(ValueError, match="not surjective"):
@@ -274,6 +280,109 @@ def test_tower_limit_window_too_large_inconclusive():
     assert tower_limit(t, 3).verdict == "Inconclusive"
 
 
+def _tower_limit_reference(t: Tower, w: int) -> completion.StabilizationReport:
+    """tower_limit as it was before image propagation: every composite V_h -> V_k formed
+    as a dense product, its rank read by rref and the last one's image by image_basis."""
+    K = t.k_max
+    dims = t.dims()
+    chain, eventual = {}, {}
+    for idx, k in enumerate(range(t.k_min, K + 1)):
+        row, comp = [dims[idx]], None
+        for khi in range(k + 1, K + 1):
+            if comp is not None:
+                row.append(rref(comp)[2])
+            comp = t.maps[khi] if comp is None else comp @ t.maps[khi]
+        if comp is not None:
+            eventual[k] = image_basis(comp)
+            row.append(eventual[k].dim)
+        chain[k] = row
+    report = completion.StabilizationReport(t.provenance, t.i, t.k_min, w, dims, chain, "Inconclusive")
+    if len(dims) < w + 1:
+        report.notes.append("window exceeds available stages")
+        return report
+    if len(set(dims[-w:])) != 1:
+        report.verdict = "NotStabilized"
+        report.lower_bound = max(row[-1] for row in chain.values())
+        report.notes.append("stage dims still changing in the window")
+        return report
+    k0 = min(K - w + 1, K - 1)
+    e_dims = [chain[k][-1] for k in range(k0, K)]
+    if len(set(e_dims)) > 1:
+        report.notes.append("stable-image dims not constant across the window")
+        return report
+    report.verdict = "Stabilized"
+    report.limit_dim = e_dims[0]
+    report.stable_range = (k0, K)
+    report.limit_basis = [list(map(int, row)) for row in eventual[k0].basis.a]
+    return report
+
+
+def _assert_matches_reference(t: Tower, w: int) -> completion.StabilizationReport:
+    got, want = tower_limit(t, w), _tower_limit_reference(t, w)
+    assert got.to_dict() == want.to_dict() and got.limit_basis == want.limit_basis
+    return got
+
+
+@st.composite
+def _towers(draw):
+    """Towers over F_2, F_3 and F_(2^31-1) with zero stages and zero, low-rank or onto maps."""
+    p = draw(st.sampled_from([2, 3, 2**31 - 1]))
+    k_min = draw(st.integers(0, 2))
+    dims = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    entries = st.sampled_from([0, 1, 2, p - 1, p // 2])
+    maps = {}
+    for k in range(k_min + 1, k_min + len(dims)):
+        rows, cols = dims[k - 1 - k_min], dims[k - k_min]
+        rank = draw(st.integers(0, min(rows, cols)))  # a product through F_p^rank
+        left = Matrix(p, draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                                       min_size=rows, max_size=rows)) or np.zeros((rows, rank), dtype=np.int64))
+        right = Matrix(p, draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                        min_size=rank, max_size=rank)) or np.zeros((rank, cols), dtype=np.int64))
+        maps[k] = left @ right
+    return Tower(draw(st.integers(-1, 1)), k_min, [_Stage(d) for d in dims], maps, "synthetic")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_towers(), st.integers(1, 7))
+def test_tower_limit_matches_the_composite_loop(t, w):
+    # image propagation against the composite loop it replaced: equal report and limit basis
+    _assert_matches_reference(t, w)
+
+
+def test_tower_limit_matches_the_composite_loop_on_module_towers(monkeypatch):
+    # the cosyzygy towers and the Ext cotowers (through cotower_limit, on the dual tower)
+    # of k over A1-A4 and of every pair of simples over T_2(F_3)
+    t2 = triangular()
+    pairs = [(simple_k(a, "right"), simple_k(a, "left"))
+             for a in (algebra_a1(), algebra_a2(), algebra_a3(), algebra_a4())]
+    pairs += [(m, n) for m in simple_modules(t2, "right") for n in simple_modules(t2, "left")]
+    verdicts = set()
+    for m, n in pairs:
+        m_op, dn_op = m.as_left_over_opposite(), dual_module(n).as_left_over_opposite()
+        for i, K, w in itertools.product((-1, 0, 1), (1, 4), (1, 2, 3)):  # K = 1 has 1 or 2 stages
+            verdicts.add(_assert_matches_reference(cosyzygy_tower(m, n, i, K), w).verdict)
+            cot = cohom.ext_cotower(m_op, dn_op, i, K)
+            got = cohom.cotower_limit(cot, w)
+            with monkeypatch.context() as mp:
+                mp.setattr(cohom, "tower_limit", _tower_limit_reference)
+                want = cohom.cotower_limit(cot, w)
+            assert got.to_dict() == want.to_dict() and got.limit_basis == want.limit_basis
+            verdicts.add(got.verdict)
+    assert verdicts == {"Stabilized", "NotStabilized", "Inconclusive"}
+
+
+def test_tower_limit_forms_no_composite(monkeypatch):
+    # A2 K = 4 is onto at every map: one image_basis per map and no product
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append((a.a.shape, b.a.shape)) or matmul(a, b))
+    a2 = algebra_a2()
+    t = cosyzygy_tower(simple_k(a2, "right"), simple_k(a2, "left"), 0, 4)
+    products.clear()
+    rep = tower_limit(t, 2)
+    assert rep.image_chain[0] == [1, 1, 1, 1, 1] and rep.image_chain[3] == [64, 64] and products == []
+
+
 # --- complete homology -------------------------------------------------------------
 
 def test_complete_homology_a1_all_degrees():
@@ -385,6 +494,26 @@ def test_dimension_shift_a3_pair():
     n = a3_mod_y("left")
     rep = dimension_shift_check(m, n, 0, 1, 5)
     assert rep.ok
+
+
+def test_dimension_shift_reads_the_image_chains(monkeypatch):
+    # the stage-wise check compares image-chain rows and eliminates no transition again
+    ranks = []
+    monkeypatch.setattr(completion, "rref", lambda m: ranks.append(m) or rref(m))
+    a1 = algebra_a1()
+    k_r, k_l = simple_k(a1, "right"), simple_k(a1, "left")
+    assert dimension_shift_check(k_r, k_l, 0, 2, 5).ok and ranks == []
+    real = completion.tower_limit
+
+    def shifted_row_off(t, w):  # the shifted tower (degree 0 here) loses rank in its row 1
+        rep = real(t, w)
+        if t.i == 0:
+            rep.image_chain[1] = [rep.image_chain[1][0], 0, *rep.image_chain[1][2:]]
+        return rep
+
+    monkeypatch.setattr(completion, "tower_limit", shifted_row_off)
+    rep = dimension_shift_check(k_r, k_l, 0, 2, 5)
+    assert rep.verdicts == ("Stabilized", "Stabilized") and not rep.ok
 
 
 # --- left satellites ---------------------------------------------------------------

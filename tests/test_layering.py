@@ -11,7 +11,8 @@ no np.kron, np.hstack or np.vstack copy, and a subspace's coordinate maps never
 build its dense basis.  The chain layer is ``derived``: tensor
 differentials, second-argument maps and the tensor chains themselves are
 built there and nowhere else.  The elimination counts of one resolution
-stage, one homology space, one tower limit and one checked short exact
+stage, one homology space, one tower limit (one per map: images are pushed
+down a map at a time, and no composite is formed) and one checked short exact
 sequence are pinned, so a change that eliminates a matrix twice fails here;
 a homology space over zero differentials eliminates nothing, and a segment
 system eliminates each distinct block of its components once;
@@ -32,7 +33,8 @@ of the middle chain, and over a non-free projective it is two solves, through
 g and through f, for all its classes.  Each tower has one builder:
 ``completion.cosyzygy_tower`` and ``derived.les_check`` are the only readers of
 ``connecting_tor``, and ``cohom.ext_cotower`` the only reader of
-``connecting_ext`` and ``syzygy_ses``.  A homology value is an
+``connecting_ext`` and ``syzygy_ses``; ``derived.cosyzygy_ses`` and
+``derived.syzygy_ses`` are the only builders of a ``ShortExactSeq``.  A homology value is an
 ``exactla.Subquotient``, with no wrapper type: no module defines or imports
 a ``HomologySpace``.  Hom out of a projective has one
 coordinate type, ``algmod.hom_coords``, and the
@@ -276,6 +278,10 @@ def test_one_ext_cotower():
         ("cohom.py", "ext_cotower", "connecting_ext"), ("cohom.py", "ext_cotower", "syzygy_ses")]
     assert _src_calls({"connecting_tor"}) == [
         ("completion.py", "cosyzygy_tower", "connecting_tor"), ("derived.py", "les_check", "connecting_tor")]
+    # both towers read their checked sequences from derived, the one place that builds one
+    assert _src_calls({"ShortExactSeq"}) == [
+        ("derived.py", "cosyzygy_ses", "ShortExactSeq"), ("derived.py", "syzygy_ses", "ShortExactSeq")]
+    assert _src_calls({"cosyzygy_ses"}) == [("completion.py", "cosyzygy_tower", "cosyzygy_ses")]
 
 
 def test_homology_is_a_plain_subquotient():
@@ -393,10 +399,10 @@ def test_one_tate_homology_eliminates_two_matrices(monkeypatch):
         monkeypatch.undo()
 
 
-def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
-    # stages k = 0..3 give 3 + 2 + 1 composites V_K' -> V_k, each eliminated
-    # once (the last of each row by image_basis, whose dim is its rank); the
-    # top stage's full space is an RREF already
+def test_one_tower_limit_eliminates_each_map_once(monkeypatch):
+    # images are pushed down one map at a time and no composite is formed; every A2
+    # map is onto, so each image is a whole stage, which pushes to Im f: one
+    # image_basis per map, of the transposed transition
     from homct import completion
 
     a2 = algebra_a2()
@@ -404,7 +410,7 @@ def test_one_tower_limit_eliminates_each_composite_once(monkeypatch):
     shapes = _count_eliminations(monkeypatch)
     report = completion.tower_limit(tower, 2)
     assert report.dims == [1, 4, 16, 64]
-    assert len(shapes) == 6
+    assert shapes == [(64, 16), (16, 4), (4, 1)]
 
 
 def test_short_exact_seq_eliminates_f_and_g_once(monkeypatch):
