@@ -330,15 +330,16 @@ def _towers(draw):
     k_min = draw(st.integers(0, 2))
     dims = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
     entries = st.sampled_from([0, 1, 2, p - 1, p // 2])
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
+
     maps = {}
     for k in range(k_min + 1, k_min + len(dims)):
         rows, cols = dims[k - 1 - k_min], dims[k - k_min]
         rank = draw(st.integers(0, min(rows, cols)))  # a product through F_p^rank
-        left = Matrix(p, draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
-                                       min_size=rows, max_size=rows)) or np.zeros((rows, rank), dtype=np.int64))
-        right = Matrix(p, draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
-                                        min_size=rank, max_size=rank)) or np.zeros((rank, cols), dtype=np.int64))
-        maps[k] = left @ right
+        maps[k] = matrix(rows, rank) @ matrix(rank, cols)
     return Tower(draw(st.integers(-1, 1)), k_min, [_Stage(d) for d in dims], maps, "synthetic")
 
 
